@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import FieldError, PositivityError
 from .lattice import (
+    INDEX_LETTERS,
     Grid,
     ScalarField,
     TensorField,
+    contract,
     diff_values,
     gradient_values,
     pointwise_inner_values,
@@ -53,15 +55,12 @@ class MetricField:
             raise PositivityError(
                 f"metric has a pointwise eigenvalue below {EPS_SPD:g}"
             ) from exc
-        inv = np.linalg.inv(self.values)
-        gap = float(np.max(np.abs(
-            np.einsum("...ij,...jk->...ik", self.values, inv) - eye
-        )))
+        inv, det = _inverse_and_det(self.values)
+        gap = float(np.max(np.abs(self.values @ inv - eye)))
         if gap > _INVERSE_TOL:
             raise PositivityError(f"metric inverse residual {gap:.3e} exceeds 1e-12")
         inv.setflags(write=False)
         self.inv_values = inv
-        det = np.linalg.det(self.values)
         sq = np.sqrt(det)
         sq.setflags(write=False)
         self.sqrt_det_values = sq
@@ -87,6 +86,32 @@ class MetricField:
         return self._cache[key]
 
 
+def _inverse_and_det(values):
+    """Pointwise inverse and determinant by Gauss-Jordan elimination over the
+    component axes, vectorized over the grid.
+
+    No pivoting: that is safe only for matrices already certified positive
+    definite, whose pivots are all positive. Zero off-diagonal entries
+    eliminate nothing, so a diagonal matrix gets its exact reciprocal inverse.
+    """
+    n = values.shape[-1]
+    a = np.moveaxis(values, (-2, -1), (0, 1)).copy()
+    inv = np.zeros_like(a)
+    inv[range(n), range(n)] = 1.0
+    det = 1.0
+    for k in range(n):
+        pivot = a[k, k].copy()
+        det = det * pivot
+        a[k] /= pivot
+        inv[k] /= pivot
+        for i in range(n):
+            if i != k:
+                factor = a[i, k].copy()
+                a[i] -= factor * a[k]
+                inv[i] -= factor * inv[k]
+    return np.ascontiguousarray(np.moveaxis(inv, (0, 1), (-2, -1))), det
+
+
 def flat_metric(grid, diagonal=None):
     """Constant metric, identity by default or with a given diagonal."""
     n = grid.n_dims
@@ -104,8 +129,9 @@ def christoffel_values(g):
         dj_gil = np.einsum("...jil->...lij", dg)
         dl_gij = dg
         combo = di_gjl + dj_gil - dl_gij
-        return np.einsum("...kl,...lij->...kij", g.inv_values, combo,
-                         optimize=True) * 0.5
+        n = g.grid.n_dims
+        flat = combo.reshape(g.grid.shape + (n, n * n))
+        return (g.inv_values @ flat).reshape(combo.shape) * 0.5
     return g._cached("christoffel", build)
 
 
@@ -122,19 +148,21 @@ def ricci_values(g):
         grid = g.grid
         gam = christoffel_values(g)
         n = grid.n_dims
-        dgam = np.stack(
-            [diff_values(gam, a, grid.spacings[a]) for a in range(n)],
-            axis=grid.n_dims,
-        )  # [..., c, k, i, j]
-        term1 = np.einsum("...ccij->...ij", dgam)
+        # only the traced derivatives sum_c D_c Gamma^c_ij enter Ric
+        term1 = sum(diff_values(gam[..., c, :, :], c, grid.spacings[c])
+                    for c in range(n))
         # Gamma^k_kj contracted once; its coordinate gradient is symmetrized
         # explicitly because the discrete product rule leaves an O(h^4)
         # antisymmetric remainder that would otherwise leak into Ric.
         phi = np.einsum("...kkj->...j", gam)
         dphi = gradient_values(grid, phi)  # [..., i, j] = D_i phi_j
         term2 = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
-        term3 = np.einsum("...l,...lij->...ij", phi, gam, optimize=True)
-        term4 = np.einsum("...kil,...lkj->...ij", gam, gam, optimize=True)
+        term3 = (phi[..., None, :] @ gam.reshape(grid.shape + (n, n * n))
+                 ).reshape(grid.shape + (n, n))
+        # gam_t[i, k, l] = Gamma^k_il, so term4_ij = sum_kl gam_t[i,k,l] gam_t[k,l,j]
+        gam_t = np.ascontiguousarray(np.swapaxes(gam, -3, -2))
+        term4 = (gam_t.reshape(grid.shape + (n, n * n))
+                 @ gam_t.reshape(grid.shape + (n * n, n)))
         return term1 - term2 + term3 - term4
     return g._cached("ricci", build)
 
@@ -147,8 +175,7 @@ def ricci(g):
 def scalar_curvature(g):
     """Scalar curvature R = g^ij Ric_ij."""
     def build():
-        return np.einsum("...ij,...ij->...", g.inv_values, ricci_values(g),
-                         optimize=True)
+        return contract("...ij,...ij->...", g.inv_values, ricci_values(g))
     return ScalarField(g.grid, g._cached("scalar_curvature", build))
 
 
@@ -157,15 +184,11 @@ def riemann_values(g):
     def build():
         grid = g.grid
         gam = christoffel_values(g)
-        n = grid.n_dims
-        dgam = np.stack(
-            [diff_values(gam, a, grid.spacings[a]) for a in range(n)],
-            axis=grid.n_dims,
-        )  # [..., c, m, i, j] = D_c Gamma^m_ij
+        dgam = gradient_values(grid, gam)  # [..., c, m, i, j] = D_c Gamma^m_ij
         dk_glj = np.einsum("...kmlj->...mjkl", dgam)
         dl_gkj = np.einsum("...lmkj->...mjkl", dgam)
-        gamgam1 = np.einsum("...mka,...alj->...mjkl", gam, gam, optimize=True)
-        gamgam2 = np.einsum("...mla,...akj->...mjkl", gam, gam, optimize=True)
+        gamgam1 = contract("...mka,...alj->...mjkl", gam, gam)
+        gamgam2 = contract("...mla,...akj->...mjkl", gam, gam)
         return dk_glj - dl_gkj + gamgam1 - gamgam2
     return g._cached("riemann", build)
 
@@ -174,12 +197,8 @@ def hessian(g, f):
     """Covariant Hessian of a scalar, Hess f = D_i D_j f - Gamma^k_ij D_k f."""
     grid = g.grid
     df = gradient_values(grid, f.values)
-    ddf = np.stack(
-        [diff_values(df, a, grid.spacings[a]) for a in range(grid.n_dims)],
-        axis=grid.n_dims,
-    )
-    gam_term = np.einsum("...kij,...k->...ij", christoffel_values(g), df,
-                         optimize=True)
+    ddf = gradient_values(grid, df)
+    gam_term = contract("...kij,...k->...ij", christoffel_values(g), df)
     return TensorField(grid, ddf - gam_term, "symmetric2")
 
 
@@ -190,6 +209,19 @@ def gradient_vector(g, f):
     return TensorField(g.grid, up, "vector")
 
 
+def laplacian_values(g, values):
+    """Raw scalar Laplacian (1/sqrt g) D_a(sqrt g g^ab D_b u) of a grid array."""
+    grid = g.grid
+    du = gradient_values(grid, values)
+    flux = g.sqrt_det_values[..., None] * np.einsum(
+        "...ab,...b->...a", g.inv_values, du
+    )
+    div = np.zeros(grid.shape)
+    for a in range(grid.n_dims):
+        div = div + diff_values(flux[..., a], a, grid.spacings[a])
+    return div / g.sqrt_det_values
+
+
 def laplace_beltrami(g, f):
     """Scalar Laplacian with the sign convention Delta = -(d*d), nonpositive.
 
@@ -197,29 +229,18 @@ def laplace_beltrami(g, f):
     against the volume-weighted quadrature by the skew-adjointness of the
     stencil, not merely to truncation order.
     """
-    grid = g.grid
-    df = gradient_values(grid, f.values)
-    flux = g.sqrt_det_values[..., None] * np.einsum(
-        "...ab,...b->...a", g.inv_values, df
-    )
-    div = np.zeros(grid.shape)
-    for a in range(grid.n_dims):
-        div = div + diff_values(flux[..., a], a, grid.spacings[a])
-    return ScalarField(grid, div / g.sqrt_det_values)
+    return ScalarField(g.grid, laplacian_values(g, f.values))
 
 
 def divergence(g, h):
     """Covariant divergence of a symmetric 2-tensor, (div h)_j = g^ik D_i h_kj."""
     grid = g.grid
-    dh = np.stack(
-        [diff_values(h.values, a, grid.spacings[a]) for a in range(grid.n_dims)],
-        axis=grid.n_dims,
-    )  # [..., c, k, j]
+    dh = gradient_values(grid, h.values)  # [..., c, k, j]
     gam = christoffel_values(g)
     inv = g.inv_values
-    t1 = np.einsum("...ik,...ikj->...j", inv, dh, optimize=True)
-    t2 = np.einsum("...ik,...lik,...lj->...j", inv, gam, h.values, optimize=True)
-    t3 = np.einsum("...ik,...lij,...kl->...j", inv, gam, h.values, optimize=True)
+    t1 = contract("...ik,...ikj->...j", inv, dh)
+    t2 = contract("...ik,...lik,...lj->...j", inv, gam, h.values)
+    t3 = contract("...ik,...lij,...kl->...j", inv, gam, h.values)
     return TensorField(grid, t1 - t2 - t3, "covector")
 
 
@@ -231,8 +252,7 @@ def lie_derivative_metric(g, x):
     grid = g.grid
     xl = np.einsum("...ja,...a->...j", g.values, x.values)
     dxl = gradient_values(grid, xl)  # [..., i, j] = D_i X_j
-    gam_term = np.einsum("...kij,...k->...ij", christoffel_values(g), xl,
-                         optimize=True)
+    gam_term = contract("...kij,...k->...ij", christoffel_values(g), xl)
     sym = dxl + np.swapaxes(dxl, -1, -2) - 2.0 * gam_term
     return TensorField(grid, sym, "symmetric2")
 
@@ -281,12 +301,11 @@ def exterior_derivative(fld):
 
 def _metric_map_all(values, pairing, grid_ndims, rank):
     """Apply a pointwise index map (raise or lower) to every component slot."""
-    letters = "abcdefgh"
-    src = letters[:rank]
-    dst = letters[rank:2 * rank]
+    src = INDEX_LETTERS[:rank]
+    dst = INDEX_LETTERS[rank:2 * rank]
     pair_terms = ",".join(f"...{d}{s}" for d, s in zip(dst, src))
     expr = f"{pair_terms},...{src}->...{dst}"
-    return np.einsum(expr, *([pairing] * rank), values, optimize=True)
+    return contract(expr, *([pairing] * rank), values)
 
 
 def codifferential(g, fld):
@@ -358,10 +377,8 @@ def h_squared(g, H):
     """
     if _form_rank(H) != 3:
         raise FieldError("h_squared expects a 3-form")
-    out = np.einsum(
-        "...iab,...ac,...bd,...jcd->...ij",
-        H.values, g.inv_values, g.inv_values, H.values, optimize=True,
-    )
+    out = contract("...iab,...ac,...bd,...jcd->...ij",
+                   H.values, g.inv_values, g.inv_values, H.values)
     return TensorField(g.grid, out, "symmetric2")
 
 
@@ -387,37 +404,27 @@ def lichnerowicz(g, h):
     if h.symmetry != "symmetric2":
         raise FieldError("lichnerowicz expects a symmetric 2-tensor")
     grid = g.grid
-    n = grid.n_dims
     gam = christoffel_values(g)
     inv = g.inv_values
 
-    dh = np.stack(
-        [diff_values(h.values, a, grid.spacings[a]) for a in range(n)],
-        axis=grid.n_dims,
-    )
+    dh = gradient_values(grid, h.values)
     cov1 = dh \
-        - np.einsum("...lbi,...lj->...bij", gam, h.values, optimize=True) \
-        - np.einsum("...lbj,...il->...bij", gam, h.values, optimize=True)
-    dcov1 = np.stack(
-        [diff_values(cov1, a, grid.spacings[a]) for a in range(n)],
-        axis=grid.n_dims,
-    )
+        - contract("...lbi,...lj->...bij", gam, h.values) \
+        - contract("...lbj,...il->...bij", gam, h.values)
+    dcov1 = gradient_values(grid, cov1)
     cov2 = dcov1 \
-        - np.einsum("...lab,...lij->...abij", gam, cov1, optimize=True) \
-        - np.einsum("...lai,...blj->...abij", gam, cov1, optimize=True) \
-        - np.einsum("...laj,...bil->...abij", gam, cov1, optimize=True)
-    rough = np.einsum("...ab,...abij->...ij", inv, cov2, optimize=True)
+        - contract("...lab,...lij->...abij", gam, cov1) \
+        - contract("...lai,...blj->...abij", gam, cov1) \
+        - contract("...laj,...bil->...abij", gam, cov1)
+    rough = contract("...ab,...abij->...ij", inv, cov2)
 
     riem = riemann_values(g)
-    h_up = np.einsum("...ia,...jb,...ab->...ij", inv, inv, h.values,
-                     optimize=True)
-    curv = np.einsum("...im,...mjkl,...ik->...jl", g.values, riem, h_up,
-                     optimize=True)
+    h_up = contract("...ia,...jb,...ab->...ij", inv, inv, h.values)
+    curv = contract("...im,...mjkl,...ik->...jl", g.values, riem, h_up)
     curv = 0.5 * (curv + np.swapaxes(curv, -1, -2))
 
     ric = ricci_values(g)
-    mixed = np.einsum("...ik,...kl,...lj->...ij", ric, inv, h.values,
-                      optimize=True)
+    mixed = contract("...ik,...kl,...lj->...ij", ric, inv, h.values)
     ric_h = mixed + np.swapaxes(mixed, -1, -2)
 
     return TensorField(grid, rough + 2.0 * curv - ric_h, "symmetric2")
@@ -430,5 +437,7 @@ def deturck_vector(g, g_ref):
     harmonic; vanishes identically when both metrics are constant.
     """
     diff = christoffel_values(g) - christoffel_values(g_ref)
-    out = np.einsum("...ij,...kij->...k", g.inv_values, diff, optimize=True)
+    n = g.grid.n_dims
+    out = (diff.reshape(g.grid.shape + (n, n * n))
+           @ g.inv_values.reshape(g.grid.shape + (n * n, 1)))[..., 0]
     return TensorField(g.grid, out, "vector")

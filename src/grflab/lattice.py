@@ -11,6 +11,8 @@ are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +105,12 @@ def _lock(values):
     return arr
 
 
-def _check_finite(values, what):
-    if not np.all(np.isfinite(values)):
+def _peak(values, what):
+    """max |values| in two passes; NaN or inf shows in max or min and raises."""
+    hi, lo = values.max(), values.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise FieldError(f"{what} contains non-finite entries")
+    return max(hi, -lo)
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ class ScalarField:
             raise FieldError(
                 f"scalar field shape {arr.shape} does not match grid {self.grid.shape}"
             )
-        _check_finite(arr, "scalar field")
+        _peak(arr, "scalar field")
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -134,13 +139,16 @@ def _symmetry_defect(values, n_grid, symmetry):
     rank = values.ndim - n_grid
     axes = tuple(range(n_grid, values.ndim))
     if symmetry == "symmetric2":
-        return float(np.max(np.abs(values - np.swapaxes(values, axes[0], axes[1]))))
+        # each unordered pair of off-diagonal slots once
+        upper, lower = np.triu_indices(values.shape[-1], 1)
+        gap = values[..., upper, lower] - values[..., lower, upper]
+        return _peak(gap, "symmetry defect")
     if symmetry == "antisymmetric" and rank >= 2:
         worst = 0.0
         # adjacent transpositions generate the symmetric group
         for i in range(rank - 1):
             swapped = np.swapaxes(values, axes[i], axes[i + 1])
-            worst = max(worst, float(np.max(np.abs(values + swapped))))
+            worst = max(worst, _peak(values + swapped, "symmetry defect"))
         return worst
     return 0.0
 
@@ -174,8 +182,7 @@ class TensorField:
             raise FieldError(f"{self.symmetry} fields must have rank 1, got {rank}")
         if self.symmetry == "symmetric2" and rank != 2:
             raise FieldError(f"symmetric2 fields must have rank 2, got {rank}")
-        _check_finite(arr, "tensor field")
-        scale = max(1.0, float(np.max(np.abs(arr))))
+        scale = max(1.0, _peak(arr, "tensor field"))
         defect = _symmetry_defect(arr, n, self.symmetry)
         if defect > _SYMMETRY_CHECK_TOL * scale:
             raise FieldError(
@@ -203,18 +210,35 @@ def _wrap(grid, values, symmetry_or_scalar):
     return TensorField(grid, values, symmetry_or_scalar)
 
 
+def stencil_symbol(n_points, spacing):
+    """Fourier symbol of diff_values along one axis, one modified wavenumber
+    per FFT mode: the stencil acts on exp(i k x) as multiplication by i times
+    this value."""
+    theta = 2.0 * np.pi * np.fft.fftfreq(n_points)
+    return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * spacing)
+
+
 def diff_values(values, axis, spacing):
     """4th-order centered periodic derivative of a raw array along one grid axis.
 
     The stencil (-u(+2h) + 8u(+h) - 8u(-h) + u(-2h)) / (12h) is exactly
     antisymmetric under reversal, which makes it skew-adjoint for the uniform
-    periodic quadrature without any boundary correction.
+    periodic quadrature without any boundary correction. The shifted operands
+    are slices of one C-ordered copy wrapped by two cells on each side; the
+    arithmetic is that of np.roll copies, so the result is bit-identical.
     """
-    up1 = np.roll(values, -1, axis)
-    um1 = np.roll(values, 1, axis)
-    up2 = np.roll(values, -2, axis)
-    um2 = np.roll(values, 2, axis)
-    return (8.0 * (up1 - um1) - (up2 - um2)) / (12.0 * spacing)
+    m = values.shape[axis]
+    padded = np.take(values, np.arange(-2, m + 2), axis=axis, mode="wrap")
+    lead = (slice(None),) * (axis % values.ndim)
+
+    def shifted(k):
+        return padded[lead + (slice(2 + k, 2 + k + m),)]
+
+    out = shifted(1) - shifted(-1)
+    out *= 8.0
+    out -= shifted(2) - shifted(-2)
+    out /= 12.0 * spacing
+    return out
 
 
 def partial_derivative(fld, axis):
@@ -234,11 +258,12 @@ def partial_derivative(fld, axis):
 
 
 def gradient_values(grid, values):
-    """Stack of all coordinate derivatives, new axis first among components."""
-    return np.stack(
-        [diff_values(values, a, grid.spacings[a]) for a in range(grid.n_dims)],
-        axis=grid.n_dims,
-    )
+    """All coordinate derivatives, the derivative axis first among components."""
+    n = grid.n_dims
+    out = np.empty(values.shape[:n] + (n,) + values.shape[n:])
+    for a in range(n):
+        out[(slice(None),) * n + (a,)] = diff_values(values, a, grid.spacings[a])
+    return out
 
 
 def integrate(fld):
@@ -259,7 +284,21 @@ def shift(fld, axis, steps):
     return TensorField(fld.grid, out, fld.symmetry)
 
 
-_LETTERS = "abcdefgh"
+# Component index letters for generated einsum expressions.
+INDEX_LETTERS = "abcdefgh"
+
+
+@functools.lru_cache(maxsize=128)
+def _contraction_path(subscripts, shapes):
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
+
+def contract(subscripts, *operands):
+    """np.einsum along the greedy contraction path, planned once per
+    expression and operand shapes instead of on every call."""
+    path = _contraction_path(subscripts, tuple(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_values):
@@ -275,11 +314,11 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
     if rank > 4:
         raise FieldError("contractions implemented for rank <= 4")
     pairing = g_values if symmetry_a == "vector" else inv_values
-    idx_a = _LETTERS[:rank]
-    idx_b = _LETTERS[rank:2 * rank]
+    idx_a = INDEX_LETTERS[:rank]
+    idx_b = INDEX_LETTERS[rank:2 * rank]
     pair_terms = ",".join(f"...{i}{j}" for i, j in zip(idx_a, idx_b))
     expr = f"...{idx_a},{pair_terms},...{idx_b}->..."
-    return np.einsum(expr, a_values, *([pairing] * rank), b_values, optimize=True)
+    return contract(expr, a_values, *([pairing] * rank), b_values)
 
 
 def weighted_inner(a, b, g, weight=None):

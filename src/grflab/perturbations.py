@@ -15,8 +15,7 @@ import itertools
 import numpy as np
 
 from .errors import FieldError
-from .lattice import TensorField
-from .spectrum import _stencil_wavenumbers
+from .lattice import TensorField, stencil_symbol
 
 
 def _positive_modes(n_dims, cutoff):
@@ -99,7 +98,7 @@ def divergence_free_projection(h):
     n = grid.n_dims
     k_tilde = []
     for a in range(n):
-        k = _stencil_wavenumbers(grid.resolutions[a], grid.spacings[a])
+        k = stencil_symbol(grid.resolutions[a], grid.spacings[a])
         shape = [1] * n
         shape[a] = grid.resolutions[a]
         k_tilde.append(k.reshape(shape))

@@ -26,8 +26,8 @@ from .errors import ConvergenceError, FieldError
 from .lattice import (
     ScalarField,
     TensorField,
-    diff_values,
     gradient_values,
+    stencil_symbol,
     weighted_inner,
 )
 from .geometry import (
@@ -42,6 +42,7 @@ from .geometry import (
     hodge_laplacian,
     interior_product,
     laplace_beltrami,
+    laplacian_values,
     lichnerowicz,
     ricci_values,
     scalar_curvature,
@@ -49,12 +50,6 @@ from .geometry import (
 
 DEFAULT_EIG_TOL = 1e-9
 SHIFT_MARGIN = 0.5
-
-
-def _stencil_wavenumbers(n_points, spacing):
-    """Fourier symbol of the 4th-order first-derivative stencil, one per mode."""
-    theta = 2.0 * np.pi * np.fft.fftfreq(n_points)
-    return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * spacing)
 
 
 class SchrodingerOperator:
@@ -104,16 +99,7 @@ class SchrodingerOperator:
 
     def apply_values(self, u):
         g = self.g
-        grid = self.grid
-        du = gradient_values(grid, u)
-        flux = g.sqrt_det_values[..., None] * np.einsum(
-            "...ab,...b->...a", g.inv_values, du
-        )
-        div = np.zeros(grid.shape)
-        for a in range(grid.n_dims):
-            div = div + diff_values(flux[..., a], a, grid.spacings[a])
-        lap = div / g.sqrt_det_values
-        out = -4.0 * lap + self.potential * u
+        out = -4.0 * laplacian_values(g, u) + self.potential * u
         if self.penalty > 0.0:
             # divide by sqrt(det g) so the penalty stays self-adjoint in the
             # volume inner product (its symmetrized form is a plain projection)
@@ -134,7 +120,7 @@ class SchrodingerOperator:
             grid = self.grid
             acc = np.zeros(grid.shape)
             for a in range(grid.n_dims):
-                k = _stencil_wavenumbers(grid.resolutions[a], grid.spacings[a])
+                k = stencil_symbol(grid.resolutions[a], grid.spacings[a])
                 shape = [1] * grid.n_dims
                 shape[a] = grid.resolutions[a]
                 acc = acc + (k ** 2).reshape(shape)

@@ -97,3 +97,35 @@ def stencil_wavenumber(k, n, period=2.0 * np.pi):
     h = period / n
     theta = 2.0 * np.pi * k / n
     return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+
+
+def roll_derivative(values, axis, spacing):
+    """The 4th-order stencil written with four np.roll copies."""
+    up1 = np.roll(values, -1, axis)
+    um1 = np.roll(values, 1, axis)
+    up2 = np.roll(values, -2, axis)
+    um2 = np.roll(values, 2, axis)
+    return (8.0 * (up1 - um1) - (up2 - um2)) / (12.0 * spacing)
+
+
+def ricci_full_stack(g_values, inv_values, spacings):
+    """Ricci tensor of a lattice metric from the full stack of Christoffel
+    derivatives D_c Gamma^k_ij, contracted afterwards; the reference for the
+    kernel that differentiates only the traced components."""
+    n = len(spacings)
+
+    def gradient(values):
+        return np.stack([roll_derivative(values, a, spacings[a])
+                         for a in range(n)], axis=n)
+
+    dg = gradient(g_values)  # [..., c, i, j] = D_c g_ij
+    combo = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+             - dg)
+    gam = 0.5 * np.einsum("...kl,...lij->...kij", inv_values, combo)
+    term1 = np.einsum("...ccij->...ij", gradient(gam))
+    phi = np.einsum("...kkj->...j", gam)
+    dphi = gradient(phi)
+    term2 = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
+    term3 = np.einsum("...l,...lij->...ij", phi, gam)
+    term4 = np.einsum("...kil,...lkj->...ij", gam, gam)
+    return term1 - term2 + term3 - term4
