@@ -13,6 +13,7 @@ from .errors import (
     FieldError,
     GrflabError,
     JacobianError,
+    NonFiniteError,
     PositivityError,
     SnapshotError,
     StepSizeError,

@@ -9,6 +9,10 @@ class FieldError(GrflabError, ValueError):
     """Malformed field data: wrong shape, non-finite entries, broken symmetry."""
 
 
+class NonFiniteError(FieldError):
+    """Field data with NaN or infinite entries."""
+
+
 class PositivityError(GrflabError, ValueError):
     """A field declared positive definite fails the pointwise eigenvalue floor."""
 

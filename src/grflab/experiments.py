@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .lattice import TWO_PI, Grid, TensorField
+from .lattice import TWO_PI, Grid, TensorField, expand_form
 from .geometry import MetricField, flat_metric
 from .perturbations import random_form_perturbation, random_metric_perturbation
 from .spectrum import (
@@ -65,12 +65,8 @@ def background_three_form(grid, c):
     """The constant 3-form c e^1 ^ e^2 ^ e^3 as a component array."""
     if grid.n_dims != 3:
         raise ConfigError("the constant 3-form background needs three axes")
-    eps = np.zeros((3, 3, 3))
-    for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        eps[i, j, k] = sign
-    vals = c * np.broadcast_to(eps, grid.shape + (3, 3, 3))
-    return TensorField(grid, np.array(vals), "antisymmetric")
+    return TensorField(grid, expand_form([np.full(grid.shape, float(c))], 3, 3),
+                       "antisymmetric")
 
 
 def perturbed_state(resolution=16, amplitude=0.05, seed=0, cutoff=2,

@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, PositivityError, StepSizeError
+from .errors import (ConfigError, ConvergenceError, NonFiniteError,
+                     PositivityError, StepSizeError)
 from .lattice import ScalarField, TensorField, diff_values, weighted_inner
 from .geometry import (
     MetricField,
@@ -278,14 +279,15 @@ def _c0_proxy(grid, dg, db):
 
 def _diagnostics_row(state, dg, db, dt, rhs_l2, sol, eigen_tol, warm):
     """One trajectory record. For non-gradient gauges the eigenpair is solved
-    on the side (warm-started); its failure only blanks the spectral columns."""
+    on the side (warm-started); its failure, or a non-finite potential, only
+    blanks the spectral columns."""
     g = state.g
     H = state.field_strength()
     if sol is None:
         try:
             sol = lowest_eigenpair(g, H, tol=eigen_tol, w0=warm.get("diag_w"))
             warm["diag_w"] = sol.w
-        except ConvergenceError:
+        except (ConvergenceError, NonFiniteError):
             sol = None
 
     if H.rank < g.grid.n_dims:
@@ -339,12 +341,8 @@ def run_flow(initial, config, g_ref=None):
     while steps <= config.max_steps:
         try:
             k1 = rhs(state)
-        except (ConvergenceError, PositivityError) as exc:
+        except (ConvergenceError, PositivityError, NonFiniteError) as exc:
             verdict, reason = "DIVERGED", f"right-hand side failed: {exc}"
-            break
-        if not (np.all(np.isfinite(k1[0].values))
-                and np.all(np.isfinite(k1[1].values))):
-            verdict, reason = "DIVERGED", "non-finite right-hand side"
             break
 
         speed = 2.0 * state.g.max_inverse_eigenvalue()
@@ -380,17 +378,19 @@ def run_flow(initial, config, g_ref=None):
                 reason = "time horizon reached before residual tolerance"
             break
 
-        accepted = False
+        new_state, failure = None, None
         t_before = state.time
         for _ in range(config.spd_retries + 1):
             try:
                 new_state, extras = _rk4(state, dt, rhs, k1=k1)
-                accepted = True
                 break
             except PositivityError:
                 dt *= 0.5
-        if not accepted:
-            verdict, reason = "DIVERGED", (
+            except (ConvergenceError, NonFiniteError) as exc:
+                failure = f"Runge-Kutta stage failed (t = {t_before:.6f}): {exc}"
+                break
+        if new_state is None:
+            verdict, reason = "DIVERGED", failure or (
                 f"metric loses positivity even at dt = {dt:.3e} "
                 f"(t = {t_before:.6f})")
             break

@@ -5,6 +5,11 @@ component storage; "vector" fields are contravariant. Form norms use full
 index contraction (|H|^2 = H_ijk H^ijk with all index triples counted), which
 is the normalization under which tr_g(H^2) = |H|^2 pointwise.
 
+Forms are stored in full, but the exterior-calculus kernels compute on the
+C(n,k) increasing-index components of a k-form only: metric index moves use
+k x k minors of g or g^-1, and each result is expanded to full storage once,
+which makes it exactly antisymmetric.
+
 The codifferential is the exact adjoint of the discrete exterior derivative
 for the inner product that counts each increasing index tuple once (the
 classical normalization), so it reduces to minus the contracted covariant
@@ -20,14 +25,18 @@ import numpy as np
 
 from .errors import FieldError, PositivityError
 from .lattice import (
-    INDEX_LETTERS,
-    Grid,
     ScalarField,
     TensorField,
+    apply_minors,
     contract,
     diff_values,
+    expand_form,
+    form_components,
     gradient_values,
+    increasing_tuples,
     pointwise_inner_values,
+    pointwise_minors,
+    slot_pairs,
 )
 
 EPS_SPD = 1e-8
@@ -275,64 +284,53 @@ def _form_rank(fld):
 
 
 def exterior_derivative(fld):
-    """Discrete exterior derivative on full-component antisymmetric fields.
+    """Discrete exterior derivative of a form.
 
-    (d w)_{a0..ak} = sum_m (-1)^m D_{a_m} w_{a0..^a_m..ak}. Antisymmetry of
-    the output is an algebraic identity in the stencil, and d(d w) = 0 holds
-    exactly because coordinate stencils commute.
+    (d w)_{a0..ak} = sum_m (-1)^m D_{a_m} w_{a0..^a_m..ak}, computed on the
+    increasing index tuples only and expanded, so the output is exactly
+    antisymmetric; d(d w) = 0 holds because coordinate stencils commute.
     """
     grid = fld.grid
+    n = grid.n_dims
     k = _form_rank(fld)
-    if k >= grid.n_dims:
+    if k >= n:
         # top-degree forms are closed; the would-be (k+1)-form has no slots
         raise FieldError("exterior derivative of a top-degree form is zero")
-    grad = gradient_values(grid, fld.values)  # derivative axis first
-    base = grid.n_dims
-    out = grad.copy()
-    for m in range(1, k + 1):
-        term = np.moveaxis(grad, base, base + m)
-        if m % 2 == 1:
-            out -= term
-        else:
-            out += term
+    comps = form_components(fld.values, n, k)
+    out = [0.0] * len(increasing_tuples(n, k + 1))
+    for a, j, sign, p in slot_pairs(n, k + 1):
+        out[p] = out[p] + sign * diff_values(comps[j], a, grid.spacings[a])
     symmetry = "covector" if k == 0 else "antisymmetric"
-    return TensorField(grid, out, symmetry)
-
-
-def _metric_map_all(values, pairing, grid_ndims, rank):
-    """Apply a pointwise index map (raise or lower) to every component slot."""
-    src = INDEX_LETTERS[:rank]
-    dst = INDEX_LETTERS[rank:2 * rank]
-    pair_terms = ",".join(f"...{d}{s}" for d, s in zip(dst, src))
-    expr = f"{pair_terms},...{src}->...{dst}"
-    return contract(expr, *([pairing] * rank), values)
+    return TensorField(grid, expand_form(out, n, k + 1), symmetry)
 
 
 def codifferential(g, fld):
     """Exact discrete adjoint of the exterior derivative (k-forms to (k-1)-forms).
 
     Computed as the musical conjugation of the negative stencil divergence:
-    d* w = lower((-1/sqrt g) D_c (sqrt g raise(w)^{c...})). On a flat metric
-    this is (d* w)_J = -D_c w_{cJ}, the classical codifferential; composed
-    twice it vanishes identically.
+    d* w = lower((-1/sqrt g) D_c (sqrt g raise(w)^{c...})), raising with the
+    k x k minors of g^-1 and lowering with the (k-1) x (k-1) minors of g. On
+    a flat metric this is (d* w)_J = -D_c w_{cJ}, the classical
+    codifferential; composed twice it vanishes identically.
     """
     grid = g.grid
+    n = grid.n_dims
     k = _form_rank(fld)
     if k == 0:
         raise FieldError("codifferential of a scalar is zero by degree")
-    raised = _metric_map_all(fld.values, g.inv_values, grid.n_dims, k)
-    weighted = g.sqrt_det_values[(...,) + (None,) * k] * raised
-    acc = np.zeros(grid.shape + (grid.n_dims,) * (k - 1))
-    tail = (slice(None),) * (k - 1)
-    for c in range(grid.n_dims):
-        acc = acc - diff_values(weighted[(Ellipsis, c) + tail], c,
-                                grid.spacings[c])
-    acc = acc / g.sqrt_det_values[(...,) + (None,) * (k - 1)]
+    sq = g.sqrt_det_values
+    raised = apply_minors(pointwise_minors(g.inv_values, k),
+                          form_components(fld.values, n, k))
+    weighted = [sq * w for w in raised]
+    acc = [0.0] * len(increasing_tuples(n, k - 1))
+    for c, j, sign, p in slot_pairs(n, k):
+        acc[j] = acc[j] - sign * diff_values(weighted[p], c, grid.spacings[c])
+    acc = [a / sq for a in acc]
     if k == 1:
-        return ScalarField(grid, acc)
-    lowered = _metric_map_all(acc, g.values, grid.n_dims, k - 1)
+        return ScalarField(grid, acc[0])
+    lowered = apply_minors(pointwise_minors(g.values, k - 1), acc)
     symmetry = "covector" if k == 2 else "antisymmetric"
-    return TensorField(grid, lowered, symmetry)
+    return TensorField(grid, expand_form(lowered, n, k - 1), symmetry)
 
 
 def hodge_laplacian(g, fld):
@@ -361,24 +359,38 @@ def interior_product(x, fld):
     k = _form_rank(fld)
     if k == 0:
         raise FieldError("interior product with a scalar is zero by degree")
-    rest = "bcdefg"[:k - 1]
-    out = np.einsum(f"...a,...a{rest}->...{rest}", x.values, fld.values)
+    n = fld.grid.n_dims
+    comps = form_components(fld.values, n, k)
+    out = [0.0] * len(increasing_tuples(n, k - 1))
+    for a, j, sign, p in slot_pairs(n, k):
+        out[j] = out[j] + sign * x.values[..., a] * comps[p]
     if k == 1:
-        return ScalarField(fld.grid, out)
+        return ScalarField(fld.grid, out[0])
     symmetry = "covector" if k == 2 else "antisymmetric"
-    return TensorField(fld.grid, out, symmetry)
+    return TensorField(fld.grid, expand_form(out, n, k - 1), symmetry)
 
 
 def h_squared(g, H):
     """Pointwise square of a 3-form as a symmetric 2-tensor.
 
-    (H^2)_ij = H_iab H_jcd g^ac g^bd; with the full-contraction norm this
-    satisfies tr_g H^2 = |H|^2 identically.
+    (H^2)_ij = H_iab H_jcd g^ac g^bd = 2 sum_{a<b} H_iab H_j^{ab}, with the
+    raised pair from the 2 x 2 minors of g^-1; with the full-contraction norm
+    this satisfies tr_g H^2 = |H|^2 identically.
     """
     if _form_rank(H) != 3:
         raise FieldError("h_squared expects a 3-form")
-    out = contract("...iab,...ac,...bd,...jcd->...ij",
-                   H.values, g.inv_values, g.inv_values, H.values)
+    n = g.grid.n_dims
+    comps = form_components(H.values, n, 3)
+    slots = [[None] * len(increasing_tuples(n, 2)) for _ in range(n)]
+    for i, j, sign, p in slot_pairs(n, 3):
+        slots[i][j] = sign * comps[p]  # the 2-form H_i.. on increasing pairs
+    minors = pointwise_minors(g.inv_values, 2)
+    out = np.empty(g.grid.shape + (n, n))
+    for j in range(n):
+        up = apply_minors(minors, slots[j])
+        for i in range(j + 1):
+            out[..., i, j] = out[..., j, i] = 2.0 * sum(
+                h * u for h, u in zip(slots[i], up) if h is not None)
     return TensorField(g.grid, out, "symmetric2")
 
 

@@ -12,12 +12,13 @@ are bit-reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, NonFiniteError
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,7 +110,7 @@ def _peak(values, what):
     """max |values| in two passes; NaN or inf shows in max or min and raises."""
     hi, lo = values.max(), values.min()
     if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise FieldError(f"{what} contains non-finite entries")
+        raise NonFiniteError(f"{what} contains non-finite entries")
     return max(hi, -lo)
 
 
@@ -301,18 +302,91 @@ def contract(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=path)
 
 
+@functools.lru_cache(maxsize=None)
+def increasing_tuples(n, k):
+    """Index tuples i_1 < ... < i_k naming the independent k-form components."""
+    return tuple(itertools.combinations(range(n), k))
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(k):
+    """(permutation of range(k), sign) pairs."""
+    return tuple((p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+                 for p in itertools.permutations(range(k)))
+
+
+@functools.lru_cache(maxsize=None)
+def slot_pairs(n, k):
+    """(a, j, sign, p) for every nonzero component w_{aJ} of a k-form with
+    the first slot fixed to a: J is the j-th increasing (k-1)-tuple, a is not
+    in J, and w_{aJ} = sign * (p-th increasing-index component)."""
+    return tuple((a, j, (-1) ** sum(r < a for r in rest),
+                  increasing_tuples(n, k).index(tuple(sorted((a,) + rest))))
+                 for a in range(n)
+                 for j, rest in enumerate(increasing_tuples(n, k - 1))
+                 if a not in rest)
+
+
+def form_components(values, n, k):
+    """Views of a k-form's increasing-index components, in increasing_tuples order."""
+    return [values[(...,) + idx] for idx in increasing_tuples(n, k)]
+
+
+def expand_form(components, n, k):
+    """Full storage of a k-form from its increasing-index components: each
+    permuted slot holds the component or its exact negation, slots with a
+    repeated index hold 0, so the result is exactly antisymmetric."""
+    out = np.zeros(components[0].shape + (n,) * k)
+    for idx, comp in zip(increasing_tuples(n, k), components):
+        for perm, sign in _signed_permutations(k):
+            out[(...,) + tuple(idx[p] for p in perm)] = comp if sign > 0 else -comp
+    return out
+
+
+def pointwise_minors(mat, k):
+    """Table of the k x k minors det(mat[..., I, J]) of a pointwise symmetric
+    matrix over increasing tuples I, J, by Leibniz expansion (k <= 4). Only
+    I <= J are expanded; the table holds the same array at (J, I)."""
+    idx = increasing_tuples(mat.shape[-1], k)
+    table = [[None] * len(idx) for _ in idx]
+    for p, q in itertools.combinations_with_replacement(range(len(idx)), 2):
+        total = 0.0
+        for perm, sign in _signed_permutations(k):
+            term = mat[..., idx[p][0], idx[q][perm[0]]]
+            for r in range(1, k):
+                term = term * mat[..., idx[p][r], idx[q][perm[r]]]
+            total = total + term if sign > 0 else total - term
+        table[p][q] = table[q][p] = total
+    return table
+
+
+def apply_minors(minors, components):
+    """sum_J minors[I][J] c_J for every I: a k-form with each index moved by
+    the matrix whose minors are given. None marks a component known to be 0."""
+    return [sum(m * c for m, c in zip(row, components) if c is not None)
+            for row in minors]
+
+
 def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_values):
     """Raw pointwise metric contraction <a, b>_g over all component indices.
 
     Every index pair is contracted with the inverse metric, except rank-1
     "vector" fields whose single index is contravariant and pairs with the
     metric itself. Full contraction, no 1/k! normalization: for a 2-form this
-    counts each unordered index pair twice.
+    counts each unordered index pair twice. Antisymmetric operands of rank
+    k >= 2 are summed over independent components only, as
+    k! sum_{I,J} a_I det(g^-1[I, J]) b_J.
     """
     if rank == 0:
         return a_values * b_values
     if rank > 4:
         raise FieldError("contractions implemented for rank <= 4")
+    if symmetry_a == "antisymmetric" and rank >= 2:
+        n = a_values.shape[-1]
+        up = apply_minors(pointwise_minors(inv_values, rank),
+                          form_components(b_values, n, rank))
+        return math.factorial(rank) * sum(
+            a * u for a, u in zip(form_components(a_values, n, rank), up))
     pairing = g_values if symmetry_a == "vector" else inv_values
     idx_a = INDEX_LETTERS[:rank]
     idx_b = INDEX_LETTERS[rank:2 * rank]
@@ -347,6 +421,8 @@ def weighted_inner(a, b, g, weight=None):
     sym_b = "scalar" if rank_b == 0 else b.symmetry
     if (sym == "vector") != (sym_b == "vector"):
         raise FieldError("cannot pair a contravariant field with a covariant one")
+    if sym == "antisymmetric" and sym_b != "antisymmetric":
+        sym = "general"  # the independent-component path needs two forms
     density = pointwise_inner_values(
         a.values, b.values, rank_a, sym, g.inv_values, g.values
     )

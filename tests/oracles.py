@@ -129,3 +129,65 @@ def ricci_full_stack(g_values, inv_values, spacings):
     term3 = np.einsum("...l,...lij->...ij", phi, gam)
     term4 = np.einsum("...kil,...lkj->...ij", gam, gam)
     return term1 - term2 + term3 - term4
+
+
+def _roll_gradient(values, spacings):
+    """All stencil derivatives, the derivative axis first among components."""
+    n = len(spacings)
+    return np.stack([roll_derivative(values, a, spacings[a]) for a in range(n)],
+                    axis=n)
+
+
+def _map_all_slots(values, pairing, rank):
+    """Contract every component slot of a rank-k array with a pointwise matrix."""
+    src, dst = "abcd"[:rank], "efgh"[:rank]
+    pair_terms = ",".join(f"...{d}{s}" for d, s in zip(dst, src))
+    return np.einsum(f"{pair_terms},...{src}->...{dst}", *([pairing] * rank),
+                     values, optimize=True)
+
+
+def exterior_derivative_full(values, spacings, k):
+    """d of a k-form on full component storage: every one of the n^k
+    components differentiated, permuted copies of the gradient summed."""
+    n = len(spacings)
+    grad = _roll_gradient(values, spacings)
+    out = grad.copy()
+    for m in range(1, k + 1):
+        term = np.moveaxis(grad, n, n + m)
+        out = out - term if m % 2 else out + term
+    return out
+
+
+def codifferential_full(values, g_values, inv_values, sqrt_det, spacings, k):
+    """d* of a k-form on full component storage: raise every slot with g^-1,
+    take the weighted stencil divergence, lower every slot with g."""
+    n = len(spacings)
+    raised = _map_all_slots(values, inv_values, k)
+    weighted = sqrt_det[(...,) + (None,) * k] * raised
+    tail = (slice(None),) * (k - 1)
+    acc = np.zeros(values.shape[:n] + (n,) * (k - 1))
+    for c in range(n):
+        acc = acc - roll_derivative(weighted[(Ellipsis, c) + tail], c,
+                                    spacings[c])
+    acc = acc / sqrt_det[(...,) + (None,) * (k - 1)]
+    return acc if k == 1 else _map_all_slots(acc, g_values, k - 1)
+
+
+def h_squared_full(h_values, inv_values):
+    """(H^2)_ij = H_iab H_jcd g^ac g^bd over all index pairs."""
+    return np.einsum("...iab,...ac,...bd,...jcd->...ij", h_values, inv_values,
+                     inv_values, h_values, optimize=True)
+
+
+def form_inner_full(a_values, b_values, inv_values, k):
+    """<a, b>_g with every one of the n^k index tuples of both forms."""
+    idx_a, idx_b = "abcd"[:k], "efgh"[:k]
+    pair_terms = ",".join(f"...{i}{j}" for i, j in zip(idx_a, idx_b))
+    return np.einsum(f"...{idx_a},{pair_terms},...{idx_b}->...", a_values,
+                     *([inv_values] * k), b_values, optimize=True)
+
+
+def interior_product_full(x_values, w_values, k):
+    """X^a w_{a...} summed over every component of w."""
+    rest = "bcd"[:k - 1]
+    return np.einsum(f"...a,...a{rest}->...{rest}", x_values, w_values)

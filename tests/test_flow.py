@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from grflab import (
     write_trajectory_csv,
 )
 from grflab.errors import ConfigError, StepSizeError
-from grflab.flow import CSV_COLUMNS
+from grflab.experiments import perturbed_state as canned_state
+from grflab.flow import CSV_COLUMNS, GAUGES
 
 
 def flat_state(n=12):
@@ -217,3 +220,44 @@ def test_read_trajectory_csv_rejects_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError):
         read_trajectory_csv(path)
+
+
+def _scaled_potential(scale):
+    start = canned_state(resolution=8, amplitude=0.05, seed=1, cutoff=2)
+    b = TensorField(start.g.grid, start.b.values * scale, "antisymmetric")
+    return replace(start, b=b), flat_metric(start.g.grid)
+
+
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_non_finite_right_hand_side_ends_in_diverged(gauge):
+    # |H|^2 ~ 1e320 overflows while the first right-hand side is assembled
+    start, g_ref = _scaled_potential(1e160)
+    with np.errstate(all="ignore"):
+        traj = run_flow(start, FlowConfig(gauge=gauge, t_max=0.1), g_ref=g_ref)
+    assert traj.verdict == "DIVERGED"
+    assert traj.reason.startswith("right-hand side failed")
+    assert "non-finite" in traj.reason
+
+
+@pytest.mark.parametrize("gauge", ["grf", "deturck"])
+def test_non_finite_runge_kutta_stage_ends_in_diverged(gauge):
+    # the first right-hand side is finite; a later stage overflows
+    start, g_ref = _scaled_potential(1e100)
+    with np.errstate(all="ignore"):
+        traj = run_flow(start, FlowConfig(gauge=gauge, t_max=0.1), g_ref=g_ref)
+    assert traj.verdict == "DIVERGED"
+    assert traj.reason.startswith("Runge-Kutta stage failed")
+    assert "non-finite" in traj.reason
+    assert len(traj.records) == 1
+
+
+@pytest.mark.parametrize("gauge", ["deturck", "grf"])
+def test_unstable_run_ends_in_diverged_on_positivity(gauge):
+    # cfl = 1.5 is past the explicit stability bound; the potential must stay
+    # exactly antisymmetric all the way to the positivity failure
+    start, g_ref = _scaled_potential(1.0)
+    config = FlowConfig(gauge=gauge, cfl=1.5, t_max=200.0, stop_tol=1e-9,
+                        max_steps=3000)
+    traj = run_flow(start, config, g_ref=g_ref)
+    assert traj.verdict == "DIVERGED"
+    assert traj.reason.startswith("metric loses positivity")
