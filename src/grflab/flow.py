@@ -242,23 +242,39 @@ def _rk4(state, dt, rhs, k1=None):
     return _advance(state, dt, *incr), [k1[2], k2[2], k3[2], k4[2]]
 
 
+def _rk4_with_retries(state, dt, rhs, retries, k1=None):
+    """One Runge-Kutta step, halved up to `retries` times while the metric
+    leaves the positive cone. Returns (new state, stage extras, dt taken).
+
+    Raises StepSizeError when positivity is never regained, or chained from a
+    non-finite or failed-eigensolve stage.
+    """
+    try:
+        if k1 is None:
+            k1 = rhs(state)
+        for _ in range(retries + 1):
+            try:
+                return _rk4(state, dt, rhs, k1=k1) + (dt,)
+            except PositivityError:
+                dt *= 0.5
+    except (ConvergenceError, NonFiniteError) as exc:
+        raise StepSizeError(f"Runge-Kutta stage failed "
+                            f"(t = {state.time:.6f}): {exc}") from exc
+    raise StepSizeError(f"metric loses positivity even at dt = {dt:.3e} "
+                        f"(t = {state.time:.6f})")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL,
          modified=False, retries=10):
     """One integrator step of the named right-hand side.
 
     Halves dt when the metric leaves the positive cone, up to the retry
-    budget, then raises StepSizeError.
+    budget, then raises StepSizeError; a failed stage raises it too.
+    Overflow is reported by the field checks, not by numpy warnings.
     """
-    warm = {}
-    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, warm, modified)
-    for _ in range(retries + 1):
-        try:
-            new_state, _ = _rk4(state, dt, rhs)
-            return new_state
-        except PositivityError:
-            dt *= 0.5
-    raise StepSizeError(
-        f"metric loses positivity even at dt = {dt:.3e} (t = {state.time:.6f})")
+    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, {}, modified)
+    return _rk4_with_retries(state, dt, rhs, retries)[0]
 
 
 def _pair_l2(g, dg, db, weight=None):
@@ -316,13 +332,15 @@ def _diagnostics_row(state, dg, db, dt, rhs_l2, sol, eigen_tol, warm):
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_flow(initial, config, g_ref=None):
     """Integrate a flow to tolerance, horizon, or failure.
 
     Numerical breakdown never raises; the verdict ("CONVERGED" when the
     right-hand side dropped below stop_tol, otherwise "DIVERGED") and the
-    reason string report it. Diagnostics are recorded every record_every
-    accepted steps and always at the endpoint.
+    reason string report it; overflow is reported so by the field checks
+    (NonFiniteError), not by numpy warnings. Diagnostics are recorded every
+    record_every accepted steps and always at the endpoint.
     """
     if config.gauge == "deturck" and g_ref is None:
         raise ConfigError("the deturck gauge needs a reference metric")
@@ -378,24 +396,14 @@ def run_flow(initial, config, g_ref=None):
                 reason = "time horizon reached before residual tolerance"
             break
 
-        new_state, failure = None, None
-        t_before = state.time
-        for _ in range(config.spd_retries + 1):
-            try:
-                new_state, extras = _rk4(state, dt, rhs, k1=k1)
-                break
-            except PositivityError:
-                dt *= 0.5
-            except (ConvergenceError, NonFiniteError) as exc:
-                failure = f"Runge-Kutta stage failed (t = {t_before:.6f}): {exc}"
-                break
-        if new_state is None:
-            verdict, reason = "DIVERGED", failure or (
-                f"metric loses positivity even at dt = {dt:.3e} "
-                f"(t = {t_before:.6f})")
+        try:
+            new_state, extras, dt = _rk4_with_retries(
+                state, dt, rhs, config.spd_retries, k1=k1)
+        except StepSizeError as exc:
+            verdict, reason = "DIVERGED", str(exc)
             break
         if gauge_series is not None:
-            gauge_series.append((t_before, dt, extras))
+            gauge_series.append((state.time, dt, extras))
         state = new_state
         steps += 1
         if config.keep_states:

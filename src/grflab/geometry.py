@@ -219,15 +219,29 @@ def gradient_vector(g, f):
 
 
 def laplacian_values(g, values):
-    """Raw scalar Laplacian (1/sqrt g) D_a(sqrt g g^ab D_b u) of a grid array."""
+    """Raw scalar Laplacian (1/sqrt g) D_a(sqrt g g^ab D_b u) of a grid array.
+
+    The n(n+1)/2 distinct flux coefficients sqrt g g^ab are cached on the
+    metric; each flux component is a contiguous sum of products.
+    """
     grid = g.grid
-    du = gradient_values(grid, values)
-    flux = g.sqrt_det_values[..., None] * np.einsum(
-        "...ab,...b->...a", g.inv_values, du
-    )
-    div = np.zeros(grid.shape)
-    for a in range(grid.n_dims):
-        div = div + diff_values(flux[..., a], a, grid.spacings[a])
+    n, h = grid.n_dims, grid.spacings
+
+    def build():
+        coeff = {}
+        for a in range(n):
+            for b in range(a, n):
+                coeff[a, b] = coeff[b, a] = g.sqrt_det_values * g.inv_values[..., a, b]
+        return coeff
+
+    coeff = g._cached("flux_coefficients", build)
+    du = [diff_values(values, b, h[b]) for b in range(n)]
+    div = 0.0
+    for a in range(n):
+        flux = coeff[a, 0] * du[0]
+        for b in range(1, n):
+            flux += coeff[a, b] * du[b]
+        div = div + diff_values(flux, a, h[a])
     return div / g.sqrt_det_values
 
 

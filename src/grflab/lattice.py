@@ -63,6 +63,10 @@ class Grid:
             if not np.isfinite(p) or p <= 0:
                 raise FieldError(f"periods must be positive, got {p}")
         object.__setattr__(self, "periods", per)
+        # per-axis cell widths, computed once; not a field, so equality and
+        # hashing still see only resolutions and periods
+        object.__setattr__(self, "spacings",
+                           tuple(p / r for p, r in zip(per, res)))
 
     @property
     def n_dims(self):
@@ -71,10 +75,6 @@ class Grid:
     @property
     def shape(self):
         return self.resolutions
-
-    @property
-    def spacings(self):
-        return tuple(p / r for p, r in zip(self.periods, self.resolutions))
 
     @property
     def min_spacing(self):

@@ -14,6 +14,11 @@ gradient of mu(g, b) = lambda(g, Hhat + db) in the e^{-f} dV_g pairing is
 
 which is what mu_gradient assembles; finite differences of mu against this
 pairing are the package's main correctness oracle.
+
+lambda comes from shifted inverse iteration with preconditioned CG. The
+Nyquist-band penalty is an exact projector built from one rank-one projector
+per axis (no FFT per apply), the preconditioner runs on the real-FFT half
+spectrum, and every CG exit is counted (see SpectralSolution).
 """
 
 from __future__ import annotations
@@ -57,9 +62,11 @@ class SchrodingerOperator:
 
     The shifted solve uses conjugate gradients on the volume-symmetrized form
     sqrt(det g) (Phi - sigma), preconditioned by the exact inverse of the
-    constant-coefficient surrogate built from the stencil symbol. The
+    constant-coefficient surrogate built from the stencil symbol, applied on
+    the real-FFT half spectrum (the symbol is real and even). The
     preconditioner only accelerates; every accepted answer is certified by the
-    true residual.
+    true residual. Each solve counts its CG iterations in cg_iterations and
+    its exit reason ("converged", "max_iter" or "indefinite") in cg_exits.
     """
 
     def __init__(self, g, H=None):
@@ -69,42 +76,42 @@ class SchrodingerOperator:
         if H is not None:
             r = r - form_norm_sq(g, H).values / 12.0
         self.potential = r
-        self._sym_sq = None
-        self._nyq = None
-        # The first-derivative stencil annihilates the Nyquist mode on any
-        # even axis, so without correction the kinetic term is blind to a
+        # The first-derivative stencil annihilates the Nyquist mode on every
+        # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
         # spectrum with spurious near-ground states. Penalizing that band by
         # the continuum kinetic energy of the sharpest resolved mode restores
         # the expected O(1) spectral gap; smooth eigenfunctions are unaffected.
+        # Divided by sqrt(det g), the penalty stays self-adjoint in the volume
+        # inner product (its symmetrized form is a plain projection).
         self.penalty = 4.0 * max(np.pi / h for h in self.grid.spacings) ** 2
-        if not any(n % 2 == 0 for n in self.grid.resolutions):
-            self.penalty = 0.0
-
-    def _nyquist_mask(self):
-        if self._nyq is None:
-            grid = self.grid
-            mask = np.zeros(grid.shape, dtype=bool)
-            for a, n in enumerate(grid.resolutions):
-                if n % 2 == 0:
-                    idx = [slice(None)] * grid.n_dims
-                    idx[a] = n // 2
-                    mask[tuple(idx)] = True
-            self._nyq = mask
-        return self._nyq
+        self._penalty_weight = self.penalty / g.sqrt_det_values
+        # per axis: the sign vector (-1)^{x_a} of the Nyquist mode, and the
+        # surrogate's |k|^2 and Nyquist band on the real-FFT half spectrum
+        shape, n = self.grid.shape, self.grid.n_dims
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        self._signs, self._sym_sq = [], np.zeros(half)
+        self._nyquist = np.zeros(half, dtype=bool)
+        for a, m in enumerate(shape):
+            bcast = (1,) * (n - 1 - a)
+            self._signs.append(((-1.0) ** np.arange(m)).reshape((m,) + bcast))
+            k = stencil_symbol(m, self.grid.spacings[a])[:half[a]]
+            self._sym_sq = self._sym_sq + (k ** 2).reshape((half[a],) + bcast)
+            self._nyquist[(slice(None),) * a + (m // 2,)] = True
+        self.cg_iterations = 0
+        self.cg_exits = {"converged": 0, "max_iter": 0, "indefinite": 0}
 
     def _project_invisible(self, u):
-        coeff = np.fft.fftn(u)
-        return np.real(np.fft.ifftn(np.where(self._nyquist_mask(), coeff, 0.0)))
+        """Orthogonal projection onto the modes with some k_a = N_a/2,
+        I - prod_a (I - Q_a) with Q_a u = s_a mean_a(s_a u), s_a = (-1)^{x_a}."""
+        rest = u
+        for a, s in enumerate(self._signs):
+            rest = rest - s * np.mean(s * rest, axis=a, keepdims=True)
+        return u - rest
 
     def apply_values(self, u):
-        g = self.g
-        out = -4.0 * laplacian_values(g, u) + self.potential * u
-        if self.penalty > 0.0:
-            # divide by sqrt(det g) so the penalty stays self-adjoint in the
-            # volume inner product (its symmetrized form is a plain projection)
-            out = out + (self.penalty / g.sqrt_det_values) * self._project_invisible(u)
-        return out
+        out = -4.0 * laplacian_values(self.g, u) + self.potential * u
+        return out + self._penalty_weight * self._project_invisible(u)
 
     def volume_dot(self, u, v):
         return float(np.sum(u * v * self.g.sqrt_det_values)) * self.grid.cell_volume
@@ -115,59 +122,62 @@ class SchrodingerOperator:
     def rayleigh(self, u):
         return self.volume_dot(u, self.apply_values(u)) / self.volume_dot(u, u)
 
-    def _symbol_sq(self):
-        if self._sym_sq is None:
-            grid = self.grid
-            acc = np.zeros(grid.shape)
-            for a in range(grid.n_dims):
-                k = stencil_symbol(grid.resolutions[a], grid.spacings[a])
-                shape = [1] * grid.n_dims
-                shape[a] = grid.resolutions[a]
-                acc = acc + (k ** 2).reshape(shape)
-            self._sym_sq = acc
-        return self._sym_sq
-
-    def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000):
-        """CG solve of (Phi - sigma) x = rhs, volume-symmetrized, preconditioned."""
-        g = self.g
-        sq = g.sqrt_det_values
-        b = sq * rhs
-        mean_sq = float(np.mean(sq))
+    def _preconditioner(self, sigma):
+        """r -> the surrogate's exact inverse applied to r, via rfftn/irfftn."""
         c0 = max(float(np.mean(self.potential)) - sigma, 0.1)
-        symbol = mean_sq * (4.0 * self._symbol_sq() + c0)
-        if self.penalty > 0.0:
-            symbol = symbol + self.penalty * self._nyquist_mask()
+        mean_sq = float(np.mean(self.g.sqrt_det_values))
+        symbol = mean_sq * (4.0 * self._sym_sq + c0) + self.penalty * self._nyquist
+        shape = self.grid.shape
+        axes = tuple(range(len(shape)))
+
+        def precondition(r):
+            return np.fft.irfftn(np.fft.rfftn(r, axes=axes) / symbol, s=shape, axes=axes)
+        return precondition
+
+    def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000,
+                      phi_x0=None):
+        """CG solve of (Phi - sigma) x = rhs, volume-symmetrized, preconditioned.
+
+        phi_x0, when given, is Phi applied to x0; it saves the apply of the
+        initial residual.
+        """
+        sq = self.g.sqrt_det_values
+        b = sq * rhs
+        precondition = self._preconditioner(sigma)
 
         def apply_b(x):
             return sq * (self.apply_values(x) - sigma * x)
 
-        def precondition(r):
-            return np.real(np.fft.ifftn(np.fft.fftn(r) / symbol))
-
         x = np.zeros_like(b) if x0 is None else x0.copy()
-        r = b - apply_b(x)
+        phi = self.apply_values(x) if phi_x0 is None else phi_x0
+        r = b - sq * (phi - sigma * x)
         b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            return x
-        z = precondition(r)
-        p = z
-        rz = float(np.sum(r * z))
-        for _ in range(max_iter):
-            if float(np.linalg.norm(r)) <= rtol * b_norm:
-                break
-            q = apply_b(p)
-            pq = float(np.sum(p * q))
-            if pq <= 0.0:
-                # shifted operator lost definiteness along p; the partial
-                # solve is still a useful inverse-iteration step
-                break
-            alpha = rz / pq
-            x = x + alpha * p
-            r = r - alpha * q
+        iterations, reason = 0, "converged"
+        if b_norm > 0.0:
             z = precondition(r)
-            rz_new = float(np.sum(r * z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
+            p = z
+            rz = float(np.sum(r * z))
+            while not float(np.linalg.norm(r)) <= rtol * b_norm:
+                if iterations == max_iter:
+                    reason = "max_iter"
+                    break
+                q = apply_b(p)
+                pq = float(np.sum(p * q))
+                if pq <= 0.0:
+                    # shifted operator lost definiteness along p; the partial
+                    # solve is still a useful inverse-iteration step
+                    reason = "indefinite"
+                    break
+                alpha = rz / pq
+                x = x + alpha * p
+                r = r - alpha * q
+                z = precondition(r)
+                rz_new = float(np.sum(r * z))
+                p = z + (rz_new / rz) * p
+                rz = rz_new
+                iterations += 1
+        self.cg_iterations += iterations
+        self.cg_exits[reason] += 1
         return x
 
 
@@ -180,7 +190,9 @@ class SpectralSolution:
     of the f-form of the eigenvalue equation, 2 Delta f - |df|^2 + R -
     |H|^2/12 = lambda, is reported as evaluated by the discrete operators; it
     inherits the discretization error of the chain rule and is only solver-
-    small when f is constant.
+    small when f is constant. cg_iterations totals the CG iterations of the
+    solve, and cg_short_exits counts its CG solves that ran out of iterations
+    or met an indefinite direction.
     """
 
     lam: float
@@ -189,6 +201,8 @@ class SpectralSolution:
     eigen_residual: float
     f_eq_residual: float
     iterations: int
+    cg_iterations: int = 0
+    cg_short_exits: int = 0
 
 
 def schrodinger_apply(g, H, u):
@@ -236,7 +250,8 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
             )
         sigma = lam - SHIFT_MARGIN
         cg_rtol = max(1e-13, min(1e-2, 0.005 * res))
-        z = op.solve_shifted(w, sigma, x0=w / SHIFT_MARGIN, rtol=cg_rtol)
+        z = op.solve_shifted(w, sigma, x0=w / SHIFT_MARGIN, rtol=cg_rtol,
+                             phi_x0=phi_w / SHIFT_MARGIN)
         z_norm = op.volume_norm(z)
         if z_norm == 0.0:
             raise ConvergenceError("inverse iteration produced the zero vector")
@@ -270,6 +285,8 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
         eigen_residual=res,
         f_eq_residual=f_eq_residual,
         iterations=iterations,
+        cg_iterations=op.cg_iterations,
+        cg_short_exits=op.cg_exits["max_iter"] + op.cg_exits["indefinite"],
     )
 
 

@@ -191,3 +191,43 @@ def interior_product_full(x_values, w_values, k):
     """X^a w_{a...} summed over every component of w."""
     rest = "bcd"[:k - 1]
     return np.einsum(f"...a,...a{rest}->...{rest}", x_values, w_values)
+
+
+def laplacian_einsum(values, inv_values, sqrt_det, spacings):
+    """(1/sqrt g) D_a(sqrt g g^ab D_b u) with the flux contracted by einsum
+    over the full g^ab, as the scalar Laplacian was first written."""
+    n = len(spacings)
+    flux = sqrt_det[..., None] * np.einsum(
+        "...ab,...b->...a", inv_values, _roll_gradient(values, spacings))
+    div = sum(roll_derivative(flux[..., a], a, spacings[a]) for a in range(n))
+    return div / sqrt_det
+
+
+def _nyquist_mask(shape):
+    """The Fourier modes with k_a = N_a/2 on some axis, in fftn layout."""
+    mask = np.zeros(shape, dtype=bool)
+    for a, n in enumerate(shape):
+        mask[(slice(None),) * a + (n // 2,)] = True
+    return mask
+
+
+def fft_nyquist_projection(u):
+    """Projection onto the Nyquist band by a complex FFT round trip."""
+    coeff = np.fft.fftn(u)
+    return np.real(np.fft.ifftn(np.where(_nyquist_mask(u.shape), coeff, 0.0)))
+
+
+def complex_fft_preconditioner(op, sigma, r):
+    """The Schrodinger CG preconditioner on the full complex spectrum: the
+    exact inverse of mean(sqrt g) (4 |k|^2 + c0) plus the Nyquist penalty,
+    with c0 = max(mean(potential) - sigma, 0.1)."""
+    grid = op.grid
+    n = grid.n_dims
+    sym_sq = np.zeros(grid.shape)
+    for a, m in enumerate(grid.resolutions):
+        k = stencil_wavenumber(np.fft.fftfreq(m) * m, m, grid.periods[a])
+        sym_sq = sym_sq + (k ** 2).reshape((m,) + (1,) * (n - 1 - a))
+    c0 = max(float(np.mean(op.potential)) - sigma, 0.1)
+    symbol = (float(np.mean(op.g.sqrt_det_values)) * (4.0 * sym_sq + c0)
+              + op.penalty * _nyquist_mask(grid.shape))
+    return np.real(np.fft.ifftn(np.fft.fftn(r) / symbol))

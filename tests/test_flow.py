@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from grflab import (
     step,
     write_trajectory_csv,
 )
-from grflab.errors import ConfigError, StepSizeError
+from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
+                           StepSizeError)
 from grflab.experiments import perturbed_state as canned_state
 from grflab.flow import CSV_COLUMNS, GAUGES
 
@@ -261,3 +263,36 @@ def test_unstable_run_ends_in_diverged_on_positivity(gauge):
     traj = run_flow(start, config, g_ref=g_ref)
     assert traj.verdict == "DIVERGED"
     assert traj.reason.startswith("metric loses positivity")
+
+
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_step_turns_a_failed_stage_into_step_size_error(gauge):
+    # grf and deturck overflow in a later stage; mu_gradient's eigensolve
+    # fails on the |H|^2 ~ 1e200 potential
+    start, g_ref = _scaled_potential(1e100)
+    with pytest.raises(StepSizeError, match="Runge-Kutta stage failed") as info:
+        step(start, gauge, 1e-3, g_ref=g_ref)
+    assert isinstance(info.value.__cause__, (NonFiniteError, ConvergenceError))
+    assert str(info.value.__cause__) in str(info.value)
+
+
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_overflowing_run_ends_in_diverged_without_numpy_warnings(gauge):
+    start, g_ref = _scaled_potential(1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_flow(start, FlowConfig(gauge=gauge, t_max=0.1), g_ref=g_ref)
+    assert traj.verdict == "DIVERGED"
+    assert traj.reason.startswith("right-hand side failed")
+    assert "non-finite" in traj.reason
+
+
+@pytest.mark.parametrize("gauge", ["grf", "deturck"])
+def test_overflowing_stage_ends_in_diverged_without_numpy_warnings(gauge):
+    # the first right-hand side is finite but its squared norm overflows
+    start, g_ref = _scaled_potential(1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_flow(start, FlowConfig(gauge=gauge, t_max=0.1), g_ref=g_ref)
+    assert traj.verdict == "DIVERGED"
+    assert traj.reason.startswith("Runge-Kutta stage failed")

@@ -2,7 +2,8 @@
 deturck and mu_gradient runs before the hot-path kernels were rewritten
 (np.roll stencil, LAPACK metric inverse, full Christoffel stack), the N=12 grf
 and 4D deturck runs before the form kernels moved from all n^k components to
-the increasing-index ones.
+the increasing-index ones, and N=12 cold and warm eigensolves before the
+Schrodinger operator lost its FFT penalty and complex-FFT preconditioner.
 
 A kernel change that alters rounding may move these floats in the last few
 digits, never beyond 1e-12 relative; a change of verdict or step count is a
@@ -12,6 +13,7 @@ change of answer.
 import pytest
 
 from grflab import FlowConfig, flat_metric, perturbed_state, run_flow
+from grflab import MetricField, lowest_eigenpair, random_metric_perturbation
 
 REL = 1e-12
 
@@ -70,3 +72,20 @@ def test_four_dimensional_deturck_run_matches_pinned_answers():
     # d(dB) is zero up to rounding (2.3e-17 when recorded); rounding-level
     # values have no stable relative digits, so this one is pinned absolutely
     assert end["dH_linf"] <= 1e-15
+
+
+def test_cold_and_warm_eigensolves_match_pinned_lambda():
+    # recorded before the eigensolver reused Phi w for the CG start and moved
+    # to the FFT-free Nyquist penalty and the real-FFT preconditioner
+    state = perturbed_state(resolution=12, amplitude=0.1, seed=7, cutoff=2,
+                            hhat_c=0.5)
+    H = state.field_strength()
+    cold = lowest_eigenpair(state.g, H)
+    assert cold.iterations == 8
+    assert cold.lam == pytest.approx(-0.13135704168597226, rel=REL)
+    grid = state.g.grid
+    nearby = MetricField(grid, state.g.values + random_metric_perturbation(
+        grid, 0.001, 11, cutoff=2).values)
+    warm = lowest_eigenpair(nearby, H, w0=cold.w)
+    assert warm.iterations == 6
+    assert warm.lam == pytest.approx(-0.13135160699551054, rel=REL)

@@ -19,7 +19,8 @@ from grflab import (
     weighted_inner,
 )
 from grflab.errors import FieldError
-from grflab.geometry import ricci_values
+from grflab.geometry import laplacian_values, ricci_values
+from grflab.spectrum import SchrodingerOperator
 from grflab.lattice import (
     diff_values,
     expand_form,
@@ -30,6 +31,9 @@ from grflab.lattice import (
 
 from oracles import (
     codifferential_full,
+    complex_fft_preconditioner,
+    fft_nyquist_projection,
+    laplacian_einsum,
     exterior_derivative_full,
     form_inner_full,
     h_squared_full,
@@ -294,3 +298,52 @@ def test_form_kernels_keep_their_error_cases():
         exterior_derivative(sym)
     with pytest.raises(FieldError, match="forms are covariant"):
         codifferential(g, x)
+
+
+ANISOTROPIC_GRIDS = [((8, 12), (1.5, 2.0)),
+                     ((8, 10, 12), (1.5, 2.0, 2.5)),
+                     ((8, 8, 10, 12), (1.5, 2.0, 2.5, 3.0))]
+
+
+def _schrodinger_setup(resolutions, periods, seed):
+    grid = Grid(resolutions, periods=periods)
+    n = grid.n_dims
+    rng = np.random.default_rng(seed)
+    g = MetricField(grid, _spd_field(grid, rng, np.linspace(1.0, 1.6, n), 0.1))
+    return SchrodingerOperator(g), rng.standard_normal(grid.shape)
+
+
+def _rel_gap(out, ref):
+    return float(np.max(np.abs(out - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)
+def test_nyquist_projection_matches_the_fft_projection(resolutions, periods):
+    op, u = _schrodinger_setup(resolutions, periods, 31)
+    out = op._project_invisible(u)
+    assert _rel_gap(out, fft_nyquist_projection(u)) < 1e-13
+    # an orthogonal projector: idempotent and symmetric
+    assert _rel_gap(op._project_invisible(out), out) < 1e-13
+    v = np.random.default_rng(32).standard_normal(u.shape)
+    assert np.sum(out * v) == pytest.approx(
+        np.sum(u * op._project_invisible(v)), rel=1e-13)
+
+
+@pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)
+def test_real_fft_preconditioner_matches_the_complex_one(resolutions, periods):
+    op, r = _schrodinger_setup(resolutions, periods, 33)
+    mean_potential = float(np.mean(op.potential))
+    # sigma below the mean potential and far above it (c0 clipped to 0.1)
+    for sigma in (mean_potential - 2.0, mean_potential + 50.0):
+        out = op._preconditioner(sigma)(r)
+        assert out.shape == r.shape
+        assert _rel_gap(out, complex_fft_preconditioner(op, sigma, r)) < 1e-13
+
+
+@pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)
+def test_laplacian_matches_the_einsum_flux(resolutions, periods):
+    op, u = _schrodinger_setup(resolutions, periods, 35)
+    g = op.g
+    ref = laplacian_einsum(u, g.inv_values, g.sqrt_det_values,
+                           g.grid.spacings)
+    assert _rel_gap(laplacian_values(g, u), ref) < 1e-13

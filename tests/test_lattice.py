@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,13 @@ def test_gradient_values_layout():
     k1 = stencil_wavenumber(1, 8)
     assert np.max(np.abs(du[..., 0] - k1 * (np.cos(x) + np.zeros(grid.shape)))) < 1e-13
     assert np.max(np.abs(du[..., 2])) < 1e-13
+
+
+def test_grid_spacings_are_computed_once_and_not_a_field():
+    grid = Grid((8, 10), periods=(1.5, 2.0))
+    assert grid.spacings == (1.5 / 8, 2.0 / 10)
+    assert grid.spacings is grid.spacings
+    assert [f.name for f in dataclasses.fields(Grid)] == ["resolutions", "periods"]
+    twin = Grid((8, 10), periods=(1.5, 2.0))
+    assert twin == grid and hash(twin) == hash(grid)
+    assert Grid((8, 10)) != grid

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grflab import (
+    FlowState,
     Grid,
     MetricField,
     ScalarField,
@@ -13,10 +14,12 @@ from grflab import (
     flat_metric,
     lowest_eigenpair,
     mu_gradient,
+    mu_gradient_flow_rhs,
     mu_value,
     normalize_profile,
     random_form_perturbation,
     random_metric_perturbation,
+    step,
     total_field_strength,
 )
 from grflab.errors import ConvergenceError, FieldError
@@ -236,3 +239,55 @@ def test_eigensolver_reports_stall():
     o = ConformalOracle(12, a1=0.2)
     with pytest.raises(ConvergenceError):
         lowest_eigenpair(o.metric, max_outer=0)
+
+
+def _shifted_system(dims):
+    grid = Grid((8,) * (dims - 1) + (10,))
+    rng = np.random.default_rng(40 + dims)
+    noise = rng.uniform(-0.05, 0.05, grid.shape + (dims, dims))
+    g = MetricField(grid, np.eye(dims) + 0.5 * (noise + np.swapaxes(noise, -1, -2)))
+    op = SchrodingerOperator(g)
+    w = 1.0 + 0.1 * rng.standard_normal(grid.shape)
+    w = w / op.volume_norm(w)
+    # below the potential's minimum the shifted operator is positive definite
+    return op, w, float(np.min(op.potential)) - 1.0
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_solve_with_phi_x0_is_bit_identical(dims):
+    op, w, sigma = _shifted_system(dims)
+    phi_w = op.apply_values(w)
+    plain = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8)
+    reused = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8,
+                              phi_x0=phi_w / 0.5)
+    assert np.array_equal(plain, reused)
+
+
+def test_cg_counts_an_exit_on_max_iter():
+    op, w, sigma = _shifted_system(3)
+    op.solve_shifted(w, sigma, rtol=1e-15, max_iter=1)
+    assert op.cg_exits == {"converged": 0, "max_iter": 1, "indefinite": 0}
+    assert op.cg_iterations == 1
+
+
+def test_cg_counts_an_exit_on_an_indefinite_direction():
+    # sigma above the whole spectrum makes every direction negative
+    op, w, sigma = _shifted_system(3)
+    op.solve_shifted(w, sigma + 1e5)
+    assert op.cg_exits == {"converged": 0, "max_iter": 0, "indefinite": 1}
+    assert op.cg_iterations == 0
+
+
+def test_warm_flow_eigensolve_reports_no_short_exit():
+    grid = Grid((12, 12, 12))
+    h = random_metric_perturbation(grid, 0.05, 3, cutoff=2)
+    g = MetricField(grid, flat_metric(grid).values + h.values)
+    b = random_form_perturbation(grid, 0.05, 1003, cutoff=2)
+    state = FlowState(g=g, b=b)
+    cold = lowest_eigenpair(g, state.field_strength())
+    assert cold.cg_iterations >= cold.iterations > 0
+    moved = step(state, "mu_gradient", 2e-3)
+    _, _, sol = mu_gradient_flow_rhs(moved, w0=cold.w)
+    assert sol.iterations > 0
+    assert sol.cg_iterations >= sol.iterations
+    assert sol.cg_short_exits == 0
