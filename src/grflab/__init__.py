@@ -15,7 +15,6 @@ from .errors import (
     JacobianError,
     NonFiniteError,
     PositivityError,
-    SnapshotError,
     StepSizeError,
 )
 from .lattice import (
@@ -27,7 +26,6 @@ from .lattice import (
     shift,
     weighted_inner,
 )
-from .snapshots import load_snapshot, read_snapshot_header, save_snapshot
 from .geometry import (
     MetricField,
     christoffel,
@@ -53,8 +51,10 @@ from .spectrum import (
     MuGradient,
     SchrodingerOperator,
     SpectralSolution,
+    assemble_mu_gradient,
     critical_point_diagnostics,
     energy_functional,
+    f_equation_residual,
     linearized_gradient_flat,
     lowest_eigenpair,
     mu_directional_derivative,
@@ -74,6 +74,7 @@ from .flow import (
     read_trajectory_csv,
     run_flow,
     step,
+    write_records_csv,
     write_trajectory_csv,
 )
 from .diffeo import diffeo_flow, pullback
@@ -92,7 +93,6 @@ from .homogeneous import (
     invariant_scalar_curvature,
     stationarity_residual,
     su2_algebra,
-    write_invariant_csv,
 )
 from .perturbations import (
     divergence_free_projection,

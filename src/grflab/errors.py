@@ -17,10 +17,6 @@ class PositivityError(GrflabError, ValueError):
     """A field declared positive definite fails the pointwise eigenvalue floor."""
 
 
-class SnapshotError(GrflabError, ValueError):
-    """Snapshot file is corrupt or inconsistent with its header."""
-
-
 class ConvergenceError(GrflabError, RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 

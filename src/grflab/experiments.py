@@ -2,9 +2,9 @@
 
 Each pipeline builds its own seeded initial data, runs the relevant solver,
 and returns a plain dict of floats, ints, and strings (JSON-ready, no arrays)
-next to any trajectory object. The command line and the acceptance tests call
-these functions rather than re-assembling runs, so a result quoted by one is
-reproducible by the other from the same seed.
+next to any trajectory object. The tests (tests/test_experiments.py) and the
+benchmark (perfbench/) call these functions rather than re-assembling runs,
+so a result quoted by one is reproducible by the other from the same seed.
 
 Defaults are calibrated, not decorative: the stability stop tolerance leaves
 the endpoint norms an order of magnitude under their pass thresholds, and the
@@ -25,10 +25,10 @@ from .perturbations import random_form_perturbation, random_metric_perturbation
 from .spectrum import (
     DEFAULT_EIG_TOL,
     critical_point_diagnostics,
+    f_equation_residual,
     lowest_eigenpair,
     mu_directional_derivative,
     mu_gradient,
-    total_field_strength,
 )
 from .flow import (
     FlowConfig,
@@ -133,7 +133,7 @@ def eigen_report(resolution=16, amplitude=0.0, seed=0, cutoff=2, hhat_c=0.0,
         "hhat_c": hhat_c,
         "lambda": sol.lam,
         "eigen_residual": sol.eigen_residual,
-        "f_eq_residual": sol.f_eq_residual,
+        "f_eq_residual": f_equation_residual(state.g, H, sol),
         "f_spread": float(np.ptp(sol.f.values)),
         "iterations": sol.iterations,
     }
@@ -391,7 +391,7 @@ def flow_run(gauge="grf", seed=0, resolution=16, amplitude=0.05, cutoff=2,
              hhat_c=0.0, stop_tol=1e-8, t_max=10.0, cfl=0.1,
              eigen_tol=DEFAULT_EIG_TOL, record_every=1, modified=False,
              dims=3, period=TWO_PI):
-    """Plain configured flow from seeded data; the CLI's general runner."""
+    """Plain configured flow from seeded data in any gauge."""
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, hhat_c=hhat_c,
                             dims=dims, period=period)

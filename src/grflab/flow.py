@@ -11,12 +11,15 @@ Three right-hand sides share one Runge-Kutta integrator, selected by gauge:
 H = Hhat + db stays exactly closed because only the potential b is evolved
 and the discrete d d = 0 identity is exact. Steps are classical fourth-order
 Runge-Kutta with a parabolic step bound dt = cfl min(h)^2 / (2 max eig g^-1);
-a step that breaks metric positivity is retried at half size, ten times.
+a step that breaks metric positivity is retried at half size, SPD_RETRIES
+(ten) times. The same step and halving loop integrate the left-invariant
+matrix ODE of homogeneous.invariant_flow.
 
 Every accepted step can record a diagnostics row with the columns t, lambda,
 H_l2, ricci_linf, dH_linf, F_value, rhs_l2, dt (plus a sup-norm proxy rhs_c0
 used by the interpolation diagnostic); write_trajectory_csv exports exactly
-the eight named columns at 17 significant digits.
+the eight named columns at 17 significant digits, through write_records_csv,
+the one CSV writer of the package.
 """
 
 from __future__ import annotations
@@ -35,21 +38,21 @@ from .geometry import (
     codifferential,
     deturck_vector,
     exterior_derivative,
-    gradient_vector,
     h_squared,
-    hessian,
     interior_product,
     lie_derivative_metric,
     ricci_values,
 )
 from .spectrum import (
     DEFAULT_EIG_TOL,
+    assemble_mu_gradient,
     energy_functional,
     lowest_eigenpair,
     total_field_strength,
 )
 
 GAUGES = ("grf", "deturck", "mu_gradient")
+SPD_RETRIES = 10
 
 CSV_COLUMNS = ("t", "lambda", "H_l2", "ricci_linf", "dH_linf", "F_value",
                "rhs_l2", "dt")
@@ -95,7 +98,6 @@ class FlowConfig:
     keep_states: bool = False
     keep_gauge_fields: bool = False
     modified: bool = False
-    spd_retries: int = 10
 
     def __post_init__(self):
         if self.gauge not in GAUGES:
@@ -178,20 +180,12 @@ def mu_gradient_flow_rhs(state, tol=DEFAULT_EIG_TOL, w0=None, modified=False):
     g = state.g
     H = state.field_strength()
     sol = lowest_eigenpair(g, H, tol=tol, w0=w0)
-    grad_f = gradient_vector(g, sol.f)
-    dg = (
-        -ricci_values(g)
-        - hessian(g, sol.f).values
-        + 0.25 * h_squared(g, H).values
-    )
-    db = -0.5 * (codifferential(g, H).values
-                 + interior_product(grad_f, H).values)
-    if modified:
-        dg = 2.0 * dg
-        db = 2.0 * db
+    grad = assemble_mu_gradient(g, H, sol)
+    if not modified:
+        return grad.g_part, grad.b_part, sol
     return (
-        TensorField(g.grid, dg, "symmetric2"),
-        TensorField(g.grid, db, "antisymmetric"),
+        TensorField(g.grid, 2.0 * grad.g_part.values, "symmetric2"),
+        TensorField(g.grid, 2.0 * grad.b_part.values, "antisymmetric"),
         sol,
     )
 
@@ -217,64 +211,70 @@ def _make_rhs(gauge, g_ref, eigen_tol, warm, modified):
     return rhs
 
 
-def _advance(state, dt, dg, db):
-    """State + dt * rhs; the MetricField constructor enforces positivity."""
-    g_new = MetricField(state.g.grid, state.g.values + dt * dg.values)
-    b_new = TensorField(state.g.grid, state.b.values + dt * db.values,
+def _slope(k):
+    """A right-hand side (dg, db, extra) as the integrator's slope."""
+    return (k[0].values, k[1].values), k[2]
+
+
+def _advance(state, dt, k):
+    """State + dt * slope; the MetricField constructor enforces positivity."""
+    dg, db = k[0]
+    g_new = MetricField(state.g.grid, state.g.values + dt * dg)
+    b_new = TensorField(state.g.grid, state.b.values + dt * db,
                         "antisymmetric")
     return replace(state, g=g_new, b=b_new, time=state.time + dt)
 
 
-def _rk4(state, dt, rhs, k1=None):
-    """One classical Runge-Kutta step. Returns the new state and the four
-    stage extras. Positivity failures propagate for the caller to retry."""
-    if k1 is None:
-        k1 = rhs(state)
-    k2 = rhs(_advance(state, 0.5 * dt, k1[0], k1[1]))
-    k3 = rhs(_advance(state, 0.5 * dt, k2[0], k2[1]))
-    k4 = rhs(_advance(state, dt, k3[0], k3[1]))
-    dg = (k1[0].values + 2 * k2[0].values + 2 * k3[0].values + k4[0].values) / 6.0
-    db = (k1[1].values + 2 * k2[1].values + 2 * k3[1].values + k4[1].values) / 6.0
-    incr = (
-        TensorField(state.g.grid, dg, "symmetric2"),
-        TensorField(state.g.grid, db, "antisymmetric"),
-    )
-    return _advance(state, dt, *incr), [k1[2], k2[2], k3[2], k4[2]]
+def _rk4(y, h, slope, advance, k1):
+    """One classical Runge-Kutta step of y' = slope(y).
+
+    A slope is a tuple of arrays plus an opaque extra, and advance(y, h, k)
+    returns y + h times k's arrays. Returns the new state and the four stage
+    extras; failures of slope or advance propagate.
+    """
+    k2 = slope(advance(y, 0.5 * h, k1))
+    k3 = slope(advance(y, 0.5 * h, k2))
+    k4 = slope(advance(y, h, k3))
+    mean = tuple((a + 2 * b + 2 * c + d) / 6.0
+                 for a, b, c, d in zip(k1[0], k2[0], k3[0], k4[0]))
+    return advance(y, h, (mean, None)), [k[1] for k in (k1, k2, k3, k4)]
 
 
-def _rk4_with_retries(state, dt, rhs, retries, k1=None):
-    """One Runge-Kutta step, halved up to `retries` times while the metric
-    leaves the positive cone. Returns (new state, stage extras, dt taken).
+def _rk4_with_retries(y, h, slope, advance, t, k1=None):
+    """One Runge-Kutta step from time t, halved up to SPD_RETRIES times while
+    the step leaves the positive cone. Returns (new state, stage extras, h
+    taken).
 
     Raises StepSizeError when positivity is never regained, or chained from a
     non-finite or failed-eigensolve stage.
     """
     try:
         if k1 is None:
-            k1 = rhs(state)
-        for _ in range(retries + 1):
+            k1 = slope(y)
+        for _ in range(SPD_RETRIES + 1):
             try:
-                return _rk4(state, dt, rhs, k1=k1) + (dt,)
+                return _rk4(y, h, slope, advance, k1) + (h,)
             except PositivityError:
-                dt *= 0.5
+                h *= 0.5
     except (ConvergenceError, NonFiniteError) as exc:
         raise StepSizeError(f"Runge-Kutta stage failed "
-                            f"(t = {state.time:.6f}): {exc}") from exc
-    raise StepSizeError(f"metric loses positivity even at dt = {dt:.3e} "
-                        f"(t = {state.time:.6f})")
+                            f"(t = {t:.6f}): {exc}") from exc
+    raise StepSizeError(f"metric loses positivity even at dt = {h:.3e} "
+                        f"(t = {t:.6f})")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL,
-         modified=False, retries=10):
+         modified=False):
     """One integrator step of the named right-hand side.
 
-    Halves dt when the metric leaves the positive cone, up to the retry
-    budget, then raises StepSizeError; a failed stage raises it too.
+    Halves dt when the metric leaves the positive cone, up to SPD_RETRIES
+    times, then raises StepSizeError; a failed stage raises it too.
     Overflow is reported by the field checks, not by numpy warnings.
     """
     rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, {}, modified)
-    return _rk4_with_retries(state, dt, rhs, retries)[0]
+    return _rk4_with_retries(state, dt, lambda s: _slope(rhs(s)), _advance,
+                             state.time)[0]
 
 
 def _pair_l2(g, dg, db, weight=None):
@@ -342,9 +342,6 @@ def run_flow(initial, config, g_ref=None):
     (NonFiniteError), not by numpy warnings. Diagnostics are recorded every
     record_every accepted steps and always at the endpoint.
     """
-    if config.gauge == "deturck" and g_ref is None:
-        raise ConfigError("the deturck gauge needs a reference metric")
-
     warm = {}
     rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, warm,
                     config.modified)
@@ -398,7 +395,8 @@ def run_flow(initial, config, g_ref=None):
 
         try:
             new_state, extras, dt = _rk4_with_retries(
-                state, dt, rhs, config.spd_retries, k1=k1)
+                state, dt, lambda s: _slope(rhs(s)), _advance, state.time,
+                k1=_slope(k1))
         except StepSizeError as exc:
             verdict, reason = "DIVERGED", str(exc)
             break
@@ -441,15 +439,20 @@ def read_trajectory_csv(path):
     return records
 
 
-def write_trajectory_csv(trajectory, path):
-    """Export the sampled diagnostics, one row per sample.
+def write_records_csv(records, columns, path):
+    """Export record dicts, one row per record.
 
-    Exactly the eight standard columns, comma-separated with a header line,
-    17 significant digits. No timestamps or environment data, so identical
-    runs produce identical bytes.
+    Exactly the given columns, comma-separated with a header line, 17
+    significant digits. No timestamps or environment data, so identical
+    records produce identical bytes.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for row in trajectory.records:
-        lines.append(",".join("%.17g" % row[c] for c in CSV_COLUMNS))
+    lines = [",".join(columns)]
+    for row in records:
+        lines.append(",".join("%.17g" % row[c] for c in columns))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trajectory_csv(trajectory, path):
+    """Export the sampled diagnostics in the eight CSV_COLUMNS."""
+    write_records_csv(trajectory.records, CSV_COLUMNS, path)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FieldError, PositivityError
+from .flow import _rk4_with_retries
 
 _JACOBI_TOL = 1e-12
 _EPSILON = np.zeros((3, 3, 3))
@@ -282,19 +283,20 @@ def find_stationary(data0, tol=1e-12, max_iter=100):
 def invariant_flow(data0, t_max, dt=0.002, stop_tol=None, record_every=1):
     """Fixed-step RK4 integration of the matrix ODE.
 
-    Returns (records, final LieData). Each record holds t, the six upper
-    metric entries, h3, the stationarity residual, and dt. stop_tol, when
-    given, ends the run once the stationarity residual drops below it.
+    Uses the lattice flows' Runge-Kutta step, halved while the metric leaves
+    the SPD cone (StepSizeError when that never ends). Returns (records,
+    final LieData). Each record holds t, the six upper metric entries, h3,
+    the stationarity residual, and dt. stop_tol, when given, ends the run
+    once the stationarity residual drops below it.
     """
     if t_max <= 0 or dt <= 0:
         raise FieldError("t_max and dt must be positive")
 
-    def rhs(data):
-        dg, _ = invariant_grf_rhs(data)
-        return dg
+    def slope(data):
+        return (invariant_grf_rhs(data)[0],), None
 
-    def advance(data, h, dg):
-        return LieData(data.c, data.g + h * dg, data.h3)
+    def advance(data, h, k):
+        return LieData(data.c, data.g + h * k[0][0], data.h3)
 
     def make_row(t, data, res, h):
         iu = np.triu_indices(3)
@@ -313,21 +315,8 @@ def invariant_flow(data0, t_max, dt=0.002, stop_tol=None, record_every=1):
             records.append(make_row(t, data, res, dt))
         if stop_tol is not None and res < stop_tol:
             break
-        h = min(dt, t_max - t)
-        attempts = 0
-        while True:
-            try:
-                k1 = rhs(data)
-                k2 = rhs(advance(data, 0.5 * h, k1))
-                k3 = rhs(advance(data, 0.5 * h, k2))
-                k4 = rhs(advance(data, h, k3))
-                data = advance(data, h / 6.0, k1 + 2 * k2 + 2 * k3 + k4)
-                break
-            except PositivityError:
-                attempts += 1
-                h *= 0.5
-                if attempts > 10:
-                    raise
+        data, _, h = _rk4_with_retries(data, min(dt, t_max - t), slope,
+                                       advance, t)
         t += h
         step_index += 1
     if not records or records[-1]["t"] < t:
@@ -335,15 +324,6 @@ def invariant_flow(data0, t_max, dt=0.002, stop_tol=None, record_every=1):
     return records, data
 
 
+# the columns of invariant_flow records, for flow.write_records_csv
 INVARIANT_CSV_COLUMNS = ("t", "g11", "g12", "g13", "g22", "g23", "g33",
                          "h3", "stat_residual", "dt")
-
-
-def write_invariant_csv(records, path):
-    """Matrix-ODE trajectory export, same conventions as the lattice flows:
-    headers, comma separation, 17 significant digits."""
-    lines = [",".join(INVARIANT_CSV_COLUMNS)]
-    for row in records:
-        lines.append(",".join("%.17g" % row[c] for c in INVARIANT_CSV_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

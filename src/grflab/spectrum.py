@@ -12,8 +12,9 @@ gradient of mu(g, b) = lambda(g, Hhat + db) in the e^{-f} dV_g pairing is
 
     ( -Ric - Hess f + H^2/4 ,  -(d* H + grad f . H) / 2 )
 
-which is what mu_gradient assembles; finite differences of mu against this
-pairing are the package's main correctness oracle.
+which assemble_mu_gradient builds from a solved eigenprofile; finite
+differences of mu against this pairing are the package's main correctness
+oracle.
 
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
@@ -23,11 +24,12 @@ spectrum, and every CG exit is counted (see SpectralSolution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, FieldError
+from .errors import ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
     ScalarField,
     TensorField,
@@ -72,10 +74,7 @@ class SchrodingerOperator:
     def __init__(self, g, H=None):
         self.g = g
         self.grid = g.grid
-        r = scalar_curvature(g).values
-        if H is not None:
-            r = r - form_norm_sq(g, H).values / 12.0
-        self.potential = r
+        self.potential = _potential(g, H)
         # The first-derivative stencil annihilates the Nyquist mode on every
         # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
@@ -118,9 +117,6 @@ class SchrodingerOperator:
 
     def volume_norm(self, u):
         return np.sqrt(max(self.volume_dot(u, u), 0.0))
-
-    def rayleigh(self, u):
-        return self.volume_dot(u, self.apply_values(u)) / self.volume_dot(u, u)
 
     def _preconditioner(self, sigma):
         """r -> the surrogate's exact inverse applied to r, via rfftn/irfftn."""
@@ -186,23 +182,34 @@ class SpectralSolution:
     """Converged lowest eigenpair of Phi_{g,H} and the induced potential f.
 
     w is the positive eigenfunction normalized by int w^2 dV_g = 1, and
-    f = -2 log w, so int e^{-f} dV_g = 1 holds by construction. The residual
-    of the f-form of the eigenvalue equation, 2 Delta f - |df|^2 + R -
-    |H|^2/12 = lambda, is reported as evaluated by the discrete operators; it
-    inherits the discretization error of the chain rule and is only solver-
-    small when f is constant. cg_iterations totals the CG iterations of the
-    solve, and cg_short_exits counts its CG solves that ran out of iterations
-    or met an indefinite direction.
+    f = -2 log w, so int e^{-f} dV_g = 1 holds by construction;
+    f_equation_residual checks the f-form of the eigenvalue equation.
+    cg_iterations totals the CG iterations of the solve, and cg_short_exits
+    counts its CG solves that ran out of iterations or met an indefinite
+    direction.
     """
 
     lam: float
     w: ScalarField
     f: ScalarField
     eigen_residual: float
-    f_eq_residual: float
     iterations: int
     cg_iterations: int = 0
     cg_short_exits: int = 0
+
+
+def _potential(g, H=None):
+    """The Schrodinger potential R - |H|^2/12 (R alone when H is None)."""
+    r = scalar_curvature(g).values
+    if H is not None:
+        r = r - form_norm_sq(g, H).values / 12.0
+    return r
+
+
+def _df_sq(g, f):
+    """|df|^2_g of a scalar field."""
+    df = gradient_values(g.grid, f.values)
+    return np.einsum("...ab,...a,...b->...", g.inv_values, df, df)
 
 
 def schrodinger_apply(g, H, u):
@@ -227,7 +234,8 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
     The shift tracks the Rayleigh quotient minus a fixed margin of 0.5, which
     keeps the shifted operator positive definite through convergence. The
     returned eigenfunction is certified positive; a sign change anywhere is a
-    hard error since f = -2 log w must exist.
+    hard error since f = -2 log w must exist. A residual that is not finite
+    (the potential overflows the apply) raises NonFiniteError at once.
     """
     op = SchrodingerOperator(g, H)
     if w0 is None:
@@ -243,7 +251,10 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
     lam = op.volume_dot(w, phi_w)
     res = op.volume_norm(phi_w - lam * w)
     iterations = 0
-    while res > tol:
+    while not res <= tol:
+        if not math.isfinite(res):
+            raise NonFiniteError(f"eigensolver residual is non-finite ({res}) "
+                                 f"after {iterations} steps")
         if iterations >= max_outer:
             raise ConvergenceError(
                 f"eigensolver stalled at residual {res:.3e} after {max_outer} steps"
@@ -268,26 +279,27 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
         raise ConvergenceError(
             f"ground state failed the positivity certificate (min w = {w_min:.3e})"
         )
-    f_vals = -2.0 * np.log(w)
-    f = ScalarField(g.grid, f_vals)
-    w_field = ScalarField(g.grid, w)
-
-    lap_f = laplace_beltrami(g, f).values
-    df = gradient_values(g.grid, f_vals)
-    df_sq = np.einsum("...ab,...a,...b->...", g.inv_values, df, df)
-    f_eq = 2.0 * lap_f - df_sq + op.potential - lam
-    f_eq_residual = float(np.max(np.abs(f_eq)))
-
     return SpectralSolution(
         lam=lam,
-        w=w_field,
-        f=f,
+        w=ScalarField(g.grid, w),
+        f=ScalarField(g.grid, -2.0 * np.log(w)),
         eigen_residual=res,
-        f_eq_residual=f_eq_residual,
         iterations=iterations,
         cg_iterations=op.cg_iterations,
         cg_short_exits=op.cg_exits["max_iter"] + op.cg_exits["indefinite"],
     )
+
+
+def f_equation_residual(g, H, sol):
+    """sup |2 Delta f - |df|^2 + R - |H|^2/12 - lambda| of a solved eigenpair.
+
+    This is the f-form of the eigenvalue equation as evaluated by the discrete
+    operators; it inherits the discretization error of the chain rule and is
+    only solver-small when f is constant.
+    """
+    f_eq = (2.0 * laplace_beltrami(g, sol.f).values - _df_sq(g, sol.f)
+            + _potential(g, H) - sol.lam)
+    return float(np.max(np.abs(f_eq)))
 
 
 def energy_functional(g, H, f):
@@ -297,12 +309,8 @@ def energy_functional(g, H, f):
     an arbitrary f into the constraint set. F(g, H, .) is bounded below by
     lambda(g, H) with equality at f = -2 log w.
     """
-    r = scalar_curvature(g).values
-    if H is not None:
-        r = r - form_norm_sq(g, H).values / 12.0
-    df = gradient_values(g.grid, f.values)
-    df_sq = np.einsum("...ab,...a,...b->...", g.inv_values, df, df)
-    density = (r + df_sq) * np.exp(-f.values) * g.sqrt_det_values
+    density = ((_potential(g, H) + _df_sq(g, f)) * np.exp(-f.values)
+               * g.sqrt_det_values)
     return float(np.sum(density)) * g.grid.cell_volume
 
 
@@ -346,18 +354,9 @@ class MuGradient:
         total += weighted_inner(self.b_part, beta, g, weight)
         return total
 
-    def norm(self, g):
-        """L2(e^{-f} dV_g) norm of the pair."""
-        weight = ScalarField(g.grid, np.exp(-self.solution.f.values))
-        sq = weighted_inner(self.g_part, self.g_part, g, weight)
-        sq += weighted_inner(self.b_part, self.b_part, g, weight)
-        return np.sqrt(max(sq, 0.0))
 
-
-def mu_gradient(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
-    """Assemble the gradient of mu at (g, b) from the solved eigenprofile."""
-    H = total_field_strength(g.grid, b, hhat)
-    sol = lowest_eigenpair(g, H, tol=tol, w0=w0)
+def assemble_mu_gradient(g, H, sol):
+    """The gradient of mu at (g, H) from its solved eigenpair sol."""
     grad_f = gradient_vector(g, sol.f)
     g_part_vals = (
         -ricci_values(g)
@@ -372,6 +371,12 @@ def mu_gradient(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
         b_part=TensorField(g.grid, b_part_vals, "antisymmetric"),
         solution=sol,
     )
+
+
+def mu_gradient(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
+    """The gradient of mu at (g, b): solve the eigenpair, then assemble."""
+    H = total_field_strength(g.grid, b, hhat)
+    return assemble_mu_gradient(g, H, lowest_eigenpair(g, H, tol=tol, w0=w0))
 
 
 def mu_directional_derivative(g, b, h, beta, hhat=None, eps=1e-4,
@@ -422,7 +427,8 @@ def linearized_gradient_flat(g_flat, h, beta, div_tol=1e-8):
 class CriticalPointReport:
     """Stationarity residuals of a state, all sup-norms over components.
 
-    mu_grad_g / mu_grad_b: residuals of the gradient of mu.
+    mu_grad_g / mu_grad_b: sup norms of the two parts of the gradient of mu,
+        as assemble_mu_gradient builds them (the b part carries the 1/2).
     ricci_vs_h2: ||Ric - H^2/4||, the metric part of flow stationarity.
     hodge_h: ||Delta_g H||, the form part of flow stationarity.
     scalar_gap: sup |R - |H|^2/12|; a nonzero value at a stationary point
@@ -441,43 +447,24 @@ class CriticalPointReport:
     identity_gap: float
 
     def as_dict(self):
-        return {
-            "mu": self.mu,
-            "mu_grad_g": self.mu_grad_g,
-            "mu_grad_b": self.mu_grad_b,
-            "ricci_vs_h2": self.ricci_vs_h2,
-            "hodge_h": self.hodge_h,
-            "scalar_gap": self.scalar_gap,
-            "identity_gap": self.identity_gap,
-        }
+        return asdict(self)
 
 
 def critical_point_diagnostics(g, H, sol=None, tol=DEFAULT_EIG_TOL):
     """Evaluate every stationarity residual of interest at (g, H)."""
     if sol is None:
         sol = lowest_eigenpair(g, H, tol=tol)
-    grad_f = gradient_vector(g, sol.f)
-    h2 = h_squared(g, H).values if H is not None else 0.0
-    h_norm_sq = form_norm_sq(g, H).values if H is not None else np.zeros(g.grid.shape)
-
-    grad_g = ricci_values(g) + hessian(g, sol.f).values - 0.25 * h2
-    if H is not None:
-        grad_b = codifferential(g, H).values + interior_product(grad_f, H).values
-        hodge_h = float(np.max(np.abs(hodge_laplacian(g, H).values)))
-    else:
-        grad_b = np.zeros(g.grid.shape)
-        hodge_h = 0.0
-
-    r = scalar_curvature(g).values
+    grad = assemble_mu_gradient(g, H, sol)
     weight = np.exp(-sol.f.values) * g.sqrt_det_values
-    identity = np.sum(h_norm_sq * weight) * g.grid.cell_volume / 6.0
-
+    identity = (np.sum(form_norm_sq(g, H).values * weight)
+                * g.grid.cell_volume / 6.0)
     return CriticalPointReport(
         mu=sol.lam,
-        mu_grad_g=float(np.max(np.abs(grad_g))),
-        mu_grad_b=float(np.max(np.abs(grad_b))),
-        ricci_vs_h2=float(np.max(np.abs(ricci_values(g) - 0.25 * h2))),
-        hodge_h=hodge_h,
-        scalar_gap=float(np.max(np.abs(r - h_norm_sq / 12.0))),
+        mu_grad_g=float(np.max(np.abs(grad.g_part.values))),
+        mu_grad_b=float(np.max(np.abs(grad.b_part.values))),
+        ricci_vs_h2=float(np.max(np.abs(
+            ricci_values(g) - 0.25 * h_squared(g, H).values))),
+        hodge_h=float(np.max(np.abs(hodge_laplacian(g, H).values))),
+        scalar_gap=float(np.max(np.abs(_potential(g, H)))),
         identity_gap=float(abs(identity - sol.lam)),
     )

@@ -1,0 +1,54 @@
+"""Tier-1 runs of the canned pipelines that reach the shared mu-gradient
+assembly, the Runge-Kutta step and the eigensolver (about 2 s in total)."""
+
+import math
+
+import pytest
+
+from grflab.experiments import (
+    eigen_report,
+    flat_equilibrium_report,
+    gauge_consistency_run,
+    gradient_check,
+    homogeneous_report,
+)
+from grflab.spectrum import DEFAULT_EIG_TOL
+
+
+def test_flat_equilibrium_is_exact():
+    report = flat_equilibrium_report(12)
+    for key in ("grf_rhs_sup", "deturck_rhs_sup", "mu_gradient_rhs_sup",
+                "lambda"):
+        assert report[key] == 0.0, key
+
+
+def test_gradient_check_matches_finite_differences():
+    assert gradient_check()["max_rel_error"] < 1e-5
+
+
+def test_gauge_consistency_gap_is_small():
+    report = gauge_consistency_run()
+    assert math.isfinite(report["gap_sup"])
+    assert report["gap_sup"] < 1e-3
+
+
+def test_eigen_report_on_perturbed_data():
+    report = eigen_report(12, amplitude=0.05)
+    assert report["eigen_residual"] <= DEFAULT_EIG_TOL
+    assert report["f_eq_residual"] < 0.05
+    assert report["mu"] == report["lambda"] < 0.0
+    for key, value in report.items():
+        assert math.isfinite(value), key
+
+
+@pytest.mark.parametrize("algebra", ["su2", "heisenberg", "abelian"])
+def test_homogeneous_report_flow_and_stationary_search(algebra):
+    report = homogeneous_report(algebra, flow_t_max=0.05)
+    assert report["flow"]["n_records"] == 26
+    assert report["flow"]["t_end"] == 0.05
+    assert report["flow"]["final_h3"] == 0.8
+    if algebra == "heisenberg":
+        assert report["stationary_found"] is False
+    else:
+        assert report["stationary_found"] is True
+        assert report["residual"] < 1e-12

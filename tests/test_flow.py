@@ -194,7 +194,7 @@ def test_deturck_requires_reference_metric():
 def test_step_size_failure_raises():
     state = perturbed_state(8, 0.2, seed=7)
     with pytest.raises(StepSizeError):
-        step(state, "grf", 1e8, retries=3)
+        step(state, "grf", 1e8)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -274,6 +274,23 @@ def test_step_turns_a_failed_stage_into_step_size_error(gauge):
         step(start, gauge, 1e-3, g_ref=g_ref)
     assert isinstance(info.value.__cause__, (NonFiniteError, ConvergenceError))
     assert str(info.value.__cause__) in str(info.value)
+
+
+def test_non_finite_eigen_residual_ends_mu_gradient_run_at_once():
+    # the potential ~ -1e200 is finite, the eigen-residual overflows
+    start, _ = _scaled_potential(1e100)
+    traj = run_flow(start, FlowConfig(gauge="mu_gradient", t_max=0.1))
+    assert traj.verdict == "DIVERGED"
+    assert traj.reason.startswith(
+        "right-hand side failed: eigensolver residual is non-finite")
+
+
+def test_step_chains_a_non_finite_eigen_residual():
+    start, _ = _scaled_potential(1e100)
+    with pytest.raises(StepSizeError) as info:
+        step(start, "mu_gradient", 1e-3)
+    assert isinstance(info.value.__cause__, NonFiniteError)
+    assert "eigensolver residual is non-finite" in str(info.value)
 
 
 @pytest.mark.parametrize("gauge", GAUGES)

@@ -15,10 +15,9 @@ from grflab import (
     invariant_ricci,
     invariant_scalar_curvature,
     su2_algebra,
-    write_invariant_csv,
 )
 from grflab.errors import ConvergenceError, FieldError, PositivityError
-from grflab.flow import read_trajectory_csv
+from grflab.flow import read_trajectory_csv, write_records_csv
 from grflab.homogeneous import (
     INVARIANT_CSV_COLUMNS,
     invariant_codifferential,
@@ -184,7 +183,7 @@ def test_invariant_csv_round_trip(tmp_path):
     start = LieData(heisenberg_algebra(), np.eye(3), 0.0)
     records, _ = invariant_flow(start, t_max=0.02, dt=0.005)
     path = tmp_path / "invariant.csv"
-    write_invariant_csv(records, path)
+    write_records_csv(records, INVARIANT_CSV_COLUMNS, path)
     back = read_trajectory_csv(path)
     assert len(back) == len(records)
     for row, orig in zip(back, records):
@@ -192,5 +191,5 @@ def test_invariant_csv_round_trip(tmp_path):
             assert row[key] == orig[key]
     # identical call, identical bytes
     path2 = tmp_path / "again.csv"
-    write_invariant_csv(records, path2)
+    write_records_csv(records, INVARIANT_CSV_COLUMNS, path2)
     assert path.read_bytes() == path2.read_bytes()

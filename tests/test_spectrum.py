@@ -11,6 +11,7 @@ from grflab import (
     critical_point_diagnostics,
     divergence_free_projection,
     energy_functional,
+    f_equation_residual,
     flat_metric,
     lowest_eigenpair,
     mu_gradient,
@@ -113,7 +114,7 @@ def test_ground_state_positive_and_f_equation():
     assert np.min(sol.w.values) > 0.0
     # the f-form residual carries discretization error of the chain rule,
     # so it is small but far above solver tolerance
-    assert sol.f_eq_residual < 0.05
+    assert f_equation_residual(o.metric, None, sol) < 0.05
     # normalization of the weight
     total = np.sum(np.exp(-sol.f.values) * o.metric.sqrt_det_values)
     assert total * o.grid.cell_volume == pytest.approx(1.0, rel=1e-12)
@@ -232,6 +233,19 @@ def test_critical_point_diagnostics_flat():
     assert d["mu_grad_g"] < 1e-12
     assert d["mu_grad_b"] < 1e-12
     assert d["identity_gap"] < 1e-12
+
+
+def test_critical_point_diagnostics_report_the_mu_gradient():
+    grid = Grid((8, 8, 8))
+    h = random_metric_perturbation(grid, 0.05, 3)
+    b = random_form_perturbation(grid, 0.05, 1003)
+    g = MetricField(grid, flat_metric(grid).values + h.values)
+    grad = mu_gradient(g, b)
+    report = critical_point_diagnostics(g, total_field_strength(grid, b),
+                                        sol=grad.solution)
+    assert report.mu_grad_g == np.max(np.abs(grad.g_part.values))
+    assert report.mu_grad_b == np.max(np.abs(grad.b_part.values))
+    assert report.mu_grad_b > 0.0
 
 
 def test_eigensolver_reports_stall():
