@@ -10,16 +10,19 @@ Three right-hand sides share one Runge-Kutta integrator, selected by gauge:
 
 H = Hhat + db stays exactly closed because only the potential b is evolved
 and the discrete d d = 0 identity is exact. Steps are classical fourth-order
-Runge-Kutta with a parabolic step bound dt = cfl min(h)^2 / (2 max eig g^-1);
-a step that breaks metric positivity is retried at half size, SPD_RETRIES
-(ten) times. The same step and halving loop integrate the left-invariant
-matrix ODE of homogeneous.invariant_flow.
+Runge-Kutta with a parabolic step bound dt = cfl min(h)^2 / (2 max eig g^-1),
+whose eigensolve runs only at points a Gershgorin bound cannot rule out; a
+step that breaks metric positivity is retried at half size, SPD_RETRIES (ten)
+times. The same loop integrates the matrix ODE of homogeneous.invariant_flow.
 
 Every accepted step can record a diagnostics row with the columns t, lambda,
 H_l2, ricci_linf, dH_linf, F_value, rhs_l2, dt (plus a sup-norm proxy rhs_c0
 used by the interpolation diagnostic); write_trajectory_csv exports exactly
 the eight named columns at 17 significant digits, through write_records_csv,
 the one CSV writer of the package.
+
+The right-hand sides compose raw arrays, with H = Hhat + db built once from
+the validated b; only their outputs (dg, db, the gauge vector) are fields.
 """
 
 from __future__ import annotations
@@ -34,22 +37,12 @@ from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      PositivityError, StepSizeError)
 from .lattice import ScalarField, TensorField, diff_values, weighted_inner
 from .geometry import (
-    MetricField,
-    codifferential,
-    deturck_vector,
-    exterior_derivative,
-    h_squared,
-    interior_product,
-    lie_derivative_metric,
-    ricci_values,
-)
+    MetricField, codifferential_values, deturck_vector, exterior_derivative,
+    h_squared_values, interior_product_values, lie_derivative_metric_values,
+    ricci_values)
 from .spectrum import (
-    DEFAULT_EIG_TOL,
-    assemble_mu_gradient,
-    energy_functional,
-    lowest_eigenpair,
-    total_field_strength,
-)
+    DEFAULT_EIG_TOL, assemble_mu_gradient, energy_functional,
+    field_strength_values, lowest_eigenpair, total_field_strength)
 
 GAUGES = ("grf", "deturck", "mu_gradient")
 SPD_RETRIES = 10
@@ -83,9 +76,7 @@ class FlowConfig:
 
     stop_tol bounds the L2 norm of the right-hand-side pair (weighted by
     e^{-f} in the mu_gradient gauge, where that norm is the gradient norm);
-    reaching it gives the CONVERGED verdict. modified switches the
-    mu_gradient gauge to the twice-the-gradient variant whose metric equation
-    matches the gauge-fixed coupled flow with X = -grad f.
+    reaching it gives the CONVERGED verdict, and a run takes at most max_steps.
     """
 
     gauge: str = "grf"
@@ -97,7 +88,6 @@ class FlowConfig:
     record_every: int = 1
     keep_states: bool = False
     keep_gauge_fields: bool = False
-    modified: bool = False
 
     def __post_init__(self):
         if self.gauge not in GAUGES:
@@ -138,9 +128,9 @@ class Trajectory:
 def grf_rhs(state):
     """Right-hand side of the coupled flow, before any gauge fixing."""
     g = state.g
-    H = state.field_strength()
-    dg = -2.0 * ricci_values(g) + 0.5 * h_squared(g, H).values
-    db = -codifferential(g, H).values
+    h = field_strength_values(g.grid, state.b.values, state.hhat)
+    dg = -2.0 * ricci_values(g) + 0.5 * h_squared_values(g, h)
+    db = -codifferential_values(g, h)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -155,14 +145,14 @@ def deturck_rhs(state, g_ref):
     closed H.
     """
     g = state.g
-    H = state.field_strength()
+    h = field_strength_values(g.grid, state.b.values, state.hhat)
     x = deturck_vector(g, g_ref)
     dg = (
         -2.0 * ricci_values(g)
-        + 0.5 * h_squared(g, H).values
-        + lie_derivative_metric(g, x).values
+        + 0.5 * h_squared_values(g, h)
+        + lie_derivative_metric_values(g, x.values)
     )
-    db = -codifferential(g, H).values + interior_product(x, H).values
+    db = -codifferential_values(g, h) + interior_product_values(x.values, h)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -170,27 +160,16 @@ def deturck_rhs(state, g_ref):
     )
 
 
-def mu_gradient_flow_rhs(state, tol=DEFAULT_EIG_TOL, w0=None, modified=False):
-    """Gradient of mu at the state, plus the spectral solution used.
-
-    With modified=True both parts are doubled; the metric equation then reads
-    dg = -2 (Ric + Hess f) + H^2 / 2, the coupled flow pushed by the vector
-    field -grad f. Either way the flow increases mu.
-    """
+def mu_gradient_flow_rhs(state, tol=DEFAULT_EIG_TOL, w0=None):
+    """Gradient of mu at the state, plus the spectral solution used."""
     g = state.g
-    H = state.field_strength()
-    sol = lowest_eigenpair(g, H, tol=tol, w0=w0)
-    grad = assemble_mu_gradient(g, H, sol)
-    if not modified:
-        return grad.g_part, grad.b_part, sol
-    return (
-        TensorField(g.grid, 2.0 * grad.g_part.values, "symmetric2"),
-        TensorField(g.grid, 2.0 * grad.b_part.values, "antisymmetric"),
-        sol,
-    )
+    h = field_strength_values(g.grid, state.b.values, state.hhat)
+    sol = lowest_eigenpair(g, h, tol=tol, w0=w0)
+    grad = assemble_mu_gradient(g, h, sol)
+    return grad.g_part, grad.b_part, sol
 
 
-def _make_rhs(gauge, g_ref, eigen_tol, warm, modified):
+def _make_rhs(gauge, g_ref, eigen_tol, warm):
     """Closure state -> (dg, db, extra); extra is the gauge vector or the
     spectral solution, threaded out for diagnostics and diffeo recovery."""
     if gauge == "grf":
@@ -205,7 +184,7 @@ def _make_rhs(gauge, g_ref, eigen_tol, warm, modified):
     else:
         def rhs(state):
             dg, db, sol = mu_gradient_flow_rhs(
-                state, tol=eigen_tol, w0=warm.get("w"), modified=modified)
+                state, tol=eigen_tol, w0=warm.get("w"))
             warm["w"] = sol.w
             return dg, db, sol
     return rhs
@@ -264,15 +243,14 @@ def _rk4_with_retries(y, h, slope, advance, t, k1=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL,
-         modified=False):
+def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL):
     """One integrator step of the named right-hand side.
 
     Halves dt when the metric leaves the positive cone, up to SPD_RETRIES
     times, then raises StepSizeError; a failed stage raises it too.
     Overflow is reported by the field checks, not by numpy warnings.
     """
-    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, {}, modified)
+    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, {})
     return _rk4_with_retries(state, dt, lambda s: _slope(rhs(s)), _advance,
                              state.time)[0]
 
@@ -343,8 +321,7 @@ def run_flow(initial, config, g_ref=None):
     record_every accepted steps and always at the endpoint.
     """
     warm = {}
-    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, warm,
-                    config.modified)
+    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, warm)
 
     state = replace(initial, gauge=config.gauge)
     states = [state]
@@ -353,7 +330,7 @@ def run_flow(initial, config, g_ref=None):
                           and config.gauge == "deturck") else None
     verdict, reason = "DIVERGED", "step budget exhausted"
     steps = 0
-    while steps <= config.max_steps:
+    while True:
         try:
             k1 = rhs(state)
         except (ConvergenceError, PositivityError, NonFiniteError) as exc:
@@ -372,25 +349,21 @@ def run_flow(initial, config, g_ref=None):
             weight = None
         rhs_l2 = _pair_l2(state.g, k1[0], k1[1], weight)
 
-        recorded = False
-        if steps % config.record_every == 0:
+        stopping = rhs_l2 < config.stop_tol
+        at_horizon = state.time >= config.t_max
+        out_of_steps = steps >= config.max_steps
+        if (steps % config.record_every == 0 or stopping or at_horizon
+                or out_of_steps):
             records.append(_diagnostics_row(
                 state, k1[0], k1[1], dt, rhs_l2, sol, config.eigen_tol,
                 warm))
-            recorded = True
-
-        stopping = rhs_l2 < config.stop_tol
-        at_horizon = state.time >= config.t_max
-        if stopping or at_horizon:
-            if not recorded:
-                records.append(_diagnostics_row(
-                    state, k1[0], k1[1], dt, rhs_l2, sol, config.eigen_tol,
-                    warm))
-            if stopping:
-                verdict, reason = "CONVERGED", ""
-            else:
-                verdict = "DIVERGED"
-                reason = "time horizon reached before residual tolerance"
+        if stopping:
+            verdict, reason = "CONVERGED", ""
+            break
+        if at_horizon:
+            reason = "time horizon reached before residual tolerance"
+            break
+        if out_of_steps:
             break
 
         try:

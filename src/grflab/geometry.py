@@ -10,6 +10,10 @@ C(n,k) increasing-index components of a k-form only: metric index moves use
 k x k minors of g or g^-1, and each result is expanded to full storage once,
 which makes it exactly antisymmetric.
 
+Kernels compose raw arrays: each operator has a `*_values` body, and its
+public form is a wrapper that checks the input tags and validates the output.
+Fields are validated where they enter or leave the system, not in between.
+
 The codifferential is the exact adjoint of the discrete exterior derivative
 for the inner product that counts each increasing index tuple once (the
 classical normalization), so it reduces to minus the contracted covariant
@@ -87,7 +91,16 @@ class MetricField:
         return float(np.min(np.linalg.eigvalsh(self.values)))
 
     def max_inverse_eigenvalue(self):
-        return float(np.max(np.linalg.eigvalsh(self.inv_values)))
+        """Largest pointwise eigenvalue of g^-1, bit for bit that of eigvalsh
+        at every point. A point's eigenvalue lies between its largest diagonal
+        entry and its largest absolute row sum (Gershgorin), so eigvalsh runs
+        only where that sum reaches the global diagonal maximum (less 1e-12
+        relative, for rounding)."""
+        inv = self.inv_values
+        floor = np.max(np.einsum("...ii->...i", inv))
+        rows = np.max(np.sum(np.abs(inv), axis=-1), axis=-1)
+        candidates = inv[rows >= (1.0 - 1e-12) * floor]
+        return float(np.max(np.linalg.eigvalsh(candidates)))
 
     def _cached(self, key, builder):
         if key not in self._cache:
@@ -181,11 +194,15 @@ def ricci(g):
     return TensorField(g.grid, ricci_values(g), "symmetric2")
 
 
-def scalar_curvature(g):
-    """Scalar curvature R = g^ij Ric_ij."""
+def scalar_curvature_values(g):
     def build():
         return contract("...ij,...ij->...", g.inv_values, ricci_values(g))
-    return ScalarField(g.grid, g._cached("scalar_curvature", build))
+    return g._cached("scalar_curvature", build)
+
+
+def scalar_curvature(g):
+    """Scalar curvature R = g^ij Ric_ij."""
+    return ScalarField(g.grid, scalar_curvature_values(g))
 
 
 def riemann_values(g):
@@ -202,20 +219,25 @@ def riemann_values(g):
     return g._cached("riemann", build)
 
 
+def hessian_values(g, f_values):
+    df = gradient_values(g.grid, f_values)
+    ddf = gradient_values(g.grid, df)
+    return ddf - contract("...kij,...k->...ij", christoffel_values(g), df)
+
+
 def hessian(g, f):
     """Covariant Hessian of a scalar, Hess f = D_i D_j f - Gamma^k_ij D_k f."""
-    grid = g.grid
-    df = gradient_values(grid, f.values)
-    ddf = gradient_values(grid, df)
-    gam_term = contract("...kij,...k->...ij", christoffel_values(g), df)
-    return TensorField(grid, ddf - gam_term, "symmetric2")
+    return TensorField(g.grid, hessian_values(g, f.values), "symmetric2")
+
+
+def gradient_vector_values(g, f_values):
+    df = gradient_values(g.grid, f_values)
+    return np.einsum("...ab,...b->...a", g.inv_values, df)
 
 
 def gradient_vector(g, f):
     """Metric gradient of a scalar as a contravariant field."""
-    df = gradient_values(g.grid, f.values)
-    up = np.einsum("...ab,...b->...a", g.inv_values, df)
-    return TensorField(g.grid, up, "vector")
+    return TensorField(g.grid, gradient_vector_values(g, f.values), "vector")
 
 
 def laplacian_values(g, values):
@@ -267,17 +289,20 @@ def divergence(g, h):
     return TensorField(grid, t1 - t2 - t3, "covector")
 
 
+def lie_derivative_metric_values(g, x_values):
+    xl = np.einsum("...ja,...a->...j", g.values, x_values)
+    dxl = gradient_values(g.grid, xl)  # [..., i, j] = D_i X_j
+    gam_term = contract("...kij,...k->...ij", christoffel_values(g), xl)
+    return dxl + np.swapaxes(dxl, -1, -2) - 2.0 * gam_term
+
+
 def lie_derivative_metric(g, x):
     """Lie derivative of the metric along a vector field, symmetrized covariant
     derivative of the lowered field."""
     if x.symmetry != "vector":
         raise FieldError("lie_derivative_metric expects a contravariant field")
-    grid = g.grid
-    xl = np.einsum("...ja,...a->...j", g.values, x.values)
-    dxl = gradient_values(grid, xl)  # [..., i, j] = D_i X_j
-    gam_term = contract("...kij,...k->...ij", christoffel_values(g), xl)
-    sym = dxl + np.swapaxes(dxl, -1, -2) - 2.0 * gam_term
-    return TensorField(grid, sym, "symmetric2")
+    return TensorField(g.grid, lie_derivative_metric_values(g, x.values),
+                       "symmetric2")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +322,24 @@ def _form_rank(fld):
     return fld.rank
 
 
+def _form_field(grid, values, k):
+    """A k-form's value array as the validated field of its degree."""
+    if k == 0:
+        return ScalarField(grid, values)
+    return TensorField(grid, values, "covector" if k == 1 else "antisymmetric")
+
+
+def exterior_derivative_values(grid, values):
+    """Raw d of a k-form array, k < n read off its rank."""
+    n = grid.n_dims
+    k = values.ndim - n
+    comps = form_components(values, n, k)
+    out = [0.0] * len(increasing_tuples(n, k + 1))
+    for a, j, sign, p in slot_pairs(n, k + 1):
+        out[p] = out[p] + sign * diff_values(comps[j], a, grid.spacings[a])
+    return expand_form(out, n, k + 1)
+
+
 def exterior_derivative(fld):
     """Discrete exterior derivative of a form.
 
@@ -304,18 +347,30 @@ def exterior_derivative(fld):
     increasing index tuples only and expanded, so the output is exactly
     antisymmetric; d(d w) = 0 holds because coordinate stencils commute.
     """
-    grid = fld.grid
-    n = grid.n_dims
     k = _form_rank(fld)
-    if k >= n:
+    if k >= fld.grid.n_dims:
         # top-degree forms are closed; the would-be (k+1)-form has no slots
         raise FieldError("exterior derivative of a top-degree form is zero")
-    comps = form_components(fld.values, n, k)
-    out = [0.0] * len(increasing_tuples(n, k + 1))
-    for a, j, sign, p in slot_pairs(n, k + 1):
-        out[p] = out[p] + sign * diff_values(comps[j], a, grid.spacings[a])
-    symmetry = "covector" if k == 0 else "antisymmetric"
-    return TensorField(grid, expand_form(out, n, k + 1), symmetry)
+    return _form_field(fld.grid, exterior_derivative_values(fld.grid, fld.values),
+                       k + 1)
+
+
+def codifferential_values(g, values):
+    """Raw d* of a k-form array, k >= 1 read off its rank."""
+    n = g.grid.n_dims
+    k = values.ndim - n
+    sq = g.sqrt_det_values
+    raised = apply_minors(pointwise_minors(g.inv_values, k),
+                          form_components(values, n, k))
+    weighted = [sq * w for w in raised]
+    acc = [0.0] * len(increasing_tuples(n, k - 1))
+    for c, j, sign, p in slot_pairs(n, k):
+        acc[j] = acc[j] - sign * diff_values(weighted[p], c, g.grid.spacings[c])
+    acc = [a / sq for a in acc]
+    if k == 1:
+        return acc[0]
+    return expand_form(apply_minors(pointwise_minors(g.values, k - 1), acc),
+                       n, k - 1)
 
 
 def codifferential(g, fld):
@@ -327,24 +382,10 @@ def codifferential(g, fld):
     a flat metric this is (d* w)_J = -D_c w_{cJ}, the classical
     codifferential; composed twice it vanishes identically.
     """
-    grid = g.grid
-    n = grid.n_dims
     k = _form_rank(fld)
     if k == 0:
         raise FieldError("codifferential of a scalar is zero by degree")
-    sq = g.sqrt_det_values
-    raised = apply_minors(pointwise_minors(g.inv_values, k),
-                          form_components(fld.values, n, k))
-    weighted = [sq * w for w in raised]
-    acc = [0.0] * len(increasing_tuples(n, k - 1))
-    for c, j, sign, p in slot_pairs(n, k):
-        acc[j] = acc[j] - sign * diff_values(weighted[p], c, grid.spacings[c])
-    acc = [a / sq for a in acc]
-    if k == 1:
-        return ScalarField(grid, acc[0])
-    lowered = apply_minors(pointwise_minors(g.values, k - 1), acc)
-    symmetry = "covector" if k == 2 else "antisymmetric"
-    return TensorField(grid, expand_form(lowered, n, k - 1), symmetry)
+    return _form_field(g.grid, codifferential_values(g, fld.values), k - 1)
 
 
 def hodge_laplacian(g, fld):
@@ -354,16 +395,24 @@ def hodge_laplacian(g, fld):
     """
     grid = g.grid
     k = _form_rank(fld)
-    pieces = []
+    total = 0
     if k > 0:
-        pieces.append(exterior_derivative(codifferential(g, fld)))
+        total = exterior_derivative_values(grid, codifferential_values(g, fld.values))
     if k < grid.n_dims:
-        pieces.append(codifferential(g, exterior_derivative(fld)))
-    total = sum(p.values for p in pieces)
-    if k == 0:
-        return ScalarField(grid, -total)
-    symmetry = "covector" if k == 1 else "antisymmetric"
-    return TensorField(grid, -total, symmetry)
+        total = total + codifferential_values(
+            g, exterior_derivative_values(grid, fld.values))
+    return _form_field(grid, -total, k)
+
+
+def interior_product_values(x_values, values):
+    """Raw X . w of a vector array into the first slot of a k-form array."""
+    n = x_values.shape[-1]
+    k = values.ndim - x_values.ndim + 1
+    comps = form_components(values, n, k)
+    out = [0.0] * len(increasing_tuples(n, k - 1))
+    for a, j, sign, p in slot_pairs(n, k):
+        out[j] = out[j] + sign * x_values[..., a] * comps[p]
+    return out[0] if k == 1 else expand_form(out, n, k - 1)
 
 
 def interior_product(x, fld):
@@ -373,15 +422,24 @@ def interior_product(x, fld):
     k = _form_rank(fld)
     if k == 0:
         raise FieldError("interior product with a scalar is zero by degree")
-    n = fld.grid.n_dims
-    comps = form_components(fld.values, n, k)
-    out = [0.0] * len(increasing_tuples(n, k - 1))
-    for a, j, sign, p in slot_pairs(n, k):
-        out[j] = out[j] + sign * x.values[..., a] * comps[p]
-    if k == 1:
-        return ScalarField(fld.grid, out[0])
-    symmetry = "covector" if k == 2 else "antisymmetric"
-    return TensorField(fld.grid, expand_form(out, n, k - 1), symmetry)
+    return _form_field(fld.grid, interior_product_values(x.values, fld.values),
+                       k - 1)
+
+
+def h_squared_values(g, h_values):
+    n = g.grid.n_dims
+    comps = form_components(h_values, n, 3)
+    slots = [[None] * len(increasing_tuples(n, 2)) for _ in range(n)]
+    for i, j, sign, p in slot_pairs(n, 3):
+        slots[i][j] = sign * comps[p]  # the 2-form H_i.. on increasing pairs
+    minors = pointwise_minors(g.inv_values, 2)
+    out = np.empty(g.grid.shape + (n, n))
+    for j in range(n):
+        up = apply_minors(minors, slots[j])
+        for i in range(j + 1):
+            out[..., i, j] = out[..., j, i] = 2.0 * sum(
+                h * u for h, u in zip(slots[i], up) if h is not None)
+    return out
 
 
 def h_squared(g, H):
@@ -393,28 +451,18 @@ def h_squared(g, H):
     """
     if _form_rank(H) != 3:
         raise FieldError("h_squared expects a 3-form")
-    n = g.grid.n_dims
-    comps = form_components(H.values, n, 3)
-    slots = [[None] * len(increasing_tuples(n, 2)) for _ in range(n)]
-    for i, j, sign, p in slot_pairs(n, 3):
-        slots[i][j] = sign * comps[p]  # the 2-form H_i.. on increasing pairs
-    minors = pointwise_minors(g.inv_values, 2)
-    out = np.empty(g.grid.shape + (n, n))
-    for j in range(n):
-        up = apply_minors(minors, slots[j])
-        for i in range(j + 1):
-            out[..., i, j] = out[..., j, i] = 2.0 * sum(
-                h * u for h, u in zip(slots[i], up) if h is not None)
-    return TensorField(g.grid, out, "symmetric2")
+    return TensorField(g.grid, h_squared_values(g, H.values), "symmetric2")
+
+
+def form_norm_sq_values(g, values, symmetry):
+    return pointwise_inner_values(values, values, values.ndim - g.grid.n_dims,
+                                  symmetry, g.inv_values, g.values)
 
 
 def form_norm_sq(g, fld):
     """Pointwise squared norm with full index contraction."""
-    rank = 0 if isinstance(fld, ScalarField) else fld.rank
-    sym = "scalar" if rank == 0 else fld.symmetry
-    vals = pointwise_inner_values(fld.values, fld.values, rank, sym,
-                                  g.inv_values, g.values)
-    return ScalarField(g.grid, vals)
+    sym = "scalar" if isinstance(fld, ScalarField) else fld.symmetry
+    return ScalarField(g.grid, form_norm_sq_values(g, fld.values, sym))
 
 
 def lichnerowicz(g, h):

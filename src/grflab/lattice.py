@@ -7,6 +7,8 @@ discrete Hodge Laplacian downstream is exactly self-adjoint), and the integral
 of any stencil derivative vanishes identically (telescoping around the wrap).
 Reductions use numpy's pairwise summation in a fixed order, so repeated runs
 are bit-reproducible.
+Kernels compose raw arrays; ScalarField and TensorField validate data where
+it enters or leaves the system, not every intermediate array.
 """
 
 from __future__ import annotations
@@ -158,10 +160,12 @@ def _symmetry_defect(values, n_grid, symmetry):
 class TensorField:
     """Tensor field with a declared index symmetry.
 
-    values has shape grid.shape + (n,)*rank. The symmetry tag is validated on
-    construction and never silently repaired: operations are written so the
-    tag is preserved structurally, and a violation beyond 1e-12 is a bug in
-    the caller, not something to clean up.
+    values has shape grid.shape + (n,)*rank. Shape, finiteness and the
+    symmetry tag are validated on construction and never silently repaired:
+    operations are written so the tag is preserved structurally, and a
+    violation beyond 1e-12 is a bug in the caller, not something to clean up.
+    Fields mark where data enters or leaves the system (inputs, flow states,
+    right-hand-side outputs, public kernels); kernels compose raw arrays.
     """
 
     grid: Grid

@@ -31,29 +31,13 @@ import numpy as np
 
 from .errors import ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
-    ScalarField,
-    TensorField,
-    gradient_values,
-    stencil_symbol,
-    weighted_inner,
-)
+    ScalarField, TensorField, gradient_values, stencil_symbol, weighted_inner)
 from .geometry import (
-    MetricField,
-    codifferential,
-    divergence,
-    exterior_derivative,
-    form_norm_sq,
-    gradient_vector,
-    h_squared,
-    hessian,
-    hodge_laplacian,
-    interior_product,
-    laplace_beltrami,
-    laplacian_values,
-    lichnerowicz,
-    ricci_values,
-    scalar_curvature,
-)
+    MetricField, codifferential, codifferential_values, divergence,
+    exterior_derivative, exterior_derivative_values, form_norm_sq,
+    form_norm_sq_values, gradient_vector_values, h_squared_values,
+    hessian_values, hodge_laplacian, interior_product_values, laplace_beltrami,
+    laplacian_values, lichnerowicz, ricci_values, scalar_curvature_values)
 
 DEFAULT_EIG_TOL = 1e-9
 SHIFT_MARGIN = 0.5
@@ -74,7 +58,8 @@ class SchrodingerOperator:
     def __init__(self, g, H=None):
         self.g = g
         self.grid = g.grid
-        self.potential = _potential(g, H)
+        # (g, H) enter the eigensolver here, so the potential is validated
+        self.potential = ScalarField(g.grid, _potential(g, H)).values
         # The first-derivative stencil annihilates the Nyquist mode on every
         # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
@@ -198,11 +183,16 @@ class SpectralSolution:
     cg_short_exits: int = 0
 
 
+def _form_values(H):
+    """The component array of a form given as a TensorField or as the array."""
+    return H.values if isinstance(H, TensorField) else H
+
+
 def _potential(g, H=None):
-    """The Schrodinger potential R - |H|^2/12 (R alone when H is None)."""
-    r = scalar_curvature(g).values
+    """The raw Schrodinger potential R - |H|^2/12 (R alone when H is None)."""
+    r = scalar_curvature_values(g)
     if H is not None:
-        r = r - form_norm_sq(g, H).values / 12.0
+        r = r - form_norm_sq_values(g, _form_values(H), "antisymmetric") / 12.0
     return r
 
 
@@ -224,8 +214,9 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
     Parameters
     ----------
     g : MetricField
-    H : TensorField or None
-        Closed 3-form entering the potential; None means zero.
+    H : TensorField, ndarray or None
+        Closed 3-form entering the potential, as a field or its component
+        array; None means zero.
     tol : float
         Absolute bound on ||Phi w - lambda w||_{L2(dV_g)} at exit.
     w0 : ScalarField or ndarray, optional
@@ -320,12 +311,16 @@ def normalize_profile(g, f):
     return ScalarField(g.grid, f.values + np.log(mass))
 
 
+def field_strength_values(grid, b_values, hhat=None):
+    """Raw H = Hhat + db from a 2-form potential array."""
+    h = exterior_derivative_values(grid, b_values)
+    return h if hhat is None else h + hhat.values
+
+
 def total_field_strength(grid, b, hhat=None):
     """H = Hhat + db for a 2-form potential b and optional closed background."""
-    H = exterior_derivative(b)
-    if hhat is not None:
-        H = TensorField(grid, H.values + hhat.values, "antisymmetric")
-    return H
+    return TensorField(grid, field_strength_values(grid, b.values, hhat),
+                       "antisymmetric")
 
 
 def mu_value(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
@@ -356,15 +351,17 @@ class MuGradient:
 
 
 def assemble_mu_gradient(g, H, sol):
-    """The gradient of mu at (g, H) from its solved eigenpair sol."""
-    grad_f = gradient_vector(g, sol.f)
+    """The gradient of mu at (g, H) from its solved eigenpair sol; H is a
+    3-form field or its component array."""
+    h = _form_values(H)
     g_part_vals = (
         -ricci_values(g)
-        - hessian(g, sol.f).values
-        + 0.25 * h_squared(g, H).values
+        - hessian_values(g, sol.f.values)
+        + 0.25 * h_squared_values(g, h)
     )
     b_part_vals = -0.5 * (
-        codifferential(g, H).values + interior_product(grad_f, H).values
+        codifferential_values(g, h)
+        + interior_product_values(gradient_vector_values(g, sol.f.values), h)
     )
     return MuGradient(
         g_part=TensorField(g.grid, g_part_vals, "symmetric2"),
@@ -463,7 +460,7 @@ def critical_point_diagnostics(g, H, sol=None, tol=DEFAULT_EIG_TOL):
         mu_grad_g=float(np.max(np.abs(grad.g_part.values))),
         mu_grad_b=float(np.max(np.abs(grad.b_part.values))),
         ricci_vs_h2=float(np.max(np.abs(
-            ricci_values(g) - 0.25 * h_squared(g, H).values))),
+            ricci_values(g) - 0.25 * h_squared_values(g, H.values)))),
         hodge_h=float(np.max(np.abs(hodge_laplacian(g, H).values))),
         scalar_gap=float(np.max(np.abs(_potential(g, H)))),
         identity_gap=float(abs(identity - sol.lam)),

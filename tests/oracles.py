@@ -5,11 +5,27 @@ Christoffel symbols, Ricci tensor, scalar curvature and Laplacian have short
 analytic expressions, and phi below is a low-frequency trigonometric
 polynomial whose derivatives are written out by hand. Nothing here calls the
 package's stencils, so agreement is evidence rather than tautology.
+
+The exception is the last section: the three flow right-hand sides composed
+through the public, validating kernels. The flows assemble the same formulas
+on raw arrays, and the tests require the two to agree bit for bit.
 """
 
 import numpy as np
 
-from grflab import Grid, MetricField
+from grflab import (
+    Grid,
+    MetricField,
+    codifferential,
+    deturck_vector,
+    gradient_vector,
+    h_squared,
+    hessian,
+    interior_product,
+    lie_derivative_metric,
+    lowest_eigenpair,
+    ricci,
+)
 
 
 class ConformalOracle:
@@ -231,3 +247,36 @@ def complex_fft_preconditioner(op, sigma, r):
     symbol = (float(np.mean(op.g.sqrt_det_values)) * (4.0 * sym_sq + c0)
               + op.penalty * _nyquist_mask(grid.shape))
     return np.real(np.fft.ifftn(np.fft.fftn(r) / symbol))
+
+
+# ---------------------------------------------------------------------------
+# Flow right-hand sides composed through the public kernels
+# ---------------------------------------------------------------------------
+
+
+def grf_rhs_public(state):
+    """(dg, db) of the plain coupled flow, every piece a validated field."""
+    g, H = state.g, state.field_strength()
+    dg = -2.0 * ricci(g).values + 0.5 * h_squared(g, H).values
+    return dg, -codifferential(g, H).values
+
+
+def deturck_rhs_public(state, g_ref):
+    """(dg, db, X) of the DeTurck-gauged flow through the public kernels."""
+    g, H = state.g, state.field_strength()
+    x = deturck_vector(g, g_ref)
+    dg = (-2.0 * ricci(g).values + 0.5 * h_squared(g, H).values
+          + lie_derivative_metric(g, x).values)
+    db = -codifferential(g, H).values + interior_product(x, H).values
+    return dg, db, x.values
+
+
+def mu_rhs_public(state, tol):
+    """(dg, db, solution) of the mu-gradient flow through the public kernels."""
+    g, H = state.g, state.field_strength()
+    sol = lowest_eigenpair(g, H, tol=tol)
+    dg = (-ricci(g).values - hessian(g, sol.f).values
+          + 0.25 * h_squared(g, H).values)
+    db = -0.5 * (codifferential(g, H).values
+                 + interior_product(gradient_vector(g, sol.f), H).values)
+    return dg, db, sol

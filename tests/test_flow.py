@@ -29,6 +29,8 @@ from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
 from grflab.experiments import perturbed_state as canned_state
 from grflab.flow import CSV_COLUMNS, GAUGES
 
+from oracles import deturck_rhs_public, grf_rhs_public, mu_rhs_public
+
 
 def flat_state(n=12):
     grid = Grid((n, n, n))
@@ -82,6 +84,18 @@ def test_stop_rule_is_strictly_less_than():
     assert np.array_equal(traj.final.g.values, state.g.values)
 
 
+def test_step_budget_takes_exactly_max_steps_and_records_the_end():
+    state = canned_state(resolution=8, amplitude=0.05, seed=0, cutoff=2)
+    config = FlowConfig(gauge="grf", t_max=10.0, stop_tol=0.0, max_steps=4,
+                        keep_states=True)
+    traj = run_flow(state, config)
+    assert traj.verdict == "DIVERGED"
+    assert "budget" in traj.reason
+    assert len(traj.states) == 5    # the initial state and 4 accepted steps
+    assert traj.final.time > 0.0
+    assert traj.records[-1]["t"] == traj.final.time
+
+
 def test_time_horizon_verdict():
     state = perturbed_state(8, 0.05, seed=0)
     config = FlowConfig(gauge="grf", t_max=0.02, stop_tol=1e-14)
@@ -124,12 +138,40 @@ def test_deturck_is_grf_plus_gauge_terms():
     assert np.max(np.abs(db1.values - db0.values - contraction)) < 1e-13
 
 
-def test_modified_gradient_is_doubled():
-    state = perturbed_state(8, 0.05, seed=3)
-    dg, db, _ = mu_gradient_flow_rhs(state)
-    dg2, db2, _ = mu_gradient_flow_rhs(state, modified=True)
-    assert np.max(np.abs(dg2.values - 2.0 * dg.values)) < 1e-14
-    assert np.max(np.abs(db2.values - 2.0 * db.values)) < 1e-14
+@pytest.mark.parametrize("hhat_c", [0.0, 0.3])
+def test_right_hand_sides_equal_the_public_kernel_composition(hhat_c):
+    state = canned_state(resolution=8, amplitude=0.1, seed=9, cutoff=2,
+                         hhat_c=hhat_c)
+    g_ref = flat_metric(state.g.grid)
+    for out, ref in ((grf_rhs(state), grf_rhs_public(state)),
+                     (deturck_rhs(state, g_ref),
+                      deturck_rhs_public(state, g_ref))):
+        for field, values in zip(out, ref):
+            assert np.array_equal(field.values, values)
+    dg, db, sol = mu_gradient_flow_rhs(state, tol=1e-10)
+    dg_ref, db_ref, sol_ref = mu_rhs_public(state, tol=1e-10)
+    assert sol.lam == sol_ref.lam
+    assert np.array_equal(sol.f.values, sol_ref.f.values)
+    assert np.array_equal(dg.values, dg_ref)
+    assert np.array_equal(db.values, db_ref)
+
+
+def test_right_hand_sides_validate_only_their_outputs(monkeypatch):
+    state = perturbed_state(8, 0.05, seed=10)
+    g_ref = flat_metric(state.g.grid)
+    built = []
+    validate = TensorField.__post_init__
+
+    def counting(self):
+        built.append(self.symmetry)
+        validate(self)
+
+    monkeypatch.setattr(TensorField, "__post_init__", counting)
+    deturck_rhs(state, g_ref)
+    assert built == ["vector", "symmetric2", "antisymmetric"]    # X, dg, db
+    built.clear()
+    grf_rhs(state)
+    assert built == ["symmetric2", "antisymmetric"]
 
 
 def test_mu_flow_monotone_over_short_run():
@@ -238,7 +280,9 @@ def test_non_finite_right_hand_side_ends_in_diverged(gauge):
         traj = run_flow(start, FlowConfig(gauge=gauge, t_max=0.1), g_ref=g_ref)
     assert traj.verdict == "DIVERGED"
     assert traj.reason.startswith("right-hand side failed")
-    assert "non-finite" in traj.reason
+    # the overflow is caught where a field is validated: an output of the
+    # right-hand side, or the potential entering the eigensolver
+    assert traj.reason.endswith("field contains non-finite entries")
 
 
 @pytest.mark.parametrize("gauge", ["grf", "deturck"])

@@ -19,8 +19,13 @@ from grflab import (
     weighted_inner,
 )
 from grflab.errors import FieldError
+from grflab import geometry
 from grflab.geometry import laplacian_values, ricci_values
-from grflab.spectrum import SchrodingerOperator
+from grflab.spectrum import (
+    SchrodingerOperator,
+    field_strength_values,
+    total_field_strength,
+)
 from grflab.lattice import (
     diff_values,
     expand_form,
@@ -298,6 +303,93 @@ def test_form_kernels_keep_their_error_cases():
         exterior_derivative(sym)
     with pytest.raises(FieldError, match="forms are covariant"):
         codifferential(g, x)
+
+
+# ---------------------------------------------------------------------------
+# Raw-array kernels against their validating public wrappers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_values_kernels_equal_their_public_wrappers(dims):
+    grid = _form_grid(dims)
+    g = _bumpy_metric(grid, 1000 + dims)
+    f = _random_form(grid, 1001 + dims, 0)
+    x = _random_vector(grid, 1002 + dims)
+    forms = [_random_form(grid, 1010 + 10 * dims + k, k)
+             for k in range(dims + 1)]
+    pairs = [
+        (geometry.scalar_curvature_values(g), geometry.scalar_curvature(g)),
+        (geometry.hessian_values(g, f.values), geometry.hessian(g, f)),
+        (geometry.gradient_vector_values(g, f.values),
+         geometry.gradient_vector(g, f)),
+        (geometry.lie_derivative_metric_values(g, x.values),
+         geometry.lie_derivative_metric(g, x)),
+    ]
+    for k, w in enumerate(forms):
+        sym = "scalar" if k == 0 else w.symmetry
+        pairs.append((geometry.form_norm_sq_values(g, w.values, sym),
+                      form_norm_sq(g, w)))
+        if k < dims:
+            pairs.append((geometry.exterior_derivative_values(grid, w.values),
+                          exterior_derivative(w)))
+        if k > 0:
+            pairs.append((geometry.codifferential_values(g, w.values),
+                          codifferential(g, w)))
+            pairs.append((geometry.interior_product_values(x.values, w.values),
+                          interior_product(x, w)))
+        # the Hodge Laplacian composes the raw kernels the same way
+        expected = 0.0
+        if k > 0:
+            expected = expected + exterior_derivative(codifferential(g, w)).values
+        if k < dims:
+            expected = expected + codifferential(g, exterior_derivative(w)).values
+        assert np.array_equal(geometry.hodge_laplacian(g, w).values, -expected)
+    if dims >= 3:
+        pairs.append((geometry.h_squared_values(g, forms[3].values),
+                      h_squared(g, forms[3])))
+        b = forms[2]
+        hhat = forms[3] if dims == 3 else None
+        pairs.append((field_strength_values(grid, b.values, hhat),
+                      total_field_strength(grid, b, hhat)))
+    for raw, field in pairs:
+        assert np.array_equal(raw, field.values)
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_max_inverse_eigenvalue_is_the_full_eigvalsh_max(dims):
+    grid = _form_grid(dims)
+
+    def full(g):
+        return float(np.max(np.linalg.eigvalsh(g.inv_values)))
+
+    # a flat metric: every point ties for the maximum
+    flat = flat_metric(grid, np.linspace(0.5, 1.5, dims)[::-1])
+    assert flat.max_inverse_eigenvalue() == full(flat)
+    bumpy = _bumpy_metric(grid, 1100 + dims)
+    assert bumpy.max_inverse_eigenvalue() == full(bumpy)
+    noisy = MetricField(grid, _spd_field(grid, np.random.default_rng(dims),
+                                         np.linspace(0.8, 1.2, dims), 0.2))
+    assert noisy.max_inverse_eigenvalue() == full(noisy)
+    # one spiked point carries the maximum
+    values = np.array(bumpy.values)
+    values[(1,) * dims] *= 0.25
+    spiked = MetricField(grid, values)
+    assert spiked.max_inverse_eigenvalue() == full(spiked)
+    assert spiked.max_inverse_eigenvalue() > 2.0 * bumpy.max_inverse_eigenvalue()
+
+
+def test_asymmetric_symmetric2_input_still_raises():
+    grid = _form_grid(3)
+    g = _bumpy_metric(grid, 1200)
+    asym = np.array(g.values)
+    asym[..., 0, 1] += 1e-6
+    with pytest.raises(FieldError, match="symmetric2"):
+        MetricField(grid, asym)
+    with pytest.raises(FieldError, match="symmetric2"):
+        geometry.divergence(g, TensorField(grid, asym, "symmetric2"))
+    with pytest.raises(FieldError, match="symmetric2"):
+        geometry.lichnerowicz(g, TensorField(grid, asym, "symmetric2"))
 
 
 ANISOTROPIC_GRIDS = [((8, 12), (1.5, 2.0)),
