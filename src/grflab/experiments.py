@@ -14,6 +14,7 @@ eps against the quadratic remainder in the perturbation size.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -189,8 +190,11 @@ def _tail_rows(records, fraction=0.1):
 
 
 def _endpoint_summary(traj):
-    last = traj.records[-1]
-    tail = _tail_rows(traj.records)
+    """Verdict, reason and endpoint fields of a run; the fields are NaN when
+    its first right-hand side failed, so that it has no record."""
+    records = traj.records or [collections.defaultdict(lambda: math.nan)]
+    last = records[-1]
+    tail = _tail_rows(records) if traj.records else records
     return {
         "verdict": traj.verdict,
         "reason": traj.reason,
@@ -200,7 +204,7 @@ def _endpoint_summary(traj):
         "ricci_linf_end": last["ricci_linf"],
         "H_l2_end": last["H_l2"],
         "rhs_l2_end": last["rhs_l2"],
-        "dH_linf_max": float(np.max([r["dH_linf"] for r in traj.records])),
+        "dH_linf_max": float(np.max([r["dH_linf"] for r in records])),
         # np.max propagates a NaN from any record where the side eigensolve
         # failed, so a blanked gap can never masquerade as a small one
         "identity_gap_final_decade": float(
@@ -263,10 +267,10 @@ def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
                "amplitude": amplitude}
     summary.update(_endpoint_summary(traj))
     summary.update({
-        "lambda_start": float(lams[0]),
+        "lambda_start": float(lams[0]) if len(lams) else float("nan"),
         "worst_lambda_drop": worst_drop,
         "monotone": bool(worst_drop >= -lambda_step_tol),
-        "all_negative": bool(np.all(lams < 0.0)),
+        "all_negative": bool(len(lams) and np.all(lams < 0.0)),
         "passed": bool(
             traj.verdict == "CONVERGED"
             and worst_drop >= -lambda_step_tol

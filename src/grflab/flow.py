@@ -35,14 +35,16 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      PositivityError, StepSizeError)
-from .lattice import ScalarField, TensorField, diff_values, weighted_inner
+from .lattice import (
+    ScalarField, TensorField, diff_values, symmetric_pairs, weighted_inner)
 from .geometry import (
-    MetricField, codifferential_values, deturck_vector, exterior_derivative,
-    h_squared_values, interior_product_values, lie_derivative_metric_values,
-    ricci_values)
+    MetricField, codifferential_values, deturck_vector_values,
+    exterior_derivative_values, form_norm_sq_values, h_squared_values,
+    interior_product_values, lie_derivative_metric_values, ricci_values)
 from .spectrum import (
     DEFAULT_EIG_TOL, assemble_mu_gradient, energy_functional,
-    field_strength_values, lowest_eigenpair, total_field_strength)
+    field_strength_values, identity_gap, lowest_eigenpair,
+    total_field_strength)
 
 GAUGES = ("grf", "deturck", "mu_gradient")
 SPD_RETRIES = 10
@@ -77,6 +79,7 @@ class FlowConfig:
     stop_tol bounds the L2 norm of the right-hand-side pair (weighted by
     e^{-f} in the mu_gradient gauge, where that norm is the gradient norm);
     reaching it gives the CONVERGED verdict, and a run takes at most max_steps.
+    No float field may be NaN; cfl must be finite and eigen_tol positive.
     """
 
     gauge: str = "grf"
@@ -93,10 +96,17 @@ class FlowConfig:
         if self.gauge not in GAUGES:
             raise ConfigError(
                 f"unknown gauge {self.gauge!r}; expected one of {GAUGES}")
-        if self.t_max <= 0 or self.cfl <= 0:
-            raise ConfigError("t_max and cfl must be positive")
+        for name in ("t_max", "cfl", "stop_tol", "eigen_tol"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must not be NaN")
+        if self.t_max <= 0 or not 0 < self.cfl < math.inf:
+            raise ConfigError("t_max must be positive, cfl positive and finite")
         if self.stop_tol < 0:
             raise ConfigError("stop_tol must be nonnegative")
+        if self.eigen_tol <= 0:
+            raise ConfigError("eigen_tol must be positive")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be nonnegative")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
 
@@ -146,7 +156,7 @@ def deturck_rhs(state, g_ref):
     """
     g = state.g
     h = field_strength_values(g.grid, state.b.values, state.hhat)
-    x = deturck_vector(g, g_ref)
+    x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
     dg = (
         -2.0 * ricci_values(g)
         + 0.5 * h_squared_values(g, h)
@@ -261,13 +271,14 @@ def _pair_l2(g, dg, db, weight=None):
 
 
 def _c0_proxy(grid, dg, db):
-    """Sup norm of the pair and of its first lattice derivatives."""
-    peak = 0.0
-    for fld in (dg, db):
-        peak = max(peak, float(np.max(np.abs(fld.values))))
-        for a in range(grid.n_dims):
-            d = diff_values(fld.values, a, grid.spacings[a])
-            peak = max(peak, float(np.max(np.abs(d))))
+    """Sup norm of the pair and of its first lattice derivatives, over the
+    components i <= j: dg mirrors them and db negates them exactly."""
+    i, j, _ = symmetric_pairs(grid.n_dims)
+    comps = np.concatenate((dg.values[..., i, j], db.values[..., i, j]), -1)
+    peak = float(np.max(np.abs(comps)))
+    for a in range(grid.n_dims):
+        d = diff_values(comps, a, grid.spacings[a])
+        peak = max(peak, float(np.max(np.abs(d))))
     return peak
 
 
@@ -276,36 +287,33 @@ def _diagnostics_row(state, dg, db, dt, rhs_l2, sol, eigen_tol, warm):
     on the side (warm-started); its failure, or a non-finite potential, only
     blanks the spectral columns."""
     g = state.g
-    H = state.field_strength()
+    # H = Hhat + db from the validated b, as the right-hand sides build it
+    h = field_strength_values(g.grid, state.b.values, state.hhat)
     if sol is None:
         try:
-            sol = lowest_eigenpair(g, H, tol=eigen_tol, w0=warm.get("diag_w"))
+            sol = lowest_eigenpair(g, h, tol=eigen_tol, w0=warm.get("diag_w"))
             warm["diag_w"] = sol.w
         except (ConvergenceError, NonFiniteError):
             sol = None
 
-    if H.rank < g.grid.n_dims:
-        dh_linf = float(np.max(np.abs(exterior_derivative(H).values)))
+    if g.grid.n_dims > 3:  # dH is a 4-form
+        dh_linf = float(np.max(np.abs(exterior_derivative_values(g.grid, h))))
     else:
         dh_linf = 0.0
 
-    if sol is not None:
-        weight = ScalarField(g.grid, np.exp(-sol.f.values))
-        identity_gap = abs(weighted_inner(H, H, g, weight) / 6.0 - sol.lam)
-    else:
-        identity_gap = float("nan")
-
+    h_sq = float(np.sum(form_norm_sq_values(g, h, "antisymmetric")
+                        * g.sqrt_det_values)) * g.grid.cell_volume
+    nan = float("nan")
     return {
         "t": state.time,
-        "lambda": sol.lam if sol is not None else float("nan"),
-        "H_l2": math.sqrt(max(weighted_inner(H, H, g), 0.0)),
+        "lambda": sol.lam if sol is not None else nan,
+        "H_l2": math.sqrt(max(h_sq, 0.0)),
         "ricci_linf": float(np.max(np.abs(ricci_values(g)))),
         "dH_linf": dh_linf,
-        "F_value": (energy_functional(g, H, sol.f)
-                    if sol is not None else float("nan")),
+        "F_value": energy_functional(g, h, sol.f) if sol is not None else nan,
         "rhs_l2": rhs_l2,
         "rhs_c0": _c0_proxy(g.grid, dg, db),
-        "identity_gap": identity_gap,
+        "identity_gap": identity_gap(g, h, sol) if sol is not None else nan,
         "dt": dt,
     }
 

@@ -10,6 +10,12 @@ C(n,k) increasing-index components of a k-form only: metric index moves use
 k x k minors of g or g^-1, and each result is expanded to full storage once,
 which makes it exactly antisymmetric.
 
+Symmetric 2-tensors are treated the same way: the connection, Ricci, Hessian
+and Lie-derivative kernels compute on the n(n+1)/2 pairs i <= j only, with
+index sums as elementwise multiply-adds, and mirror each result once, which
+makes it exactly symmetric. The Christoffel symbols are cached on those pairs
+(christoffel_values); the kernels that need every slot expand them per call.
+
 Kernels compose raw arrays: each operator has a `*_values` body, and its
 public form is a wrapper that checks the input tags and validates the output.
 Fields are validated where they enter or leave the system, not in between.
@@ -35,12 +41,14 @@ from .lattice import (
     contract,
     diff_values,
     expand_form,
+    expand_symmetric,
     form_components,
     gradient_values,
     increasing_tuples,
     pointwise_inner_values,
     pointwise_minors,
     slot_pairs,
+    symmetric_pairs,
 )
 
 EPS_SPD = 1e-8
@@ -144,17 +152,39 @@ def flat_metric(grid, diagonal=None):
 
 
 def christoffel_values(g):
-    """Raw Christoffel symbols, layout Gamma[..., k, i, j] with upper index first."""
+    """Cached Christoffel symbols on the independent lower pairs, component
+    major: Gamma[k, p] = Gamma^k_ij for the p-th pair i <= j of
+    symmetric_pairs, shape (n, n(n+1)/2) + grid shape.
+
+    Only the derivatives D_c g_ij with i <= j are taken; the first-kind
+    symbols (D_i g_jl + D_j g_il - D_l g_ij) / 2 are gathered from them and
+    raised with g^kl by multiply-adds.
+    """
     def build():
-        dg = gradient_values(g.grid, g.values)  # [..., c, i, j] = D_c g_ij
-        di_gjl = np.einsum("...ijl->...lij", dg)
-        dj_gil = np.einsum("...jil->...lij", dg)
-        dl_gij = dg
-        combo = di_gjl + dj_gil - dl_gij
-        n = g.grid.n_dims
-        flat = combo.reshape(g.grid.shape + (n, n * n))
-        return (g.inv_values @ flat).reshape(combo.shape) * 0.5
+        grid = g.grid
+        n = grid.n_dims
+        i, j, table = symmetric_pairs(n)
+        l = np.arange(n)[:, None]
+        comps = np.moveaxis(g.values[..., i, j], -1, 0)
+        dg = np.stack([diff_values(comps, 1 + c, grid.spacings[c])
+                       for c in range(n)])  # [c, p] = D_c g_p
+        first = 0.5 * (dg[i, table[j, l]] + dg[j, table[i, l]]
+                       - dg[l, table[i, j]])  # [l, p] = Gamma_l,ij
+        inv = np.ascontiguousarray(np.moveaxis(g.inv_values, (-2, -1), (0, 1)))
+        gam = np.empty_like(first)
+        for k in range(n):
+            np.multiply(inv[k, 0], first[0], out=gam[k])
+            for m in range(1, n):
+                gam[k] += inv[k, m] * first[m]
+        return gam
     return g._cached("christoffel", build)
+
+
+def _christoffel_full(g):
+    """Gamma[..., k, i, j] on full storage, expanded from christoffel_values
+    on each call and never cached, for the kernels that read every slot."""
+    table = symmetric_pairs(g.grid.n_dims)[2]
+    return np.moveaxis(christoffel_values(g), (0, 1), (-2, -1))[..., table]
 
 
 def christoffel(g):
@@ -162,30 +192,33 @@ def christoffel(g):
 
     Exactly symmetric in the lower index pair by construction.
     """
-    return TensorField(g.grid, christoffel_values(g), "general")
+    return TensorField(g.grid, _christoffel_full(g), "general")
 
 
 def ricci_values(g):
+    """Ricci tensor on full storage, its four terms computed on the pairs
+    i <= j and mirrored once."""
     def build():
         grid = g.grid
-        gam = christoffel_values(g)
         n = grid.n_dims
+        i, j, table = symmetric_pairs(n)
+        k = np.arange(n)
+        gam = christoffel_values(g)
         # only the traced derivatives sum_c D_c Gamma^c_ij enter Ric
-        term1 = sum(diff_values(gam[..., c, :, :], c, grid.spacings[c])
+        term1 = sum(diff_values(gam[c], 1 + c, grid.spacings[c])
                     for c in range(n))
         # Gamma^k_kj contracted once; its coordinate gradient is symmetrized
         # explicitly because the discrete product rule leaves an O(h^4)
         # antisymmetric remainder that would otherwise leak into Ric.
-        phi = np.einsum("...kkj->...j", gam)
-        dphi = gradient_values(grid, phi)  # [..., i, j] = D_i phi_j
-        term2 = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
-        term3 = (phi[..., None, :] @ gam.reshape(grid.shape + (n, n * n))
-                 ).reshape(grid.shape + (n, n))
-        # gam_t[i, k, l] = Gamma^k_il, so term4_ij = sum_kl gam_t[i,k,l] gam_t[k,l,j]
-        gam_t = np.ascontiguousarray(np.swapaxes(gam, -3, -2))
-        term4 = (gam_t.reshape(grid.shape + (n, n * n))
-                 @ gam_t.reshape(grid.shape + (n * n, n)))
-        return term1 - term2 + term3 - term4
+        phi = np.sum(gam[k[:, None], table[k[:, None], k]], axis=0)
+        dphi = np.stack([diff_values(phi, 1 + c, grid.spacings[c])
+                         for c in range(n)])  # [i, j] = D_i phi_j
+        term2 = 0.5 * (dphi[i, j] + dphi[j, i])
+        term3 = sum(phi[m] * gam[m] for m in range(n))
+        # sum_kl Gamma^k_il Gamma^l_kj
+        term4 = sum(gam[a, table[i, b]] * gam[b, table[a, j]]
+                    for a in range(n) for b in range(n))
+        return expand_symmetric(term1 - term2 + term3 - term4, n)
     return g._cached("ricci", build)
 
 
@@ -209,7 +242,7 @@ def riemann_values(g):
     """Curvature tensor R^m_jkl of the connection, R(e_k,e_l)e_j = R^m_jkl e_m."""
     def build():
         grid = g.grid
-        gam = christoffel_values(g)
+        gam = _christoffel_full(g)
         dgam = gradient_values(grid, gam)  # [..., c, m, i, j] = D_c Gamma^m_ij
         dk_glj = np.einsum("...kmlj->...mjkl", dgam)
         dl_gkj = np.einsum("...lmkj->...mjkl", dgam)
@@ -220,9 +253,17 @@ def riemann_values(g):
 
 
 def hessian_values(g, f_values):
-    df = gradient_values(g.grid, f_values)
-    ddf = gradient_values(g.grid, df)
-    return ddf - contract("...kij,...k->...ij", christoffel_values(g), df)
+    """Raw Hess f on full storage, computed on the pairs i <= j (D_i D_j f
+    differentiates D_j f along axis i) and mirrored once."""
+    grid = g.grid
+    n = grid.n_dims
+    df = np.stack([diff_values(f_values, c, grid.spacings[c])
+                   for c in range(n)])
+    # symmetric_pairs runs (i, i), (i, i + 1), ..., (i, n - 1) for each i
+    ddf = np.concatenate([diff_values(df[i:], 1 + i, grid.spacings[i])
+                          for i in range(n)])
+    gam = christoffel_values(g)
+    return expand_symmetric(ddf - sum(gam[k] * df[k] for k in range(n)), n)
 
 
 def hessian(g, f):
@@ -281,7 +322,7 @@ def divergence(g, h):
     """Covariant divergence of a symmetric 2-tensor, (div h)_j = g^ik D_i h_kj."""
     grid = g.grid
     dh = gradient_values(grid, h.values)  # [..., c, k, j]
-    gam = christoffel_values(g)
+    gam = _christoffel_full(g)
     inv = g.inv_values
     t1 = contract("...ik,...ikj->...j", inv, dh)
     t2 = contract("...ik,...lik,...lj->...j", inv, gam, h.values)
@@ -290,10 +331,18 @@ def divergence(g, h):
 
 
 def lie_derivative_metric_values(g, x_values):
-    xl = np.einsum("...ja,...a->...j", g.values, x_values)
-    dxl = gradient_values(g.grid, xl)  # [..., i, j] = D_i X_j
-    gam_term = contract("...kij,...k->...ij", christoffel_values(g), xl)
-    return dxl + np.swapaxes(dxl, -1, -2) - 2.0 * gam_term
+    """Raw L_X g = D_i X_j + D_j X_i - 2 Gamma^k_ij X_k of the lowered field,
+    computed on the pairs i <= j and mirrored once."""
+    grid = g.grid
+    n = grid.n_dims
+    i, j, _ = symmetric_pairs(n)
+    xl = np.stack([sum(g.values[..., a, b] * x_values[..., b]
+                       for b in range(n)) for a in range(n)])
+    dxl = np.stack([diff_values(xl, 1 + c, grid.spacings[c])
+                    for c in range(n)])  # [i, j] = D_i X_j
+    gam = christoffel_values(g)
+    gam_term = sum(gam[k] * xl[k] for k in range(n))
+    return expand_symmetric(dxl[i, j] + dxl[j, i] - 2.0 * gam_term, n)
 
 
 def lie_derivative_metric(g, x):
@@ -478,7 +527,7 @@ def lichnerowicz(g, h):
     if h.symmetry != "symmetric2":
         raise FieldError("lichnerowicz expects a symmetric 2-tensor")
     grid = g.grid
-    gam = christoffel_values(g)
+    gam = _christoffel_full(g)
     inv = g.inv_values
 
     dh = gradient_values(grid, h.values)
@@ -504,14 +553,20 @@ def lichnerowicz(g, h):
     return TensorField(grid, rough + 2.0 * curv - ric_h, "symmetric2")
 
 
+def deturck_vector_values(g, g_ref):
+    """Raw X^k = g^ij (Gamma(g)^k_ij - Gamma(g_ref)^k_ij), summed over the
+    pairs i <= j with the off-diagonal ones counted twice."""
+    i, j, _ = symmetric_pairs(g.grid.n_dims)
+    weight = np.moveaxis(np.where(i == j, 1.0, 2.0) * g.inv_values[..., i, j],
+                         -1, 0)
+    diff = christoffel_values(g) - christoffel_values(g_ref)
+    return np.moveaxis(np.sum(diff * weight, axis=1), 0, -1)
+
+
 def deturck_vector(g, g_ref):
     """Gauge vector X^k = g^ij (Gamma(g)^k_ij - Gamma(g_ref)^k_ij).
 
     Measures the failure of the identity map (M, g) -> (M, g_ref) to be
     harmonic; vanishes identically when both metrics are constant.
     """
-    diff = christoffel_values(g) - christoffel_values(g_ref)
-    n = g.grid.n_dims
-    out = (diff.reshape(g.grid.shape + (n, n * n))
-           @ g.inv_values.reshape(g.grid.shape + (n * n, 1)))[..., 0]
-    return TensorField(g.grid, out, "vector")
+    return TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")

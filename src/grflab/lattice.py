@@ -347,6 +347,26 @@ def expand_form(components, n, k):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def symmetric_pairs(n):
+    """Index arrays (i, j) of the pairs i <= j naming the independent
+    components of a symmetric 2-tensor, in lexicographic order, and the n x n
+    table of each pair's position in that order."""
+    i, j = np.triu_indices(n)
+    table = np.empty((n, n), dtype=np.intp)
+    table[i, j] = table[j, i] = np.arange(len(i))
+    for arr in (i, j, table):
+        arr.setflags(write=False)
+    return i, j, table
+
+
+def expand_symmetric(components, n):
+    """Full storage of a symmetric 2-tensor from its independent components,
+    stacked first in symmetric_pairs order: each fills both mirrored slots,
+    so the result is exactly symmetric."""
+    return np.moveaxis(components, 0, -1)[..., symmetric_pairs(n)[2]]
+
+
 def pointwise_minors(mat, k):
     """Table of the k x k minors det(mat[..., I, J]) of a pointwise symmetric
     matrix over increasing tuples I, J, by Leibniz expansion (k <= 4). Only

@@ -34,10 +34,10 @@ from .lattice import (
     ScalarField, TensorField, gradient_values, stencil_symbol, weighted_inner)
 from .geometry import (
     MetricField, codifferential, codifferential_values, divergence,
-    exterior_derivative, exterior_derivative_values, form_norm_sq,
-    form_norm_sq_values, gradient_vector_values, h_squared_values,
-    hessian_values, hodge_laplacian, interior_product_values, laplace_beltrami,
-    laplacian_values, lichnerowicz, ricci_values, scalar_curvature_values)
+    exterior_derivative, exterior_derivative_values, form_norm_sq_values,
+    gradient_vector_values, h_squared_values, hessian_values, hodge_laplacian,
+    interior_product_values, laplace_beltrami, laplacian_values, lichnerowicz,
+    ricci_values, scalar_curvature_values)
 
 DEFAULT_EIG_TOL = 1e-9
 SHIFT_MARGIN = 0.5
@@ -305,6 +305,14 @@ def energy_functional(g, H, f):
     return float(np.sum(density)) * g.grid.cell_volume
 
 
+def identity_gap(g, H, sol):
+    """|(1/6) int |H|^2 e^{-f} dV - lambda| of a solved eigenpair, which
+    vanishes at critical points of mu; H is a 3-form field or its array."""
+    density = (form_norm_sq_values(g, _form_values(H), "antisymmetric")
+               * g.sqrt_det_values * np.exp(-sol.f.values))
+    return abs(float(np.sum(density)) * g.grid.cell_volume / 6.0 - sol.lam)
+
+
 def normalize_profile(g, f):
     """Shift f by a constant so that int e^{-f} dV_g = 1."""
     mass = float(np.sum(np.exp(-f.values) * g.sqrt_det_values)) * g.grid.cell_volume
@@ -452,9 +460,6 @@ def critical_point_diagnostics(g, H, sol=None, tol=DEFAULT_EIG_TOL):
     if sol is None:
         sol = lowest_eigenpair(g, H, tol=tol)
     grad = assemble_mu_gradient(g, H, sol)
-    weight = np.exp(-sol.f.values) * g.sqrt_det_values
-    identity = (np.sum(form_norm_sq(g, H).values * weight)
-                * g.grid.cell_volume / 6.0)
     return CriticalPointReport(
         mu=sol.lam,
         mu_grad_g=float(np.max(np.abs(grad.g_part.values))),
@@ -463,5 +468,5 @@ def critical_point_diagnostics(g, H, sol=None, tol=DEFAULT_EIG_TOL):
             ricci_values(g) - 0.25 * h_squared_values(g, H.values)))),
         hodge_h=float(np.max(np.abs(hodge_laplacian(g, H).values))),
         scalar_gap=float(np.max(np.abs(_potential(g, H)))),
-        identity_gap=float(abs(identity - sol.lam)),
+        identity_gap=identity_gap(g, H, sol),
     )

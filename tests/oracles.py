@@ -6,9 +6,14 @@ analytic expressions, and phi below is a low-frequency trigonometric
 polynomial whose derivatives are written out by hand. Nothing here calls the
 package's stencils, so agreement is evidence rather than tautology.
 
-The exception is the last section: the three flow right-hand sides composed
-through the public, validating kernels. The flows assemble the same formulas
-on raw arrays, and the tests require the two to agree bit for bit.
+The middle sections keep kernels as they were first written, on full
+component storage with per-point matmuls, einsums and FFTs; the package's
+kernels on independent components must agree with them to rounding.
+
+Only the last section calls the package: it composes the three flow
+right-hand sides through the public, validating kernels. The flows assemble
+the same formulas on raw arrays, and the tests require the two to agree bit
+for bit.
 """
 
 import numpy as np
@@ -152,6 +157,80 @@ def _roll_gradient(values, spacings):
     n = len(spacings)
     return np.stack([roll_derivative(values, a, spacings[a]) for a in range(n)],
                     axis=n)
+
+
+# ---------------------------------------------------------------------------
+# Connection and curvature on full component storage
+# ---------------------------------------------------------------------------
+#
+# These are the kernels as first written: every one of the n^3 Christoffel
+# symbols from all n^3 metric derivatives, index sums as per-point batched
+# matmuls and einsums. The package computes the same quantities on the
+# n(n+1)/2 independent pairs i <= j of each symmetric index pair.
+
+
+def christoffel_full(g_values, inv_values, spacings):
+    """Gamma[..., k, i, j] = g^kl (D_i g_jl + D_j g_il - D_l g_ij) / 2."""
+    n = len(spacings)
+    dg = _roll_gradient(g_values, spacings)  # [..., c, i, j] = D_c g_ij
+    combo = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+             - dg)
+    shape = g_values.shape[:n]
+    flat = combo.reshape(shape + (n, n * n))
+    return (inv_values @ flat).reshape(combo.shape) * 0.5
+
+
+def ricci_full(gam, spacings):
+    """Ricci tensor from full-storage Christoffel symbols, differentiating
+    only the traced D_c Gamma^c_ij and symmetrizing D_i phi_j."""
+    n = len(spacings)
+    shape = gam.shape[:n]
+    term1 = sum(roll_derivative(gam[..., c, :, :], c, spacings[c])
+                for c in range(n))
+    phi = np.einsum("...kkj->...j", gam)
+    dphi = _roll_gradient(phi, spacings)
+    term2 = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
+    term3 = (phi[..., None, :] @ gam.reshape(shape + (n, n * n))
+             ).reshape(shape + (n, n))
+    gam_t = np.ascontiguousarray(np.swapaxes(gam, -3, -2))
+    term4 = (gam_t.reshape(shape + (n, n * n))
+             @ gam_t.reshape(shape + (n * n, n)))
+    return term1 - term2 + term3 - term4
+
+
+def hessian_full(gam, f_values, spacings):
+    """D_i D_j f - Gamma^k_ij D_k f over all n^2 index pairs."""
+    df = _roll_gradient(f_values, spacings)
+    ddf = _roll_gradient(df, spacings)
+    return ddf - np.einsum("...kij,...k->...ij", gam, df)
+
+
+def lie_derivative_full(gam, g_values, x_values, spacings):
+    """D_i X_j + D_j X_i - 2 Gamma^k_ij X_k of the lowered field."""
+    xl = np.einsum("...ja,...a->...j", g_values, x_values)
+    dxl = _roll_gradient(xl, spacings)  # [..., i, j] = D_i X_j
+    gam_term = np.einsum("...kij,...k->...ij", gam, xl)
+    return dxl + np.swapaxes(dxl, -1, -2) - 2.0 * gam_term
+
+
+def deturck_vector_full(gam, gam_ref, inv_values):
+    """X^k = g^ij (Gamma^k_ij - Gamma_ref^k_ij) over all n^2 index pairs."""
+    n = inv_values.shape[-1]
+    shape = inv_values.shape[:-2]
+    diff = (gam - gam_ref).reshape(shape + (n, n * n))
+    return (diff @ inv_values.reshape(shape + (n * n, 1)))[..., 0]
+
+
+def c0_proxy_full(spacings, dg_values, db_values):
+    """Sup norm of a right-hand-side pair and of its first stencil
+    derivatives over every component."""
+    peak = 0.0
+    for values in (dg_values, db_values):
+        peak = max(peak, float(np.max(np.abs(values))))
+        for a in range(len(spacings)):
+            d = roll_derivative(values, a, spacings[a])
+            peak = max(peak, float(np.max(np.abs(d))))
+    return peak
 
 
 def _map_all_slots(values, pairing, rank):

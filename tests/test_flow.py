@@ -27,7 +27,8 @@ from grflab import (
 from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
                            StepSizeError)
 from grflab.experiments import perturbed_state as canned_state
-from grflab.flow import CSV_COLUMNS, GAUGES
+from grflab.flow import CSV_COLUMNS, GAUGES, _diagnostics_row
+from grflab.spectrum import critical_point_diagnostics
 
 from oracles import deturck_rhs_public, grf_rhs_public, mu_rhs_public
 
@@ -56,6 +57,16 @@ def test_config_validation():
         FlowConfig(stop_tol=-1.0)
     with pytest.raises(ConfigError):
         FlowConfig(record_every=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t_max", float("nan")), ("cfl", float("nan")), ("cfl", float("inf")),
+    ("stop_tol", float("nan")), ("eigen_tol", float("nan")),
+    ("eigen_tol", 0.0), ("eigen_tol", -1e-9), ("max_steps", -3),
+])
+def test_config_rejects_values_that_falsify_the_verdict(field, value):
+    with pytest.raises(ConfigError, match=field):
+        FlowConfig(**{field: value})
 
 
 @pytest.mark.parametrize("gauge", ["grf", "deturck", "mu_gradient"])
@@ -184,6 +195,13 @@ def test_mu_flow_monotone_over_short_run():
     assert np.all(np.diff(lams) > -1e-10)
     gaps = traj.column("identity_gap")
     assert np.all(np.isfinite(gaps))
+    # the diagnostics row and the critical-point report share one identity
+    # gap helper, so on one eigenpair they agree bit for bit
+    final = traj.final
+    dg, db, sol = mu_gradient_flow_rhs(final)
+    row = _diagnostics_row(final, dg, db, 0.0, 0.0, sol, None, {})
+    report = critical_point_diagnostics(final.g, final.field_strength(), sol)
+    assert row["identity_gap"] == report.identity_gap
 
 
 def test_closedness_of_field_strength_is_exact():

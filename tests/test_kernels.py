@@ -19,6 +19,9 @@ from grflab import (
     weighted_inner,
 )
 from grflab.errors import FieldError
+from grflab.experiments import perturbed_state
+from grflab.flow import (GAUGES, _c0_proxy, deturck_rhs, grf_rhs,
+                         mu_gradient_flow_rhs)
 from grflab import geometry
 from grflab.geometry import laplacian_values, ricci_values
 from grflab.spectrum import (
@@ -29,20 +32,28 @@ from grflab.spectrum import (
 from grflab.lattice import (
     diff_values,
     expand_form,
+    expand_symmetric,
     form_components,
     increasing_tuples,
     pointwise_minors,
+    symmetric_pairs,
 )
 
 from oracles import (
+    c0_proxy_full,
+    christoffel_full,
     codifferential_full,
     complex_fft_preconditioner,
+    deturck_vector_full,
     fft_nyquist_projection,
+    hessian_full,
     laplacian_einsum,
     exterior_derivative_full,
     form_inner_full,
     h_squared_full,
     interior_product_full,
+    lie_derivative_full,
+    ricci_full,
     ricci_full_stack,
     roll_derivative,
 )
@@ -125,6 +136,9 @@ def test_trace_only_ricci_is_exactly_zero_on_flat_metrics(dims):
 # ---------------------------------------------------------------------------
 
 FORM_REL = 1e-13
+ANISOTROPIC_GRIDS = [((8, 12), (1.5, 2.0)),
+                     ((8, 10, 12), (1.5, 2.0, 2.5)),
+                     ((8, 8, 10, 12), (1.5, 2.0, 2.5, 3.0))]
 
 
 def _form_grid(dims):
@@ -306,6 +320,99 @@ def test_form_kernels_keep_their_error_cases():
 
 
 # ---------------------------------------------------------------------------
+# Connection and curvature on independent pairs against full storage
+# ---------------------------------------------------------------------------
+
+
+def _assert_exactly_symmetric(values):
+    assert np.array_equal(values, np.swapaxes(values, -1, -2))
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_symmetric_pairs_index_the_upper_triangle(dims):
+    rows, cols, table = symmetric_pairs(dims)
+    pairs = list(zip(rows, cols))
+    assert pairs == list(itertools.combinations_with_replacement(range(dims), 2))
+    for p, (i, j) in enumerate(pairs):
+        assert table[i, j] == table[j, i] == p
+    comps = np.random.default_rng(dims).standard_normal((len(pairs), 3, 5))
+    full = expand_symmetric(comps, dims)
+    assert full.shape == (3, 5, dims, dims)
+    _assert_exactly_symmetric(full)
+    for p, (i, j) in enumerate(pairs):
+        assert np.array_equal(full[..., i, j], comps[p])
+
+
+@pytest.mark.parametrize("resolutions,periods", ANISOTROPIC_GRIDS)
+def test_connection_kernels_match_the_full_layout(resolutions, periods):
+    grid = Grid(resolutions, periods)
+    dims = grid.n_dims
+    g = _bumpy_metric(grid, 1300 + dims)
+    g_ref = _bumpy_metric(grid, 1310 + dims)
+    f = _random_form(grid, 1320 + dims, 0)
+    x = _random_vector(grid, 1330 + dims)
+    gam = christoffel_full(g.values, g.inv_values, grid.spacings)
+    gam_ref = christoffel_full(g_ref.values, g_ref.inv_values, grid.spacings)
+    _assert_close(geometry.christoffel(g).values, gam)
+    _assert_close(ricci_values(g), ricci_full(gam, grid.spacings))
+    _assert_close(geometry.deturck_vector_values(g, g_ref),
+                  deturck_vector_full(gam, gam_ref, g.inv_values))
+    _assert_close(geometry.lie_derivative_metric_values(g, x.values),
+                  lie_derivative_full(gam, g.values, x.values, grid.spacings))
+    _assert_close(geometry.hessian_values(g, f.values),
+                  hessian_full(gam, f.values, grid.spacings))
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_symmetric_kernel_outputs_are_exact_mirrors(dims):
+    grid = _form_grid(dims)
+    g = _bumpy_metric(grid, 1400 + dims)
+    f = _random_form(grid, 1401 + dims, 0)
+    x = _random_vector(grid, 1402 + dims)
+    _assert_exactly_symmetric(ricci_values(g))
+    _assert_exactly_symmetric(geometry.lie_derivative_metric_values(g, x.values))
+    _assert_exactly_symmetric(geometry.hessian_values(g, f.values))
+    gam = geometry.christoffel(g).values
+    assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
+
+
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_metric_right_hand_sides_are_exact_mirrors(gauge):
+    state = perturbed_state(resolution=12, hhat_c=0.3)
+    grid = state.g.grid
+    # the per-point matmuls of the full layout left a 6.9e-18 defect here
+    _assert_exactly_symmetric(ricci_values(state.g))
+    if gauge == "grf":
+        dg, db = grf_rhs(state)
+    elif gauge == "deturck":
+        dg, db, _ = deturck_rhs(state, flat_metric(grid))
+    else:
+        dg, db, _ = mu_gradient_flow_rhs(state)
+    _assert_exactly_symmetric(dg.values)
+    _assert_exactly_antisymmetric(db.values, grid.n_dims)
+    # so the diagnostics' sup proxy over independent components is the sup
+    # over every component
+    assert _c0_proxy(grid, dg, db) == c0_proxy_full(grid.spacings, dg.values,
+                                                    db.values)
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_connection_is_exactly_zero_on_flat_metrics(dims):
+    grid = _form_grid(dims)
+    g = flat_metric(grid, np.linspace(0.5, 2.0, dims))
+    x = _random_vector(grid, 1500 + dims)
+    assert np.all(geometry.christoffel_values(g) == 0.0)
+    assert np.all(geometry.christoffel(g).values == 0.0)
+    assert np.all(geometry.deturck_vector_values(g, flat_metric(grid)) == 0.0)
+    # with Gamma = 0 the Lie derivative is the symmetrized stencil gradient
+    xl = np.einsum("...ja,...a->...j", g.values, x.values)
+    dxl = np.stack([diff_values(xl, a, grid.spacings[a]) for a in range(dims)],
+                   axis=dims)
+    assert np.array_equal(geometry.lie_derivative_metric_values(g, x.values),
+                          dxl + np.swapaxes(dxl, -1, -2))
+
+
+# ---------------------------------------------------------------------------
 # Raw-array kernels against their validating public wrappers
 # ---------------------------------------------------------------------------
 
@@ -318,7 +425,16 @@ def test_values_kernels_equal_their_public_wrappers(dims):
     x = _random_vector(grid, 1002 + dims)
     forms = [_random_form(grid, 1010 + 10 * dims + k, k)
              for k in range(dims + 1)]
+    g_ref = _bumpy_metric(grid, 1005 + dims)
+    # the raw Christoffel symbols are the pair components of the full ones
+    table = symmetric_pairs(dims)[2]
+    gam = geometry.christoffel_values(g)
+    assert np.array_equal(np.moveaxis(gam, (0, 1), (-2, -1))[..., table],
+                          geometry.christoffel(g).values)
     pairs = [
+        (geometry.ricci_values(g), geometry.ricci(g)),
+        (geometry.deturck_vector_values(g, g_ref),
+         geometry.deturck_vector(g, g_ref)),
         (geometry.scalar_curvature_values(g), geometry.scalar_curvature(g)),
         (geometry.hessian_values(g, f.values), geometry.hessian(g, f)),
         (geometry.gradient_vector_values(g, f.values),
@@ -390,11 +506,6 @@ def test_asymmetric_symmetric2_input_still_raises():
         geometry.divergence(g, TensorField(grid, asym, "symmetric2"))
     with pytest.raises(FieldError, match="symmetric2"):
         geometry.lichnerowicz(g, TensorField(grid, asym, "symmetric2"))
-
-
-ANISOTROPIC_GRIDS = [((8, 12), (1.5, 2.0)),
-                     ((8, 10, 12), (1.5, 2.0, 2.5)),
-                     ((8, 8, 10, 12), (1.5, 2.0, 2.5, 3.0))]
 
 
 def _schrodinger_setup(resolutions, periods, seed):
