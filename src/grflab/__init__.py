@@ -23,7 +23,6 @@ from .lattice import (
     TensorField,
     integrate,
     partial_derivative,
-    shift,
     weighted_inner,
 )
 from .geometry import (
@@ -31,7 +30,6 @@ from .geometry import (
     christoffel,
     codifferential,
     deturck_vector,
-    divergence,
     exterior_derivative,
     flat_metric,
     form_norm_sq,
@@ -41,7 +39,6 @@ from .geometry import (
     hodge_laplacian,
     interior_product,
     laplace_beltrami,
-    lichnerowicz,
     lie_derivative_metric,
     ricci,
     scalar_curvature,
@@ -55,7 +52,6 @@ from .spectrum import (
     critical_point_diagnostics,
     energy_functional,
     f_equation_residual,
-    linearized_gradient_flat,
     lowest_eigenpair,
     mu_directional_derivative,
     mu_gradient,
@@ -95,7 +91,6 @@ from .homogeneous import (
     su2_algebra,
 )
 from .perturbations import (
-    divergence_free_projection,
     random_form_perturbation,
     random_metric_perturbation,
     trig_polynomial,
@@ -104,7 +99,6 @@ from .experiments import (
     background_three_form,
     eigen_report,
     flat_equilibrium_report,
-    flow_run,
     gauge_consistency_run,
     gradient_check,
     homogeneous_report,

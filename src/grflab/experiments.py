@@ -280,12 +280,10 @@ def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
     return traj, summary
 
 
-def lojasiewicz_report(trajectory, window_fraction=0.5, window=None,
-                       min_samples=10, fit_eta=False):
+def lojasiewicz_report(trajectory, window_fraction=0.5, min_samples=10):
     """Exponent fit plus the certificate the estimate is graded on."""
     fit = lojasiewicz_estimate(trajectory, window_fraction=window_fraction,
-                               window=window, min_samples=min_samples,
-                               fit_eta=fit_eta)
+                               min_samples=min_samples)
     out = fit.as_dict()
     out["passed"] = bool(
         math.isfinite(fit.theta_hat)
@@ -389,20 +387,3 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, newton_tol=1e-12,
         }
         out["flow_records"] = records
     return out
-
-
-def flow_run(gauge="grf", seed=0, resolution=16, amplitude=0.05, cutoff=2,
-             hhat_c=0.0, stop_tol=1e-8, t_max=10.0, cfl=0.1,
-             eigen_tol=DEFAULT_EIG_TOL, record_every=1, dims=3, period=TWO_PI):
-    """Plain configured flow from seeded data in any gauge."""
-    state = perturbed_state(resolution=resolution, amplitude=amplitude,
-                            seed=seed, cutoff=cutoff, hhat_c=hhat_c,
-                            dims=dims, period=period)
-    g_ref = flat_metric(state.g.grid) if gauge == "deturck" else None
-    config = FlowConfig(gauge=gauge, t_max=t_max, cfl=cfl, stop_tol=stop_tol,
-                        eigen_tol=eigen_tol, record_every=record_every)
-    traj = run_flow(state, config, g_ref=g_ref)
-    summary = {"gauge": gauge, "seed": seed, "resolution": resolution,
-               "amplitude": amplitude}
-    summary.update(_endpoint_summary(traj))
-    return traj, summary

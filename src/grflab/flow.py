@@ -16,10 +16,10 @@ step that breaks metric positivity is retried at half size, SPD_RETRIES (ten)
 times. The same loop integrates the matrix ODE of homogeneous.invariant_flow.
 
 Every accepted step can record a diagnostics row with the columns t, lambda,
-H_l2, ricci_linf, dH_linf, F_value, rhs_l2, dt (plus a sup-norm proxy rhs_c0
-used by the interpolation diagnostic); write_trajectory_csv exports exactly
-the eight named columns at 17 significant digits, through write_records_csv,
-the one CSV writer of the package.
+H_l2, ricci_linf, dH_linf, F_value, rhs_l2, dt (plus the identity gap of the
+eigenpair); write_trajectory_csv exports exactly the eight named columns at
+17 significant digits, through write_records_csv, the one CSV writer of the
+package.
 
 The right-hand sides compose raw arrays, with H = Hhat + db built once from
 the validated b; only their outputs (dg, db, the gauge vector) are fields.
@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      PositivityError, StepSizeError)
-from .lattice import (
-    ScalarField, TensorField, diff_values, symmetric_pairs, weighted_inner)
+from .lattice import ScalarField, TensorField, weighted_inner
 from .geometry import (
     MetricField, codifferential_values, deturck_vector_values,
     exterior_derivative_values, form_norm_sq_values, h_squared_values,
@@ -135,6 +134,7 @@ class Trajectory:
         return np.array([r[key] for r in self.records])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grf_rhs(state):
     """Right-hand side of the coupled flow, before any gauge fixing."""
     g = state.g
@@ -147,6 +147,7 @@ def grf_rhs(state):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def deturck_rhs(state, g_ref):
     """Gauge-fixed right-hand side; also returns the gauge vector field.
 
@@ -270,19 +271,7 @@ def _pair_l2(g, dg, db, weight=None):
     return math.sqrt(max(sq, 0.0))
 
 
-def _c0_proxy(grid, dg, db):
-    """Sup norm of the pair and of its first lattice derivatives, over the
-    components i <= j: dg mirrors them and db negates them exactly."""
-    i, j, _ = symmetric_pairs(grid.n_dims)
-    comps = np.concatenate((dg.values[..., i, j], db.values[..., i, j]), -1)
-    peak = float(np.max(np.abs(comps)))
-    for a in range(grid.n_dims):
-        d = diff_values(comps, a, grid.spacings[a])
-        peak = max(peak, float(np.max(np.abs(d))))
-    return peak
-
-
-def _diagnostics_row(state, dg, db, dt, rhs_l2, sol, eigen_tol, warm):
+def _diagnostics_row(state, dt, rhs_l2, sol, eigen_tol, warm):
     """One trajectory record. For non-gradient gauges the eigenpair is solved
     on the side (warm-started); its failure, or a non-finite potential, only
     blanks the spectral columns."""
@@ -312,7 +301,6 @@ def _diagnostics_row(state, dg, db, dt, rhs_l2, sol, eigen_tol, warm):
         "dH_linf": dh_linf,
         "F_value": energy_functional(g, h, sol.f) if sol is not None else nan,
         "rhs_l2": rhs_l2,
-        "rhs_c0": _c0_proxy(g.grid, dg, db),
         "identity_gap": identity_gap(g, h, sol) if sol is not None else nan,
         "dt": dt,
     }
@@ -363,8 +351,7 @@ def run_flow(initial, config, g_ref=None):
         if (steps % config.record_every == 0 or stopping or at_horizon
                 or out_of_steps):
             records.append(_diagnostics_row(
-                state, k1[0], k1[1], dt, rhs_l2, sol, config.eigen_tol,
-                warm))
+                state, dt, rhs_l2, sol, config.eigen_tol, warm))
         if stopping:
             verdict, reason = "CONVERGED", ""
             break

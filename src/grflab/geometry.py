@@ -14,7 +14,8 @@ Symmetric 2-tensors are treated the same way: the connection, Ricci, Hessian
 and Lie-derivative kernels compute on the n(n+1)/2 pairs i <= j only, with
 index sums as elementwise multiply-adds, and mirror each result once, which
 makes it exactly symmetric. The Christoffel symbols are cached on those pairs
-(christoffel_values); the kernels that need every slot expand them per call.
+(christoffel_values); only the public christoffel expands them to full
+storage, per call.
 
 Kernels compose raw arrays: each operator has a `*_values` body, and its
 public form is a wrapper that checks the input tags and validates the output.
@@ -94,9 +95,6 @@ class MetricField:
     @property
     def n_dims(self):
         return self.grid.n_dims
-
-    def min_eigenvalue(self):
-        return float(np.min(np.linalg.eigvalsh(self.values)))
 
     def max_inverse_eigenvalue(self):
         """Largest pointwise eigenvalue of g^-1, bit for bit that of eigvalsh
@@ -180,19 +178,15 @@ def christoffel_values(g):
     return g._cached("christoffel", build)
 
 
-def _christoffel_full(g):
-    """Gamma[..., k, i, j] on full storage, expanded from christoffel_values
-    on each call and never cached, for the kernels that read every slot."""
-    table = symmetric_pairs(g.grid.n_dims)[2]
-    return np.moveaxis(christoffel_values(g), (0, 1), (-2, -1))[..., table]
-
-
 def christoffel(g):
-    """Levi-Civita connection coefficients Gamma^k_ij of the metric.
+    """Levi-Civita connection coefficients Gamma^k_ij of the metric, on
+    full storage expanded from christoffel_values per call, never cached.
 
     Exactly symmetric in the lower index pair by construction.
     """
-    return TensorField(g.grid, _christoffel_full(g), "general")
+    table = symmetric_pairs(g.grid.n_dims)[2]
+    full = np.moveaxis(christoffel_values(g), (0, 1), (-2, -1))[..., table]
+    return TensorField(g.grid, full, "general")
 
 
 def ricci_values(g):
@@ -236,20 +230,6 @@ def scalar_curvature_values(g):
 def scalar_curvature(g):
     """Scalar curvature R = g^ij Ric_ij."""
     return ScalarField(g.grid, scalar_curvature_values(g))
-
-
-def riemann_values(g):
-    """Curvature tensor R^m_jkl of the connection, R(e_k,e_l)e_j = R^m_jkl e_m."""
-    def build():
-        grid = g.grid
-        gam = _christoffel_full(g)
-        dgam = gradient_values(grid, gam)  # [..., c, m, i, j] = D_c Gamma^m_ij
-        dk_glj = np.einsum("...kmlj->...mjkl", dgam)
-        dl_gkj = np.einsum("...lmkj->...mjkl", dgam)
-        gamgam1 = contract("...mka,...alj->...mjkl", gam, gam)
-        gamgam2 = contract("...mla,...akj->...mjkl", gam, gam)
-        return dk_glj - dl_gkj + gamgam1 - gamgam2
-    return g._cached("riemann", build)
 
 
 def hessian_values(g, f_values):
@@ -316,18 +296,6 @@ def laplace_beltrami(g, f):
     stencil, not merely to truncation order.
     """
     return ScalarField(g.grid, laplacian_values(g, f.values))
-
-
-def divergence(g, h):
-    """Covariant divergence of a symmetric 2-tensor, (div h)_j = g^ik D_i h_kj."""
-    grid = g.grid
-    dh = gradient_values(grid, h.values)  # [..., c, k, j]
-    gam = _christoffel_full(g)
-    inv = g.inv_values
-    t1 = contract("...ik,...ikj->...j", inv, dh)
-    t2 = contract("...ik,...lik,...lj->...j", inv, gam, h.values)
-    t3 = contract("...ik,...lij,...kl->...j", inv, gam, h.values)
-    return TensorField(grid, t1 - t2 - t3, "covector")
 
 
 def lie_derivative_metric_values(g, x_values):
@@ -512,45 +480,6 @@ def form_norm_sq(g, fld):
     """Pointwise squared norm with full index contraction."""
     sym = "scalar" if isinstance(fld, ScalarField) else fld.symmetry
     return ScalarField(g.grid, form_norm_sq_values(g, fld.values, sym))
-
-
-def lichnerowicz(g, h):
-    """Lichnerowicz Laplacian on symmetric 2-tensors.
-
-    Delta^L h = Delta_c h + 2 Riem(h) - Ric.h - h.Ric with the rough Laplacian
-    Delta_c = g^ab D_a D_b (negative spectrum: on a flat metric the whole
-    operator is the componentwise flat Laplacian). The curvature term is
-    assembled from the Riemann tensor and symmetrized, which costs nothing at
-    the discretization order and keeps the symmetric-2 tag exact. For h = g
-    the curvature terms cancel against each other and Delta_c g = 0.
-    """
-    if h.symmetry != "symmetric2":
-        raise FieldError("lichnerowicz expects a symmetric 2-tensor")
-    grid = g.grid
-    gam = _christoffel_full(g)
-    inv = g.inv_values
-
-    dh = gradient_values(grid, h.values)
-    cov1 = dh \
-        - contract("...lbi,...lj->...bij", gam, h.values) \
-        - contract("...lbj,...il->...bij", gam, h.values)
-    dcov1 = gradient_values(grid, cov1)
-    cov2 = dcov1 \
-        - contract("...lab,...lij->...abij", gam, cov1) \
-        - contract("...lai,...blj->...abij", gam, cov1) \
-        - contract("...laj,...bil->...abij", gam, cov1)
-    rough = contract("...ab,...abij->...ij", inv, cov2)
-
-    riem = riemann_values(g)
-    h_up = contract("...ia,...jb,...ab->...ij", inv, inv, h.values)
-    curv = contract("...im,...mjkl,...ik->...jl", g.values, riem, h_up)
-    curv = 0.5 * (curv + np.swapaxes(curv, -1, -2))
-
-    ric = ricci_values(g)
-    mixed = contract("...ik,...kl,...lj->...ij", ric, inv, h.values)
-    ric_h = mixed + np.swapaxes(mixed, -1, -2)
-
-    return TensorField(grid, rough + 2.0 * curv - ric_h, "symmetric2")
 
 
 def deturck_vector_values(g, g_ref):

@@ -132,10 +132,6 @@ class ScalarField:
         _peak(arr, "scalar field")
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.shape, float(value)))
-
 
 def _symmetry_defect(values, n_grid, symmetry):
     """Max violation of the declared index symmetry, 0 for rank<2 tags."""
@@ -199,20 +195,10 @@ class TensorField:
     def rank(self):
         return self.values.ndim - self.grid.n_dims
 
-    @property
-    def component_count(self):
-        return self.grid.n_dims ** self.rank
-
     @classmethod
     def zeros(cls, grid, rank, symmetry="general"):
         shape = grid.shape + (grid.n_dims,) * rank
         return cls(grid, np.zeros(shape), symmetry)
-
-
-def _wrap(grid, values, symmetry_or_scalar):
-    if symmetry_or_scalar == "scalar":
-        return ScalarField(grid, values)
-    return TensorField(grid, values, symmetry_or_scalar)
 
 
 def stencil_symbol(n_points, spacing):
@@ -279,14 +265,6 @@ def integrate(fld):
     integrate(partial_derivative(u)) == 0 identically.
     """
     return float(np.sum(fld.values)) * fld.grid.cell_volume
-
-
-def shift(fld, axis, steps):
-    """Lattice translation by an integer number of cells (exact symmetry)."""
-    out = np.roll(fld.values, steps, axis)
-    if isinstance(fld, ScalarField):
-        return ScalarField(fld.grid, out)
-    return TensorField(fld.grid, out, fld.symmetry)
 
 
 # Component index letters for generated einsum expressions.

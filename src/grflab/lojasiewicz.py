@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,9 +29,7 @@ class LojasiewiczFit:
     theta_slope is the raw least-squares estimate 1 - slope; theta_hat
     additionally respects the cap at one half and the pointwise feasibility
     of the inequality on the window, so it is NaN when no positive exponent
-    works. sigma_hat = theta_hat - eta + theta_hat * eta combines theta with
-    the interpolation exponent eta when that diagnostic was fitted; eta is
-    measured, not asserted, and may fall outside (0, 1).
+    works. window is the (first, last) time of the fitted samples.
     """
 
     theta_hat: float
@@ -42,10 +39,6 @@ class LojasiewiczFit:
     n_samples: int
     n_excluded: int
     holds_everywhere: bool
-    eta: Optional[float] = None
-    sigma_hat: Optional[float] = None
-    eta_residual: Optional[float] = None
-    eta_prefactor: Optional[float] = None
 
     def as_dict(self):
         return {
@@ -56,10 +49,6 @@ class LojasiewiczFit:
             "n_samples": self.n_samples,
             "n_excluded": self.n_excluded,
             "holds_everywhere": self.holds_everywhere,
-            "eta": self.eta,
-            "sigma_hat": self.sigma_hat,
-            "eta_residual": self.eta_residual,
-            "eta_prefactor": self.eta_prefactor,
         }
 
 
@@ -96,21 +85,18 @@ def _feasible_cap(log_lam, log_grad):
     return upper, feasible
 
 
-def lojasiewicz_estimate(trajectory, window_fraction=0.5, window=None,
-                         min_samples=10, fit_eta=False):
+def lojasiewicz_estimate(trajectory, window_fraction=0.5, min_samples=10):
     """Fit the gradient-inequality exponent on a trajectory's tail.
 
     trajectory is a Trajectory from the mu_gradient gauge (or a bare list of
     record dicts with keys t, lambda, rhs_l2). Samples with lambda >= 0 or a
     vanishing gradient norm are excluded and counted. The fit window is the
-    trailing window_fraction of the remaining samples, or the explicit (t0,
-    t1) interval when window is given; fewer than min_samples usable rows is
-    an error.
-
-    With fit_eta=True the records must carry the sup-norm proxy rhs_c0; the
-    interpolation diagnostic fits log rhs_c0 = log C + (1 - eta) log rhs_l2
-    over the same window.
+    trailing window_fraction, in (0, 1], of the remaining samples; fewer than
+    min_samples usable rows is an error.
     """
+    if not 0.0 < window_fraction <= 1.0:
+        raise ConfigError(
+            f"window_fraction must lie in (0, 1], got {window_fraction!r}")
     records = _records_of(trajectory)
     rows = [
         r for r in records
@@ -118,12 +104,7 @@ def lojasiewicz_estimate(trajectory, window_fraction=0.5, window=None,
         and r["rhs_l2"] > 0.0
     ]
     n_excluded = len(records) - len(rows)
-    if window is not None:
-        t0, t1 = window
-        rows = [r for r in rows if t0 <= r["t"] <= t1]
-    else:
-        start = int(math.floor(len(rows) * (1.0 - window_fraction)))
-        rows = rows[start:]
+    rows = rows[int(math.floor(len(rows) * (1.0 - window_fraction))):]
     if len(rows) < min_samples:
         raise ConfigError(
             f"fit window holds {len(rows)} usable samples; "
@@ -147,20 +128,6 @@ def lojasiewicz_estimate(trajectory, window_fraction=0.5, window=None,
         bound = (1.0 - theta_hat) * log_lam
         holds = bool(np.all(log_grad >= bound - _ROUNDING_SLACK))
 
-    eta = sigma_hat = eta_residual = eta_prefactor = None
-    if fit_eta:
-        if any("rhs_c0" not in r for r in rows):
-            raise ConfigError(
-                "records lack the rhs_c0 column needed for the eta fit")
-        log_c0 = np.log(np.array([r["rhs_c0"] for r in rows]))
-        slope2, intercept2 = np.polyfit(log_grad, log_c0, 1)
-        eta = 1.0 - float(slope2)
-        eta_prefactor = float(np.exp(intercept2))
-        fitted2 = slope2 * log_grad + intercept2
-        eta_residual = float(np.sqrt(np.mean((log_c0 - fitted2) ** 2)))
-        if math.isfinite(theta_hat):
-            sigma_hat = theta_hat - eta + theta_hat * eta
-
     t_values = [r["t"] for r in rows]
     return LojasiewiczFit(
         theta_hat=float(theta_hat),
@@ -170,8 +137,4 @@ def lojasiewicz_estimate(trajectory, window_fraction=0.5, window=None,
         n_samples=len(rows),
         n_excluded=n_excluded,
         holds_everywhere=holds,
-        eta=eta,
-        sigma_hat=sigma_hat,
-        eta_residual=eta_residual,
-        eta_prefactor=eta_prefactor,
     )

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .errors import FieldError
-from .lattice import TensorField, stencil_symbol
+from .lattice import TensorField
 
 
 def _positive_modes(n_dims, cutoff):
@@ -33,8 +33,14 @@ def trig_polynomial(grid, rng, component_shape=(), cutoff=1):
 
     Coefficients are uniform on [-1, 1]; the draw order is (mode, component,
     cos/sin) in C order, which makes the field a pure function of the
-    generator state.
+    generator state. The cutoff must stay below N/2 on every axis: the
+    derivative stencil cannot see a k = N/2 (Nyquist) checkerboard, and a
+    metric that varies only in checkerboards is a fixed point of every flow.
     """
+    if 2 * cutoff >= min(grid.resolutions):
+        raise FieldError(
+            f"frequency cutoff {cutoff} reaches the Nyquist band of a "
+            f"{min(grid.resolutions)}-point axis")
     modes = _positive_modes(grid.n_dims, cutoff)
     if not modes:
         raise FieldError("frequency cutoff leaves no modes")
@@ -83,33 +89,3 @@ def random_form_perturbation(grid, amplitude, seed, cutoff=1):
     if peak == 0.0:
         raise FieldError("degenerate draw: perturbation vanished")
     return TensorField(grid, anti * (amplitude / peak), "antisymmetric")
-
-
-def divergence_free_projection(h):
-    """Project a symmetric 2-tensor onto the kernel of the stencil divergence.
-
-    The projection acts mode by mode in Fourier space with the modified
-    wavenumbers of the derivative stencil, so the divergence computed by the
-    same stencil vanishes to rounding, not merely to truncation order. Modes
-    annihilated by the stencil (constant and Nyquist) pass through unchanged;
-    they are discretely divergence-free already.
-    """
-    grid = h.grid
-    n = grid.n_dims
-    k_tilde = []
-    for a in range(n):
-        k = stencil_symbol(grid.resolutions[a], grid.spacings[a])
-        shape = [1] * n
-        shape[a] = grid.resolutions[a]
-        k_tilde.append(k.reshape(shape))
-    k_sq = sum(k * k for k in k_tilde)
-    safe = np.where(k_sq == 0.0, 1.0, k_sq)
-
-    h_hat = np.fft.fftn(h.values, axes=tuple(range(n)))
-    # P_ab = delta_ab - k_a k_b / |k|^2, applied on both slots
-    pk = np.stack([k_tilde[a] * np.ones(grid.shape) for a in range(n)], axis=-1)
-    proj = np.eye(n) - np.einsum("...a,...b->...ab", pk, pk) / safe[..., None, None]
-    projected = np.einsum("...ia,...ab,...jb->...ij", proj, h_hat, proj)
-    out = np.real(np.fft.ifftn(projected, axes=tuple(range(n))))
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    return TensorField(grid, out, "symmetric2")

@@ -33,11 +33,10 @@ from .errors import ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
     ScalarField, TensorField, gradient_values, stencil_symbol, weighted_inner)
 from .geometry import (
-    MetricField, codifferential, codifferential_values, divergence,
-    exterior_derivative, exterior_derivative_values, form_norm_sq_values,
-    gradient_vector_values, h_squared_values, hessian_values, hodge_laplacian,
-    interior_product_values, laplace_beltrami, laplacian_values, lichnerowicz,
-    ricci_values, scalar_curvature_values)
+    MetricField, codifferential_values, exterior_derivative_values,
+    form_norm_sq_values, gradient_vector_values, h_squared_values,
+    hessian_values, hodge_laplacian, interior_product_values, laplace_beltrami,
+    laplacian_values, ricci_values, scalar_curvature_values)
 
 DEFAULT_EIG_TOL = 1e-9
 SHIFT_MARGIN = 0.5
@@ -58,8 +57,10 @@ class SchrodingerOperator:
     def __init__(self, g, H=None):
         self.g = g
         self.grid = g.grid
-        # (g, H) enter the eigensolver here, so the potential is validated
-        self.potential = ScalarField(g.grid, _potential(g, H)).values
+        # (g, H) enter the eigensolver here, so the potential is validated;
+        # an overflow in |H|^2 is reported by that check, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.potential = ScalarField(g.grid, _potential(g, H)).values
         # The first-derivative stencil annihilates the Nyquist mode on every
         # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
@@ -397,35 +398,6 @@ def mu_directional_derivative(g, b, h, beta, hhat=None, eps=1e-4,
                              "antisymmetric")
         values.append(mu_value(g_side, b_side, hhat, tol=tol, w0=w0))
     return (values[0] - values[1]) / (2.0 * eps)
-
-
-def linearized_gradient_flat(g_flat, h, beta, div_tol=1e-8):
-    """Derivative of the mu-gradient at a flat background along (h, beta).
-
-    Requires Ric(g_flat) to vanish to tolerance and h to be divergence-free;
-    directions failing the gauge condition are rejected, not projected. The
-    operator returned is block diagonal,
-
-        ( Delta^L h / 2 ,  -(d* d beta) / 2 ),
-
-    written with the negative-spectrum Lichnerowicz operator of `lichnerowicz`
-    (equivalently, minus one half times the positive-spectrum Lichnerowicz),
-    so both blocks are negative semidefinite and perturbations decay.
-    """
-    ric_sup = float(np.max(np.abs(ricci_values(g_flat))))
-    if ric_sup > div_tol:
-        raise FieldError(f"background is not flat: sup |Ric| = {ric_sup:.3e}")
-    div_sup = float(np.max(np.abs(divergence(g_flat, h).values)))
-    if div_sup > div_tol:
-        raise FieldError(
-            f"direction is not divergence-free: sup |div h| = {div_sup:.3e}"
-        )
-    g_lin = 0.5 * lichnerowicz(g_flat, h).values
-    b_lin = -0.5 * codifferential(g_flat, exterior_derivative(beta)).values
-    return (
-        TensorField(g_flat.grid, g_lin, "symmetric2"),
-        TensorField(g_flat.grid, b_lin, "antisymmetric"),
-    )
 
 
 @dataclass(frozen=True)

@@ -221,18 +221,6 @@ def deturck_vector_full(gam, gam_ref, inv_values):
     return (diff @ inv_values.reshape(shape + (n * n, 1)))[..., 0]
 
 
-def c0_proxy_full(spacings, dg_values, db_values):
-    """Sup norm of a right-hand-side pair and of its first stencil
-    derivatives over every component."""
-    peak = 0.0
-    for values in (dg_values, db_values):
-        peak = max(peak, float(np.max(np.abs(values))))
-        for a in range(len(spacings)):
-            d = roll_derivative(values, a, spacings[a])
-            peak = max(peak, float(np.max(np.abs(d))))
-    return peak
-
-
 def _map_all_slots(values, pairing, rank):
     """Contract every component slot of a rank-k array with a pointwise matrix."""
     src, dst = "abcd"[:rank], "efgh"[:rank]

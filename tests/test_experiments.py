@@ -8,7 +8,6 @@ import pytest
 from grflab.experiments import (
     eigen_report,
     flat_equilibrium_report,
-    flow_run,
     gauge_consistency_run,
     gradient_check,
     homogeneous_report,
@@ -60,16 +59,12 @@ ENDPOINT_FIELDS = ("t_end", "lambda_end", "ricci_linf_end", "H_l2_end",
                    "rhs_l2_end", "dH_linf_max", "identity_gap_final_decade")
 
 
-@pytest.mark.parametrize("pipeline", ["monotonicity", "flow"])
+@pytest.mark.parametrize("pipeline", ["monotonicity"])
 def test_run_whose_first_right_hand_side_fails_reports_its_verdict(pipeline):
     # an unreachable eigensolver tolerance fails the very first stage
-    if pipeline == "monotonicity":
-        traj, summary = monotonicity_run(resolution=8, eigen_tol=1e-30)
-        assert summary["passed"] is False
-        assert math.isnan(summary["lambda_start"])
-    else:
-        traj, summary = flow_run(gauge="mu_gradient", resolution=8,
-                                 eigen_tol=1e-30)
+    traj, summary = monotonicity_run(resolution=8, eigen_tol=1e-30)
+    assert summary["passed"] is False
+    assert math.isnan(summary["lambda_start"])
     assert traj.records == []
     assert summary["verdict"] == "DIVERGED"
     assert summary["reason"].startswith(

@@ -16,12 +16,16 @@ from grflab import (
     grf_rhs,
     interior_product,
     lie_derivative_metric,
+    lowest_eigenpair,
+    mu_gradient,
     mu_gradient_flow_rhs,
+    mu_value,
     random_form_perturbation,
     random_metric_perturbation,
     read_trajectory_csv,
     run_flow,
     step,
+    total_field_strength,
     write_trajectory_csv,
 )
 from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
@@ -198,8 +202,8 @@ def test_mu_flow_monotone_over_short_run():
     # the diagnostics row and the critical-point report share one identity
     # gap helper, so on one eigenpair they agree bit for bit
     final = traj.final
-    dg, db, sol = mu_gradient_flow_rhs(final)
-    row = _diagnostics_row(final, dg, db, 0.0, 0.0, sol, None, {})
+    sol = mu_gradient_flow_rhs(final)[2]
+    row = _diagnostics_row(final, 0.0, 0.0, sol, None, {})
     report = critical_point_diagnostics(final.g, final.field_strength(), sol)
     assert row["identity_gap"] == report.identity_gap
 
@@ -364,6 +368,29 @@ def test_overflowing_run_ends_in_diverged_without_numpy_warnings(gauge):
     assert traj.verdict == "DIVERGED"
     assert traj.reason.startswith("right-hand side failed")
     assert "non-finite" in traj.reason
+
+
+@pytest.mark.parametrize("entry", ["grf_rhs", "deturck_rhs",
+                                   "mu_gradient_flow_rhs", "lowest_eigenpair",
+                                   "mu_value", "mu_gradient"])
+def test_overflow_outside_a_run_raises_non_finite_alone(entry):
+    # called outside run_flow, an overflow in H^2 or |H|^2 is reported by the
+    # output or potential check, with no numpy warning first
+    start, g_ref = _scaled_potential(1e160)
+    g, b = start.g, start.b
+    call = {
+        "grf_rhs": lambda: grf_rhs(start),
+        "deturck_rhs": lambda: deturck_rhs(start, g_ref),
+        "mu_gradient_flow_rhs": lambda: mu_gradient_flow_rhs(start),
+        "lowest_eigenpair": lambda: lowest_eigenpair(
+            g, total_field_strength(g.grid, b)),
+        "mu_value": lambda: mu_value(g, b),
+        "mu_gradient": lambda: mu_gradient(g, b),
+    }[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            call()
 
 
 @pytest.mark.parametrize("gauge", ["grf", "deturck"])

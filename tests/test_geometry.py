@@ -10,7 +10,6 @@ from grflab import (
     christoffel,
     codifferential,
     deturck_vector,
-    divergence,
     exterior_derivative,
     flat_metric,
     form_norm_sq,
@@ -20,7 +19,6 @@ from grflab import (
     hodge_laplacian,
     interior_product,
     laplace_beltrami,
-    lichnerowicz,
     lie_derivative_metric,
     ricci,
     scalar_curvature,
@@ -276,19 +274,6 @@ def test_trace_of_h_squared_equals_norm():
     assert np.max(np.abs(tr - nrm)) < 1e-10 * max(1.0, np.max(np.abs(nrm)))
 
 
-def test_divergence_flat_matches_stencil():
-    grid = Grid((16, 16, 16))
-    g = flat_metric(grid)
-    x, _, _ = grid.coordinate_arrays()
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 0] = np.sin(x)
-    h = TensorField(grid, vals, "symmetric2")
-    dv = divergence(g, h).values
-    k1 = stencil_wavenumber(1, 16)
-    assert np.max(np.abs(dv[..., 0] - k1 * np.cos(x))) < 1e-12
-    assert np.max(np.abs(dv[..., 1])) < 1e-13
-
-
 def test_lie_derivative_flat_symmetrized_gradient():
     grid = Grid((16, 16, 16))
     g = flat_metric(grid)
@@ -301,29 +286,6 @@ def test_lie_derivative_flat_symmetrized_gradient():
     dxl = gradient_values(grid, xv)
     expected = dxl + np.swapaxes(dxl, -1, -2)
     assert np.max(np.abs(lie - expected)) < 1e-12
-
-
-def test_lichnerowicz_flat_componentwise():
-    grid = Grid((16, 16, 16))
-    g = flat_metric(grid)
-    x, _, _ = grid.coordinate_arrays()
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 1] = np.sin(x)
-    vals[..., 1, 0] = np.sin(x)
-    h = TensorField(grid, vals, "symmetric2")
-    out = lichnerowicz(g, h).values
-    k1 = stencil_wavenumber(1, 16)
-    assert np.max(np.abs(out[..., 0, 1] + k1 * k1 * np.sin(x))) < 1e-12
-
-
-def test_lichnerowicz_annihilates_the_metric():
-    # Delta_c g vanishes identically (metric compatibility is pointwise
-    # algebra, no product rule), and the two curvature assemblies cancel
-    # exactly after symmetrization, so Delta^L g = 0 to rounding
-    grid = Grid((12, 12, 12))
-    g = bumpy_metric(grid, seed=51, amp=0.05)
-    out = lichnerowicz(g, g.field).values
-    assert np.max(np.abs(out)) < 1e-12
 
 
 def test_deturck_vector_vanishes_on_matching_reference():

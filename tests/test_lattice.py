@@ -10,7 +10,6 @@ from grflab import (
     flat_metric,
     integrate,
     partial_derivative,
-    shift,
     weighted_inner,
 )
 from grflab.errors import FieldError
@@ -97,9 +96,9 @@ def test_shift_commutes_with_derivative():
     grid = Grid((12, 12, 12))
     rng = np.random.default_rng(5)
     u = ScalarField(grid, rng.standard_normal(grid.shape))
-    a = partial_derivative(shift(u, 0, 3), 0)
-    b = shift(partial_derivative(u, 0), 0, 3)
-    assert np.array_equal(a.values, b.values)
+    a = partial_derivative(ScalarField(grid, np.roll(u.values, 3, 0)), 0)
+    b = np.roll(partial_derivative(u, 0).values, 3, 0)
+    assert np.array_equal(a.values, b)
 
 
 def test_tensor_field_validation():

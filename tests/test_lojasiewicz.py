@@ -7,17 +7,13 @@ from grflab import lojasiewicz_estimate
 from grflab.errors import ConfigError
 
 
-def power_law_records(theta, prefactor=1.0, n=60, lam0=1e-3, lam1=1e-9,
-                      eta=None):
+def power_law_records(theta, prefactor=1.0, n=60, lam0=1e-3, lam1=1e-9):
     """Rows following |grad| = prefactor * |lambda|^(1 - theta) exactly."""
     lams = -np.geomspace(lam0, lam1, n)
     rows = []
     for k, lam in enumerate(lams):
         grad = prefactor * abs(lam) ** (1.0 - theta)
-        row = {"t": float(k), "lambda": float(lam), "rhs_l2": float(grad)}
-        if eta is not None:
-            row["rhs_c0"] = float(grad ** (1.0 - eta))
-        rows.append(row)
+        rows.append({"t": float(k), "lambda": float(lam), "rhs_l2": float(grad)})
     return rows
 
 
@@ -80,13 +76,21 @@ def test_excludes_nonnegative_and_zero_gradient_rows():
 
 
 def test_window_fraction_and_explicit_window():
+    # the fit reports the explicit time window its fraction selected
     rows = power_law_records(0.5, n=40)
     fit = lojasiewicz_estimate(rows, window_fraction=0.25)
     assert fit.n_samples == 10
-    assert fit.window[0] >= 30.0
-    fit2 = lojasiewicz_estimate(rows, window=(5.0, 20.0))
-    assert fit2.n_samples == 16
-    assert fit2.window == (5.0, 20.0)
+    assert fit.window == (30.0, 39.0)
+    fit2 = lojasiewicz_estimate(rows, window_fraction=1.0)
+    assert fit2.n_samples == 40
+    assert fit2.window == (0.0, 39.0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, 3.0, float("nan")])
+def test_window_fraction_outside_unit_interval_rejected(fraction):
+    with pytest.raises(ConfigError, match="window_fraction"):
+        lojasiewicz_estimate(power_law_records(0.5, n=20),
+                             window_fraction=fraction)
 
 
 def test_min_samples_enforced():
@@ -95,17 +99,6 @@ def test_min_samples_enforced():
         lojasiewicz_estimate(rows)
     fit = lojasiewicz_estimate(rows, min_samples=4)
     assert fit.n_samples == 4
-
-
-def test_eta_fit_and_combined_exponent():
-    rows = power_law_records(0.5, prefactor=2.0, eta=0.25)
-    fit = lojasiewicz_estimate(rows, fit_eta=True)
-    assert fit.eta == pytest.approx(0.25, abs=1e-9)
-    assert fit.eta_residual < 1e-9
-    expected = fit.theta_hat - fit.eta + fit.theta_hat * fit.eta
-    assert fit.sigma_hat == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(ConfigError):
-        lojasiewicz_estimate(power_law_records(0.5), fit_eta=True)
 
 
 def test_as_dict_round_trips_fields():

@@ -3,14 +3,12 @@ import pytest
 
 from grflab import (
     Grid,
-    divergence,
-    divergence_free_projection,
-    flat_metric,
     random_form_perturbation,
     random_metric_perturbation,
     trig_polynomial,
 )
 from grflab.errors import FieldError
+from grflab.experiments import perturbed_state
 from grflab.perturbations import _positive_modes
 
 
@@ -79,18 +77,15 @@ def test_cutoff_zero_rejected(grid):
         trig_polynomial(grid, np.random.default_rng(0), cutoff=0)
 
 
-def test_projection_kills_divergence(grid):
-    g = flat_metric(grid)
-    h = random_metric_perturbation(grid, 1.0, seed=5, cutoff=2)
-    before = np.max(np.abs(divergence(g, h).values))
-    assert before > 1e-3   # a generic draw is far from divergence-free
-    p = divergence_free_projection(h)
-    after = np.max(np.abs(divergence(g, p).values))
-    assert after < 1e-12
-
-
-def test_projection_is_idempotent(grid):
-    h = random_metric_perturbation(grid, 1.0, seed=9)
-    p1 = divergence_free_projection(h)
-    p2 = divergence_free_projection(p1)
-    assert np.max(np.abs(p2.values - p1.values)) < 1e-13
+def test_cutoff_reaching_the_nyquist_band_rejected():
+    # the stencil cannot see a k = N/2 checkerboard, and a metric varying
+    # only in checkerboards is a fixed point of every flow: a stability run
+    # would "converge" with them still in g
+    rng = np.random.default_rng(0)
+    with pytest.raises(FieldError, match="Nyquist"):
+        trig_polynomial(Grid((12, 12, 12)), rng, cutoff=6)
+    with pytest.raises(FieldError, match="Nyquist"):
+        trig_polynomial(Grid((12, 8, 12)), rng, cutoff=4)
+    with pytest.raises(FieldError, match="Nyquist"):
+        perturbed_state(resolution=8, cutoff=4)
+    assert trig_polynomial(Grid((12, 8, 12)), rng, cutoff=3).shape == (12, 8, 12)
