@@ -56,7 +56,6 @@ from .spectrum import (
     mu_directional_derivative,
     mu_gradient,
     mu_value,
-    normalize_profile,
     schrodinger_apply,
     total_field_strength,
 )

@@ -190,8 +190,9 @@ def _tail_rows(records, fraction=0.1):
 
 
 def _endpoint_summary(traj):
-    """Verdict, reason and endpoint fields of a run; the fields are NaN when
-    its first right-hand side failed, so that it has no record."""
+    """Verdict, reason, endpoint fields and failed side eigensolves of a run;
+    the fields are NaN when its first right-hand side failed, so that it has
+    no record."""
     records = traj.records or [collections.defaultdict(lambda: math.nan)]
     last = records[-1]
     tail = _tail_rows(records) if traj.records else records
@@ -209,6 +210,7 @@ def _endpoint_summary(traj):
         # failed, so a blanked gap can never masquerade as a small one
         "identity_gap_final_decade": float(
             np.max([r["identity_gap"] for r in tail])),
+        "side_eig_failures": traj.side_eig_failures,
     }
 
 

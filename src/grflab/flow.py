@@ -23,6 +23,14 @@ package.
 
 The right-hand sides compose raw arrays, with H = Hhat + db built once from
 the validated b; only their outputs (dg, db, the gauge vector) are fields.
+
+A run keeps two streams of eigensolves, the mu_gradient stage solves and the
+side solves of the other gauges' diagnostics rows. Each remembers the
+eigenfunctions of its last two distinct times and starts its next solve from
+the line in t through them: a time already solved (k3 after k2, the next k1
+after k4) reuses its own, k2 and k4 extrapolate, and the stages of a step
+retried at half size interpolate. A failed solve leaves its stream untouched;
+failed side solves are counted in Trajectory.side_eig_failures.
 """
 
 from __future__ import annotations
@@ -41,9 +49,8 @@ from .geometry import (
     exterior_derivative_values, form_norm_sq_values, h_squared_values,
     interior_product_values, lie_derivative_metric_values, ricci_values)
 from .spectrum import (
-    DEFAULT_EIG_TOL, assemble_mu_gradient, energy_functional,
-    field_strength_values, identity_gap, lowest_eigenpair,
-    total_field_strength)
+    DEFAULT_EIG_TOL, _energy, _identity_gap, _potential, assemble_mu_gradient,
+    field_strength_values, lowest_eigenpair, total_field_strength)
 
 GAUGES = ("grf", "deturck", "mu_gradient")
 SPD_RETRIES = 10
@@ -117,7 +124,8 @@ class Trajectory:
     gauge_series, present when the run kept gauge fields, lists one entry per
     accepted step: (t, dt, [X at the four Runge-Kutta stages]); diffeo_flow
     consumes it to integrate the compensating diffeomorphisms at matching
-    order.
+    order. side_eig_failures counts the diagnostics rows whose side
+    eigensolve failed, so that their spectral columns are NaN.
     """
 
     states: list
@@ -125,6 +133,7 @@ class Trajectory:
     verdict: str
     reason: str = ""
     gauge_series: Optional[list] = None
+    side_eig_failures: int = 0
 
     @property
     def final(self):
@@ -180,9 +189,31 @@ def mu_gradient_flow_rhs(state, tol=DEFAULT_EIG_TOL, w0=None):
     return grad.g_part, grad.b_part, sol
 
 
-def _make_rhs(gauge, g_ref, eigen_tol, warm):
+def _predict(history, t):
+    """Start vector of an eigensolve at time t from a stream's history, the
+    (time, eigenfunction) pairs of its last two distinct times: the
+    eigenfunction of t itself when t was solved, the only one of a one-entry
+    history, else the value at t of the line through both. None when the
+    stream has solved nothing yet."""
+    for t_i, w_i in history:
+        if t_i == t:
+            return w_i
+    if len(history) < 2:
+        return history[0][1] if history else None
+    (t0, w0), (t1, w1) = history
+    return w1 + ((t - t1) / (t1 - t0)) * (w1 - w0)
+
+
+def _remember(history, t, w):
+    """Append the eigenfunction w solved at time t, keeping the last two
+    distinct times; a time solved again replaces its earlier entry."""
+    history[:] = [e for e in history if e[0] != t][-1:] + [(t, w)]
+
+
+def _make_rhs(gauge, g_ref, eigen_tol, history):
     """Closure state -> (dg, db, extra); extra is the gauge vector or the
-    spectral solution, threaded out for diagnostics and diffeo recovery."""
+    spectral solution, threaded out for diagnostics and diffeo recovery.
+    The mu_gradient stage solves start from _predict of history."""
     if gauge == "grf":
         def rhs(state):
             dg, db = grf_rhs(state)
@@ -195,8 +226,8 @@ def _make_rhs(gauge, g_ref, eigen_tol, warm):
     else:
         def rhs(state):
             dg, db, sol = mu_gradient_flow_rhs(
-                state, tol=eigen_tol, w0=warm.get("w"))
-            warm["w"] = sol.w
+                state, tol=eigen_tol, w0=_predict(history, state.time))
+            _remember(history, state.time, sol.w.values)
             return dg, db, sol
     return rhs
 
@@ -261,7 +292,7 @@ def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL):
     times, then raises StepSizeError; a failed stage raises it too.
     Overflow is reported by the field checks, not by numpy warnings.
     """
-    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, {})
+    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, [])
     return _rk4_with_retries(state, dt, lambda s: _slope(rhs(s)), _advance,
                              state.time)[0]
 
@@ -271,37 +302,43 @@ def _pair_l2(g, dg, db, weight=None):
     return math.sqrt(max(sq, 0.0))
 
 
-def _diagnostics_row(state, dt, rhs_l2, sol, eigen_tol, warm):
-    """One trajectory record. For non-gradient gauges the eigenpair is solved
-    on the side (warm-started); its failure, or a non-finite potential, only
-    blanks the spectral columns."""
-    g = state.g
-    # H = Hhat + db from the validated b, as the right-hand sides build it
-    h = field_strength_values(g.grid, state.b.values, state.hhat)
-    if sol is None:
-        try:
-            sol = lowest_eigenpair(g, h, tol=eigen_tol, w0=warm.get("diag_w"))
-            warm["diag_w"] = sol.w
-        except (ConvergenceError, NonFiniteError):
-            sol = None
+def _side_eigenpair(state, h, eigen_tol, history):
+    """The eigenpair of a diagnostics row in a gauge that solves none, started
+    from _predict of the side stream's history; None when the solve fails."""
+    try:
+        sol = lowest_eigenpair(state.g, h, tol=eigen_tol,
+                               w0=_predict(history, state.time))
+    except (ConvergenceError, NonFiniteError):
+        return None
+    _remember(history, state.time, sol.w.values)
+    return sol
 
+
+def _diagnostics_row(state, h, dt, rhs_l2, sol):
+    """One trajectory record of the state with field strength array h.
+    sol is its eigenpair, or None when that failed, which blanks the spectral
+    columns. |H|^2_g is built once for H_l2, F's potential and the identity
+    gap."""
+    g = state.g
     if g.grid.n_dims > 3:  # dH is a 4-form
         dh_linf = float(np.max(np.abs(exterior_derivative_values(g.grid, h))))
     else:
         dh_linf = 0.0
 
-    h_sq = float(np.sum(form_norm_sq_values(g, h, "antisymmetric")
-                        * g.sqrt_det_values)) * g.grid.cell_volume
+    h_sq = form_norm_sq_values(g, h, "antisymmetric")
+    h_l2_sq = float(np.sum(h_sq * g.sqrt_det_values)) * g.grid.cell_volume
     nan = float("nan")
     return {
         "t": state.time,
         "lambda": sol.lam if sol is not None else nan,
-        "H_l2": math.sqrt(max(h_sq, 0.0)),
+        "H_l2": math.sqrt(max(h_l2_sq, 0.0)),
         "ricci_linf": float(np.max(np.abs(ricci_values(g)))),
         "dH_linf": dh_linf,
-        "F_value": energy_functional(g, h, sol.f) if sol is not None else nan,
+        "F_value": (_energy(g, _potential(g, h_sq=h_sq), sol.f)
+                    if sol is not None else nan),
         "rhs_l2": rhs_l2,
-        "identity_gap": identity_gap(g, h, sol) if sol is not None else nan,
+        "identity_gap": (_identity_gap(g, h_sq, sol)
+                         if sol is not None else nan),
         "dt": dt,
     }
 
@@ -316,8 +353,9 @@ def run_flow(initial, config, g_ref=None):
     (NonFiniteError), not by numpy warnings. Diagnostics are recorded every
     record_every accepted steps and always at the endpoint.
     """
-    warm = {}
-    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, warm)
+    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, [])
+    side_history = []
+    side_failures = 0
 
     state = replace(initial, gauge=config.gauge)
     states = [state]
@@ -350,8 +388,15 @@ def run_flow(initial, config, g_ref=None):
         out_of_steps = steps >= config.max_steps
         if (steps % config.record_every == 0 or stopping or at_horizon
                 or out_of_steps):
-            records.append(_diagnostics_row(
-                state, dt, rhs_l2, sol, config.eigen_tol, warm))
+            # H = Hhat + db from the validated b, as the right-hand sides
+            # build it
+            h = field_strength_values(state.g.grid, state.b.values,
+                                      state.hhat)
+            if sol is None:
+                sol = _side_eigenpair(state, h, config.eigen_tol,
+                                      side_history)
+                side_failures += sol is None
+            records.append(_diagnostics_row(state, h, dt, rhs_l2, sol))
         if stopping:
             verdict, reason = "CONVERGED", ""
             break
@@ -378,7 +423,8 @@ def run_flow(initial, config, g_ref=None):
     if states[-1] is not state:
         states.append(state)
     return Trajectory(states=states, records=records, verdict=verdict,
-                      reason=reason, gauge_series=gauge_series)
+                      reason=reason, gauge_series=gauge_series,
+                      side_eig_failures=side_failures)
 
 
 def read_trajectory_csv(path):

@@ -189,11 +189,20 @@ def _form_values(H):
     return H.values if isinstance(H, TensorField) else H
 
 
-def _potential(g, H=None):
-    """The raw Schrodinger potential R - |H|^2/12 (R alone when H is None)."""
+def _norm_sq(g, H):
+    """Pointwise |H|^2_g of a 3-form field or its component array."""
+    return form_norm_sq_values(g, _form_values(H), "antisymmetric")
+
+
+def _potential(g, H=None, h_sq=None):
+    """The raw Schrodinger potential R - |H|^2/12 (R alone when H is None).
+    h_sq, when given, is the pointwise |H|^2_g already built; H is then not
+    needed."""
     r = scalar_curvature_values(g)
-    if H is not None:
-        r = r - form_norm_sq_values(g, _form_values(H), "antisymmetric") / 12.0
+    if h_sq is None and H is not None:
+        h_sq = _norm_sq(g, H)
+    if h_sq is not None:
+        r = r - h_sq / 12.0
     return r
 
 
@@ -221,7 +230,10 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
     tol : float
         Absolute bound on ||Phi w - lambda w||_{L2(dV_g)} at exit.
     w0 : ScalarField or ndarray, optional
-        Warm start, e.g. the eigenfunction of a nearby state along a flow.
+        Start vector, None for the constant. run_flow passes the line in t
+        through the eigenfunctions of the last two times it solved; any
+        nonzero vector works, and one closer to the ground state takes
+        fewer steps.
 
     The shift tracks the Rayleigh quotient minus a fixed margin of 0.5, which
     keeps the shifted operator positive definite through convergence. The
@@ -297,11 +309,16 @@ def f_equation_residual(g, H, sol):
 def energy_functional(g, H, f):
     """F(g, H, f) = int (R - |H|^2/12 + |df|^2_g) e^{-f} dV_g.
 
-    Admissible f satisfy int e^{-f} dV_g = 1; use normalize_profile to shift
-    an arbitrary f into the constraint set. F(g, H, .) is bounded below by
-    lambda(g, H) with equality at f = -2 log w.
+    Admissible f satisfy int e^{-f} dV_g = 1; adding log int e^{-f} dV_g to
+    an arbitrary f moves it into the constraint set. F(g, H, .) is bounded
+    below by lambda(g, H) with equality at f = -2 log w.
     """
-    density = ((_potential(g, H) + _df_sq(g, f)) * np.exp(-f.values)
+    return _energy(g, _potential(g, H), f)
+
+
+def _energy(g, potential, f):
+    """F of the profile f from the potential R - |H|^2/12 already built."""
+    density = ((potential + _df_sq(g, f)) * np.exp(-f.values)
                * g.sqrt_det_values)
     return float(np.sum(density)) * g.grid.cell_volume
 
@@ -309,15 +326,13 @@ def energy_functional(g, H, f):
 def identity_gap(g, H, sol):
     """|(1/6) int |H|^2 e^{-f} dV - lambda| of a solved eigenpair, which
     vanishes at critical points of mu; H is a 3-form field or its array."""
-    density = (form_norm_sq_values(g, _form_values(H), "antisymmetric")
-               * g.sqrt_det_values * np.exp(-sol.f.values))
+    return _identity_gap(g, _norm_sq(g, H), sol)
+
+
+def _identity_gap(g, h_sq, sol):
+    """identity_gap from the pointwise |H|^2_g already built."""
+    density = h_sq * g.sqrt_det_values * np.exp(-sol.f.values)
     return abs(float(np.sum(density)) * g.grid.cell_volume / 6.0 - sol.lam)
-
-
-def normalize_profile(g, f):
-    """Shift f by a constant so that int e^{-f} dV_g = 1."""
-    mass = float(np.sum(np.exp(-f.values) * g.sqrt_det_values)) * g.grid.cell_volume
-    return ScalarField(g.grid, f.values + np.log(mass))
 
 
 def field_strength_values(grid, b_values, hhat=None):

@@ -21,6 +21,7 @@ import numpy as np
 from grflab import (
     Grid,
     MetricField,
+    ScalarField,
     codifferential,
     deturck_vector,
     gradient_vector,
@@ -31,6 +32,12 @@ from grflab import (
     lowest_eigenpair,
     ricci,
 )
+
+
+def normalize_profile(g, f):
+    """Shift f by a constant so that int e^{-f} dV_g = 1."""
+    mass = float(np.sum(np.exp(-f.values) * g.sqrt_det_values)) * g.grid.cell_volume
+    return ScalarField(g.grid, f.values + np.log(mass))
 
 
 class ConformalOracle:

@@ -12,7 +12,10 @@ from grflab.experiments import (
     gradient_check,
     homogeneous_report,
     monotonicity_run,
+    stability_run,
 )
+from grflab import flow
+from grflab.errors import ConvergenceError, NonFiniteError
 from grflab.spectrum import DEFAULT_EIG_TOL
 
 
@@ -70,5 +73,23 @@ def test_run_whose_first_right_hand_side_fails_reports_its_verdict(pipeline):
     assert summary["reason"].startswith(
         "right-hand side failed: eigensolver stalled")
     assert summary["n_records"] == 0
+    assert summary["side_eig_failures"] == 0
     for key in ENDPOINT_FIELDS:
         assert math.isnan(summary[key]), key
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, NonFiniteError])
+def test_failed_side_eigensolves_are_counted(monkeypatch, error):
+    _, reference = stability_run(resolution=8, t_max=0.1)
+    assert reference["side_eig_failures"] == 0
+
+    def failing(*args, **kwargs):
+        raise error("side eigensolve failed")
+
+    # in the deturck gauge every eigensolve of run_flow is a side solve
+    monkeypatch.setattr(flow, "lowest_eigenpair", failing)
+    traj, summary = stability_run(resolution=8, t_max=0.1)
+    assert all(math.isnan(r["lambda"]) for r in traj.records)
+    assert summary["side_eig_failures"] == len(traj.records) == 5
+    for key in ("verdict", "reason", "n_records", "t_end", "passed"):
+        assert summary[key] == reference[key], key

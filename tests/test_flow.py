@@ -31,8 +31,11 @@ from grflab import (
 from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
                            StepSizeError)
 from grflab.experiments import perturbed_state as canned_state
-from grflab.flow import CSV_COLUMNS, GAUGES, _diagnostics_row
-from grflab.spectrum import critical_point_diagnostics
+from grflab import flow, spectrum
+from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
+                         _remember, _side_eigenpair)
+from grflab.spectrum import (critical_point_diagnostics, energy_functional,
+                             identity_gap)
 
 from oracles import deturck_rhs_public, grf_rhs_public, mu_rhs_public
 
@@ -203,9 +206,118 @@ def test_mu_flow_monotone_over_short_run():
     # gap helper, so on one eigenpair they agree bit for bit
     final = traj.final
     sol = mu_gradient_flow_rhs(final)[2]
-    row = _diagnostics_row(final, 0.0, 0.0, sol, None, {})
+    row = _diagnostics_row(final, final.field_strength().values, 0.0, 0.0,
+                           sol)
     report = critical_point_diagnostics(final.g, final.field_strength(), sol)
     assert row["identity_gap"] == report.identity_gap
+
+
+def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
+        monkeypatch):
+    mu_end = run_flow(perturbed_state(8, 0.05, seed=3),
+                      FlowConfig(gauge="mu_gradient", t_max=0.02)).final
+    start = canned_state(resolution=8, amplitude=0.05, seed=4, cutoff=2,
+                         hhat_c=0.3)
+    g_ref = flat_metric(start.g.grid)
+    deturck_end = run_flow(start, FlowConfig(gauge="deturck", t_max=0.02),
+                           g_ref=g_ref).final
+    built = []
+    kernel = flow.form_norm_sq_values
+
+    def counting(*args):
+        built.append(args[2])
+        return kernel(*args)
+
+    # the row reaches |H|^2_g through flow and through spectrum's helpers
+    for module in (flow, spectrum):
+        monkeypatch.setattr(module, "form_norm_sq_values", counting)
+    for state in (mu_end, deturck_end):
+        h = state.field_strength().values
+        sol = lowest_eigenpair(state.g, h)
+        built.clear()
+        row = _diagnostics_row(state, h, 0.01, 0.0, sol)
+        assert built == ["antisymmetric"]
+        assert row["F_value"] == energy_functional(state.g, h, sol.f)
+        assert row["identity_gap"] == identity_gap(state.g, h, sol)
+
+
+def test_predictor_reuses_extrapolates_and_interpolates():
+    # the stage times of a step of size 1 from t = 0: k1 at 0, k2 and k3 at
+    # 0.5, k4 at 1
+    w_k1, w_k2, w_k3 = (np.array([1.0, 2.0]), np.array([2.0, 2.5]),
+                        np.array([3.0, 5.0]))
+    history = []
+    assert _predict(history, 0.0) is None
+    _remember(history, 0.0, w_k1)
+    assert _predict(history, 0.0) is w_k1
+    assert _predict(history, 0.5) is w_k1          # one-entry history
+    _remember(history, 0.5, w_k2)
+    assert _predict(history, 0.5) is w_k2          # a time already solved
+    _remember(history, 0.5, w_k3)                  # replaces k2's entry
+    assert [t for t, _ in history] == [0.0, 0.5]
+    assert _predict(history, 0.5) is w_k3
+    assert _predict(history, 0.0) is w_k1
+    # k4 extrapolates along the line through (0, w_k1) and (0.5, w_k3)
+    assert np.array_equal(_predict(history, 1.0), [5.0, 8.0])
+    # the step retried at half size: its k2 at 0.25 interpolates
+    assert np.array_equal(_predict(history, 0.25), [2.0, 3.5])
+    _remember(history, 1.0, np.array([5.0, 8.0]))
+    assert [t for t, _ in history] == [0.5, 1.0]
+
+
+def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
+    state = perturbed_state(8, 0.05, seed=3)
+    h = state.field_strength().values
+    history = []
+    sol = _side_eigenpair(state, h, 1e-9, history)
+    assert [t for t, _ in history] == [0.0]
+    assert history[0][1] is sol.w.values
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(flow, "lowest_eigenpair", failing)
+    before = list(history)
+    later = replace(state, time=0.5)
+    assert _side_eigenpair(later, h, 1e-9, history) is None
+    assert history == before
+
+
+def _golden_mu_run(monkeypatch, cold=False):
+    """The golden mu_gradient start (N = 12, seed 7, four steps), with the
+    outer iterations of its stage eigensolves; cold solves every stage from
+    the constant."""
+    start = canned_state(resolution=12, amplitude=0.05, seed=7, cutoff=2)
+    solve = flow.lowest_eigenpair
+    outer = []
+
+    def counting(g, h, tol, w0):
+        sol = solve(g, h, tol=tol, w0=None if cold else w0)
+        outer.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(flow, "lowest_eigenpair", counting)
+    traj = run_flow(start, FlowConfig(gauge="mu_gradient", t_max=0.05))
+    assert len(traj.records) - 1 == 4
+    return traj, outer
+
+
+def test_predicted_stage_solves_take_fewer_outer_iterations(monkeypatch):
+    _, outer = _golden_mu_run(monkeypatch)
+    # 17 stage solves; started from the previous stage's eigenfunction they
+    # took 67 outer iterations, from the predictor 53
+    assert len(outer) == 17
+    assert sum(outer) <= 55
+
+
+def test_predicted_and_cold_stage_solves_give_the_same_run(monkeypatch):
+    warm, _ = _golden_mu_run(monkeypatch)
+    cold, outer = _golden_mu_run(monkeypatch, cold=True)
+    assert sum(outer) > 55
+    assert len(warm.records) == len(cold.records)
+    for key in CSV_COLUMNS:
+        np.testing.assert_allclose(warm.column(key), cold.column(key),
+                                   rtol=1e-10, atol=0.0, err_msg=key)
 
 
 def test_closedness_of_field_strength_is_exact():

@@ -16,7 +16,6 @@ from grflab import (
     mu_gradient,
     mu_gradient_flow_rhs,
     mu_value,
-    normalize_profile,
     random_form_perturbation,
     random_metric_perturbation,
     step,
@@ -27,7 +26,7 @@ from grflab.geometry import codifferential_values, exterior_derivative_values
 from grflab.lattice import diff_values
 from grflab.spectrum import mu_directional_derivative, schrodinger_apply
 
-from oracles import ConformalOracle
+from oracles import ConformalOracle, normalize_profile
 
 
 def constant_three_form(grid, c=1.0):
