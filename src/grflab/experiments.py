@@ -190,9 +190,9 @@ def _tail_rows(records, fraction=0.1):
 
 
 def _endpoint_summary(traj):
-    """Verdict, reason, endpoint fields and failed side eigensolves of a run;
-    the fields are NaN when its first right-hand side failed, so that it has
-    no record."""
+    """Verdict, reason, endpoint fields, failed side eigensolves and the
+    eigensolver's total outer and CG iterations of a run; the fields are NaN
+    when its first right-hand side failed, so that it has no record."""
     records = traj.records or [collections.defaultdict(lambda: math.nan)]
     last = records[-1]
     tail = _tail_rows(records) if traj.records else records
@@ -211,6 +211,8 @@ def _endpoint_summary(traj):
         "identity_gap_final_decade": float(
             np.max([r["identity_gap"] for r in tail])),
         "side_eig_failures": traj.side_eig_failures,
+        "eig_outer_iterations": traj.eig_outer_iterations,
+        "eig_cg_iterations": traj.eig_cg_iterations,
     }
 
 

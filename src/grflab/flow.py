@@ -30,11 +30,12 @@ eigenfunctions of its last two distinct times and starts its next solve from
 the line in t through them: a time already solved (k3 after k2, the next k1
 after k4) reuses its own, k2 and k4 extrapolate, and the stages of a step
 retried at half size interpolate. A failed solve leaves its stream untouched;
-failed side solves are counted in Trajectory.side_eig_failures.
+Trajectory counts the failed side solves and the iterations of every solve.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -124,8 +125,9 @@ class Trajectory:
     gauge_series, present when the run kept gauge fields, lists one entry per
     accepted step: (t, dt, [X at the four Runge-Kutta stages]); diffeo_flow
     consumes it to integrate the compensating diffeomorphisms at matching
-    order. side_eig_failures counts the diagnostics rows whose side
-    eigensolve failed, so that their spectral columns are NaN.
+    order. side_eig_failures counts the rows whose side eigensolve failed
+    (their spectral columns are NaN); eig_outer_iterations and
+    eig_cg_iterations total the iterations of every eigensolve that returned.
     """
 
     states: list
@@ -134,6 +136,8 @@ class Trajectory:
     reason: str = ""
     gauge_series: Optional[list] = None
     side_eig_failures: int = 0
+    eig_outer_iterations: int = 0
+    eig_cg_iterations: int = 0
 
     @property
     def final(self):
@@ -210,10 +214,11 @@ def _remember(history, t, w):
     history[:] = [e for e in history if e[0] != t][-1:] + [(t, w)]
 
 
-def _make_rhs(gauge, g_ref, eigen_tol, history):
+def _make_rhs(gauge, g_ref, eigen_tol, history, totals):
     """Closure state -> (dg, db, extra); extra is the gauge vector or the
     spectral solution, threaded out for diagnostics and diffeo recovery.
-    The mu_gradient stage solves start from _predict of history."""
+    The mu_gradient stage solves start from _predict of history, counted in
+    totals."""
     if gauge == "grf":
         def rhs(state):
             dg, db = grf_rhs(state)
@@ -228,6 +233,7 @@ def _make_rhs(gauge, g_ref, eigen_tol, history):
             dg, db, sol = mu_gradient_flow_rhs(
                 state, tol=eigen_tol, w0=_predict(history, state.time))
             _remember(history, state.time, sol.w.values)
+            totals.update(outer=sol.iterations, cg=sol.cg_iterations)
             return dg, db, sol
     return rhs
 
@@ -292,7 +298,7 @@ def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL):
     times, then raises StepSizeError; a failed stage raises it too.
     Overflow is reported by the field checks, not by numpy warnings.
     """
-    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, [])
+    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, [], collections.Counter())
     return _rk4_with_retries(state, dt, lambda s: _slope(rhs(s)), _advance,
                              state.time)[0]
 
@@ -302,15 +308,16 @@ def _pair_l2(g, dg, db, weight=None):
     return math.sqrt(max(sq, 0.0))
 
 
-def _side_eigenpair(state, h, eigen_tol, history):
+def _side_eigenpair(state, h, eigen_tol, history, totals):
     """The eigenpair of a diagnostics row in a gauge that solves none, started
-    from _predict of the side stream's history; None when the solve fails."""
+    from _predict of the side history, counted in totals; None on failure."""
     try:
         sol = lowest_eigenpair(state.g, h, tol=eigen_tol,
                                w0=_predict(history, state.time))
     except (ConvergenceError, NonFiniteError):
         return None
     _remember(history, state.time, sol.w.values)
+    totals.update(outer=sol.iterations, cg=sol.cg_iterations)
     return sol
 
 
@@ -353,7 +360,8 @@ def run_flow(initial, config, g_ref=None):
     (NonFiniteError), not by numpy warnings. Diagnostics are recorded every
     record_every accepted steps and always at the endpoint.
     """
-    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, [])
+    totals = collections.Counter()
+    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, [], totals)
     side_history = []
     side_failures = 0
 
@@ -394,7 +402,7 @@ def run_flow(initial, config, g_ref=None):
                                       state.hhat)
             if sol is None:
                 sol = _side_eigenpair(state, h, config.eigen_tol,
-                                      side_history)
+                                      side_history, totals)
                 side_failures += sol is None
             records.append(_diagnostics_row(state, h, dt, rhs_l2, sol))
         if stopping:
@@ -424,7 +432,9 @@ def run_flow(initial, config, g_ref=None):
         states.append(state)
     return Trajectory(states=states, records=records, verdict=verdict,
                       reason=reason, gauge_series=gauge_series,
-                      side_eig_failures=side_failures)
+                      side_eig_failures=side_failures,
+                      eig_outer_iterations=totals["outer"],
+                      eig_cg_iterations=totals["cg"])
 
 
 def read_trajectory_csv(path):

@@ -20,6 +20,8 @@ storage, per call.
 Kernels compose raw arrays: each operator has a `*_values` body, and its
 public form is a wrapper that checks the input tags and validates the output.
 Fields are validated where they enter or leave the system, not in between.
+A metric is certified where it enters, by MetricField, with multiply-adds on
+its component arrays: positivity by the pivots of an LDL^T, then its inverse.
 
 The codifferential is the exact adjoint of the discrete exterior derivative
 for the inner product that counts each increasing index tuple once (the
@@ -46,6 +48,7 @@ from .lattice import (
     form_components,
     gradient_values,
     increasing_tuples,
+    matrix_product,
     pointwise_inner_values,
     pointwise_minors,
     slot_pairs,
@@ -59,10 +62,12 @@ _INVERSE_TOL = 1e-12
 class MetricField:
     """Symmetric positive definite 2-tensor with cached inverse and volume density.
 
-    Positivity means every pointwise eigenvalue is at least EPS_SPD; data
-    violating the floor is rejected outright rather than regularized, so a
-    flow that drifts out of the metric cone fails loudly at the offending
-    step. Curvature quantities are computed lazily and cached per instance.
+    Positivity means every pointwise eigenvalue exceeds EPS_SPD: Cholesky's
+    test, each pivot of the unpivoted LDL^T of g - EPS_SPD I positive. Data
+    violating it, or with max |g g^-1 - I| above 1e-12, is rejected outright
+    rather than regularized, so a flow that drifts out of the metric cone
+    fails loudly at the offending step. Curvature quantities are computed
+    lazily and cached per instance.
     """
 
     def __init__(self, grid, values):
@@ -70,17 +75,17 @@ class MetricField:
         field = TensorField(grid, values, "symmetric2")
         self.values = field.values
         n = grid.n_dims
-        eye = np.eye(n)
-        try:
-            np.linalg.cholesky(self.values - EPS_SPD * eye)
-        except np.linalg.LinAlgError as exc:
+        comps = np.moveaxis(self.values, (-2, -1), (0, 1))
+        if not _pivots_positive(comps, EPS_SPD):
             raise PositivityError(
-                f"metric has a pointwise eigenvalue below {EPS_SPD:g}"
-            ) from exc
-        inv, det = _inverse_and_det(self.values)
-        gap = float(np.max(np.abs(self.values @ inv - eye)))
+                f"metric has a pointwise eigenvalue below {EPS_SPD:g}")
+        inv, det = _inverse_and_det(comps)
+        res = np.array(matrix_product(comps, inv))
+        res[range(n), range(n)] -= 1.0
+        gap = float(np.max(np.abs(res)))
         if gap > _INVERSE_TOL:
             raise PositivityError(f"metric inverse residual {gap:.3e} exceeds 1e-12")
+        inv = np.ascontiguousarray(np.moveaxis(np.array(inv), (0, 1), (-2, -1)))
         inv.setflags(write=False)
         self.inv_values = inv
         sq = np.sqrt(det)
@@ -91,10 +96,6 @@ class MetricField:
     @property
     def field(self):
         return TensorField(self.grid, self.values, "symmetric2")
-
-    @property
-    def n_dims(self):
-        return self.grid.n_dims
 
     def max_inverse_eigenvalue(self):
         """Largest pointwise eigenvalue of g^-1, bit for bit that of eigvalsh
@@ -114,30 +115,48 @@ class MetricField:
         return self._cache[key]
 
 
-def _inverse_and_det(values):
-    """Pointwise inverse and determinant by Gauss-Jordan elimination over the
-    component axes, vectorized over the grid.
+def _pivots_positive(a, shift):
+    """Whether the symmetric field a[i][j] - shift I (lower triangle read) is
+    positive definite everywhere: Cholesky's test, every pivot of its
+    unpivoted LDL^T positive (Sylvester). Stops at the first failing pivot."""
+    s = [list(row[:i + 1]) for i, row in enumerate(a)]
+    for k in range(len(s)):
+        pivot = s[k][k] - shift  # the shift enters the diagonal only
+        if not pivot.min() > 0.0:
+            return False
+        for i in range(k + 1, len(s)):
+            factor = s[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                s[i][j] = s[i][j] - factor * s[j][k]
+    return True
+
+
+def _inverse_and_det(a):
+    """Pointwise inverse, indexed like a, and determinant of a matrix field
+    a[i][j] by Gauss-Jordan elimination, skipping the updates that leave an
+    entry as it is (by the identity start's zero columns, a's eliminated ones).
 
     No pivoting: that is safe only for matrices already certified positive
-    definite, whose pivots are all positive. Zero off-diagonal entries
-    eliminate nothing, so a diagonal matrix gets its exact reciprocal inverse.
+    definite. Zero off-diagonal entries eliminate nothing, so a diagonal
+    matrix gets its exact reciprocal inverse.
     """
-    n = values.shape[-1]
-    a = np.moveaxis(values, (-2, -1), (0, 1)).copy()
-    inv = np.zeros_like(a)
-    inv[range(n), range(n)] = 1.0
+    n = len(a)
+    a = [list(row) for row in a]
+    inv = [[float(i == j) for j in range(n)] for i in range(n)]
     det = 1.0
     for k in range(n):
-        pivot = a[k, k].copy()
+        pivot = a[k][k]
         det = det * pivot
-        a[k] /= pivot
-        inv[k] /= pivot
+        a[k][k + 1:] = [x / pivot for x in a[k][k + 1:]]
+        inv[k][:k + 1] = [x / pivot for x in inv[k][:k + 1]]
         for i in range(n):
             if i != k:
-                factor = a[i, k].copy()
-                a[i] -= factor * a[k]
-                inv[i] -= factor * inv[k]
-    return np.ascontiguousarray(np.moveaxis(inv, (0, 1), (-2, -1))), det
+                factor = a[i][k]
+                a[i][k + 1:] = [x - factor * y for x, y
+                                in zip(a[i][k + 1:], a[k][k + 1:])]
+                inv[i][:k + 1] = [x - factor * y for x, y
+                                  in zip(inv[i][:k + 1], inv[k][:k + 1])]
+    return inv, det
 
 
 def flat_metric(grid, diagonal=None):

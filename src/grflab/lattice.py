@@ -369,6 +369,16 @@ def apply_minors(minors, components):
             for row in minors]
 
 
+def matrix_product(x, y):
+    """Pointwise product of matrix fields x[i][j], y[i][j] by multiply-adds."""
+    out = [[row[0] * col for col in y[0]] for row in x]
+    for k in range(1, len(y)):
+        for row, out_row in zip(x, out):
+            for acc, col in zip(out_row, y[k]):
+                acc += row[k] * col
+    return out
+
+
 def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_values):
     """Raw pointwise metric contraction <a, b>_g over all component indices.
 
@@ -377,7 +387,8 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
     metric itself. Full contraction, no 1/k! normalization: for a 2-form this
     counts each unordered index pair twice. Antisymmetric operands of rank
     k >= 2 are summed over independent components only, as
-    k! sum_{I,J} a_I det(g^-1[I, J]) b_J.
+    k! sum_{I,J} a_I det(g^-1[I, J]) b_J, and a "symmetric2" first operand
+    is paired as tr(g^-1 a g^-1 b^T) by multiply-adds.
     """
     if rank == 0:
         return a_values * b_values
@@ -389,6 +400,14 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
                           form_components(b_values, n, rank))
         return math.factorial(rank) * sum(
             a * u for a, u in zip(form_components(a_values, n, rank), up))
+    if symmetry_a == "symmetric2":
+        # tr(M P) with M = g^-1 a and P = g^-1 b^T, which is M when b is a
+        inv = np.moveaxis(inv_values, (-2, -1), (0, 1))
+        m = matrix_product(inv, np.moveaxis(a_values, (-2, -1), (0, 1)))
+        p = m if b_values is a_values else matrix_product(
+            inv, np.moveaxis(b_values, (-1, -2), (0, 1)))
+        return sum(m[i][j] * p[j][i]
+                   for i, j in itertools.product(range(len(m)), repeat=2))
     pairing = g_values if symmetry_a == "vector" else inv_values
     idx_a = INDEX_LETTERS[:rank]
     idx_b = INDEX_LETTERS[rank:2 * rank]

@@ -269,8 +269,32 @@ def h_squared_full(h_values, inv_values):
                      inv_values, h_values, optimize=True)
 
 
+def inverse_and_det_full(values):
+    """Pointwise inverse and determinant of a matrix field by Gauss-Jordan
+    elimination without pivoting, every row operation on whole component
+    rows, as the metric inverse was first written."""
+    n = values.shape[-1]
+    a = np.moveaxis(values, (-2, -1), (0, 1)).copy()
+    inv = np.zeros_like(a)
+    inv[range(n), range(n)] = 1.0
+    det = 1.0
+    for k in range(n):
+        pivot = a[k, k].copy()
+        det = det * pivot
+        a[k] /= pivot
+        inv[k] /= pivot
+        for i in range(n):
+            if i != k:
+                factor = a[i, k].copy()
+                a[i] -= factor * a[k]
+                inv[i] -= factor * inv[k]
+    return np.ascontiguousarray(np.moveaxis(inv, (0, 1), (-2, -1))), det
+
+
 def form_inner_full(a_values, b_values, inv_values, k):
-    """<a, b>_g with every one of the n^k index tuples of both forms."""
+    """<a, b>_g with every one of the n^k index tuples of both operands, by
+    one einsum: the pairing of forms, and for k = 2 of any 2-tensors, as it
+    was first written."""
     idx_a, idx_b = "abcd"[:k], "efgh"[:k]
     pair_terms = ",".join(f"...{i}{j}" for i, j in zip(idx_a, idx_b))
     return np.einsum(f"...{idx_a},{pair_terms},...{idx_b}->...", a_values,

@@ -78,6 +78,23 @@ def test_run_whose_first_right_hand_side_fails_reports_its_verdict(pipeline):
         assert math.isnan(summary[key]), key
 
 
+@pytest.mark.parametrize("pipeline", [stability_run, monotonicity_run])
+def test_summaries_total_the_eigensolver_iterations(monkeypatch, pipeline):
+    solve = flow.lowest_eigenpair
+    solved = []
+
+    def counting(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    # stage solves in the mu gauge, side solves of the rows in deturck
+    monkeypatch.setattr(flow, "lowest_eigenpair", counting)
+    _, summary = pipeline(resolution=8, t_max=0.1)
+    assert len(solved) > 1
+    assert summary["eig_outer_iterations"] == sum(s.iterations for s in solved)
+    assert summary["eig_cg_iterations"] == sum(s.cg_iterations for s in solved)
+
+
 @pytest.mark.parametrize("error", [ConvergenceError, NonFiniteError])
 def test_failed_side_eigensolves_are_counted(monkeypatch, error):
     _, reference = stability_run(resolution=8, t_max=0.1)
@@ -91,5 +108,7 @@ def test_failed_side_eigensolves_are_counted(monkeypatch, error):
     traj, summary = stability_run(resolution=8, t_max=0.1)
     assert all(math.isnan(r["lambda"]) for r in traj.records)
     assert summary["side_eig_failures"] == len(traj.records) == 5
+    assert summary["eig_outer_iterations"] == 0
+    assert summary["eig_cg_iterations"] == 0
     for key in ("verdict", "reason", "n_records", "t_end", "passed"):
         assert summary[key] == reference[key], key

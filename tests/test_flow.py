@@ -1,3 +1,4 @@
+import collections
 from dataclasses import replace
 import warnings
 
@@ -268,52 +269,61 @@ def test_predictor_reuses_extrapolates_and_interpolates():
 def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
     state = perturbed_state(8, 0.05, seed=3)
     h = state.field_strength().values
-    history = []
-    sol = _side_eigenpair(state, h, 1e-9, history)
+    history, totals = [], collections.Counter()
+    sol = _side_eigenpair(state, h, 1e-9, history, totals)
     assert [t for t, _ in history] == [0.0]
     assert history[0][1] is sol.w.values
+    assert totals == {"outer": sol.iterations, "cg": sol.cg_iterations}
 
     def failing(*args, **kwargs):
         raise ConvergenceError("stalled")
 
     monkeypatch.setattr(flow, "lowest_eigenpair", failing)
-    before = list(history)
+    before, counted = list(history), dict(totals)
     later = replace(state, time=0.5)
-    assert _side_eigenpair(later, h, 1e-9, history) is None
+    assert _side_eigenpair(later, h, 1e-9, history, totals) is None
     assert history == before
+    assert totals == counted
 
 
 def _golden_mu_run(monkeypatch, cold=False):
     """The golden mu_gradient start (N = 12, seed 7, four steps), with the
-    outer iterations of its stage eigensolves; cold solves every stage from
-    the constant."""
+    solutions of its stage eigensolves; cold solves every stage from the
+    constant."""
     start = canned_state(resolution=12, amplitude=0.05, seed=7, cutoff=2)
     solve = flow.lowest_eigenpair
-    outer = []
+    solved = []
 
     def counting(g, h, tol, w0):
         sol = solve(g, h, tol=tol, w0=None if cold else w0)
-        outer.append(sol.iterations)
+        solved.append(sol)
         return sol
 
     monkeypatch.setattr(flow, "lowest_eigenpair", counting)
     traj = run_flow(start, FlowConfig(gauge="mu_gradient", t_max=0.05))
     assert len(traj.records) - 1 == 4
-    return traj, outer
+    return traj, solved
 
 
 def test_predicted_stage_solves_take_fewer_outer_iterations(monkeypatch):
-    _, outer = _golden_mu_run(monkeypatch)
+    _, solved = _golden_mu_run(monkeypatch)
     # 17 stage solves; started from the previous stage's eigenfunction they
     # took 67 outer iterations, from the predictor 53
-    assert len(outer) == 17
-    assert sum(outer) <= 55
+    assert len(solved) == 17
+    assert sum(s.iterations for s in solved) <= 55
+
+
+def test_run_totals_the_iterations_of_its_eigensolves(monkeypatch):
+    traj, solved = _golden_mu_run(monkeypatch)
+    assert traj.eig_outer_iterations == sum(s.iterations for s in solved) == 53
+    assert traj.eig_cg_iterations == sum(s.cg_iterations for s in solved)
+    assert traj.eig_cg_iterations > traj.eig_outer_iterations
 
 
 def test_predicted_and_cold_stage_solves_give_the_same_run(monkeypatch):
     warm, _ = _golden_mu_run(monkeypatch)
-    cold, outer = _golden_mu_run(monkeypatch, cold=True)
-    assert sum(outer) > 55
+    cold, solved = _golden_mu_run(monkeypatch, cold=True)
+    assert sum(s.iterations for s in solved) > 55
     assert len(warm.records) == len(cold.records)
     for key in CSV_COLUMNS:
         np.testing.assert_allclose(warm.column(key), cold.column(key),

@@ -26,6 +26,9 @@ from grflab.homogeneous import (
     stationarity_residual,
 )
 
+ALGEBRAS = {"su2": su2_algebra, "heisenberg": heisenberg_algebra,
+            "abelian": abelian_algebra}
+
 
 def su2_round(c=1.0, h3=None):
     return LieData(su2_algebra(), c * np.eye(3), c if h3 is None else h3)
@@ -193,3 +196,23 @@ def test_invariant_csv_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_records_csv(records, INVARIANT_CSV_COLUMNS, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+def test_lambda_inv_never_decreases_along_the_invariant_flow(algebra):
+    # on a unimodular group f is constant, so lambda = R - |H|^2/12, and the
+    # invariant flow at fixed h3 is twice its gradient flow
+    g0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
+    records, _ = invariant_flow(LieData(ALGEBRAS[algebra](), g0, 0.8), 0.5)
+    assert len(records) == 251
+    lams = []
+    for r in records:
+        g = np.array([[r["g11"], r["g12"], r["g13"]],
+                      [r["g12"], r["g22"], r["g23"]],
+                      [r["g13"], r["g23"], r["g33"]]])
+        data = LieData(ALGEBRAS[algebra](), g, r["h3"])
+        assert data.h3 == 0.8
+        lams.append(invariant_scalar_curvature(data)
+                    - invariant_norm_sq(data) / 12.0)
+    # smallest increment 8.5e-5 (abelian), per step of dt = 0.002
+    assert np.min(np.diff(lams)) > 0.0

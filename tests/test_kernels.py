@@ -18,7 +18,7 @@ from grflab import (
     interior_product,
     weighted_inner,
 )
-from grflab.errors import FieldError
+from grflab.errors import FieldError, PositivityError
 from grflab.experiments import perturbed_state
 from grflab.flow import GAUGES, deturck_rhs, grf_rhs, mu_gradient_flow_rhs
 from grflab import geometry
@@ -34,6 +34,7 @@ from grflab.lattice import (
     expand_symmetric,
     form_components,
     increasing_tuples,
+    pointwise_inner_values,
     pointwise_minors,
     symmetric_pairs,
 )
@@ -49,6 +50,7 @@ from oracles import (
     exterior_derivative_full,
     form_inner_full,
     h_squared_full,
+    inverse_and_det_full,
     interior_product_full,
     lie_derivative_full,
     ricci_full,
@@ -91,6 +93,89 @@ def test_metric_inverse_and_determinant_match_lapack(dims):
     sqrt_det = np.sqrt(np.linalg.det(g.values))
     assert np.max(np.abs(g.inv_values - inv)) <= 1e-13 * np.max(np.abs(inv))
     assert np.max(np.abs(g.sqrt_det_values / sqrt_det - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_metric_inverse_and_determinant_are_the_full_gauss_jordan(dims):
+    grid = Grid((8,) * dims)
+    rng = np.random.default_rng(20 + dims)
+    values = _spd_field(grid, rng, np.linspace(0.6, 2.5, dims), 0.3)
+    ref_inv, ref_det = inverse_and_det_full(values)
+    comps = [[values[..., i, j] for j in range(dims)] for i in range(dims)]
+    inv, det = geometry._inverse_and_det(comps)
+    assert np.array_equal(np.stack([np.stack(row, -1) for row in inv], -2),
+                          ref_inv)
+    assert np.array_equal(det, ref_det)
+    g = MetricField(grid, values)
+    assert np.array_equal(g.inv_values, ref_inv)
+    assert np.array_equal(g.sqrt_det_values, np.sqrt(ref_det))
+
+
+def _field_with_spectrum(rng, eigenvalues):
+    """Symmetric matrices with the given pointwise eigenvalues (last axis) in
+    random orthonormal frames."""
+    dims = eigenvalues.shape[-1]
+    q, _ = np.linalg.qr(rng.standard_normal(eigenvalues.shape + (dims,)))
+    m = np.einsum("...ik,...k,...jk->...ij", q, eigenvalues, q)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _cholesky_accepts(values):
+    try:
+        np.linalg.cholesky(values - geometry.EPS_SPD * np.eye(values.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_ldl_positivity_verdict_is_choleskys(dims):
+    rng = np.random.default_rng(40 + dims)
+    points = 64
+    eps = geometry.EPS_SPD
+    spd = rng.uniform(0.1, 3.0, (points, dims))
+    indefinite = spd.copy()
+    indefinite[points // 2, -1] = -0.2
+    above, below = spd.copy(), spd.copy()
+    above[:, 0] = eps * (1.0 + 1e-3)
+    below[:, 0] = eps * (1.0 + 1e-3)
+    below[points // 3, 0] = eps * (1.0 - 1e-3)
+    cases = [(spd, True), (indefinite, False), (above, True), (below, False)]
+    for eigenvalues, expected in cases:
+        values = _field_with_spectrum(rng, eigenvalues)
+        comps = [[values[..., i, j] for j in range(dims)] for i in range(dims)]
+        verdict = geometry._pivots_positive(comps, eps)
+        assert verdict is expected is _cholesky_accepts(values)
+        for p in range(points):
+            point = [[c[p:p + 1] for c in row] for row in comps]
+            assert (geometry._pivots_positive(point, eps)
+                    is _cholesky_accepts(values[p:p + 1]))
+    grid = Grid((8,) * dims)
+    values = _field_with_spectrum(
+        rng, np.broadcast_to(np.linspace(-0.1, 1.0, dims), grid.shape + (dims,)))
+    with pytest.raises(PositivityError,
+                       match="metric has a pointwise eigenvalue below 1e-08"):
+        MetricField(grid, values)
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_symmetric_pairing_matches_the_einsum(dims):
+    grid = Grid((8,) * dims)
+    rng = np.random.default_rng(30 + dims)
+    g = MetricField(grid, _spd_field(grid, rng, np.linspace(0.6, 2.5, dims),
+                                     0.3))
+    a = _spd_field(grid, rng, np.zeros(dims), 1.0)
+    b = _spd_field(grid, rng, np.zeros(dims), 1.0)
+    general = rng.standard_normal(grid.shape + (dims, dims))
+    for second in (a, b, general):
+        got = pointwise_inner_values(a, second, 2, "symmetric2", g.inv_values,
+                                     g.values)
+        ref = form_inner_full(a, second, g.inv_values, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    field = TensorField(grid, a, "symmetric2")
+    ref = float(np.sum(form_inner_full(a, a, g.inv_values, 2)
+                       * g.sqrt_det_values)) * grid.cell_volume
+    assert weighted_inner(field, field, g) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
