@@ -3,18 +3,35 @@
 The gauge-fixed and plain flows differ by the flow of the gauge vector field:
 integrating d(psi)/dt = -X o psi from the identity and pulling the gauged
 solution back along psi reproduces the ungauged one. Maps are stored as
-periodic displacements u with psi(x) = x + u(x); off-grid values of X come
-from periodic cubic spline interpolation, and the Jacobian of psi is the
-lattice derivative of the displacement.
+periodic displacements u with psi(x) = x + u(x), and the Jacobian of psi is
+the lattice derivative of the displacement.
+
+Off-grid values come from periodic cubic B-splines. A field's components are
+filtered together, once per grid axis, and the spline coefficients are padded
+periodically by the cubic taps (one cell before, two after); each component
+is then one unfiltered evaluation at the coordinates wrapped into the grid.
+A pullback interpolates and contracts only the independent components of its
+field, n(n+1)/2 for a symmetric 2-tensor and C(n, k) for a k-form, and
+mirrors them into full storage, so the result has its symmetry exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter1d
 
 from .errors import FieldError, JacobianError
-from .lattice import ScalarField, TensorField, diff_values
+from .lattice import (
+    INDEX_LETTERS,
+    ScalarField,
+    TensorField,
+    contract,
+    expand_form,
+    expand_symmetric,
+    gradient_values,
+    increasing_tuples,
+    symmetric_pairs,
+)
 from .geometry import MetricField
 
 _MIN_JACOBIAN = 0.1
@@ -26,35 +43,35 @@ def _dense_coordinates(grid):
     return np.stack(mesh, axis=0)
 
 
-def _interpolate(values, coords_index):
-    return map_coordinates(values, coords_index, order=3, mode="grid-wrap",
-                           prefilter=True)
+def _index_coordinates(grid, base, u_values):
+    """Grid-index coordinates of psi(x) = x + u(x), the axis first."""
+    return np.stack([(base[a] + u_values[..., a]) / grid.spacings[a]
+                     for a in range(grid.n_dims)], axis=0)
 
 
-def _sample_vector(x_field, points, grid):
-    """Periodic cubic interpolation of a vector field at arbitrary points."""
-    coords_index = np.stack(
-        [points[a] / grid.spacings[a] for a in range(grid.n_dims)], axis=0)
-    out = np.empty(grid.shape + (grid.n_dims,))
-    for a in range(grid.n_dims):
-        out[..., a] = _interpolate(x_field.values[..., a], coords_index)
-    return out
+def _interpolate(stack, coords_index):
+    """Periodic cubic spline of each field of stack (components first, then
+    the grid axes) at grid-index coordinates (the axis first)."""
+    n = len(coords_index)
+    coeffs = stack
+    for a in range(1, n + 1):
+        coeffs = spline_filter1d(coeffs, 3, axis=a, mode="grid-wrap")
+    coeffs = np.pad(coeffs, [(0, 0)] + [(1, 2)] * n, mode="wrap")
+    # np.mod may round a tiny negative coordinate up to N exactly; its last
+    # tap then lies one past the padding with weight 0, and "nearest" clamps
+    wrapped = np.stack([np.mod(c, m) + 1.0
+                        for c, m in zip(coords_index, stack.shape[1:])])
+    return np.stack([map_coordinates(c, wrapped, order=3, mode="nearest",
+                                     prefilter=False) for c in coeffs])
 
 
 def displacement_jacobian(grid, u_values):
     """J[..., a, i] = d(psi^a)/dx^i for psi = id + u, by the lattice stencil."""
-    n = grid.n_dims
-    jac = np.zeros(grid.shape + (n, n))
-    for a in range(n):
-        for i in range(n):
-            jac[..., a, i] = diff_values(u_values[..., a], i, grid.spacings[i])
-        jac[..., a, a] += 1.0
-    return jac
+    return np.swapaxes(gradient_values(grid, u_values), -1, -2) + np.eye(grid.n_dims)
 
 
-def _check_jacobian(grid, u_values):
-    det = np.linalg.det(displacement_jacobian(grid, u_values))
-    det_min = float(np.min(det))
+def _check_jacobian(jac):
+    det_min = float(np.min(np.linalg.det(jac)))
     if det_min <= _MIN_JACOBIAN:
         raise JacobianError(
             f"map degenerates: min det J = {det_min:.3e} <= {_MIN_JACOBIAN}")
@@ -80,8 +97,9 @@ def diffeo_flow(x_series, grid, record_every=0):
              TensorField(grid, u.copy(), "vector"))]
 
     def stage_velocity(x_field, u_now):
-        points = [base[a] + u_now[..., a] for a in range(n)]
-        return -_sample_vector(x_field, points, grid)
+        moved = _interpolate(np.moveaxis(x_field.values, -1, 0),
+                             _index_coordinates(grid, base, u_now))
+        return -np.moveaxis(moved, 0, -1)
 
     for index, (t, dt, stages) in enumerate(x_series):
         x1, x2, x3, x4 = stages
@@ -90,11 +108,24 @@ def diffeo_flow(x_series, grid, record_every=0):
         l3 = stage_velocity(x3, u + 0.5 * dt * l2)
         l4 = stage_velocity(x4, u + dt * l3)
         u = u + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        _check_jacobian(grid, u)
+        _check_jacobian(displacement_jacobian(grid, u))
         is_last = index == len(x_series) - 1
         if is_last or (record_every > 0 and (index + 1) % record_every == 0):
             maps.append((t + dt, TensorField(grid, u.copy(), "vector")))
     return maps
+
+
+def _independent_components(n, rank, symmetry):
+    """Index tuples of a covariant field's independent components, and the
+    map from their values, stacked first, to full storage. A form of degree
+    above n is zero, with no increasing index tuple, and keeps all of them."""
+    if symmetry == "symmetric2":
+        i, j, _ = symmetric_pairs(n)
+        return tuple(zip(i, j)), lambda c: expand_symmetric(c, n)
+    if symmetry == "antisymmetric" and rank <= n:
+        return increasing_tuples(n, rank), lambda c: expand_form(list(c), n, rank)
+    return (tuple(np.ndindex(*(n,) * rank)),
+            lambda c: np.moveaxis(c, 0, -1).reshape(c.shape[1:] + (n,) * rank))
 
 
 def pullback(displacement, fld):
@@ -102,47 +133,40 @@ def pullback(displacement, fld):
 
     (psi* T)_{i...}(x) = J^a_i(x) ... T_{a...}(psi(x)) with J the lattice
     Jacobian of psi and field values at psi(x) interpolated by periodic cubic
-    splines. Accepts scalar fields, covariant TensorFields, and MetricFields
-    (returned as a MetricField); contravariant fields are rejected since they
-    push forward, not back.
+    splines. Only the independent components are interpolated and contracted
+    (the pairs i <= j of a symmetric 2-tensor, the increasing index tuples of
+    a k-form) and then mirrored, so a pulled-back metric is exactly symmetric
+    and a pulled-back form exactly antisymmetric. Accepts scalar fields,
+    covariant TensorFields, and MetricFields (returned as a MetricField);
+    contravariant fields are rejected since they push forward, not back.
     """
     grid = displacement.grid
     if displacement.symmetry != "vector" or displacement.rank != 1:
         raise FieldError("displacement must be a vector field")
     u = displacement.values
-    _check_jacobian(grid, u)
     jac = displacement_jacobian(grid, u)
-
-    base = _dense_coordinates(grid)
-    coords_index = np.stack(
-        [(base[a] + u[..., a]) / grid.spacings[a] for a in range(grid.n_dims)],
-        axis=0)
+    _check_jacobian(jac)
+    coords_index = _index_coordinates(grid, _dense_coordinates(grid), u)
 
     is_metric = isinstance(fld, MetricField)
     source = fld.field if is_metric else fld
     if isinstance(source, ScalarField):
-        return ScalarField(grid, _interpolate(source.values, coords_index))
+        return ScalarField(grid, _interpolate(source.values[None], coords_index)[0])
     if source.symmetry == "vector":
         raise FieldError("cannot pull back a contravariant field")
 
     rank = source.rank
-    moved = np.empty_like(source.values)
-    for comp in np.ndindex(*source.values.shape[grid.n_dims:]):
-        moved[(Ellipsis,) + comp] = _interpolate(
-            source.values[(Ellipsis,) + comp], coords_index)
-
-    out = moved
-    n = grid.n_dims
-    for slot in range(rank):
-        # contract slot's index with J^a_i, one slot at a time; the Jacobian
-        # gains singleton axes so it broadcasts over the untouched slots
-        out = np.moveaxis(out, n + slot, -1)
-        extra = out.ndim - n - 1
-        jac_view = jac.reshape(grid.shape + (1,) * extra + (n, n))
-        out = np.einsum("...a,...ai->...i", out, jac_view)
-        out = np.moveaxis(out, -1, n + slot)
-    if source.symmetry == "symmetric2":
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    tuples, expand = _independent_components(grid.n_dims, rank, source.symmetry)
+    slots = tuple(np.array(s) for s in zip(*tuples))
+    moved = _interpolate(np.moveaxis(source.values[(...,) + slots], -1, 0),
+                         coords_index)
+    # contract every slot of the full moved field, each with the Jacobian
+    # columns of the independent components' indices in that slot
+    letters = INDEX_LETTERS[:rank]
+    subscripts = ("..." + letters + "," + ",".join(f"...{c}z" for c in letters)
+                  + "->z...")
+    out = expand(contract(subscripts, expand(moved),
+                          *(jac[..., :, s] for s in slots)))
     if is_metric:
         return MetricField(grid, out)
     return TensorField(grid, out, source.symmetry)

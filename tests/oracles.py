@@ -17,6 +17,7 @@ for bit.
 """
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from grflab import (
     Grid,
@@ -345,6 +346,50 @@ def complex_fft_preconditioner(op, sigma, r):
     symbol = (float(np.mean(op.g.sqrt_det_values)) * (4.0 * sym_sq + c0)
               + op.penalty * _nyquist_mask(grid.shape))
     return np.real(np.fft.ifftn(np.fft.fftn(r) / symbol))
+
+
+def interpolate_grid_wrap(values, coords_index):
+    """Periodic cubic spline of one component at grid-index coordinates, one
+    prefiltering map_coordinates call in grid-wrap mode, as the diffeomorphism
+    layer first interpolated every component."""
+    return map_coordinates(values, coords_index, order=3, mode="grid-wrap",
+                           prefilter=True)
+
+
+def displacement_jacobian_full(u_values, spacings):
+    """J[..., a, i] = d(x^a + u^a)/dx^i, one stencil call per component."""
+    n = len(spacings)
+    jac = np.zeros(u_values.shape[:-1] + (n, n))
+    for a in range(n):
+        for i in range(n):
+            jac[..., a, i] = roll_derivative(u_values[..., a], i, spacings[i])
+        jac[..., a, a] += 1.0
+    return jac
+
+
+def pullback_full(u_values, values, spacings, symmetric=False):
+    """psi* T for psi = id + u on full component storage: each of the n^k
+    components interpolated, each slot contracted with the Jacobian in turn,
+    a symmetric 2-tensor symmetrized afterwards."""
+    n = len(spacings)
+    axes = [np.arange(m) * h for m, h in zip(u_values.shape[:n], spacings)]
+    base = np.meshgrid(*axes, indexing="ij")
+    coords_index = np.stack([(base[a] + u_values[..., a]) / spacings[a]
+                             for a in range(n)], axis=0)
+    out = np.empty_like(values)
+    for comp in np.ndindex(*values.shape[n:]):
+        out[(...,) + comp] = interpolate_grid_wrap(values[(...,) + comp],
+                                                   coords_index)
+    jac = displacement_jacobian_full(u_values, spacings)
+    for slot in range(values.ndim - n):
+        out = np.moveaxis(out, n + slot, -1)
+        extra = out.ndim - n - 1
+        jac_view = jac.reshape(jac.shape[:n] + (1,) * extra + (n, n))
+        out = np.einsum("...a,...ai->...i", out, jac_view)
+        out = np.moveaxis(out, -1, n + slot)
+    if symmetric:
+        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from grflab import Grid, MetricField, ScalarField, TensorField, flat_metric, pullback
-from grflab.diffeo import diffeo_flow, displacement_jacobian
+from grflab.diffeo import _interpolate, diffeo_flow, displacement_jacobian
 from grflab.errors import FieldError, JacobianError
+from grflab.experiments import gauge_consistency_run
+from grflab.lattice import expand_form
+
+from oracles import displacement_jacobian_full, interpolate_grid_wrap, pullback_full
+
+# unequal resolutions and periods on every axis
+GRIDS = {
+    "2d": Grid((10, 14), (2.0 * np.pi, 3.0)),
+    "3d": Grid((8, 12, 10), (2.0 * np.pi, 5.0, 4.0)),
+    "4d": Grid((8, 10, 8, 8), (2.0 * np.pi, 3.0, 7.0, 4.5)),
+}
 
 
 @pytest.fixture
@@ -127,3 +140,122 @@ def test_covector_pullback_matches_chain_rule(grid):
     expected = np.cos(x - c[0]) * np.ones(grid.shape)
     assert np.max(np.abs(out.values[..., 0] - expected)) < 1e-3
     assert np.max(np.abs(out.values[..., 1:])) < 1e-12
+
+
+def wobbly_displacement(grid, cells=2.3):
+    """A translation by more than one cell, backwards on odd axes so that
+    points leave the grid on both sides, plus a smooth shear."""
+    n = grid.n_dims
+    x = grid.coordinate_arrays()
+    u = np.zeros(grid.shape + (n,))
+    for a in range(n):
+        b = (a + 1) % n
+        wave = np.sin(2.0 * np.pi * x[b] / grid.periods[b] + a)
+        u[..., a] = ((-1) ** a * cells * grid.spacings[a]
+                     + 0.05 * grid.periods[a] * wave)
+    return u
+
+
+@pytest.mark.parametrize("dims", sorted(GRIDS))
+def test_interpolation_matches_the_grid_wrap_oracle(dims):
+    grid = GRIDS[dims]
+    n = grid.n_dims
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((3,) + grid.shape)
+    sizes = np.array(grid.resolutions, dtype=float)[:, None]
+    # points up to two and a half grids out on either side
+    coords = rng.uniform(-2.5, 2.5, (n, 300)) * sizes
+    coords[:, 1] = sizes[:, 0]          # the far edge, one period out
+    coords[:, 2] = -3.0                 # a node three cells back
+    coords[:, 0] = -1e-17               # np.mod rounds this up to N exactly
+    assert np.all(np.mod(coords[:, 0], sizes[:, 0]) == sizes[:, 0])
+    out = _interpolate(stack, coords)
+    for c in range(len(stack)):
+        expected = interpolate_grid_wrap(stack[c], coords)
+        peak = np.max(np.abs(stack[c]))
+        assert np.max(np.abs(out[c] - expected)) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("dims", sorted(GRIDS))
+def test_jacobian_is_the_per_component_stencil_bit_for_bit(dims):
+    grid = GRIDS[dims]
+    u = wobbly_displacement(grid)
+    assert np.array_equal(displacement_jacobian(grid, u),
+                          displacement_jacobian_full(u, grid.spacings))
+
+
+def _covariant_fields(grid, rng, max_degree):
+    """(field, symmetry) pairs of every covariant kind pullback accepts,
+    k-forms up to max_degree; a scalar's symmetry is None."""
+    n = grid.n_dims
+    raw = rng.standard_normal(grid.shape + (n, n))
+    sym = raw + np.swapaxes(raw, -1, -2)
+    fields = [
+        (ScalarField(grid, raw[..., 0, 0]), None),
+        (TensorField(grid, raw[..., 0], "covector"), "covector"),
+        (TensorField(grid, raw), "general"),
+        (TensorField(grid, sym, "symmetric2"), "symmetric2"),
+        (MetricField(grid, np.eye(n) + 0.02 * sym), "symmetric2"),
+    ]
+    for k in range(1, max_degree + 1):
+        comps = list(rng.standard_normal((math.comb(n, k),) + grid.shape))
+        fields.append((TensorField(grid, expand_form(comps, n, k),
+                                   "antisymmetric"), "antisymmetric"))
+    return fields
+
+
+@pytest.mark.parametrize("dims", sorted(GRIDS))
+def test_pullback_matches_the_full_component_oracle(dims):
+    grid = GRIDS[dims]
+    u = wobbly_displacement(grid)
+    disp = TensorField(grid, u, "vector")
+    # the oracle interpolates all n^k components: in 4D, 3- and 4-forms
+    # would take seconds, and 2D and 3D cover the top degree
+    max_degree = 2 if grid.n_dims == 4 else grid.n_dims
+    fields = _covariant_fields(grid, np.random.default_rng(5), max_degree)
+    for fld, symmetry in fields:
+        expected = pullback_full(u, fld.values, grid.spacings,
+                                 symmetry == "symmetric2")
+        out = pullback(disp, fld)
+        assert type(out) is type(fld)
+        assert out.values.shape == expected.shape
+        peak = np.max(np.abs(expected))
+        assert np.max(np.abs(out.values - expected)) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("dims", ["3d", "4d"])
+def test_pulled_back_fields_are_exactly_symmetric(dims):
+    grid = GRIDS[dims]
+    n = grid.n_dims
+    disp = TensorField(grid, wobbly_displacement(grid), "vector")
+    for fld, symmetry in _covariant_fields(grid, np.random.default_rng(9), n):
+        if symmetry not in ("symmetric2", "antisymmetric"):
+            continue
+        out = pullback(disp, fld).values
+        sign = 1.0 if symmetry == "symmetric2" else -1.0
+        for slot in range(out.ndim - n - 1):
+            swapped = np.swapaxes(out, n + slot, n + slot + 1)
+            assert np.array_equal(out, sign * swapped)
+
+
+def test_gauge_consistency_run_keeps_its_recorded_gaps():
+    # recorded with per-component prefiltered interpolation and the
+    # full-component pullback of tests/oracles.py
+    recorded = {
+        "displacement_sup": 0.005987561857832729,
+        "metric_gap_sup": 0.00014070257170761824,
+        "field_strength_gap_sup": 4.28221874235659e-05,
+        "gap_sup": 0.00014070257170761824,
+    }
+    report = gauge_consistency_run()
+    assert report["t_end"] == 0.1
+    for key, value in recorded.items():
+        assert report[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+
+
+def test_form_of_degree_above_the_dimension_pulls_back_to_zero(grid):
+    disp = TensorField(grid, wobbly_displacement(grid), "vector")
+    zero = TensorField(grid, np.zeros(grid.shape + (3,) * 4), "antisymmetric")
+    out = pullback(disp, zero)
+    assert out.values.shape == zero.values.shape
+    assert not np.any(out.values)
