@@ -1,6 +1,7 @@
 """Time integration of the coupled metric / 3-form flows on the lattice.
 
-Three right-hand sides share one Runge-Kutta integrator, selected by gauge:
+Three right-hand sides share one Runge-Kutta integrator. GAUGES, the one
+place a gauge is decided, maps each name to its Gauge record:
 
   grf          dg = -2 Ric + H^2/2,            db = -d* H
   deturck      the same plus Lie_X g and X . H for the reference-metric
@@ -24,12 +25,12 @@ package.
 The right-hand sides compose raw arrays, with H = Hhat + db built once from
 the validated b; only their outputs (dg, db, the gauge vector) are fields.
 
-A run keeps two streams of eigensolves, the mu_gradient stage solves and the
-side solves of the other gauges' diagnostics rows. Each remembers the
+A run keeps one stream of eigensolves, the stage solves of a spectral gauge
+or else the side solves of the diagnostics rows. It remembers the
 eigenfunctions of its last two distinct times and starts its next solve from
 the line in t through them: a time already solved (k3 after k2, the next k1
 after k4) reuses its own, k2 and k4 extrapolate, and the stages of a step
-retried at half size interpolate. A failed solve leaves its stream untouched;
+retried at half size interpolate. A failed solve leaves the stream untouched;
 Trajectory counts the failed side solves and the iterations of every solve.
 """
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from .spectrum import (
     DEFAULT_EIG_TOL, _energy, _identity_gap, _potential, assemble_mu_gradient,
     field_strength_values, lowest_eigenpair, total_field_strength)
 
-GAUGES = ("grf", "deturck", "mu_gradient")
 SPD_RETRIES = 10
 
 CSV_COLUMNS = ("t", "lambda", "H_l2", "ricci_linf", "dH_linf", "F_value",
@@ -65,15 +65,14 @@ class FlowState:
     """One point on a flow line.
 
     b is the evolving 2-form potential and hhat an optional fixed closed
-    background, so the physical field strength is H = hhat + db. gauge names
-    the right-hand side this state is evolved by.
+    background, so the physical field strength is H = hhat + db. The gauge
+    a state is evolved in is not part of it; the Trajectory names it.
     """
 
     g: MetricField
     b: TensorField
     hhat: Optional[TensorField] = None
     time: float = 0.0
-    gauge: str = "grf"
 
     def field_strength(self):
         return total_field_strength(self.g.grid, self.b, self.hhat)
@@ -83,8 +82,8 @@ class FlowState:
 class FlowConfig:
     """Integration policy.
 
-    stop_tol bounds the L2 norm of the right-hand-side pair (weighted by
-    e^{-f} in the mu_gradient gauge, where that norm is the gradient norm);
+    gauge is a key of GAUGES. stop_tol bounds the L2 norm of the right-hand
+    side pair (weighted by e^{-f} in a spectral gauge: the gradient norm);
     reaching it gives the CONVERGED verdict, and a run takes at most max_steps.
     No float field may be NaN; cfl must be finite and eigen_tol positive.
     """
@@ -100,9 +99,7 @@ class FlowConfig:
     keep_gauge_fields: bool = False
 
     def __post_init__(self):
-        if self.gauge not in GAUGES:
-            raise ConfigError(
-                f"unknown gauge {self.gauge!r}; expected one of {GAUGES}")
+        _gauge(self.gauge)
         for name in ("t_max", "cfl", "stop_tol", "eigen_tol"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
@@ -122,17 +119,18 @@ class FlowConfig:
 class Trajectory:
     """Outcome of a flow run: endpoint states, sampled diagnostics, verdict.
 
-    gauge_series, present when the run kept gauge fields, lists one entry per
-    accepted step: (t, dt, [X at the four Runge-Kutta stages]); diffeo_flow
-    consumes it to integrate the compensating diffeomorphisms at matching
-    order. side_eig_failures counts the rows whose side eigensolve failed
-    (their spectral columns are NaN); eig_outer_iterations and
-    eig_cg_iterations total the iterations of every eigensolve that returned.
+    gauge is the run's GAUGES key. gauge_series, present when the run kept
+    gauge fields, lists (t, dt, [X at the four Runge-Kutta stages]) per
+    accepted step; diffeo_flow consumes it to integrate the compensating
+    diffeomorphisms at matching order. side_eig_failures counts the rows
+    whose side eigensolve failed (spectral columns NaN); eig_outer_iterations
+    and eig_cg_iterations total the iterations of every returned eigensolve.
     """
 
     states: list
     records: list
     verdict: str
+    gauge: str
     reason: str = ""
     gauge_series: Optional[list] = None
     side_eig_failures: int = 0
@@ -168,6 +166,8 @@ def deturck_rhs(state, g_ref):
     contraction X . H, whose exterior derivative reproduces Lie_X H on
     closed H.
     """
+    if g_ref is None:
+        raise ConfigError("the deturck gauge needs a reference metric")
     g = state.g
     h = field_strength_values(g.grid, state.b.values, state.hhat)
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
@@ -193,6 +193,37 @@ def mu_gradient_flow_rhs(state, tol=DEFAULT_EIG_TOL, w0=None):
     return grad.g_part, grad.b_part, sol
 
 
+@dataclass(frozen=True)
+class Gauge:
+    """What a gauge means to a run. rhs(state, g_ref, eigen_tol, w0) returns
+    (dg, db, extra). spectral: extra is the eigenpair rhs solved from start
+    vector w0, so the stop norm is the e^{-f}-weighted gradient norm, the
+    diagnostics rows reuse the eigenpair and the Lojasiewicz fit accepts the
+    run. keeps_fields: extra is the gauge vector diffeo_flow replays."""
+
+    rhs: Callable
+    spectral: bool = False
+    keeps_fields: bool = False
+
+
+# each rhs looks its kernel up per call, so patching flow's attribute works
+GAUGES = {
+    "grf": Gauge(lambda s, g_ref, tol, w0: grf_rhs(s) + (None,)),
+    "deturck": Gauge(lambda s, g_ref, tol, w0: deturck_rhs(s, g_ref),
+                     keeps_fields=True),
+    "mu_gradient": Gauge(lambda s, g_ref, tol, w0: mu_gradient_flow_rhs(
+        s, tol, w0), spectral=True),
+}
+
+
+def _gauge(name):
+    """The GAUGES record of a gauge name; ConfigError when there is none."""
+    if name not in GAUGES:
+        raise ConfigError(
+            f"unknown gauge {name!r}; expected one of {tuple(GAUGES)}")
+    return GAUGES[name]
+
+
 def _predict(history, t):
     """Start vector of an eigensolve at time t from a stream's history, the
     (time, eigenfunction) pairs of its last two distinct times: the
@@ -214,28 +245,23 @@ def _remember(history, t, w):
     history[:] = [e for e in history if e[0] != t][-1:] + [(t, w)]
 
 
-def _make_rhs(gauge, g_ref, eigen_tol, history, totals):
-    """Closure state -> (dg, db, extra); extra is the gauge vector or the
-    spectral solution, threaded out for diagnostics and diffeo recovery.
-    The mu_gradient stage solves start from _predict of history, counted in
-    totals."""
-    if gauge == "grf":
-        def rhs(state):
-            dg, db = grf_rhs(state)
-            return dg, db, None
-    elif gauge == "deturck":
-        if g_ref is None:
-            raise ConfigError("the deturck gauge needs a reference metric")
-        def rhs(state):
-            return deturck_rhs(state, g_ref)
-    else:
-        def rhs(state):
-            dg, db, sol = mu_gradient_flow_rhs(
-                state, tol=eigen_tol, w0=_predict(history, state.time))
-            _remember(history, state.time, sol.w.values)
-            totals.update(outer=sol.iterations, cg=sol.cg_iterations)
-            return dg, db, sol
-    return rhs
+def _warm_solve(solve, t, history, totals):
+    """solve(w0), an eigensolve at time t returning its eigenpair last, from
+    _predict of the run's history, which then remembers the eigenfunction;
+    totals counts the iterations. A solve that raises touches neither."""
+    out = solve(_predict(history, t))
+    sol = out[-1]
+    _remember(history, t, sol.w.values)
+    totals.update(outer=sol.iterations, cg=sol.cg_iterations)
+    return out
+
+
+def _rhs(gauge, state, g_ref, eigen_tol, history, totals):
+    """(dg, db, extra) of the gauge; only a spectral one joins the stream."""
+    if not gauge.spectral:
+        return gauge.rhs(state, g_ref, eigen_tol, None)
+    return _warm_solve(lambda w0: gauge.rhs(state, g_ref, eigen_tol, w0),
+                       state.time, history, totals)
 
 
 def _slope(k):
@@ -298,27 +324,16 @@ def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL):
     times, then raises StepSizeError; a failed stage raises it too.
     Overflow is reported by the field checks, not by numpy warnings.
     """
-    rhs = _make_rhs(rhs_kind, g_ref, eigen_tol, [], collections.Counter())
-    return _rk4_with_retries(state, dt, lambda s: _slope(rhs(s)), _advance,
-                             state.time)[0]
+    gauge, history, totals = _gauge(rhs_kind), [], collections.Counter()
+    return _rk4_with_retries(
+        state, dt,
+        lambda s: _slope(_rhs(gauge, s, g_ref, eigen_tol, history, totals)),
+        _advance, state.time)[0]
 
 
 def _pair_l2(g, dg, db, weight=None):
     sq = weighted_inner(dg, dg, g, weight) + weighted_inner(db, db, g, weight)
     return math.sqrt(max(sq, 0.0))
-
-
-def _side_eigenpair(state, h, eigen_tol, history, totals):
-    """The eigenpair of a diagnostics row in a gauge that solves none, started
-    from _predict of the side history, counted in totals; None on failure."""
-    try:
-        sol = lowest_eigenpair(state.g, h, tol=eigen_tol,
-                               w0=_predict(history, state.time))
-    except (ConvergenceError, NonFiniteError):
-        return None
-    _remember(history, state.time, sol.w.values)
-    totals.update(outer=sol.iterations, cg=sol.cg_iterations)
-    return sol
 
 
 def _diagnostics_row(state, h, dt, rhs_l2, sol):
@@ -360,16 +375,17 @@ def run_flow(initial, config, g_ref=None):
     (NonFiniteError), not by numpy warnings. Diagnostics are recorded every
     record_every accepted steps and always at the endpoint.
     """
-    totals = collections.Counter()
-    rhs = _make_rhs(config.gauge, g_ref, config.eigen_tol, [], totals)
-    side_history = []
+    gauge, history, totals = _gauge(config.gauge), [], collections.Counter()
     side_failures = 0
 
-    state = replace(initial, gauge=config.gauge)
+    def rhs(s):
+        return _rhs(gauge, s, g_ref, config.eigen_tol, history, totals)
+
+    state = initial
     states = [state]
     records = []
     gauge_series = [] if (config.keep_gauge_fields
-                          and config.gauge == "deturck") else None
+                          and gauge.keeps_fields) else None
     verdict, reason = "DIVERGED", "step budget exhausted"
     steps = 0
     while True:
@@ -383,12 +399,9 @@ def run_flow(initial, config, g_ref=None):
         dt = config.cfl * state.g.grid.min_spacing ** 2 / speed
         dt = min(dt, config.t_max - state.time)
 
-        if config.gauge == "mu_gradient":
-            sol = k1[2]
-            weight = ScalarField(state.g.grid, np.exp(-sol.f.values))
-        else:
-            sol = None
-            weight = None
+        sol = k1[2] if gauge.spectral else None
+        weight = (ScalarField(state.g.grid, np.exp(-sol.f.values))
+                  if gauge.spectral else None)
         rhs_l2 = _pair_l2(state.g, k1[0], k1[1], weight)
 
         stopping = rhs_l2 < config.stop_tol
@@ -401,9 +414,12 @@ def run_flow(initial, config, g_ref=None):
             h = field_strength_values(state.g.grid, state.b.values,
                                       state.hhat)
             if sol is None:
-                sol = _side_eigenpair(state, h, config.eigen_tol,
-                                      side_history, totals)
-                side_failures += sol is None
+                try:
+                    sol, = _warm_solve(lambda w0: (lowest_eigenpair(
+                        state.g, h, tol=config.eigen_tol, w0=w0),),
+                        state.time, history, totals)
+                except (ConvergenceError, NonFiniteError):
+                    side_failures += 1
             records.append(_diagnostics_row(state, h, dt, rhs_l2, sol))
         if stopping:
             verdict, reason = "CONVERGED", ""
@@ -431,7 +447,8 @@ def run_flow(initial, config, g_ref=None):
     if states[-1] is not state:
         states.append(state)
     return Trajectory(states=states, records=records, verdict=verdict,
-                      reason=reason, gauge_series=gauge_series,
+                      gauge=config.gauge, reason=reason,
+                      gauge_series=gauge_series,
                       side_eig_failures=side_failures,
                       eig_outer_iterations=totals["outer"],
                       eig_cg_iterations=totals["cg"])

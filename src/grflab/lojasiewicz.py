@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .flow import _gauge
 
 _ROUNDING_SLACK = 1e-12
 
@@ -54,11 +55,9 @@ class LojasiewiczFit:
 
 def _records_of(trajectory):
     if hasattr(trajectory, "records"):
-        if getattr(trajectory, "states", None):
-            gauge = trajectory.states[-1].gauge
-            if gauge != "mu_gradient":
-                raise ConfigError(
-                    f"exponent fit needs a mu_gradient trajectory, got {gauge!r}")
+        if not _gauge(trajectory.gauge).spectral:
+            raise ConfigError("exponent fit needs a trajectory of a spectral "
+                              f"gauge, got {trajectory.gauge!r}")
         return trajectory.records
     return list(trajectory)
 
@@ -88,11 +87,11 @@ def _feasible_cap(log_lam, log_grad):
 def lojasiewicz_estimate(trajectory, window_fraction=0.5, min_samples=10):
     """Fit the gradient-inequality exponent on a trajectory's tail.
 
-    trajectory is a Trajectory from the mu_gradient gauge (or a bare list of
-    record dicts with keys t, lambda, rhs_l2). Samples with lambda >= 0 or a
-    vanishing gradient norm are excluded and counted. The fit window is the
-    trailing window_fraction, in (0, 1], of the remaining samples; fewer than
-    min_samples usable rows is an error.
+    trajectory is a Trajectory of a spectral gauge (its rhs_l2 is the gradient
+    norm) or a bare list of record dicts with keys t, lambda, rhs_l2. Samples
+    with lambda >= 0 or a vanishing gradient norm are excluded and counted.
+    The fit window is the trailing window_fraction, in (0, 1], of the
+    remaining samples; fewer than min_samples usable rows is an error.
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ConfigError(

@@ -34,7 +34,7 @@ from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
 from grflab.experiments import perturbed_state as canned_state
 from grflab import flow, spectrum
 from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
-                         _remember, _side_eigenpair)
+                         _remember, _warm_solve)
 from grflab.spectrum import (critical_point_diagnostics, energy_functional,
                              identity_gap)
 
@@ -270,7 +270,12 @@ def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
     state = perturbed_state(8, 0.05, seed=3)
     h = state.field_strength().values
     history, totals = [], collections.Counter()
-    sol = _side_eigenpair(state, h, 1e-9, history, totals)
+
+    def side_solve(s):
+        # the side solve of run_flow: the eigenpair alone, looked up in flow
+        return lambda w0: (flow.lowest_eigenpair(s.g, h, tol=1e-9, w0=w0),)
+
+    sol, = _warm_solve(side_solve(state), state.time, history, totals)
     assert [t for t, _ in history] == [0.0]
     assert history[0][1] is sol.w.values
     assert totals == {"outer": sol.iterations, "cg": sol.cg_iterations}
@@ -281,9 +286,14 @@ def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
     monkeypatch.setattr(flow, "lowest_eigenpair", failing)
     before, counted = list(history), dict(totals)
     later = replace(state, time=0.5)
-    assert _side_eigenpair(later, h, 1e-9, history, totals) is None
+    with pytest.raises(ConvergenceError):
+        _warm_solve(side_solve(later), later.time, history, totals)
     assert history == before
     assert totals == counted
+    # a run counts such a row as a failed side solve and blanks its columns
+    traj = run_flow(state, FlowConfig(gauge="grf", t_max=0.01))
+    assert traj.side_eig_failures == len(traj.records) > 0
+    assert all(np.isnan(r["lambda"]) for r in traj.records)
 
 
 def _golden_mu_run(monkeypatch, cold=False):
@@ -371,6 +381,8 @@ def test_gauge_series_only_for_deturck():
 
 def test_deturck_requires_reference_metric():
     state = flat_state(8)
+    with pytest.raises(ConfigError, match="reference metric"):
+        deturck_rhs(state, None)
     with pytest.raises(ConfigError):
         run_flow(state, FlowConfig(gauge="deturck", t_max=1.0))
     with pytest.raises(ConfigError):
