@@ -22,10 +22,8 @@ from scipy.ndimage import map_coordinates, spline_filter1d
 
 from .errors import FieldError, JacobianError
 from .lattice import (
-    INDEX_LETTERS,
     ScalarField,
     TensorField,
-    contract,
     expand_form,
     expand_symmetric,
     gradient_values,
@@ -160,13 +158,17 @@ def pullback(displacement, fld):
     slots = tuple(np.array(s) for s in zip(*tuples))
     moved = _interpolate(np.moveaxis(source.values[(...,) + slots], -1, 0),
                          coords_index)
-    # contract every slot of the full moved field, each with the Jacobian
-    # columns of the independent components' indices in that slot
-    letters = INDEX_LETTERS[:rank]
-    subscripts = ("..." + letters + "," + ",".join(f"...{c}z" for c in letters)
-                  + "->z...")
-    out = expand(contract(subscripts, expand(moved),
-                          *(jac[..., :, s] for s in slots)))
+    # each independent component i... sums T_{a...}(psi(x)) J^a_i ... over
+    # every full index tuple a..., by multiply-adds in one fixed order
+    full = expand(moved)
+    comps = [0.0] * len(tuples)
+    for p, idx in enumerate(tuples):
+        for src in np.ndindex(*(grid.n_dims,) * rank):
+            term = full[(...,) + src]
+            for a, i in zip(src, idx):
+                term = term * jac[..., a, i]
+            comps[p] = comps[p] + term
+    out = expand(np.stack(comps))
     if is_metric:
         return MetricField(grid, out)
     return TensorField(grid, out, source.symmetry)

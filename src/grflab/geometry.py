@@ -251,13 +251,13 @@ def scalar_curvature(g):
     return ScalarField(g.grid, scalar_curvature_values(g))
 
 
-def hessian_values(g, f_values):
+def hessian_values(g, f_values, df=None):
     """Raw Hess f on full storage, computed on the pairs i <= j (D_i D_j f
-    differentiates D_j f along axis i) and mirrored once."""
+    differentiates D_j f along axis i) and mirrored once. df, when given, is
+    gradient_values(g.grid, f_values); it saves the first derivatives."""
     grid = g.grid
     n = grid.n_dims
-    df = np.stack([diff_values(f_values, c, grid.spacings[c])
-                   for c in range(n)])
+    df = np.moveaxis(gradient_values(grid, f_values) if df is None else df, -1, 0)
     # symmetric_pairs runs (i, i), (i, i + 1), ..., (i, n - 1) for each i
     ddf = np.concatenate([diff_values(df[i:], 1 + i, grid.spacings[i])
                           for i in range(n)])
@@ -270,8 +270,9 @@ def hessian(g, f):
     return TensorField(g.grid, hessian_values(g, f.values), "symmetric2")
 
 
-def gradient_vector_values(g, f_values):
-    df = gradient_values(g.grid, f_values)
+def gradient_vector_values(g, f_values, df=None):
+    """Raw g^ab D_b f; df as in hessian_values."""
+    df = gradient_values(g.grid, f_values) if df is None else df
     return np.einsum("...ab,...b->...a", g.inv_values, df)
 
 

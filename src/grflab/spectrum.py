@@ -18,12 +18,13 @@ oracle.
 
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
-per axis (no FFT per apply), the preconditioner runs on the real-FFT half
-spectrum, and every CG exit is counted (see SpectralSolution).
+per axis, the preconditioner is one small matmul per axis in a real Fourier
+basis, and every CG exit is counted (see SpectralSolution).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -42,13 +43,31 @@ DEFAULT_EIG_TOL = 1e-9
 SHIFT_MARGIN = 0.5
 
 
+@functools.lru_cache(maxsize=None)
+def _real_fourier_basis(m):
+    """Orthonormal real Fourier basis of an even periodic axis of m points, one
+    mode per row (the constant; cos, sin for k = 1 .. m/2 - 1; the Nyquist
+    sawtooth), and each row's wavenumber index k."""
+    j = np.arange(m)
+    k = (j + 1) // 2
+    angle = np.outer(k, 2.0 * np.pi * j / m)
+    rows = np.where(j[:, None] % 2, np.cos(angle), np.sin(angle)) * np.sqrt(2.0 / m)
+    rows[0], rows[-1] = 1.0 / np.sqrt(m), (-1.0) ** j / np.sqrt(m)
+    for arr in (rows, k):
+        arr.setflags(write=False)
+    return rows, k
+
+
 class SchrodingerOperator:
     """Applies Phi_{g,H} and solves shifted systems with it.
 
     The shifted solve uses conjugate gradients on the volume-symmetrized form
     sqrt(det g) (Phi - sigma), preconditioned by the exact inverse of the
-    constant-coefficient surrogate built from the stencil symbol, applied on
-    the real-FFT half spectrum (the symbol is real and even). The
+    constant-coefficient surrogate built from the stencil symbol. The symbol
+    is real and even, so the orthonormal real Fourier basis of each axis
+    diagonalizes it. The preconditioner is the hot path's one BLAS matrix
+    product: its bits repeat on one machine, but OpenBLAS may pick another
+    kernel on another CPU (the golden tests' 1e-12 tolerance absorbs that). The
     preconditioner only accelerates; every accepted answer is certified by the
     true residual. Each solve counts its CG iterations in cg_iterations and
     its exit reason ("converged", "max_iter" or "indefinite") in cg_exits.
@@ -72,17 +91,17 @@ class SchrodingerOperator:
         self.penalty = 4.0 * max(np.pi / h for h in self.grid.spacings) ** 2
         self._penalty_weight = self.penalty / g.sqrt_det_values
         # per axis: the sign vector (-1)^{x_a} of the Nyquist mode, and the
-        # surrogate's |k|^2 and Nyquist band on the real-FFT half spectrum
+        # surrogate's |k|^2 and Nyquist band (last row) in the Fourier basis
         shape, n = self.grid.shape, self.grid.n_dims
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        self._signs, self._sym_sq = [], np.zeros(half)
-        self._nyquist = np.zeros(half, dtype=bool)
+        self._signs, self._sym_sq = [], np.zeros(shape)
+        self._nyquist = np.zeros(shape, dtype=bool)
+        self._bases = [_real_fourier_basis(m)[0] for m in shape]
         for a, m in enumerate(shape):
             bcast = (1,) * (n - 1 - a)
             self._signs.append(((-1.0) ** np.arange(m)).reshape((m,) + bcast))
-            k = stencil_symbol(m, self.grid.spacings[a])[:half[a]]
-            self._sym_sq = self._sym_sq + (k ** 2).reshape((half[a],) + bcast)
-            self._nyquist[(slice(None),) * a + (m // 2,)] = True
+            k = stencil_symbol(m, self.grid.spacings[a])[_real_fourier_basis(m)[1]]
+            self._sym_sq = self._sym_sq + (k ** 2).reshape((m,) + bcast)
+            self._nyquist[(slice(None),) * a + (m - 1,)] = True
         self.cg_iterations = 0
         self.cg_exits = {"converged": 0, "max_iter": 0, "indefinite": 0}
 
@@ -105,15 +124,25 @@ class SchrodingerOperator:
         return np.sqrt(max(self.volume_dot(u, u), 0.0))
 
     def _preconditioner(self, sigma):
-        """r -> the surrogate's exact inverse applied to r, via rfftn/irfftn."""
+        """r -> the surrogate's exact inverse applied to r: one m x m matmul
+        per axis into the real Fourier basis, a divide by the symbol, and one
+        per axis back."""
         c0 = max(float(np.mean(self.potential)) - sigma, 0.1)
         mean_sq = float(np.mean(self.g.sqrt_det_values))
         symbol = mean_sq * (4.0 * self._sym_sq + c0) + self.penalty * self._nyquist
         shape = self.grid.shape
-        axes = tuple(range(len(shape)))
+
+        def along_axes(u, mats):
+            # the last axis is one (outer, m) @ (m, m) product, each other
+            # axis a batch of (m, m) @ (m, inner) products
+            u = u.reshape(-1, shape[-1]) @ mats[-1].T
+            for a, mat in enumerate(mats[:-1]):
+                u = mat @ u.reshape(math.prod(shape[:a]), shape[a], -1)
+            return u.reshape(shape)
 
         def precondition(r):
-            return np.fft.irfftn(np.fft.rfftn(r, axes=axes) / symbol, s=shape, axes=axes)
+            coeffs = along_axes(r, self._bases) / symbol
+            return along_axes(coeffs, [basis.T for basis in self._bases])
         return precondition
 
     def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000,
@@ -135,29 +164,25 @@ class SchrodingerOperator:
         r = b - sq * (phi - sigma * x)
         b_norm = float(np.linalg.norm(b))
         iterations, reason = 0, "converged"
-        if b_norm > 0.0:
+        while b_norm > 0.0 and not float(np.linalg.norm(r)) <= rtol * b_norm:
+            if iterations == max_iter:
+                reason = "max_iter"
+                break
             z = precondition(r)
-            p = z
-            rz = float(np.sum(r * z))
-            while not float(np.linalg.norm(r)) <= rtol * b_norm:
-                if iterations == max_iter:
-                    reason = "max_iter"
-                    break
-                q = apply_b(p)
-                pq = float(np.sum(p * q))
-                if pq <= 0.0:
-                    # shifted operator lost definiteness along p; the partial
-                    # solve is still a useful inverse-iteration step
-                    reason = "indefinite"
-                    break
-                alpha = rz / pq
-                x = x + alpha * p
-                r = r - alpha * q
-                z = precondition(r)
-                rz_new = float(np.sum(r * z))
-                p = z + (rz_new / rz) * p
-                rz = rz_new
-                iterations += 1
+            rz_new = float(np.sum(r * z))
+            p = z if iterations == 0 else z + (rz_new / rz) * p
+            rz = rz_new
+            q = apply_b(p)
+            pq = float(np.sum(p * q))
+            if pq <= 0.0:
+                # shifted operator lost definiteness along p; the partial
+                # solve is still a useful inverse-iteration step
+                reason = "indefinite"
+                break
+            alpha = rz / pq
+            x = x + alpha * p
+            r = r - alpha * q
+            iterations += 1
         self.cg_iterations += iterations
         self.cg_exits[reason] += 1
         return x
@@ -377,16 +402,13 @@ class MuGradient:
 def assemble_mu_gradient(g, H, sol):
     """The gradient of mu at (g, H) from its solved eigenpair sol; H is a
     3-form field or its component array."""
-    h = _form_values(H)
-    g_part_vals = (
-        -ricci_values(g)
-        - hessian_values(g, sol.f.values)
-        + 0.25 * h_squared_values(g, h)
-    )
+    h, f = _form_values(H), sol.f.values
+    df = gradient_values(g.grid, f)  # shared by Hess f and grad f
+    g_part_vals = (-ricci_values(g) - hessian_values(g, f, df)
+                   + 0.25 * h_squared_values(g, h))
     b_part_vals = -0.5 * (
         codifferential_values(g, h)
-        + interior_product_values(gradient_vector_values(g, sol.f.values), h)
-    )
+        + interior_product_values(gradient_vector_values(g, f, df), h))
     return MuGradient(
         g_part=TensorField(g.grid, g_part_vals, "symmetric2"),
         b_part=TensorField(g.grid, b_part_vals, "antisymmetric"),

@@ -348,6 +348,23 @@ def complex_fft_preconditioner(op, sigma, r):
     return np.real(np.fft.ifftn(np.fft.fftn(r) / symbol))
 
 
+def real_fft_preconditioner(op, sigma, r):
+    """The same preconditioner on the real-FFT half spectrum, rfftn, a divide
+    by the symbol and irfftn, as the eigensolver first applied it."""
+    grid = op.grid
+    shape, n = grid.shape, grid.n_dims
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    sym_sq = np.zeros(half)
+    for a, m in enumerate(shape):
+        k = stencil_wavenumber(np.fft.fftfreq(m) * m, m, grid.periods[a])[:half[a]]
+        sym_sq = sym_sq + (k ** 2).reshape((half[a],) + (1,) * (n - 1 - a))
+    c0 = max(float(np.mean(op.potential)) - sigma, 0.1)
+    symbol = (float(np.mean(op.g.sqrt_det_values)) * (4.0 * sym_sq + c0)
+              + op.penalty * _nyquist_mask(shape)[..., :half[-1]])
+    axes = tuple(range(n))
+    return np.fft.irfftn(np.fft.rfftn(r, axes=axes) / symbol, s=shape, axes=axes)
+
+
 def interpolate_grid_wrap(values, coords_index):
     """Periodic cubic spline of one component at grid-index coordinates, one
     prefiltering map_coordinates call in grid-wrap mode, as the diffeomorphism

@@ -1,8 +1,10 @@
 """Tier-1 runs of the canned pipelines that reach the shared mu-gradient
-assembly, the Runge-Kutta step and the eigensolver (about 2 s in total)."""
+assembly, the Runge-Kutta step and the eigensolver (about 2 s in total, and
+about 20 s more for the two full N = 8 runs of the repeat test)."""
 
 import math
 
+import numpy as np
 import pytest
 
 from grflab.experiments import (
@@ -112,3 +114,16 @@ def test_failed_side_eigensolves_are_counted(monkeypatch, error):
     assert summary["eig_cg_iterations"] == 0
     for key in ("verdict", "reason", "n_records", "t_end", "passed"):
         assert summary[key] == reference[key], key
+
+
+def test_monotonicity_run_repeats_its_csv_bytes_in_one_process(tmp_path):
+    # the benchmark's repeat gate: the same input twice in one interpreter,
+    # with the allocator's state moved in between, writes the same bytes
+    first, _ = monotonicity_run(resolution=8)
+    flow.write_trajectory_csv(first, tmp_path / "first.csv")
+    junk = [np.empty(8 * k + 8) for k in range(1, 200)]
+    second, _ = monotonicity_run(resolution=8)
+    flow.write_trajectory_csv(second, tmp_path / "second.csv")
+    del junk
+    assert ((tmp_path / "first.csv").read_bytes()
+            == (tmp_path / "second.csv").read_bytes())

@@ -25,6 +25,7 @@ from grflab import geometry
 from grflab.geometry import laplacian_values, ricci_values
 from grflab.spectrum import (
     SchrodingerOperator,
+    _real_fourier_basis,
     field_strength_values,
     total_field_strength,
 )
@@ -36,6 +37,7 @@ from grflab.lattice import (
     increasing_tuples,
     pointwise_inner_values,
     pointwise_minors,
+    stencil_symbol,
     symmetric_pairs,
 )
 
@@ -53,6 +55,7 @@ from oracles import (
     inverse_and_det_full,
     interior_product_full,
     lie_derivative_full,
+    real_fft_preconditioner,
     ricci_full,
     ricci_full_stack,
     roll_derivative,
@@ -618,6 +621,49 @@ def test_real_fft_preconditioner_matches_the_complex_one(resolutions, periods):
         out = op._preconditioner(sigma)(r)
         assert out.shape == r.shape
         assert _rel_gap(out, complex_fft_preconditioner(op, sigma, r)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [8, 10, 12, 16, 24, 32])
+def test_real_fourier_basis_is_orthonormal_and_diagonalizes_the_stencil(m):
+    rows, k = _real_fourier_basis(m)
+    assert np.max(np.abs(rows @ rows.T - np.eye(m))) < 1e-14
+    # row j is an eigenvector of D o D with eigenvalue -symbol(k_j)^2
+    h = 2.0 * np.pi / m
+    second = diff_values(diff_values(rows, 1, h), 1, h)
+    sym_sq = stencil_symbol(m, h)[k] ** 2
+    assert np.max(np.abs(second + sym_sq[:, None] * rows)) < 1e-13 * np.max(sym_sq)
+    assert k[0] == 0 and k[-1] == m // 2
+    assert np.array_equal(rows[-1] * np.sqrt(m), (-1.0) ** np.arange(m))
+
+
+@pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)
+def test_preconditioner_matches_the_real_fft_one(resolutions, periods):
+    op, r = _schrodinger_setup(resolutions, periods, 36)
+    mean_potential = float(np.mean(op.potential))
+    for sigma in (mean_potential - 2.0, mean_potential + 50.0):
+        out = op._preconditioner(sigma)(r)
+        assert _rel_gap(out, real_fft_preconditioner(op, sigma, r)) < 1e-13
+
+
+def _at_byte_offset(values, offset):
+    """A copy of values whose data starts offset bytes past a 64-byte boundary."""
+    buf = np.empty(values.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start:start + values.nbytes].view(values.dtype).reshape(values.shape)
+    out[...] = values
+    return out
+
+
+@pytest.mark.parametrize("resolutions, periods",
+                         ANISOTROPIC_GRIDS + [((12, 12, 12), (2.0 * np.pi,) * 3)])
+def test_preconditioner_bits_do_not_depend_on_alignment(resolutions, periods):
+    op, r = _schrodinger_setup(resolutions, periods, 37)
+    precondition = op._preconditioner(float(np.mean(op.potential)) - 1.0)
+    ref = precondition(_at_byte_offset(r, 0))
+    for offset in range(8, 64, 8):
+        shifted = _at_byte_offset(r, offset)
+        assert shifted.ctypes.data % 64 == offset
+        assert np.array_equal(precondition(shifted), ref)
 
 
 @pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)

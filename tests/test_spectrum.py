@@ -21,10 +21,15 @@ from grflab import (
     step,
     total_field_strength,
 )
+from grflab import geometry, lattice
 from grflab.errors import ConvergenceError
-from grflab.geometry import codifferential_values, exterior_derivative_values
+from grflab.experiments import perturbed_state
+from grflab.geometry import (
+    codifferential_values, exterior_derivative_values, gradient_vector_values,
+    h_squared_values, hessian_values, interior_product_values, ricci_values)
 from grflab.lattice import diff_values
-from grflab.spectrum import mu_directional_derivative, schrodinger_apply
+from grflab.spectrum import (
+    assemble_mu_gradient, mu_directional_derivative, schrodinger_apply)
 
 from oracles import ConformalOracle, normalize_profile
 
@@ -273,6 +278,52 @@ def test_solve_with_phi_x0_is_bit_identical(dims):
     reused = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8,
                               phi_x0=phi_w / 0.5)
     assert np.array_equal(plain, reused)
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1.0])
+def test_a_converged_solve_preconditions_once_per_iteration(rtol):
+    # the residual that passes the test is never preconditioned; rtol = 1
+    # passes the initial residual of a zero start
+    op, w, sigma = _shifted_system(3)
+    make = op._preconditioner
+    calls = []
+
+    def counting(shift):
+        precondition = make(shift)
+
+        def counted(r):
+            calls.append(shift)
+            return precondition(r)
+        return counted
+
+    op._preconditioner = counting
+    op.solve_shifted(w, sigma, rtol=rtol)
+    assert op.cg_exits["converged"] == 1
+    assert len(calls) == op.cg_iterations
+    assert (op.cg_iterations > 0) == (rtol < 1.0)
+
+
+def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
+    state = perturbed_state(resolution=8, seed=5)
+    g, H = state.g, state.field_strength()
+    sol = lowest_eigenpair(g, H)
+    f, h = sol.f.values, H.values
+    g_part = (-ricci_values(g) - hessian_values(g, f)
+              + 0.25 * h_squared_values(g, h))
+    b_part = -0.5 * (codifferential_values(g, h) + interior_product_values(
+        gradient_vector_values(g, f), h))
+    calls = []
+
+    def counting(values, axis, spacing):
+        calls.append(values is f)
+        return diff_values(values, axis, spacing)
+
+    monkeypatch.setattr(lattice, "diff_values", counting)
+    monkeypatch.setattr(geometry, "diff_values", counting)
+    grad = assemble_mu_gradient(g, H, sol)
+    assert sum(calls) == g.grid.n_dims
+    assert np.array_equal(grad.g_part.values, g_part)
+    assert np.array_equal(grad.b_part.values, b_part)
 
 
 def test_cg_counts_an_exit_on_max_iter():
