@@ -21,28 +21,9 @@ from .lattice import (
     Grid,
     ScalarField,
     TensorField,
-    integrate,
-    partial_derivative,
     weighted_inner,
 )
-from .geometry import (
-    MetricField,
-    christoffel,
-    codifferential,
-    deturck_vector,
-    exterior_derivative,
-    flat_metric,
-    form_norm_sq,
-    gradient_vector,
-    h_squared,
-    hessian,
-    hodge_laplacian,
-    interior_product,
-    laplace_beltrami,
-    lie_derivative_metric,
-    ricci,
-    scalar_curvature,
-)
+from .geometry import MetricField, flat_metric, scalar_curvature
 from .spectrum import (
     CriticalPointReport,
     MuGradient,
@@ -50,7 +31,6 @@ from .spectrum import (
     SpectralSolution,
     assemble_mu_gradient,
     critical_point_diagnostics,
-    energy_functional,
     f_equation_residual,
     lowest_eigenpair,
     mu_directional_derivative,
@@ -66,7 +46,6 @@ from .flow import (
     deturck_rhs,
     grf_rhs,
     mu_gradient_flow_rhs,
-    read_trajectory_csv,
     run_flow,
     step,
     write_records_csv,

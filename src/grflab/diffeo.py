@@ -35,14 +35,9 @@ from .geometry import MetricField
 _MIN_JACOBIAN = 0.1
 
 
-def _dense_coordinates(grid):
-    axes = [grid.axis_coordinates(a) for a in range(grid.n_dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=0)
-
-
-def _index_coordinates(grid, base, u_values):
+def _index_coordinates(grid, u_values):
     """Grid-index coordinates of psi(x) = x + u(x), the axis first."""
+    base = grid.coordinate_arrays()
     return np.stack([(base[a] + u_values[..., a]) / grid.spacings[a]
                      for a in range(grid.n_dims)], axis=0)
 
@@ -89,14 +84,13 @@ def diffeo_flow(x_series, grid, record_every=0):
     diffeomorphism guard det J > 0.1.
     """
     n = grid.n_dims
-    base = _dense_coordinates(grid)
     u = np.zeros(grid.shape + (n,))
     maps = [(x_series[0][0] if x_series else 0.0,
              TensorField(grid, u.copy(), "vector"))]
 
     def stage_velocity(x_field, u_now):
         moved = _interpolate(np.moveaxis(x_field.values, -1, 0),
-                             _index_coordinates(grid, base, u_now))
+                             _index_coordinates(grid, u_now))
         return -np.moveaxis(moved, 0, -1)
 
     for index, (t, dt, stages) in enumerate(x_series):
@@ -144,7 +138,7 @@ def pullback(displacement, fld):
     u = displacement.values
     jac = displacement_jacobian(grid, u)
     _check_jacobian(jac)
-    coords_index = _index_coordinates(grid, _dense_coordinates(grid), u)
+    coords_index = _index_coordinates(grid, u)
 
     is_metric = isinstance(fld, MetricField)
     source = fld.field if is_metric else fld

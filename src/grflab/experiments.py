@@ -56,7 +56,7 @@ _ALGEBRAS = {
 
 
 def background_three_form(grid, c):
-    """The constant 3-form c e^1 ^ e^2 ^ e^3 as a component array."""
+    """The constant 3-form c e^1 ^ e^2 ^ e^3 as a validated TensorField."""
     if grid.n_dims != 3:
         raise ConfigError("the constant 3-form background needs three axes")
     return TensorField(grid, expand_form([np.full(grid.shape, float(c))], 3, 3),
@@ -144,8 +144,10 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
     For each seed: a perturbed state, one seeded direction pair (metric
     direction from seed + 77, form direction from seed + 177, both at unit
     amplitude), the central difference of mu at half-width eps, and the
-    gradient pairing. The relative errors are the package's primary
-    correctness certificate for the variational structure.
+    gradient pairing. Both side solves of the difference start from the
+    eigenfunction the gradient solved, so a seed costs three eigensolves.
+    The relative errors are the package's primary correctness certificate
+    for the variational structure.
     """
     rows = []
     for seed in seeds:
@@ -158,7 +160,8 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
         grad = mu_gradient(state.g, state.b, tol=eigen_tol)
         paired = grad.pair(state.g, h_dir, b_dir)
         fd = mu_directional_derivative(state.g, state.b, h_dir, b_dir,
-                                       eps=eps, tol=eigen_tol)
+                                       grad.solution.w, eps=eps,
+                                       tol=eigen_tol)
         denom = max(abs(fd), 1e-30)
         rows.append({
             "seed": seed,

@@ -454,32 +454,6 @@ def run_flow(initial, config, g_ref=None):
                       eig_cg_iterations=totals["cg"])
 
 
-def read_trajectory_csv(path):
-    """Load a diagnostics table back as a list of record dicts.
-
-    Columns come from the header line; all values parse as floats. The result
-    feeds lojasiewicz_estimate directly.
-    """
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ConfigError(f"empty trajectory table: {path}")
-    header = lines[0].split(",")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(
-                f"malformed trajectory row in {path}: {line[:60]!r}")
-        try:
-            records.append(
-                {key: float(val) for key, val in zip(header, parts)})
-        except ValueError:
-            raise ConfigError(
-                f"non-numeric value in trajectory row: {line[:60]!r}")
-    return records
-
-
 def write_records_csv(records, columns, path):
     """Export record dicts, one row per record.
 

@@ -14,12 +14,11 @@ Symmetric 2-tensors are treated the same way: the connection, Ricci, Hessian
 and Lie-derivative kernels compute on the n(n+1)/2 pairs i <= j only, with
 index sums as elementwise multiply-adds, and mirror each result once, which
 makes it exactly symmetric. The Christoffel symbols are cached on those pairs
-(christoffel_values); only the public christoffel expands them to full
-storage, per call.
+(christoffel_values) and never expanded to full storage.
 
-Kernels compose raw arrays: each operator has a `*_values` body, and its
-public form is a wrapper that checks the input tags and validates the output.
-Fields are validated where they enter or leave the system, not in between.
+Each operator is one `*_values` kernel on raw component arrays; a form's
+degree is read off its array's rank. Fields are validated where they enter or
+leave the system (MetricField, ScalarField, TensorField), not in between.
 A metric is certified where it enters, by MetricField, with multiply-adds on
 its component arrays: positivity by the pivots of an LDL^T, then its inverse.
 
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FieldError, PositivityError
+from .errors import PositivityError
 from .lattice import (
     ScalarField,
     TensorField,
@@ -197,20 +196,9 @@ def christoffel_values(g):
     return g._cached("christoffel", build)
 
 
-def christoffel(g):
-    """Levi-Civita connection coefficients Gamma^k_ij of the metric, on
-    full storage expanded from christoffel_values per call, never cached.
-
-    Exactly symmetric in the lower index pair by construction.
-    """
-    table = symmetric_pairs(g.grid.n_dims)[2]
-    full = np.moveaxis(christoffel_values(g), (0, 1), (-2, -1))[..., table]
-    return TensorField(g.grid, full, "general")
-
-
 def ricci_values(g):
-    """Ricci tensor on full storage, its four terms computed on the pairs
-    i <= j and mirrored once."""
+    """Ricci tensor from the curvature of the Levi-Civita connection, on full
+    storage, its four terms computed on the pairs i <= j and mirrored once."""
     def build():
         grid = g.grid
         n = grid.n_dims
@@ -235,11 +223,6 @@ def ricci_values(g):
     return g._cached("ricci", build)
 
 
-def ricci(g):
-    """Ricci tensor from the curvature of the Levi-Civita connection."""
-    return TensorField(g.grid, ricci_values(g), "symmetric2")
-
-
 def scalar_curvature_values(g):
     def build():
         return contract("...ij,...ij->...", g.inv_values, ricci_values(g))
@@ -252,7 +235,8 @@ def scalar_curvature(g):
 
 
 def hessian_values(g, f_values, df=None):
-    """Raw Hess f on full storage, computed on the pairs i <= j (D_i D_j f
+    """Covariant Hessian Hess f = D_i D_j f - Gamma^k_ij D_k f of a scalar
+    array on full storage, computed on the pairs i <= j (D_i D_j f
     differentiates D_j f along axis i) and mirrored once. df, when given, is
     gradient_values(g.grid, f_values); it saves the first derivatives."""
     grid = g.grid
@@ -265,27 +249,21 @@ def hessian_values(g, f_values, df=None):
     return expand_symmetric(ddf - sum(gam[k] * df[k] for k in range(n)), n)
 
 
-def hessian(g, f):
-    """Covariant Hessian of a scalar, Hess f = D_i D_j f - Gamma^k_ij D_k f."""
-    return TensorField(g.grid, hessian_values(g, f.values), "symmetric2")
-
-
 def gradient_vector_values(g, f_values, df=None):
-    """Raw g^ab D_b f; df as in hessian_values."""
+    """Metric gradient g^ab D_b f of a scalar array, a contravariant array;
+    df as in hessian_values."""
     df = gradient_values(g.grid, f_values) if df is None else df
     return np.einsum("...ab,...b->...a", g.inv_values, df)
 
 
-def gradient_vector(g, f):
-    """Metric gradient of a scalar as a contravariant field."""
-    return TensorField(g.grid, gradient_vector_values(g, f.values), "vector")
-
-
 def laplacian_values(g, values):
-    """Raw scalar Laplacian (1/sqrt g) D_a(sqrt g g^ab D_b u) of a grid array.
+    """Scalar Laplacian (1/sqrt g) D_a(sqrt g g^ab D_b u) of a grid array, with
+    the sign convention Delta = -(d*d), nonpositive.
 
-    The n(n+1)/2 distinct flux coefficients sqrt g g^ab are cached on the
-    metric; each flux component is a contiguous sum of products.
+    It is self-adjoint against the volume-weighted quadrature exactly, by the
+    skew-adjointness of the stencil, not merely to truncation order. The
+    n(n+1)/2 distinct flux coefficients sqrt g g^ab are cached on the metric;
+    each flux component is a contiguous sum of products.
     """
     grid = g.grid
     n, h = grid.n_dims, grid.spacings
@@ -308,19 +286,10 @@ def laplacian_values(g, values):
     return div / g.sqrt_det_values
 
 
-def laplace_beltrami(g, f):
-    """Scalar Laplacian with the sign convention Delta = -(d*d), nonpositive.
-
-    Equals (1/sqrt g) D_a(sqrt g g^ab D_b f) exactly, so it is self-adjoint
-    against the volume-weighted quadrature by the skew-adjointness of the
-    stencil, not merely to truncation order.
-    """
-    return ScalarField(g.grid, laplacian_values(g, f.values))
-
-
 def lie_derivative_metric_values(g, x_values):
-    """Raw L_X g = D_i X_j + D_j X_i - 2 Gamma^k_ij X_k of the lowered field,
-    computed on the pairs i <= j and mirrored once."""
+    """Lie derivative L_X g of the metric along a vector array: the
+    symmetrized covariant derivative D_i X_j + D_j X_i - 2 Gamma^k_ij X_k of
+    the lowered field, computed on the pairs i <= j and mirrored once."""
     grid = g.grid
     n = grid.n_dims
     i, j, _ = symmetric_pairs(n)
@@ -333,41 +302,18 @@ def lie_derivative_metric_values(g, x_values):
     return expand_symmetric(dxl[i, j] + dxl[j, i] - 2.0 * gam_term, n)
 
 
-def lie_derivative_metric(g, x):
-    """Lie derivative of the metric along a vector field, symmetrized covariant
-    derivative of the lowered field."""
-    if x.symmetry != "vector":
-        raise FieldError("lie_derivative_metric expects a contravariant field")
-    return TensorField(g.grid, lie_derivative_metric_values(g, x.values),
-                       "symmetric2")
-
-
 # ---------------------------------------------------------------------------
 # Exterior calculus
 # ---------------------------------------------------------------------------
 
 
-def _form_rank(fld):
-    if isinstance(fld, ScalarField):
-        return 0
-    if fld.rank == 1:
-        if fld.symmetry == "vector":
-            raise FieldError("forms are covariant; got a vector field")
-        return 1
-    if fld.symmetry != "antisymmetric":
-        raise FieldError(f"expected an antisymmetric field, got {fld.symmetry!r}")
-    return fld.rank
-
-
-def _form_field(grid, values, k):
-    """A k-form's value array as the validated field of its degree."""
-    if k == 0:
-        return ScalarField(grid, values)
-    return TensorField(grid, values, "covector" if k == 1 else "antisymmetric")
-
-
 def exterior_derivative_values(grid, values):
-    """Raw d of a k-form array, k < n read off its rank."""
+    """Discrete exterior derivative of a k-form array, k < n read off its rank.
+
+    (d w)_{a0..ak} = sum_m (-1)^m D_{a_m} w_{a0..^a_m..ak}, computed on the
+    increasing index tuples only and expanded, so the output is exactly
+    antisymmetric; d(d w) = 0 holds because coordinate stencils commute.
+    """
     n = grid.n_dims
     k = values.ndim - n
     comps = form_components(values, n, k)
@@ -377,23 +323,17 @@ def exterior_derivative_values(grid, values):
     return expand_form(out, n, k + 1)
 
 
-def exterior_derivative(fld):
-    """Discrete exterior derivative of a form.
-
-    (d w)_{a0..ak} = sum_m (-1)^m D_{a_m} w_{a0..^a_m..ak}, computed on the
-    increasing index tuples only and expanded, so the output is exactly
-    antisymmetric; d(d w) = 0 holds because coordinate stencils commute.
-    """
-    k = _form_rank(fld)
-    if k >= fld.grid.n_dims:
-        # top-degree forms are closed; the would-be (k+1)-form has no slots
-        raise FieldError("exterior derivative of a top-degree form is zero")
-    return _form_field(fld.grid, exterior_derivative_values(fld.grid, fld.values),
-                       k + 1)
-
-
 def codifferential_values(g, values):
-    """Raw d* of a k-form array, k >= 1 read off its rank."""
+    """Codifferential d* of a k-form array, k >= 1 read off its rank: the
+    exact discrete adjoint of exterior_derivative_values, a (k-1)-form.
+
+    Computed as the musical conjugation of the negative stencil divergence:
+    d* w = lower((-1/sqrt g) D_c (sqrt g raise(w)^{c...})), raising with the
+    k x k minors of g^-1 and lowering with the (k-1) x (k-1) minors of g. On
+    a flat metric this is (d* w)_J = -D_c w_{cJ}, the classical
+    codifferential; composed twice it vanishes identically. Against
+    weighted_inner's full-contraction pairing, <d a, b> = k <a, d* b>.
+    """
     n = g.grid.n_dims
     k = values.ndim - n
     sq = g.sqrt_det_values
@@ -410,39 +350,24 @@ def codifferential_values(g, values):
                        n, k - 1)
 
 
-def codifferential(g, fld):
-    """Exact discrete adjoint of the exterior derivative (k-forms to (k-1)-forms).
-
-    Computed as the musical conjugation of the negative stencil divergence:
-    d* w = lower((-1/sqrt g) D_c (sqrt g raise(w)^{c...})), raising with the
-    k x k minors of g^-1 and lowering with the (k-1) x (k-1) minors of g. On
-    a flat metric this is (d* w)_J = -D_c w_{cJ}, the classical
-    codifferential; composed twice it vanishes identically.
-    """
-    k = _form_rank(fld)
-    if k == 0:
-        raise FieldError("codifferential of a scalar is zero by degree")
-    return _form_field(g.grid, codifferential_values(g, fld.values), k - 1)
-
-
-def hodge_laplacian(g, fld):
-    """Hodge Laplacian Delta = -(d d* + d* d), exactly self-adjoint, <= 0.
-
-    On a flat metric it acts componentwise as the flat scalar Laplacian.
-    """
+def hodge_laplacian_values(g, values):
+    """Hodge Laplacian -(d d* + d* d) of a k-form array, k read off its rank:
+    exactly self-adjoint and nonpositive. On a flat metric it acts
+    componentwise as the flat scalar Laplacian."""
     grid = g.grid
-    k = _form_rank(fld)
+    k = values.ndim - grid.n_dims
     total = 0
     if k > 0:
-        total = exterior_derivative_values(grid, codifferential_values(g, fld.values))
+        total = exterior_derivative_values(grid, codifferential_values(g, values))
     if k < grid.n_dims:
         total = total + codifferential_values(
-            g, exterior_derivative_values(grid, fld.values))
-    return _form_field(grid, -total, k)
+            g, exterior_derivative_values(grid, values))
+    return -total
 
 
 def interior_product_values(x_values, values):
-    """Raw X . w of a vector array into the first slot of a k-form array."""
+    """Contraction X . w of a vector array into the first slot of a k-form
+    array, a (k-1)-form."""
     n = x_values.shape[-1]
     k = values.ndim - x_values.ndim + 1
     comps = form_components(values, n, k)
@@ -452,18 +377,13 @@ def interior_product_values(x_values, values):
     return out[0] if k == 1 else expand_form(out, n, k - 1)
 
 
-def interior_product(x, fld):
-    """Contraction of a vector field into the first slot of a form."""
-    if x.symmetry != "vector":
-        raise FieldError("interior product expects a contravariant field")
-    k = _form_rank(fld)
-    if k == 0:
-        raise FieldError("interior product with a scalar is zero by degree")
-    return _form_field(fld.grid, interior_product_values(x.values, fld.values),
-                       k - 1)
-
-
 def h_squared_values(g, h_values):
+    """Pointwise square of a 3-form array as a symmetric 2-tensor.
+
+    (H^2)_ij = H_iab H_jcd g^ac g^bd = 2 sum_{a<b} H_iab H_j^{ab}, with the
+    raised pair from the 2 x 2 minors of g^-1; with the full-contraction norm
+    this satisfies tr_g H^2 = |H|^2 identically.
+    """
     n = g.grid.n_dims
     comps = form_components(h_values, n, 3)
     slots = [[None] * len(increasing_tuples(n, 2)) for _ in range(n)]
@@ -479,43 +399,21 @@ def h_squared_values(g, h_values):
     return out
 
 
-def h_squared(g, H):
-    """Pointwise square of a 3-form as a symmetric 2-tensor.
-
-    (H^2)_ij = H_iab H_jcd g^ac g^bd = 2 sum_{a<b} H_iab H_j^{ab}, with the
-    raised pair from the 2 x 2 minors of g^-1; with the full-contraction norm
-    this satisfies tr_g H^2 = |H|^2 identically.
-    """
-    if _form_rank(H) != 3:
-        raise FieldError("h_squared expects a 3-form")
-    return TensorField(g.grid, h_squared_values(g, H.values), "symmetric2")
-
-
 def form_norm_sq_values(g, values, symmetry):
+    """Pointwise squared norm with full index contraction."""
     return pointwise_inner_values(values, values, values.ndim - g.grid.n_dims,
                                   symmetry, g.inv_values, g.values)
 
 
-def form_norm_sq(g, fld):
-    """Pointwise squared norm with full index contraction."""
-    sym = "scalar" if isinstance(fld, ScalarField) else fld.symmetry
-    return ScalarField(g.grid, form_norm_sq_values(g, fld.values, sym))
-
-
 def deturck_vector_values(g, g_ref):
-    """Raw X^k = g^ij (Gamma(g)^k_ij - Gamma(g_ref)^k_ij), summed over the
-    pairs i <= j with the off-diagonal ones counted twice."""
+    """Gauge vector X^k = g^ij (Gamma(g)^k_ij - Gamma(g_ref)^k_ij), summed over
+    the pairs i <= j with the off-diagonal ones counted twice.
+
+    Measures the failure of the identity map (M, g) -> (M, g_ref) to be
+    harmonic; vanishes identically when both metrics are constant.
+    """
     i, j, _ = symmetric_pairs(g.grid.n_dims)
     weight = np.moveaxis(np.where(i == j, 1.0, 2.0) * g.inv_values[..., i, j],
                          -1, 0)
     diff = christoffel_values(g) - christoffel_values(g_ref)
     return np.moveaxis(np.sum(diff * weight, axis=1), 0, -1)
-
-
-def deturck_vector(g, g_ref):
-    """Gauge vector X^k = g^ij (Gamma(g)^k_ij - Gamma(g_ref)^k_ij).
-
-    Measures the failure of the identity map (M, g) -> (M, g_ref) to be
-    harmonic; vanishes identically when both metrics are constant.
-    """
-    return TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")

@@ -95,10 +95,6 @@ class LieData:
         object.__setattr__(self, "h3", float(self.h3))
 
     @property
-    def unimodular(self):
-        return float(np.max(np.abs(np.einsum("kik->i", self.c)))) <= 1e-12
-
-    @property
     def inv(self):
         return np.linalg.inv(self.g)
 

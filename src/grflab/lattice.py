@@ -83,12 +83,10 @@ class Grid:
         return min(self.spacings)
 
     @property
-    def point_count(self):
-        return int(np.prod(self.resolutions))
-
-    @property
     def cell_volume(self):
-        """Quadrature weight of one grid cell, prod_a h_a."""
+        """Quadrature weight of one grid cell, prod_a h_a. The torus integral
+        sum(u) * cell_volume is exact for trigonometric polynomials below the
+        Nyquist frequency, and vanishes on every stencil derivative."""
         return float(np.prod(self.spacings))
 
     def axis_coordinates(self, axis):
@@ -161,7 +159,7 @@ class TensorField:
     operations are written so the tag is preserved structurally, and a
     violation beyond 1e-12 is a bug in the caller, not something to clean up.
     Fields mark where data enters or leaves the system (inputs, flow states,
-    right-hand-side outputs, public kernels); kernels compose raw arrays.
+    right-hand-side outputs); kernels compose raw arrays.
     """
 
     grid: Grid
@@ -232,22 +230,6 @@ def diff_values(values, axis, spacing):
     return out
 
 
-def partial_derivative(fld, axis):
-    """Componentwise coordinate derivative along a grid axis.
-
-    Rank and symmetry tags pass through unchanged: the derivative acts on each
-    component independently, so a symmetric or antisymmetric field stays
-    exactly so.
-    """
-    grid = fld.grid
-    if not 0 <= axis < grid.n_dims:
-        raise FieldError(f"axis {axis} out of range for {grid.n_dims}D grid")
-    out = diff_values(fld.values, axis, grid.spacings[axis])
-    if isinstance(fld, ScalarField):
-        return ScalarField(grid, out)
-    return TensorField(grid, out, fld.symmetry)
-
-
 def gradient_values(grid, values):
     """All coordinate derivatives, the derivative axis first among components."""
     n = grid.n_dims
@@ -255,16 +237,6 @@ def gradient_values(grid, values):
     for a in range(n):
         out[(slice(None),) * n + (a,)] = diff_values(values, a, grid.spacings[a])
     return out
-
-
-def integrate(fld):
-    """Torus integral with the uniform quadrature sum(u) * prod(h).
-
-    This quadrature is exact for trigonometric polynomials below the Nyquist
-    frequency, and together with the periodic stencil guarantees
-    integrate(partial_derivative(u)) == 0 identically.
-    """
-    return float(np.sum(fld.values)) * fld.grid.cell_volume
 
 
 # Component index letters for generated einsum expressions.

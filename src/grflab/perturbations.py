@@ -45,17 +45,14 @@ def trig_polynomial(grid, rng, component_shape=(), cutoff=1):
     if not modes:
         raise FieldError("frequency cutoff leaves no modes")
     coeffs = rng.uniform(-1.0, 1.0, size=(len(modes),) + tuple(component_shape) + (2,))
-    axes = [grid.axis_coordinates(a) for a in range(grid.n_dims)]
-    angular = [2.0 * np.pi * x / p for x, p in zip(axes, grid.periods)]
+    angular = [2.0 * np.pi * x / p
+               for x, p in zip(grid.coordinate_arrays(), grid.periods)]
     out = np.zeros(tuple(component_shape) + grid.shape)
     for m, k in enumerate(modes):
         phase = np.zeros(grid.shape)
         for a, k_a in enumerate(k):
-            if k_a == 0:
-                continue
-            shape = [1] * grid.n_dims
-            shape[a] = grid.resolutions[a]
-            phase = phase + k_a * angular[a].reshape(shape)
+            if k_a != 0:
+                phase = phase + k_a * angular[a]
         cos, sin = np.cos(phase), np.sin(phase)
         a_k = coeffs[m, ..., 0]
         b_k = coeffs[m, ..., 1]

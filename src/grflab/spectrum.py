@@ -36,7 +36,7 @@ from .lattice import (
 from .geometry import (
     MetricField, codifferential_values, exterior_derivative_values,
     form_norm_sq_values, gradient_vector_values, h_squared_values,
-    hessian_values, hodge_laplacian, interior_product_values, laplace_beltrami,
+    hessian_values, hodge_laplacian_values, interior_product_values,
     laplacian_values, ricci_values, scalar_curvature_values)
 
 DEFAULT_EIG_TOL = 1e-9
@@ -326,23 +326,19 @@ def f_equation_residual(g, H, sol):
     operators; it inherits the discretization error of the chain rule and is
     only solver-small when f is constant.
     """
-    f_eq = (2.0 * laplace_beltrami(g, sol.f).values - _df_sq(g, sol.f)
+    f_eq = (2.0 * laplacian_values(g, sol.f.values) - _df_sq(g, sol.f)
             + _potential(g, H) - sol.lam)
     return float(np.max(np.abs(f_eq)))
 
 
-def energy_functional(g, H, f):
-    """F(g, H, f) = int (R - |H|^2/12 + |df|^2_g) e^{-f} dV_g.
+def _energy(g, potential, f):
+    """F(g, H, f) = int (R - |H|^2/12 + |df|^2_g) e^{-f} dV_g of the profile f
+    from the potential R - |H|^2/12 already built.
 
     Admissible f satisfy int e^{-f} dV_g = 1; adding log int e^{-f} dV_g to
     an arbitrary f moves it into the constraint set. F(g, H, .) is bounded
     below by lambda(g, H) with equality at f = -2 log w.
     """
-    return _energy(g, _potential(g, H), f)
-
-
-def _energy(g, potential, f):
-    """F of the profile f from the potential R - |H|^2/12 already built."""
     density = ((potential + _df_sq(g, f)) * np.exp(-f.values)
                * g.sqrt_det_values)
     return float(np.sum(density)) * g.grid.cell_volume
@@ -422,12 +418,10 @@ def mu_gradient(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
     return assemble_mu_gradient(g, H, lowest_eigenpair(g, H, tol=tol, w0=w0))
 
 
-def mu_directional_derivative(g, b, h, beta, hhat=None, eps=1e-4,
-                              tol=DEFAULT_EIG_TOL, w0=None):
-    """Central finite difference of mu along (h, beta); the gradient oracle."""
-    if w0 is None:
-        H = total_field_strength(g.grid, b, hhat)
-        w0 = lowest_eigenpair(g, H, tol=tol).w
+def mu_directional_derivative(g, b, h, beta, w0, hhat=None, eps=1e-4,
+                              tol=DEFAULT_EIG_TOL):
+    """Central finite difference of mu along (h, beta); the gradient oracle.
+    w0, the eigenfunction solved at (g, b), starts both side solves."""
     values = []
     for sgn in (+1.0, -1.0):
         g_side = MetricField(g.grid, g.values + sgn * eps * h.values)
@@ -475,7 +469,7 @@ def critical_point_diagnostics(g, H, sol=None, tol=DEFAULT_EIG_TOL):
         mu_grad_b=float(np.max(np.abs(grad.b_part.values))),
         ricci_vs_h2=float(np.max(np.abs(
             ricci_values(g) - 0.25 * h_squared_values(g, H.values)))),
-        hodge_h=float(np.max(np.abs(hodge_laplacian(g, H).values))),
+        hodge_h=float(np.max(np.abs(hodge_laplacian_values(g, H.values)))),
         scalar_gap=float(np.max(np.abs(_potential(g, H)))),
         identity_gap=identity_gap(g, H, sol),
     )

@@ -11,28 +11,30 @@ component storage with per-point matmuls, einsums and FFTs; the package's
 kernels on independent components must agree with them to rounding.
 
 Only the last section calls the package: it composes the three flow
-right-hand sides through the public, validating kernels. The flows assemble
-the same formulas on raw arrays, and the tests require the two to agree bit
-for bit.
+right-hand sides kernel by kernel from the validated field strength, one
+`*_values` kernel per term. The flows assemble the same formulas, sharing
+intermediates, and the tests require the two to agree bit for bit.
+form_field wraps a raw form array as the validated field of its degree, for
+the tests that pair kernel outputs with weighted_inner.
 """
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from grflab import (
-    Grid,
-    MetricField,
-    ScalarField,
-    codifferential,
-    deturck_vector,
-    gradient_vector,
-    h_squared,
-    hessian,
-    interior_product,
-    lie_derivative_metric,
-    lowest_eigenpair,
-    ricci,
-)
+from grflab import Grid, MetricField, ScalarField, TensorField, lowest_eigenpair
+from grflab.geometry import (
+    codifferential_values, deturck_vector_values, gradient_vector_values,
+    h_squared_values, hessian_values, interior_product_values,
+    lie_derivative_metric_values, ricci_values)
+
+
+def form_field(grid, values):
+    """A raw k-form array, k read off its rank, as the validated field of its
+    degree: a scalar, a covector or an antisymmetric tensor."""
+    k = values.ndim - grid.n_dims
+    if k == 0:
+        return ScalarField(grid, values)
+    return TensorField(grid, values, "covector" if k == 1 else "antisymmetric")
 
 
 def normalize_profile(g, f):
@@ -410,33 +412,35 @@ def pullback_full(u_values, values, spacings, symmetric=False):
 
 
 # ---------------------------------------------------------------------------
-# Flow right-hand sides composed through the public kernels
+# Flow right-hand sides composed kernel by kernel
 # ---------------------------------------------------------------------------
 
 
-def grf_rhs_public(state):
-    """(dg, db) of the plain coupled flow, every piece a validated field."""
-    g, H = state.g, state.field_strength()
-    dg = -2.0 * ricci(g).values + 0.5 * h_squared(g, H).values
-    return dg, -codifferential(g, H).values
+def grf_rhs_reference(state):
+    """(dg, db) of the plain coupled flow from the validated field strength."""
+    g, H = state.g, state.field_strength().values
+    dg = -2.0 * ricci_values(g) + 0.5 * h_squared_values(g, H)
+    return dg, -codifferential_values(g, H)
 
 
-def deturck_rhs_public(state, g_ref):
-    """(dg, db, X) of the DeTurck-gauged flow through the public kernels."""
-    g, H = state.g, state.field_strength()
-    x = deturck_vector(g, g_ref)
-    dg = (-2.0 * ricci(g).values + 0.5 * h_squared(g, H).values
-          + lie_derivative_metric(g, x).values)
-    db = -codifferential(g, H).values + interior_product(x, H).values
-    return dg, db, x.values
+def deturck_rhs_reference(state, g_ref):
+    """(dg, db, X) of the DeTurck-gauged flow, one kernel per term."""
+    g, H = state.g, state.field_strength().values
+    x = deturck_vector_values(g, g_ref)
+    dg = (-2.0 * ricci_values(g) + 0.5 * h_squared_values(g, H)
+          + lie_derivative_metric_values(g, x))
+    db = -codifferential_values(g, H) + interior_product_values(x, H)
+    return dg, db, x
 
 
-def mu_rhs_public(state, tol):
-    """(dg, db, solution) of the mu-gradient flow through the public kernels."""
-    g, H = state.g, state.field_strength()
+def mu_rhs_reference(state, tol):
+    """(dg, db, solution) of the mu-gradient flow, one kernel per term, each
+    taking the derivatives of f afresh."""
+    g, H = state.g, state.field_strength().values
     sol = lowest_eigenpair(g, H, tol=tol)
-    dg = (-ricci(g).values - hessian(g, sol.f).values
-          + 0.25 * h_squared(g, H).values)
-    db = -0.5 * (codifferential(g, H).values
-                 + interior_product(gradient_vector(g, sol.f), H).values)
+    f = sol.f.values
+    dg = (-ricci_values(g) - hessian_values(g, f)
+          + 0.25 * h_squared_values(g, H))
+    db = -0.5 * (codifferential_values(g, H)
+                 + interior_product_values(gradient_vector_values(g, f), H))
     return dg, db, sol

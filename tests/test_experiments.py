@@ -16,7 +16,7 @@ from grflab.experiments import (
     monotonicity_run,
     stability_run,
 )
-from grflab import flow
+from grflab import flow, spectrum
 from grflab.errors import ConvergenceError, NonFiniteError
 from grflab.spectrum import DEFAULT_EIG_TOL
 
@@ -30,6 +30,20 @@ def test_flat_equilibrium_is_exact():
 
 def test_gradient_check_matches_finite_differences():
     assert gradient_check()["max_rel_error"] < 1e-5
+
+
+def test_gradient_check_solves_three_eigenpairs_per_seed(monkeypatch):
+    # one cold solve at the centre, whose eigenfunction then starts both
+    # side solves of the finite difference: no seed solves its centre twice
+    solve, cold = spectrum.lowest_eigenpair, []
+
+    def counting(*args, **kwargs):
+        cold.append(kwargs.get("w0") is None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "lowest_eigenpair", counting)
+    gradient_check(seeds=(0, 1))
+    assert cold == [True, False, False] * 2
 
 
 def test_gauge_consistency_gap_is_small():

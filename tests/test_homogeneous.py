@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from grflab import (
     TensorField,
     abelian_algebra,
     find_stationary,
-    h_squared,
     heisenberg_algebra,
     invariant_flow,
     invariant_grf_rhs,
@@ -17,7 +18,8 @@ from grflab import (
     su2_algebra,
 )
 from grflab.errors import ConvergenceError, FieldError, PositivityError
-from grflab.flow import read_trajectory_csv, write_records_csv
+from grflab.flow import write_records_csv
+from grflab.geometry import h_squared_values
 from grflab.homogeneous import (
     INVARIANT_CSV_COLUMNS,
     invariant_codifferential,
@@ -71,7 +73,7 @@ def test_h_squared_matches_lattice_on_constant_data():
     H = TensorField(grid, np.broadcast_to(data.full_form(),
                                           grid.shape + (3, 3, 3)).copy(),
                     "antisymmetric")
-    lattice = h_squared(g, H).values[0, 0, 0]
+    lattice = h_squared_values(g, H.values)[0, 0, 0]
     assert np.max(np.abs(lattice - invariant_h_squared(data))) < 1e-13
 
 
@@ -121,7 +123,8 @@ def test_codifferential_vanishes_iff_unimodular():
     c[1, 0, 1] = 1.0
     c[1, 1, 0] = -1.0
     affine = LieData(c, np.eye(3), 1.0)
-    assert not affine.unimodular
+    # not unimodular: the brackets ad_{e_i} are not all traceless
+    assert np.max(np.abs(np.einsum("kik->i", affine.c))) > 1e-12
     assert np.max(np.abs(invariant_codifferential(affine))) > 0.1
     with pytest.raises(FieldError):
         invariant_grf_rhs(affine)
@@ -187,11 +190,12 @@ def test_invariant_csv_round_trip(tmp_path):
     records, _ = invariant_flow(start, t_max=0.02, dt=0.005)
     path = tmp_path / "invariant.csv"
     write_records_csv(records, INVARIANT_CSV_COLUMNS, path)
-    back = read_trajectory_csv(path)
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == len(records)
     for row, orig in zip(back, records):
         for key in INVARIANT_CSV_COLUMNS:
-            assert row[key] == orig[key]
+            assert float(row[key]) == orig[key]
     # identical call, identical bytes
     path2 = tmp_path / "again.csv"
     write_records_csv(records, INVARIANT_CSV_COLUMNS, path2)

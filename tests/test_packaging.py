@@ -1,6 +1,7 @@
-"""The package metadata points at things that exist, and importing the
-package stays light."""
+"""The package metadata points at things that exist, importing the package
+stays light, and every public function has a caller outside the tests."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -40,3 +41,43 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == []
+
+
+def _names_used(path):
+    """Every name, attribute and import alias that a module's code mentions."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update((node.name, node.asname))
+    return used
+
+
+def _public_functions(path):
+    """Qualified names of a module's public functions and public methods."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    # a name counts as reached when code in src/ (its own module included,
+    # beyond its def line) or in perfbench/ mentions it; the re-exports of
+    # __init__ do not count. The pipelines of experiments are the entry
+    # points, so they need no caller.
+    modules = [path for path in sorted((ROOT / "src" / "grflab").glob("*.py"))
+               if path.name != "__init__.py"]
+    used = set().union(*(_names_used(path) for path in
+                         modules + sorted((ROOT / "perfbench").glob("*.py"))))
+    unreached = [f"{path.stem}.{name}" for path in modules
+                 if path.stem != "experiments"
+                 for name in _public_functions(path)
+                 if name.rpartition(".")[2] not in used]
+    assert not unreached, "reached only by tests: " + ", ".join(unreached)
