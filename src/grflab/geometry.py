@@ -74,7 +74,7 @@ class MetricField:
         field = TensorField(grid, values, "symmetric2")
         self.values = field.values
         n = grid.n_dims
-        comps = np.moveaxis(self.values, (-2, -1), (0, 1))
+        comps = np.ascontiguousarray(np.moveaxis(self.values, (-2, -1), (0, 1)))
         if not _pivots_positive(comps, EPS_SPD):
             raise PositivityError(
                 f"metric has a pointwise eigenvalue below {EPS_SPD:g}")
@@ -277,13 +277,13 @@ def laplacian_values(g, values):
 
     coeff = g._cached("flux_coefficients", build)
     du = [diff_values(values, b, h[b]) for b in range(n)]
-    div = 0.0
+    div = np.zeros(values.shape)
     for a in range(n):
         flux = coeff[a, 0] * du[0]
         for b in range(1, n):
             flux += coeff[a, b] * du[b]
-        div = div + diff_values(flux, a, h[a])
-    return div / g.sqrt_det_values
+        div += diff_values(flux, a, h[a])
+    return np.divide(div, g.sqrt_det_values, out=div)
 
 
 def lie_derivative_metric_values(g, x_values):

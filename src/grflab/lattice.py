@@ -135,12 +135,13 @@ def _symmetry_defect(values, n_grid, symmetry):
     """Max violation of the declared index symmetry, 0 for rank<2 tags."""
     rank = values.ndim - n_grid
     axes = tuple(range(n_grid, values.ndim))
-    if symmetry == "symmetric2":
-        # each unordered pair of off-diagonal slots once
-        upper, lower = np.triu_indices(values.shape[-1], 1)
-        gap = values[..., upper, lower] - values[..., lower, upper]
+    if symmetry == "symmetric2" or (symmetry == "antisymmetric" and rank == 2):
+        # each unordered pair of slots once, the diagonal included
+        upper, lower, _ = symmetric_pairs(values.shape[-1])
+        combine = np.add if symmetry == "antisymmetric" else np.subtract
+        gap = combine(values[..., upper, lower], values[..., lower, upper])
         return _peak(gap, "symmetry defect")
-    if symmetry == "antisymmetric" and rank >= 2:
+    if symmetry == "antisymmetric" and rank > 2:
         worst = 0.0
         # adjacent transpositions generate the symmetric group
         for i in range(rank - 1):
@@ -207,6 +208,14 @@ def stencil_symbol(n_points, spacing):
     return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * spacing)
 
 
+@functools.lru_cache(maxsize=None)
+def _wrap_index(m):
+    """Read-only indices -2 .. m+1 wrapped onto an axis of m points."""
+    idx = np.arange(-2, m + 2) % m
+    idx.setflags(write=False)
+    return idx
+
+
 def diff_values(values, axis, spacing):
     """4th-order centered periodic derivative of a raw array along one grid axis.
 
@@ -217,15 +226,13 @@ def diff_values(values, axis, spacing):
     arithmetic is that of np.roll copies, so the result is bit-identical.
     """
     m = values.shape[axis]
-    padded = np.take(values, np.arange(-2, m + 2), axis=axis, mode="wrap")
+    padded = values.take(_wrap_index(m), axis=axis, mode="clip")
     lead = (slice(None),) * (axis % values.ndim)
-
-    def shifted(k):
-        return padded[lead + (slice(2 + k, 2 + k + m),)]
-
-    out = shifted(1) - shifted(-1)
+    up1, um1, up2, um2 = (padded[lead + (slice(2 + k, 2 + k + m),)]
+                          for k in (1, -1, 2, -2))
+    out = np.subtract(up1, um1)
     out *= 8.0
-    out -= shifted(2) - shifted(-2)
+    out -= np.subtract(up2, um2)
     out /= 12.0 * spacing
     return out
 

@@ -19,7 +19,8 @@ oracle.
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
 per axis, the preconditioner is one small matmul per axis in a real Fourier
-basis, and every CG exit is counted (see SpectralSolution).
+basis, and every CG exit is counted (see SpectralSolution). CG carries Phi w
+along, so only the pair that passes tol costs an apply of its own.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ def _real_fourier_basis(m):
     return rows, k
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_constants(grid):
+    """A grid's read-only Nyquist signs, surrogate |k|^2, Nyquist band and bases."""
+    shape, n = grid.shape, grid.n_dims
+    signs, sym_sq = [], np.zeros(shape)
+    nyquist = np.zeros(shape, dtype=bool)
+    for a, m in enumerate(shape):
+        bcast = (1,) * (n - 1 - a)
+        signs.append(((-1.0) ** np.arange(m)).reshape((m,) + bcast))
+        k = stencil_symbol(m, grid.spacings[a])[_real_fourier_basis(m)[1]]
+        sym_sq = sym_sq + (k ** 2).reshape((m,) + bcast)
+        nyquist[(slice(None),) * a + (m - 1,)] = True
+    for arr in signs + [sym_sq, nyquist]:
+        arr.setflags(write=False)
+    bases = tuple(_real_fourier_basis(m)[0] for m in shape)
+    return tuple(signs), sym_sq, nyquist, bases
+
+
 class SchrodingerOperator:
     """Applies Phi_{g,H} and solves shifted systems with it.
 
@@ -68,9 +87,10 @@ class SchrodingerOperator:
     diagonalizes it. The preconditioner is the hot path's one BLAS matrix
     product: its bits repeat on one machine, but OpenBLAS may pick another
     kernel on another CPU (the golden tests' 1e-12 tolerance absorbs that). The
-    preconditioner only accelerates; every accepted answer is certified by the
-    true residual. Each solve counts its CG iterations in cg_iterations and
-    its exit reason ("converged", "max_iter" or "indefinite") in cg_exits.
+    preconditioner only accelerates; CG carries Phi x from its one apply per
+    search direction, and every accepted answer is certified by one true
+    apply. Each solve counts its CG iterations in cg_iterations and its exit
+    reason ("converged", "max_iter" or "indefinite") in cg_exits.
     """
 
     def __init__(self, g, H=None):
@@ -90,18 +110,7 @@ class SchrodingerOperator:
         # inner product (its symmetrized form is a plain projection).
         self.penalty = 4.0 * max(np.pi / h for h in self.grid.spacings) ** 2
         self._penalty_weight = self.penalty / g.sqrt_det_values
-        # per axis: the sign vector (-1)^{x_a} of the Nyquist mode, and the
-        # surrogate's |k|^2 and Nyquist band (last row) in the Fourier basis
-        shape, n = self.grid.shape, self.grid.n_dims
-        self._signs, self._sym_sq = [], np.zeros(shape)
-        self._nyquist = np.zeros(shape, dtype=bool)
-        self._bases = [_real_fourier_basis(m)[0] for m in shape]
-        for a, m in enumerate(shape):
-            bcast = (1,) * (n - 1 - a)
-            self._signs.append(((-1.0) ** np.arange(m)).reshape((m,) + bcast))
-            k = stencil_symbol(m, self.grid.spacings[a])[_real_fourier_basis(m)[1]]
-            self._sym_sq = self._sym_sq + (k ** 2).reshape((m,) + bcast)
-            self._nyquist[(slice(None),) * a + (m - 1,)] = True
+        self._signs, self._sym_sq, self._nyquist, self._bases = _grid_constants(g.grid)
         self.cg_iterations = 0
         self.cg_exits = {"converged": 0, "max_iter": 0, "indefinite": 0}
 
@@ -110,18 +119,21 @@ class SchrodingerOperator:
         I - prod_a (I - Q_a) with Q_a u = s_a mean_a(s_a u), s_a = (-1)^{x_a}."""
         rest = u
         for a, s in enumerate(self._signs):
-            rest = rest - s * np.mean(s * rest, axis=a, keepdims=True)
+            rest = rest - s * (np.add.reduce(s * rest, a, keepdims=True) / u.shape[a])
         return u - rest
 
     def apply_values(self, u):
-        out = -4.0 * laplacian_values(self.g, u) + self.potential * u
-        return out + self._penalty_weight * self._project_invisible(u)
+        out = laplacian_values(self.g, u)
+        out *= -4.0
+        out += self.potential * u
+        out += self._penalty_weight * self._project_invisible(u)
+        return out
 
     def volume_dot(self, u, v):
         return float(np.sum(u * v * self.g.sqrt_det_values)) * self.grid.cell_volume
 
     def volume_norm(self, u):
-        return np.sqrt(max(self.volume_dot(u, u), 0.0))
+        return math.sqrt(max(self.volume_dot(u, u), 0.0))
 
     def _preconditioner(self, sigma):
         """r -> the surrogate's exact inverse applied to r: one m x m matmul
@@ -146,22 +158,21 @@ class SchrodingerOperator:
         return precondition
 
     def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000,
-                      phi_x0=None):
+                      phi_x0=None, phi_out=None):
         """CG solve of (Phi - sigma) x = rhs, volume-symmetrized, preconditioned.
 
         phi_x0, when given, is Phi applied to x0; it saves the apply of the
-        initial residual.
+        initial residual. phi_out (may be phi_x0) receives Phi x, carried as
+        phi_out += alpha Phi p at no apply of its own: a true apply to rounding.
         """
         sq = self.g.sqrt_det_values
         b = sq * rhs
         precondition = self._preconditioner(sigma)
-
-        def apply_b(x):
-            return sq * (self.apply_values(x) - sigma * x)
-
         x = np.zeros_like(b) if x0 is None else x0.copy()
         phi = self.apply_values(x) if phi_x0 is None else phi_x0
         r = b - sq * (phi - sigma * x)
+        if phi_out is not None:
+            phi_out[...] = phi
         b_norm = float(np.linalg.norm(b))
         iterations, reason = 0, "converged"
         while b_norm > 0.0 and not float(np.linalg.norm(r)) <= rtol * b_norm:
@@ -172,7 +183,8 @@ class SchrodingerOperator:
             rz_new = float(np.sum(r * z))
             p = z if iterations == 0 else z + (rz_new / rz) * p
             rz = rz_new
-            q = apply_b(p)
+            phi_p = self.apply_values(p)
+            q = sq * (phi_p - sigma * p)
             pq = float(np.sum(p * q))
             if pq <= 0.0:
                 # shifted operator lost definiteness along p; the partial
@@ -180,8 +192,10 @@ class SchrodingerOperator:
                 reason = "indefinite"
                 break
             alpha = rz / pq
-            x = x + alpha * p
-            r = r - alpha * q
+            x += alpha * p
+            r -= alpha * q
+            if phi_out is not None:
+                phi_out += alpha * phi_p
             iterations += 1
         self.cg_iterations += iterations
         self.cg_exits[reason] += 1
@@ -261,10 +275,14 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
         fewer steps.
 
     The shift tracks the Rayleigh quotient minus a fixed margin of 0.5, which
-    keeps the shifted operator positive definite through convergence. The
-    returned eigenfunction is certified positive; a sign change anywhere is a
-    hard error since f = -2 log w must exist. A residual that is not finite
-    (the potential overflows the apply) raises NonFiniteError at once.
+    keeps the shifted operator positive definite through convergence. lambda
+    and the residual come from the Phi w that CG carries (phi_out); once that
+    residual passes tol, one true apply certifies the pair, or iteration goes
+    on from the true Phi w. A solve costs its CG iterations plus two applies
+    (one when w0 passes at once). The returned eigenfunction is certified
+    positive; a sign change anywhere is a hard error since f = -2 log w must
+    exist. A residual that is not finite (the potential overflows the apply)
+    raises NonFiniteError at once.
     """
     op = SchrodingerOperator(g, H)
     if w0 is None:
@@ -276,11 +294,15 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
         raise FieldError("initial vector for the eigensolver vanishes")
     w = w / norm
 
-    phi_w = op.apply_values(w)
-    lam = op.volume_dot(w, phi_w)
-    res = op.volume_norm(phi_w - lam * w)
-    iterations = 0
-    while not res <= tol:
+    phi_w, certified, iterations = op.apply_values(w), True, 0
+    while True:
+        lam = op.volume_dot(w, phi_w)
+        res = op.volume_norm(phi_w - lam * w)
+        if res <= tol:
+            if certified:
+                break
+            phi_w, certified = op.apply_values(w), True
+            continue
         if not math.isfinite(res):
             raise NonFiniteError(f"eigensolver residual is non-finite ({res}) "
                                  f"after {iterations} steps")
@@ -290,17 +312,16 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
             )
         sigma = lam - SHIFT_MARGIN
         cg_rtol = max(1e-13, min(1e-2, 0.005 * res))
+        phi_z = phi_w / SHIFT_MARGIN
         z = op.solve_shifted(w, sigma, x0=w / SHIFT_MARGIN, rtol=cg_rtol,
-                             phi_x0=phi_w / SHIFT_MARGIN)
+                             phi_x0=phi_z, phi_out=phi_z)
         z_norm = op.volume_norm(z)
         if z_norm == 0.0:
             raise ConvergenceError("inverse iteration produced the zero vector")
-        w = z / z_norm
+        w, phi_w = z / z_norm, phi_z / z_norm
         if float(np.sum(w * op.g.sqrt_det_values)) < 0.0:
-            w = -w
-        phi_w = op.apply_values(w)
-        lam = op.volume_dot(w, phi_w)
-        res = op.volume_norm(phi_w - lam * w)
+            w, phi_w = -w, -phi_w
+        certified = False
         iterations += 1
 
     w_min = float(np.min(w))

@@ -28,6 +28,31 @@ def test_flat_equilibrium_is_exact():
         assert report[key] == 0.0, key
 
 
+def _plain_type_paths(value, path="summary"):
+    """Paths of every value below value whose type is not exactly a plain
+    int, float, str or bool, inside lists and dicts (np.float64 is a float
+    subclass, so isinstance would let it through)."""
+    if type(value) in (list, dict):
+        items = value.items() if type(value) is dict else enumerate(value)
+        return [bad for key, item in items
+                for bad in _plain_type_paths(item, f"{path}[{key!r}]")]
+    return [] if type(value) in (int, float, str, bool) else [
+        f"{path}: {type(value).__name__}"]
+
+
+def test_summaries_hold_only_plain_types():
+    summaries = {
+        "eigen_report": eigen_report(resolution=8, amplitude=0.05),
+        "stability_run": stability_run(resolution=8, t_max=0.1)[1],
+        "monotonicity_run": monotonicity_run(resolution=8, t_max=0.1)[1],
+        "gauge_consistency_run": gauge_consistency_run(resolution=8, t_max=0.02),
+        "flat_equilibrium_report": flat_equilibrium_report(8),
+        "gradient_check": gradient_check(resolution=8, seeds=(0,)),
+    }
+    assert [bad for name, summary in summaries.items()
+            for bad in _plain_type_paths(summary, name)] == []
+
+
 def test_gradient_check_matches_finite_differences():
     assert gradient_check()["max_rel_error"] < 1e-5
 

@@ -330,6 +330,21 @@ def test_run_totals_the_iterations_of_its_eigensolves(monkeypatch):
     assert traj.eig_cg_iterations > traj.eig_outer_iterations
 
 
+def test_a_stage_solve_applies_phi_once_per_cg_iteration_plus_twice(monkeypatch):
+    # one apply starts a solve and one certifies it; the Rayleigh quotient
+    # of every other step comes from the Phi w that CG carries
+    apply, applies = spectrum.SchrodingerOperator.apply_values, []
+
+    def counting(self, u):
+        applies.append(1)
+        return apply(self, u)
+
+    monkeypatch.setattr(spectrum.SchrodingerOperator, "apply_values", counting)
+    traj, solved = _golden_mu_run(monkeypatch)
+    assert all(s.iterations > 0 for s in solved)
+    assert len(applies) == traj.eig_cg_iterations + 2 * len(solved)
+
+
 def test_predicted_and_cold_stage_solves_give_the_same_run(monkeypatch):
     warm, _ = _golden_mu_run(monkeypatch)
     cold, solved = _golden_mu_run(monkeypatch, cold=True)

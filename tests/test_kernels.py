@@ -635,6 +635,36 @@ def test_preconditioner_bits_do_not_depend_on_alignment(resolutions, periods):
 
 
 @pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)
+def test_schrodinger_apply_is_its_out_of_place_composition_bit_for_bit(
+        resolutions, periods):
+    op, u = _schrodinger_setup(resolutions, periods, 36)
+    g, h = op.g, op.grid.spacings
+    du = [diff_values(u, b, h[b]) for b in range(len(h))]
+
+    def coeff(a, b):  # sqrt g g^ab from the upper triangle of g^-1
+        return g.sqrt_det_values * g.inv_values[..., min(a, b), max(a, b)]
+
+    div = 0.0
+    for a in range(len(h)):
+        flux = coeff(a, 0) * du[0]
+        for b in range(1, len(h)):
+            flux = flux + coeff(a, b) * du[b]
+        div = div + diff_values(flux, a, h[a])
+    laplacian = div / g.sqrt_det_values
+    assert np.array_equal(laplacian_values(g, u), laplacian)
+    rest = u
+    for a, s in enumerate(op._signs):
+        rest = rest - s * np.mean(s * rest, axis=a, keepdims=True)
+    ref = (-4.0 * laplacian + op.potential * u) + op._penalty_weight * (u - rest)
+    assert np.array_equal(op.apply_values(u), ref)
+    # the per-grid constants are built once and shared read-only
+    twin = SchrodingerOperator(g)
+    assert twin._sym_sq is op._sym_sq and twin._signs is op._signs
+    for arr in op._signs + op._bases + (op._sym_sq, op._nyquist):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("resolutions, periods", ANISOTROPIC_GRIDS)
 def test_laplacian_matches_the_einsum_flux(resolutions, periods):
     op, u = _schrodinger_setup(resolutions, periods, 35)
     g = op.g

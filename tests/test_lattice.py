@@ -10,7 +10,7 @@ from grflab import (
     weighted_inner,
 )
 from grflab.errors import FieldError
-from grflab.lattice import diff_values, gradient_values
+from grflab.lattice import _peak, _symmetry_defect, diff_values, gradient_values
 
 from oracles import stencil_wavenumber
 
@@ -113,6 +113,22 @@ def test_tensor_field_validation():
         TensorField(grid, np.full(grid.shape + (3,), np.nan), "vector")
     ok = bad - np.swapaxes(bad, -1, -2)
     TensorField(grid, ok, "antisymmetric")
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+@pytest.mark.parametrize("symmetry, sign", [("antisymmetric", 1.0),
+                                            ("symmetric2", -1.0)])
+def test_rank_two_defect_on_pairs_equals_the_swapped_sum(dims, symmetry, sign):
+    # the pairs i <= j see every entry of a + sign a^T once or twice (the
+    # diagonal once), so the maximum equals that of the full swapped sum
+    grid = Grid((8,) * dims)
+    rng = np.random.default_rng(60 + dims)
+    a = rng.standard_normal(grid.shape + (dims, dims))
+    exact = a - sign * np.swapaxes(a, -1, -2)
+    for values in (exact, exact + 1e-13 * rng.standard_normal(exact.shape), a):
+        swapped = _peak(values + sign * np.swapaxes(values, -1, -2), "defect")
+        assert _symmetry_defect(values, dims, symmetry) == swapped
+    assert _symmetry_defect(exact, dims, symmetry) == 0.0
 
 
 def test_partial_derivative_keeps_symmetry():

@@ -28,8 +28,8 @@ from grflab.geometry import (
     h_squared_values, hessian_values, interior_product_values, ricci_values)
 from grflab.lattice import diff_values
 from grflab.spectrum import (
-    _energy, _potential, assemble_mu_gradient, mu_directional_derivative,
-    schrodinger_apply)
+    SHIFT_MARGIN, _energy, _potential, assemble_mu_gradient,
+    mu_directional_derivative, schrodinger_apply)
 
 from oracles import ConformalOracle, normalize_profile
 
@@ -303,6 +303,65 @@ def test_a_converged_solve_preconditions_once_per_iteration(rtol):
     assert op.cg_exits["converged"] == 1
     assert len(calls) == op.cg_iterations
     assert (op.cg_iterations > 0) == (rtol < 1.0)
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_carried_phi_x_is_phi_of_the_returned_x_to_rounding(dims):
+    op, w, sigma = _shifted_system(dims)
+    phi_x = np.empty_like(w)
+    plain = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8)
+    carried = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8,
+                               phi_x0=op.apply_values(w) / 0.5, phi_out=phi_x)
+    assert np.array_equal(plain, carried)
+    fresh = op.apply_values(carried)
+    assert np.max(np.abs(phi_x - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_returned_pair_is_that_of_a_fresh_apply(warm):
+    state = perturbed_state(resolution=8, seed=5)
+    g, H = state.g, state.field_strength()
+    w0 = lowest_eigenpair(g, H).w if warm else None
+    nearby = MetricField(g.grid, g.values + random_metric_perturbation(
+        g.grid, 0.002, 11, cutoff=2).values)
+    sol = lowest_eigenpair(nearby, H, w0=w0)
+    assert sol.iterations > 0
+    op, w = SchrodingerOperator(nearby, H), sol.w.values
+    phi_w = op.apply_values(w)
+    assert sol.lam == op.volume_dot(w, phi_w)
+    assert sol.eigen_residual == op.volume_norm(phi_w - sol.lam * w)
+    assert sol.eigen_residual <= 1e-9
+
+
+def test_a_carried_residual_that_passes_is_checked_by_a_true_apply(monkeypatch):
+    # the first step's carried Phi w is replaced by w itself, whose Rayleigh
+    # residual is 0; the true apply must reject it and iteration go on from
+    # the true Phi w
+    state = perturbed_state(resolution=8, seed=5)
+    g, H = state.g, state.field_strength()
+    reference = lowest_eigenpair(g, H)
+    solve, starts = SchrodingerOperator.solve_shifted, []
+
+    def faking(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000,
+               phi_x0=None, phi_out=None):
+        starts.append(np.array_equal(
+            phi_x0, self.apply_values(x0 * SHIFT_MARGIN) / SHIFT_MARGIN))
+        x = solve(self, rhs, sigma, x0=x0, rtol=rtol, max_iter=max_iter,
+                  phi_x0=phi_x0, phi_out=phi_out)
+        if len(starts) == 1:
+            phi_out[...] = x
+        return x
+
+    monkeypatch.setattr(SchrodingerOperator, "solve_shifted", faking)
+    sol = lowest_eigenpair(g, H)
+    # the cold start and the rejected step both hand CG a true Phi w
+    assert starts[:2] == [True, True]
+    assert sol.iterations == reference.iterations > 1
+    assert sol.lam == pytest.approx(reference.lam, rel=1e-12)
+    op = SchrodingerOperator(g, H)
+    phi_w = op.apply_values(sol.w.values)
+    assert sol.lam == op.volume_dot(sol.w.values, phi_w)
+    assert sol.eigen_residual <= 1e-9
 
 
 def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
