@@ -70,7 +70,7 @@ def _check_jacobian(jac):
             f"map degenerates: min det J = {det_min:.3e} <= {_MIN_JACOBIAN}")
 
 
-def diffeo_flow(x_series, grid, record_every=0):
+def diffeo_flow(x_series, grid):
     """Integrate d(psi)/dt = -X o psi through a recorded gauge-field series.
 
     x_series is the gauge_series of a Trajectory: one (t, dt, stages) entry
@@ -78,22 +78,19 @@ def diffeo_flow(x_series, grid, record_every=0):
     Runge-Kutta stage states. Reusing the stages keeps the map integration at
     the integrator's order instead of degrading through time interpolation.
 
-    Returns a list of (t, displacement) samples: always the initial identity
-    and the final map, plus every record_every-th intermediate map when
-    record_every > 0. Raises JacobianError if any accepted map leaves the
+    Returns the displacement of the final map, the identity's (zero) for an
+    empty series. Raises JacobianError if any accepted map leaves the
     diffeomorphism guard det J > 0.1.
     """
     n = grid.n_dims
     u = np.zeros(grid.shape + (n,))
-    maps = [(x_series[0][0] if x_series else 0.0,
-             TensorField(grid, u.copy(), "vector"))]
 
     def stage_velocity(x_field, u_now):
         moved = _interpolate(np.moveaxis(x_field.values, -1, 0),
                              _index_coordinates(grid, u_now))
         return -np.moveaxis(moved, 0, -1)
 
-    for index, (t, dt, stages) in enumerate(x_series):
+    for _, dt, stages in x_series:
         x1, x2, x3, x4 = stages
         l1 = stage_velocity(x1, u)
         l2 = stage_velocity(x2, u + 0.5 * dt * l1)
@@ -101,10 +98,7 @@ def diffeo_flow(x_series, grid, record_every=0):
         l4 = stage_velocity(x4, u + dt * l3)
         u = u + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         _check_jacobian(displacement_jacobian(grid, u))
-        is_last = index == len(x_series) - 1
-        if is_last or (record_every > 0 and (index + 1) % record_every == 0):
-            maps.append((t + dt, TensorField(grid, u.copy(), "vector")))
-    return maps
+    return TensorField(grid, u, "vector")
 
 
 def _independent_components(n, rank, symmetry):

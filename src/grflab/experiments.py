@@ -20,11 +20,10 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .lattice import TWO_PI, Grid, TensorField, expand_form
+from .lattice import Grid, TensorField, expand_form
 from .geometry import MetricField, flat_metric
 from .perturbations import random_form_perturbation, random_metric_perturbation
 from .spectrum import (
-    DEFAULT_EIG_TOL,
     critical_point_diagnostics,
     f_equation_residual,
     lowest_eigenpair,
@@ -64,14 +63,14 @@ def background_three_form(grid, c):
 
 
 def perturbed_state(resolution=16, amplitude=0.05, seed=0, cutoff=2,
-                    hhat_c=0.0, dims=3, period=TWO_PI):
-    """Seeded random initial data near the flat torus.
+                    hhat_c=0.0, dims=3):
+    """Seeded random initial data near the flat torus of period 2 pi.
 
     The metric perturbation uses the given seed and the potential seed + 1000,
     both band-limited trigonometric polynomials normalized to the requested
     sup amplitude. hhat_c adds the constant background 3-form c e^123.
     """
-    grid = Grid((resolution,) * dims, (period,) * dims)
+    grid = Grid((resolution,) * dims)
     g = flat_metric(grid)
     b = TensorField.zeros(grid, 2, "antisymmetric")
     if amplitude != 0.0:
@@ -83,8 +82,7 @@ def perturbed_state(resolution=16, amplitude=0.05, seed=0, cutoff=2,
     return FlowState(g=g, b=b, hhat=hhat)
 
 
-def flat_equilibrium_report(resolution=16, dims=3, period=TWO_PI,
-                            eigen_tol=DEFAULT_EIG_TOL):
+def flat_equilibrium_report(resolution=16, dims=3):
     """Residuals of the exact flat fixed point under the flow of every gauge.
 
     Every right-hand side, the lowest eigenvalue, and the spread of the
@@ -92,15 +90,14 @@ def flat_equilibrium_report(resolution=16, dims=3, period=TWO_PI,
     rounding; this is the discrete exactness anchor the perturbative
     experiments lean on.
     """
-    state = perturbed_state(resolution=resolution, amplitude=0.0, dims=dims,
-                            period=period)
+    state = perturbed_state(resolution=resolution, amplitude=0.0, dims=dims)
 
     def sup(fld):
         return float(np.max(np.abs(fld.values)))
 
     g_ref, report = flat_metric(state.g.grid), {"resolution": resolution}
     for name, gauge in GAUGES.items():
-        dg, db, extra = gauge.rhs(state, g_ref, eigen_tol, None)
+        dg, db, extra = gauge.rhs(state, g_ref, None)
         report[f"{name}_rhs_sup"] = max(sup(dg), sup(db))
         if gauge.spectral:
             sol = extra
@@ -113,14 +110,14 @@ def flat_equilibrium_report(resolution=16, dims=3, period=TWO_PI,
 
 
 def eigen_report(resolution=16, amplitude=0.0, seed=0, cutoff=2, hhat_c=0.0,
-                 dims=3, period=TWO_PI, eigen_tol=DEFAULT_EIG_TOL):
+                 dims=3):
     """Solve the ground state on seeded data and collect every residual."""
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, hhat_c=hhat_c,
-                            dims=dims, period=period)
+                            dims=dims)
     H = state.field_strength()
-    sol = lowest_eigenpair(state.g, H, tol=eigen_tol)
-    report = critical_point_diagnostics(state.g, H, sol=sol)
+    sol = lowest_eigenpair(state.g, H)
+    report = critical_point_diagnostics(state.g, H, sol)
     out = {
         "resolution": resolution,
         "amplitude": amplitude,
@@ -137,8 +134,7 @@ def eigen_report(resolution=16, amplitude=0.0, seed=0, cutoff=2, hhat_c=0.0,
 
 
 def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
-                   seeds=(0, 1, 2, 3, 4), dims=3, period=TWO_PI,
-                   eigen_tol=DEFAULT_EIG_TOL):
+                   seeds=(0, 1, 2, 3, 4), dims=3):
     """Directional derivatives of mu against the assembled gradient.
 
     For each seed: a perturbed state, one seeded direction pair (metric
@@ -152,16 +148,14 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
     rows = []
     for seed in seeds:
         state = perturbed_state(resolution=resolution, amplitude=amplitude,
-                                seed=seed, cutoff=cutoff, dims=dims,
-                                period=period)
+                                seed=seed, cutoff=cutoff, dims=dims)
         grid = state.g.grid
         h_dir = random_metric_perturbation(grid, 1.0, seed + 77, cutoff=cutoff)
         b_dir = random_form_perturbation(grid, 1.0, seed + 177, cutoff=cutoff)
-        grad = mu_gradient(state.g, state.b, tol=eigen_tol)
+        grad = mu_gradient(state.g, state.b)
         paired = grad.pair(state.g, h_dir, b_dir)
         fd = mu_directional_derivative(state.g, state.b, h_dir, b_dir,
-                                       grad.solution.w, eps=eps,
-                                       tol=eigen_tol)
+                                       grad.solution.w, eps=eps)
         denom = max(abs(fd), 1e-30)
         rows.append({
             "seed": seed,
@@ -215,8 +209,7 @@ def _endpoint_summary(traj):
 
 def stability_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
                   hhat_c=0.0, stop_tol=1e-7, t_max=20.0, cfl=0.1,
-                  eigen_tol=DEFAULT_EIG_TOL, record_every=1, threshold=1e-6,
-                  keep_gauge_fields=False, dims=3, period=TWO_PI):
+                  record_every=1, threshold=1e-6, dims=3):
     """One gauge-fixed run from seeded data back toward the flat point.
 
     The stop tolerance sits well below the endpoint threshold because the
@@ -226,12 +219,10 @@ def stability_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
     """
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, hhat_c=hhat_c,
-                            dims=dims, period=period)
+                            dims=dims)
     g_ref = flat_metric(state.g.grid)
     config = FlowConfig(gauge="deturck", t_max=t_max, cfl=cfl,
-                        stop_tol=stop_tol, eigen_tol=eigen_tol,
-                        record_every=record_every,
-                        keep_gauge_fields=keep_gauge_fields)
+                        stop_tol=stop_tol, record_every=record_every)
     traj = run_flow(state, config, g_ref=g_ref)
     summary = {"seed": seed, "resolution": resolution,
                "amplitude": amplitude, "threshold": threshold}
@@ -245,9 +236,8 @@ def stability_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
 
 def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
                      hhat_c=0.0, stop_tol=1e-4, t_max=15.0, cfl=0.1,
-                     eigen_tol=DEFAULT_EIG_TOL, record_every=1,
-                     lambda_step_tol=1e-8, lambda_end_tol=1e-7,
-                     dims=3, period=TWO_PI):
+                     record_every=1, lambda_step_tol=1e-8,
+                     lambda_end_tol=1e-7, dims=3):
     """One gradient-gauge run; the eigenvalue must climb to zero.
 
     The per-sample monotonicity certificate allows lambda to drop by at most
@@ -256,10 +246,9 @@ def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
     """
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, hhat_c=hhat_c,
-                            dims=dims, period=period)
+                            dims=dims)
     config = FlowConfig(gauge="mu_gradient", t_max=t_max, cfl=cfl,
-                        stop_tol=stop_tol, eigen_tol=eigen_tol,
-                        record_every=record_every)
+                        stop_tol=stop_tol, record_every=record_every)
     traj = run_flow(state, config)
     lams = traj.column("lambda")
     drops = np.diff(lams)
@@ -294,8 +283,7 @@ def lojasiewicz_report(trajectory, window_fraction=0.5, min_samples=10):
 
 
 def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
-                          t_max=0.1, cfl=0.1, eigen_tol=DEFAULT_EIG_TOL,
-                          dims=3, period=TWO_PI):
+                          t_max=0.1, cfl=0.1, dims=3):
     """Pull the gauge-fixed endpoint back and compare with the plain flow.
 
     Both flows start from the same seeded data and stop exactly at t_max; the
@@ -304,11 +292,9 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
     to the combined discretization error of both runs.
     """
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
-                            seed=seed, cutoff=cutoff, dims=dims,
-                            period=period)
+                            seed=seed, cutoff=cutoff, dims=dims)
     g_ref = flat_metric(state.g.grid)
-    base = dict(t_max=t_max, cfl=cfl, stop_tol=0.0, eigen_tol=eigen_tol,
-                record_every=10 ** 9)
+    base = dict(t_max=t_max, cfl=cfl, stop_tol=0.0, record_every=10 ** 9)
     plain = run_flow(state, FlowConfig(gauge="grf", **base))
     gauged = run_flow(state, FlowConfig(gauge="deturck",
                                         keep_gauge_fields=True, **base),
@@ -318,8 +304,7 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
             "flows ended at different times "
             f"({plain.final.time} vs {gauged.final.time})")
 
-    maps = diffeo_flow(gauged.gauge_series, state.g.grid)
-    _, disp = maps[-1]
+    disp = diffeo_flow(gauged.gauge_series, state.g.grid)
     pulled_g = pullback(disp, gauged.final.g)
     pulled_h = pullback(disp, gauged.final.field_strength())
     gap_g = float(np.max(np.abs(pulled_g.values - plain.final.g.values)))

@@ -16,10 +16,11 @@ whose eigensolve runs only at points a Gershgorin bound cannot rule out; a
 step that breaks metric positivity is retried at half size, SPD_RETRIES (ten)
 times. The same loop integrates the matrix ODE of homogeneous.invariant_flow.
 
-Every accepted step can record a diagnostics row with the columns t, lambda,
-H_l2, ricci_linf, dH_linf, F_value, rhs_l2, dt (plus the identity gap of the
-eigenpair); write_trajectory_csv exports exactly the eight named columns at
-17 significant digits, through write_records_csv, the one CSV writer of the
+A run takes at most MAX_STEPS steps. Every accepted step can record a
+diagnostics row with the columns t, lambda, H_l2, ricci_linf, dH_linf,
+F_value, rhs_l2, dt (plus the identity gap of the eigenpair);
+write_trajectory_csv exports exactly the eight named columns at 17
+significant digits, through write_records_csv, the one CSV writer of the
 package.
 
 The right-hand sides compose raw arrays, with H = Hhat + db built once from
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -51,10 +53,11 @@ from .geometry import (
     exterior_derivative_values, form_norm_sq_values, h_squared_values,
     interior_product_values, lie_derivative_metric_values, ricci_values)
 from .spectrum import (
-    DEFAULT_EIG_TOL, _energy, _identity_gap, _potential, assemble_mu_gradient,
+    _energy, _identity_gap, _potential, assemble_mu_gradient,
     field_strength_values, lowest_eigenpair, total_field_strength)
 
 SPD_RETRIES = 10
+MAX_STEPS = 200000
 
 CSV_COLUMNS = ("t", "lambda", "H_l2", "ricci_linf", "dH_linf", "F_value",
                "rhs_l2", "dt")
@@ -84,42 +87,37 @@ class FlowConfig:
 
     gauge is a key of GAUGES. stop_tol bounds the L2 norm of the right-hand
     side pair (weighted by e^{-f} in a spectral gauge: the gradient norm);
-    reaching it gives the CONVERGED verdict, and a run takes at most max_steps.
-    No float field may be NaN; cfl must be finite and eigen_tol positive.
+    reaching it gives the CONVERGED verdict. A diagnostics row is recorded
+    every record_every accepted steps, an integer of at least 1. No float
+    field may be NaN, and cfl must be finite.
     """
 
     gauge: str = "grf"
     t_max: float = 10.0
     cfl: float = 0.1
     stop_tol: float = 1e-8
-    eigen_tol: float = DEFAULT_EIG_TOL
-    max_steps: int = 200000
     record_every: int = 1
-    keep_states: bool = False
     keep_gauge_fields: bool = False
 
     def __post_init__(self):
         _gauge(self.gauge)
-        for name in ("t_max", "cfl", "stop_tol", "eigen_tol"):
+        for name in ("t_max", "cfl", "stop_tol"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
         if self.t_max <= 0 or not 0 < self.cfl < math.inf:
             raise ConfigError("t_max must be positive, cfl positive and finite")
         if self.stop_tol < 0:
             raise ConfigError("stop_tol must be nonnegative")
-        if self.eigen_tol <= 0:
-            raise ConfigError("eigen_tol must be positive")
-        if self.max_steps < 0:
-            raise ConfigError("max_steps must be nonnegative")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be at least 1")
+        if (not isinstance(self.record_every, numbers.Integral)
+                or self.record_every < 1):
+            raise ConfigError("record_every must be an integer of at least 1")
 
 
 @dataclass
 class Trajectory:
-    """Outcome of a flow run: endpoint states, sampled diagnostics, verdict.
+    """Outcome of a flow run: final state, sampled diagnostics, verdict.
 
-    gauge is the run's GAUGES key. gauge_series, present when the run kept
+    final is the state the run ended at; gauge is the run's GAUGES key. gauge_series, present when the run kept
     gauge fields, lists (t, dt, [X at the four Runge-Kutta stages]) per
     accepted step; diffeo_flow consumes it to integrate the compensating
     diffeomorphisms at matching order. side_eig_failures counts the rows
@@ -127,7 +125,7 @@ class Trajectory:
     and eig_cg_iterations total the iterations of every returned eigensolve.
     """
 
-    states: list
+    final: FlowState
     records: list
     verdict: str
     gauge: str
@@ -137,21 +135,23 @@ class Trajectory:
     eig_outer_iterations: int = 0
     eig_cg_iterations: int = 0
 
-    @property
-    def final(self):
-        return self.states[-1]
-
     def column(self, key):
         return np.array([r[key] for r in self.records])
+
+
+def _grf_values(g, h):
+    """The raw pair -2 Ric + H^2/2, -d* H of the metric g and the field
+    strength array h."""
+    return (-2.0 * ricci_values(g) + 0.5 * h_squared_values(g, h),
+            -codifferential_values(g, h))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def grf_rhs(state):
     """Right-hand side of the coupled flow, before any gauge fixing."""
     g = state.g
-    h = field_strength_values(g.grid, state.b.values, state.hhat)
-    dg = -2.0 * ricci_values(g) + 0.5 * h_squared_values(g, h)
-    db = -codifferential_values(g, h)
+    dg, db = _grf_values(
+        g, field_strength_values(g.grid, state.b.values, state.hhat))
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -171,12 +171,9 @@ def deturck_rhs(state, g_ref):
     g = state.g
     h = field_strength_values(g.grid, state.b.values, state.hhat)
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
-    dg = (
-        -2.0 * ricci_values(g)
-        + 0.5 * h_squared_values(g, h)
-        + lie_derivative_metric_values(g, x.values)
-    )
-    db = -codifferential_values(g, h) + interior_product_values(x.values, h)
+    dg, db = _grf_values(g, h)
+    dg = dg + lie_derivative_metric_values(g, x.values)
+    db = db + interior_product_values(x.values, h)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -184,18 +181,18 @@ def deturck_rhs(state, g_ref):
     )
 
 
-def mu_gradient_flow_rhs(state, tol=DEFAULT_EIG_TOL, w0=None):
+def mu_gradient_flow_rhs(state, w0=None):
     """Gradient of mu at the state, plus the spectral solution used."""
     g = state.g
     h = field_strength_values(g.grid, state.b.values, state.hhat)
-    sol = lowest_eigenpair(g, h, tol=tol, w0=w0)
+    sol = lowest_eigenpair(g, h, w0=w0)
     grad = assemble_mu_gradient(g, h, sol)
     return grad.g_part, grad.b_part, sol
 
 
 @dataclass(frozen=True)
 class Gauge:
-    """What a gauge means to a run. rhs(state, g_ref, eigen_tol, w0) returns
+    """What a gauge means to a run. rhs(state, g_ref, w0) returns
     (dg, db, extra). spectral: extra is the eigenpair rhs solved from start
     vector w0, so the stop norm is the e^{-f}-weighted gradient norm, the
     diagnostics rows reuse the eigenpair and the Lojasiewicz fit accepts the
@@ -208,11 +205,11 @@ class Gauge:
 
 # each rhs looks its kernel up per call, so patching flow's attribute works
 GAUGES = {
-    "grf": Gauge(lambda s, g_ref, tol, w0: grf_rhs(s) + (None,)),
-    "deturck": Gauge(lambda s, g_ref, tol, w0: deturck_rhs(s, g_ref),
+    "grf": Gauge(lambda s, g_ref, w0: grf_rhs(s) + (None,)),
+    "deturck": Gauge(lambda s, g_ref, w0: deturck_rhs(s, g_ref),
                      keeps_fields=True),
-    "mu_gradient": Gauge(lambda s, g_ref, tol, w0: mu_gradient_flow_rhs(
-        s, tol, w0), spectral=True),
+    "mu_gradient": Gauge(lambda s, g_ref, w0: mu_gradient_flow_rhs(s, w0),
+                         spectral=True),
 }
 
 
@@ -256,11 +253,11 @@ def _warm_solve(solve, t, history, totals):
     return out
 
 
-def _rhs(gauge, state, g_ref, eigen_tol, history, totals):
+def _rhs(gauge, state, g_ref, history, totals):
     """(dg, db, extra) of the gauge; only a spectral one joins the stream."""
     if not gauge.spectral:
-        return gauge.rhs(state, g_ref, eigen_tol, None)
-    return _warm_solve(lambda w0: gauge.rhs(state, g_ref, eigen_tol, w0),
+        return gauge.rhs(state, g_ref, None)
+    return _warm_solve(lambda w0: gauge.rhs(state, g_ref, w0),
                        state.time, history, totals)
 
 
@@ -317,7 +314,7 @@ def _rk4_with_retries(y, h, slope, advance, t, k1=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL):
+def step(state, rhs_kind, dt, g_ref=None):
     """One integrator step of the named right-hand side.
 
     Halves dt when the metric leaves the positive cone, up to SPD_RETRIES
@@ -327,7 +324,7 @@ def step(state, rhs_kind, dt, g_ref=None, eigen_tol=DEFAULT_EIG_TOL):
     gauge, history, totals = _gauge(rhs_kind), [], collections.Counter()
     return _rk4_with_retries(
         state, dt,
-        lambda s: _slope(_rhs(gauge, s, g_ref, eigen_tol, history, totals)),
+        lambda s: _slope(_rhs(gauge, s, g_ref, history, totals)),
         _advance, state.time)[0]
 
 
@@ -372,17 +369,17 @@ def run_flow(initial, config, g_ref=None):
     Numerical breakdown never raises; the verdict ("CONVERGED" when the
     right-hand side dropped below stop_tol, otherwise "DIVERGED") and the
     reason string report it; overflow is reported so by the field checks
-    (NonFiniteError), not by numpy warnings. Diagnostics are recorded every
-    record_every accepted steps and always at the endpoint.
+    (NonFiniteError), not by numpy warnings. A run that takes MAX_STEPS steps
+    ends DIVERGED with "step budget exhausted". Diagnostics are recorded
+    every record_every accepted steps and always at the endpoint.
     """
     gauge, history, totals = _gauge(config.gauge), [], collections.Counter()
     side_failures = 0
 
     def rhs(s):
-        return _rhs(gauge, s, g_ref, config.eigen_tol, history, totals)
+        return _rhs(gauge, s, g_ref, history, totals)
 
     state = initial
-    states = [state]
     records = []
     gauge_series = [] if (config.keep_gauge_fields
                           and gauge.keeps_fields) else None
@@ -406,7 +403,7 @@ def run_flow(initial, config, g_ref=None):
 
         stopping = rhs_l2 < config.stop_tol
         at_horizon = state.time >= config.t_max
-        out_of_steps = steps >= config.max_steps
+        out_of_steps = steps >= MAX_STEPS
         if (steps % config.record_every == 0 or stopping or at_horizon
                 or out_of_steps):
             # H = Hhat + db from the validated b, as the right-hand sides
@@ -416,8 +413,7 @@ def run_flow(initial, config, g_ref=None):
             if sol is None:
                 try:
                     sol, = _warm_solve(lambda w0: (lowest_eigenpair(
-                        state.g, h, tol=config.eigen_tol, w0=w0),),
-                        state.time, history, totals)
+                        state.g, h, w0=w0),), state.time, history, totals)
                 except (ConvergenceError, NonFiniteError):
                     side_failures += 1
             records.append(_diagnostics_row(state, h, dt, rhs_l2, sol))
@@ -441,12 +437,8 @@ def run_flow(initial, config, g_ref=None):
             gauge_series.append((state.time, dt, extras))
         state = new_state
         steps += 1
-        if config.keep_states:
-            states.append(state)
 
-    if states[-1] is not state:
-        states.append(state)
-    return Trajectory(states=states, records=records, verdict=verdict,
+    return Trajectory(final=state, records=records, verdict=verdict,
                       gauge=config.gauge, reason=reason,
                       gauge_series=gauge_series,
                       side_eig_failures=side_failures,

@@ -312,10 +312,13 @@ def exterior_derivative_values(grid, values):
 
     (d w)_{a0..ak} = sum_m (-1)^m D_{a_m} w_{a0..^a_m..ak}, computed on the
     increasing index tuples only and expanded, so the output is exactly
-    antisymmetric; d(d w) = 0 holds because coordinate stencils commute.
+    antisymmetric; d(d w) = 0 holds because coordinate stencils commute. A
+    (k + 1)-form with k + 1 > n is exactly zero.
     """
     n = grid.n_dims
     k = values.ndim - n
+    if k + 1 > n:
+        return np.zeros(values.shape + (n,))
     comps = form_components(values, n, k)
     out = [0.0] * len(increasing_tuples(n, k + 1))
     for a, j, sign, p in slot_pairs(n, k + 1):
@@ -367,9 +370,11 @@ def hodge_laplacian_values(g, values):
 
 def interior_product_values(x_values, values):
     """Contraction X . w of a vector array into the first slot of a k-form
-    array, a (k-1)-form."""
+    array, a (k-1)-form; exactly zero when k > n, where w vanishes."""
     n = x_values.shape[-1]
     k = values.ndim - x_values.ndim + 1
+    if k > n:
+        return np.zeros(values.shape[:-1])
     comps = form_components(values, n, k)
     out = [0.0] * len(increasing_tuples(n, k - 1))
     for a, j, sign, p in slot_pairs(n, k):

@@ -276,14 +276,13 @@ def find_stationary(data0, tol=1e-12, max_iter=100):
         f"residual {float(np.max(np.abs(res))):.3e}")
 
 
-def invariant_flow(data0, t_max, dt=0.002, stop_tol=None, record_every=1):
-    """Fixed-step RK4 integration of the matrix ODE.
+def invariant_flow(data0, t_max, dt=0.002):
+    """Fixed-step RK4 integration of the matrix ODE up to t_max.
 
     Uses the lattice flows' Runge-Kutta step, halved while the metric leaves
     the SPD cone (StepSizeError when that never ends). Returns (records,
-    final LieData). Each record holds t, the six upper metric entries, h3,
-    the stationarity residual, and dt. stop_tol, when given, ends the run
-    once the stationarity residual drops below it.
+    final LieData), one record per step and one at the end. Each record holds
+    t, the six upper metric entries, h3, the stationarity residual, and dt.
     """
     if t_max <= 0 or dt <= 0:
         raise FieldError("t_max and dt must be positive")
@@ -304,19 +303,12 @@ def invariant_flow(data0, t_max, dt=0.002, stop_tol=None, record_every=1):
     records = []
     data = data0
     t = 0.0
-    step_index = 0
     while t < t_max - 1e-15:
-        res = stationarity_residual(data)
-        if step_index % record_every == 0:
-            records.append(make_row(t, data, res, dt))
-        if stop_tol is not None and res < stop_tol:
-            break
+        records.append(make_row(t, data, stationarity_residual(data), dt))
         data, _, h = _rk4_with_retries(data, min(dt, t_max - t), slope,
                                        advance, t)
         t += h
-        step_index += 1
-    if not records or records[-1]["t"] < t:
-        records.append(make_row(t, data, stationarity_residual(data), dt))
+    records.append(make_row(t, data, stationarity_residual(data), dt))
     return records, data
 
 

@@ -20,7 +20,7 @@ lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
 per axis, the preconditioner is one small matmul per axis in a real Fourier
 basis, and every CG exit is counted (see SpectralSolution). CG carries Phi w
-along, so only the pair that passes tol costs an apply of its own.
+along, so only the pair that passes EIG_TOL costs an apply of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ from .geometry import (
     hessian_values, hodge_laplacian_values, interior_product_values,
     laplacian_values, ricci_values, scalar_curvature_values)
 
-DEFAULT_EIG_TOL = 1e-9
+# the eigensolver's acceptance residual and its outer and CG budgets
+EIG_TOL = 1e-9
+MAX_OUTER = 80
+CG_MAX_ITER = 2000
 SHIFT_MARGIN = 0.5
 
 
@@ -157,9 +160,10 @@ class SchrodingerOperator:
             return along_axes(coeffs, [basis.T for basis in self._bases])
         return precondition
 
-    def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000,
-                      phi_x0=None, phi_out=None):
-        """CG solve of (Phi - sigma) x = rhs, volume-symmetrized, preconditioned.
+    def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, phi_x0=None,
+                      phi_out=None):
+        """CG solve of (Phi - sigma) x = rhs, volume-symmetrized, preconditioned,
+        in at most CG_MAX_ITER iterations.
 
         phi_x0, when given, is Phi applied to x0; it saves the apply of the
         initial residual. phi_out (may be phi_x0) receives Phi x, carried as
@@ -176,7 +180,7 @@ class SchrodingerOperator:
         b_norm = float(np.linalg.norm(b))
         iterations, reason = 0, "converged"
         while b_norm > 0.0 and not float(np.linalg.norm(r)) <= rtol * b_norm:
-            if iterations == max_iter:
+            if iterations == CG_MAX_ITER:
                 reason = "max_iter"
                 break
             z = precondition(r)
@@ -257,7 +261,7 @@ def schrodinger_apply(g, H, u):
     return ScalarField(g.grid, op.apply_values(u.values))
 
 
-def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
+def lowest_eigenpair(g, H=None, w0=None):
     """Ground state of Phi_{g,H} by shifted inverse power iteration.
 
     Parameters
@@ -266,23 +270,23 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
     H : TensorField, ndarray or None
         Closed 3-form entering the potential, as a field or its component
         array; None means zero.
-    tol : float
-        Absolute bound on ||Phi w - lambda w||_{L2(dV_g)} at exit.
     w0 : ScalarField or ndarray, optional
         Start vector, None for the constant. run_flow passes the line in t
         through the eigenfunctions of the last two times it solved; any
         nonzero vector works, and one closer to the ground state takes
         fewer steps.
 
-    The shift tracks the Rayleigh quotient minus a fixed margin of 0.5, which
-    keeps the shifted operator positive definite through convergence. lambda
-    and the residual come from the Phi w that CG carries (phi_out); once that
-    residual passes tol, one true apply certifies the pair, or iteration goes
-    on from the true Phi w. A solve costs its CG iterations plus two applies
-    (one when w0 passes at once). The returned eigenfunction is certified
-    positive; a sign change anywhere is a hard error since f = -2 log w must
-    exist. A residual that is not finite (the potential overflows the apply)
-    raises NonFiniteError at once.
+    The pair is accepted once ||Phi w - lambda w||_{L2(dV_g)} <= EIG_TOL;
+    more than MAX_OUTER steps raise ConvergenceError. The shift tracks the
+    Rayleigh quotient minus a fixed margin of 0.5, which keeps the shifted
+    operator positive definite through convergence. lambda and the residual
+    come from the Phi w that CG carries (phi_out); once that residual passes
+    EIG_TOL, one true apply certifies the pair, or iteration goes on from the
+    true Phi w. A solve costs its CG iterations plus two applies (one when w0
+    passes at once). The returned eigenfunction is certified positive; a sign
+    change anywhere is a hard error since f = -2 log w must exist. A residual
+    that is not finite (the potential overflows the apply) raises
+    NonFiniteError at once.
     """
     op = SchrodingerOperator(g, H)
     if w0 is None:
@@ -298,7 +302,7 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
     while True:
         lam = op.volume_dot(w, phi_w)
         res = op.volume_norm(phi_w - lam * w)
-        if res <= tol:
+        if res <= EIG_TOL:
             if certified:
                 break
             phi_w, certified = op.apply_values(w), True
@@ -306,9 +310,9 @@ def lowest_eigenpair(g, H=None, tol=DEFAULT_EIG_TOL, w0=None, max_outer=80):
         if not math.isfinite(res):
             raise NonFiniteError(f"eigensolver residual is non-finite ({res}) "
                                  f"after {iterations} steps")
-        if iterations >= max_outer:
+        if iterations >= MAX_OUTER:
             raise ConvergenceError(
-                f"eigensolver stalled at residual {res:.3e} after {max_outer} steps"
+                f"eigensolver stalled at residual {res:.3e} after {MAX_OUTER} steps"
             )
         sigma = lam - SHIFT_MARGIN
         cg_rtol = max(1e-13, min(1e-2, 0.005 * res))
@@ -389,10 +393,10 @@ def total_field_strength(grid, b, hhat=None):
                        "antisymmetric")
 
 
-def mu_value(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
+def mu_value(g, b, hhat=None, w0=None):
     """mu(g, b) = lambda(g, Hhat + db)."""
     H = total_field_strength(g.grid, b, hhat)
-    return lowest_eigenpair(g, H, tol=tol, w0=w0).lam
+    return lowest_eigenpair(g, H, w0=w0).lam
 
 
 @dataclass(frozen=True)
@@ -433,14 +437,13 @@ def assemble_mu_gradient(g, H, sol):
     )
 
 
-def mu_gradient(g, b, hhat=None, tol=DEFAULT_EIG_TOL, w0=None):
+def mu_gradient(g, b, hhat=None, w0=None):
     """The gradient of mu at (g, b): solve the eigenpair, then assemble."""
     H = total_field_strength(g.grid, b, hhat)
-    return assemble_mu_gradient(g, H, lowest_eigenpair(g, H, tol=tol, w0=w0))
+    return assemble_mu_gradient(g, H, lowest_eigenpair(g, H, w0=w0))
 
 
-def mu_directional_derivative(g, b, h, beta, w0, hhat=None, eps=1e-4,
-                              tol=DEFAULT_EIG_TOL):
+def mu_directional_derivative(g, b, h, beta, w0, hhat=None, eps=1e-4):
     """Central finite difference of mu along (h, beta); the gradient oracle.
     w0, the eigenfunction solved at (g, b), starts both side solves."""
     values = []
@@ -448,7 +451,7 @@ def mu_directional_derivative(g, b, h, beta, w0, hhat=None, eps=1e-4,
         g_side = MetricField(g.grid, g.values + sgn * eps * h.values)
         b_side = TensorField(g.grid, b.values + sgn * eps * beta.values,
                              "antisymmetric")
-        values.append(mu_value(g_side, b_side, hhat, tol=tol, w0=w0))
+        values.append(mu_value(g_side, b_side, hhat, w0=w0))
     return (values[0] - values[1]) / (2.0 * eps)
 
 
@@ -479,10 +482,9 @@ class CriticalPointReport:
         return asdict(self)
 
 
-def critical_point_diagnostics(g, H, sol=None, tol=DEFAULT_EIG_TOL):
-    """Evaluate every stationarity residual of interest at (g, H)."""
-    if sol is None:
-        sol = lowest_eigenpair(g, H, tol=tol)
+def critical_point_diagnostics(g, H, sol):
+    """Every stationarity residual of interest at (g, H), from its solved
+    eigenpair sol."""
     grad = assemble_mu_gradient(g, H, sol)
     return CriticalPointReport(
         mu=sol.lam,

@@ -433,11 +433,11 @@ def deturck_rhs_reference(state, g_ref):
     return dg, db, x
 
 
-def mu_rhs_reference(state, tol):
+def mu_rhs_reference(state):
     """(dg, db, solution) of the mu-gradient flow, one kernel per term, each
     taking the derivatives of f afresh."""
     g, H = state.g, state.field_strength().values
-    sol = lowest_eigenpair(g, H, tol=tol)
+    sol = lowest_eigenpair(g, H)
     f = sol.f.values
     dg = (-ricci_values(g) - hessian_values(g, f)
           + 0.25 * h_squared_values(g, H))

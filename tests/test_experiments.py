@@ -18,7 +18,6 @@ from grflab.experiments import (
 )
 from grflab import flow, spectrum
 from grflab.errors import ConvergenceError, NonFiniteError
-from grflab.spectrum import DEFAULT_EIG_TOL
 
 
 def test_flat_equilibrium_is_exact():
@@ -26,6 +25,22 @@ def test_flat_equilibrium_is_exact():
     report = flat_equilibrium_report(12)
     for key in [f"{name}_rhs_sup" for name in flow.GAUGES] + ["lambda"]:
         assert report[key] == 0.0, key
+
+
+def test_flat_equilibrium_is_exact_in_two_dimensions():
+    report = flat_equilibrium_report(resolution=8, dims=2)
+    for key in [f"{name}_rhs_sup" for name in flow.GAUGES] + ["lambda"]:
+        assert report[key] == 0.0, key
+
+
+def test_two_dimensional_stability_run_passes():
+    # in 2D there is no 3-form, so H = 0 and the DeTurck flow is
+    # DeTurck-Ricci flow
+    traj, summary = stability_run(resolution=8, dims=2)
+    assert summary["passed"] is True
+    assert summary["verdict"] == "CONVERGED"
+    assert summary["H_l2_end"] == 0.0
+    assert np.all(traj.column("H_l2") == 0.0)
 
 
 def _plain_type_paths(value, path="summary"):
@@ -79,7 +94,7 @@ def test_gauge_consistency_gap_is_small():
 
 def test_eigen_report_on_perturbed_data():
     report = eigen_report(12, amplitude=0.05)
-    assert report["eigen_residual"] <= DEFAULT_EIG_TOL
+    assert report["eigen_residual"] <= spectrum.EIG_TOL
     assert report["f_eq_residual"] < 0.05
     assert report["mu"] == report["lambda"] < 0.0
     for key, value in report.items():
@@ -104,9 +119,11 @@ ENDPOINT_FIELDS = ("t_end", "lambda_end", "ricci_linf_end", "H_l2_end",
 
 
 @pytest.mark.parametrize("pipeline", ["monotonicity"])
-def test_run_whose_first_right_hand_side_fails_reports_its_verdict(pipeline):
+def test_run_whose_first_right_hand_side_fails_reports_its_verdict(
+        pipeline, monkeypatch):
     # an unreachable eigensolver tolerance fails the very first stage
-    traj, summary = monotonicity_run(resolution=8, eigen_tol=1e-30)
+    monkeypatch.setattr(spectrum, "EIG_TOL", 1e-30)
+    traj, summary = monotonicity_run(resolution=8)
     assert summary["passed"] is False
     assert math.isnan(summary["lambda_start"])
     assert traj.records == []

@@ -68,8 +68,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("t_max", float("nan")), ("cfl", float("nan")), ("cfl", float("inf")),
-    ("stop_tol", float("nan")), ("eigen_tol", float("nan")),
-    ("eigen_tol", 0.0), ("eigen_tol", -1e-9), ("max_steps", -3),
+    ("stop_tol", float("nan")), ("record_every", 2.5),
 ])
 def test_config_rejects_values_that_falsify_the_verdict(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -91,25 +90,27 @@ def test_flat_state_is_a_fixed_point(gauge):
     assert abs(row["lambda"]) < 1e-13
 
 
-def test_stop_rule_is_strictly_less_than():
+def test_stop_rule_is_strictly_less_than(monkeypatch):
     # at the flat fixed point the residual is exactly zero, so stop_tol=0
     # never fires and the step budget runs out without the state moving
     state = flat_state(8)
-    config = FlowConfig(gauge="grf", t_max=1.0, stop_tol=0.0, max_steps=3)
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    config = FlowConfig(gauge="grf", t_max=1.0, stop_tol=0.0)
     traj = run_flow(state, config)
     assert traj.verdict == "DIVERGED"
     assert "budget" in traj.reason
     assert np.array_equal(traj.final.g.values, state.g.values)
 
 
-def test_step_budget_takes_exactly_max_steps_and_records_the_end():
+def test_step_budget_takes_exactly_max_steps_and_records_the_end(
+        monkeypatch):
     state = canned_state(resolution=8, amplitude=0.05, seed=0, cutoff=2)
-    config = FlowConfig(gauge="grf", t_max=10.0, stop_tol=0.0, max_steps=4,
-                        keep_states=True)
+    monkeypatch.setattr(flow, "MAX_STEPS", 4)
+    config = FlowConfig(gauge="grf", t_max=10.0, stop_tol=0.0)
     traj = run_flow(state, config)
     assert traj.verdict == "DIVERGED"
     assert "budget" in traj.reason
-    assert len(traj.states) == 5    # the initial state and 4 accepted steps
+    assert len(traj.records) == 5   # the initial state and 4 accepted steps
     assert traj.final.time > 0.0
     assert traj.records[-1]["t"] == traj.final.time
 
@@ -157,7 +158,8 @@ def test_deturck_is_grf_plus_gauge_terms():
 
 
 @pytest.mark.parametrize("hhat_c", [0.0, 0.3])
-def test_right_hand_sides_equal_the_public_kernel_composition(hhat_c):
+def test_right_hand_sides_equal_the_public_kernel_composition(hhat_c,
+                                                              monkeypatch):
     state = canned_state(resolution=8, amplitude=0.1, seed=9, cutoff=2,
                          hhat_c=hhat_c)
     g_ref = flat_metric(state.g.grid)
@@ -166,8 +168,9 @@ def test_right_hand_sides_equal_the_public_kernel_composition(hhat_c):
                       deturck_rhs_reference(state, g_ref))):
         for field, values in zip(out, ref):
             assert np.array_equal(field.values, values)
-    dg, db, sol = mu_gradient_flow_rhs(state, tol=1e-10)
-    dg_ref, db_ref, sol_ref = mu_rhs_reference(state, tol=1e-10)
+    monkeypatch.setattr(spectrum, "EIG_TOL", 1e-10)
+    dg, db, sol = mu_gradient_flow_rhs(state)
+    dg_ref, db_ref, sol_ref = mu_rhs_reference(state)
     assert sol.lam == sol_ref.lam
     assert np.array_equal(sol.f.values, sol_ref.f.values)
     assert np.array_equal(dg.values, dg_ref)
@@ -273,7 +276,7 @@ def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
 
     def side_solve(s):
         # the side solve of run_flow: the eigenpair alone, looked up in flow
-        return lambda w0: (flow.lowest_eigenpair(s.g, h, tol=1e-9, w0=w0),)
+        return lambda w0: (flow.lowest_eigenpair(s.g, h, w0=w0),)
 
     sol, = _warm_solve(side_solve(state), state.time, history, totals)
     assert [t for t, _ in history] == [0.0]
@@ -304,8 +307,8 @@ def _golden_mu_run(monkeypatch, cold=False):
     solve = flow.lowest_eigenpair
     solved = []
 
-    def counting(g, h, tol, w0):
-        sol = solve(g, h, tol=tol, w0=None if cold else w0)
+    def counting(g, h, w0):
+        sol = solve(g, h, w0=None if cold else w0)
         solved.append(sol)
         return sol
 
@@ -362,18 +365,16 @@ def test_closedness_of_field_strength_is_exact():
     assert np.all(traj.column("dH_linf") == 0.0)
 
 
-def test_keep_states_and_record_every():
+def test_sparse_records_pin_the_endpoint():
     state = perturbed_state(8, 0.05, seed=5)
-    config = FlowConfig(gauge="grf", t_max=0.05, stop_tol=1e-14,
-                        keep_states=True, record_every=3)
-    traj = run_flow(state, config)
-    times = [s.time for s in traj.states]
-    assert times == sorted(times)
-    assert traj.states[0].time == 0.0
-    assert traj.final is traj.states[-1]
-    # sparse sampling still pins the endpoint
-    assert traj.records[-1]["t"] == pytest.approx(traj.final.time)
-    assert len(traj.records) < len(traj.states)
+    every, sparse = (run_flow(state, FlowConfig(
+        gauge="grf", t_max=0.05, stop_tol=1e-14, record_every=r))
+        for r in (1, 3))
+    # rows at every third step, and always at the endpoint
+    assert sparse.final.time == every.final.time == every.records[-1]["t"]
+    assert [r["t"] for r in sparse.records] == [
+        r["t"] for r in every.records[:-1:3] + every.records[-1:]]
+    assert len(sparse.records) < len(every.records)
 
 
 def test_gauge_series_only_for_deturck():
@@ -457,12 +458,12 @@ def test_non_finite_runge_kutta_stage_ends_in_diverged(gauge):
 
 
 @pytest.mark.parametrize("gauge", ["deturck", "grf"])
-def test_unstable_run_ends_in_diverged_on_positivity(gauge):
+def test_unstable_run_ends_in_diverged_on_positivity(gauge, monkeypatch):
     # cfl = 1.5 is past the explicit stability bound; the potential must stay
     # exactly antisymmetric all the way to the positivity failure
     start, g_ref = _scaled_potential(1.0)
-    config = FlowConfig(gauge=gauge, cfl=1.5, t_max=200.0, stop_tol=1e-9,
-                        max_steps=3000)
+    monkeypatch.setattr(flow, "MAX_STEPS", 3000)
+    config = FlowConfig(gauge=gauge, cfl=1.5, t_max=200.0, stop_tol=1e-9)
     traj = run_flow(start, config, g_ref=g_ref)
     assert traj.verdict == "DIVERGED"
     assert traj.reason.startswith("metric loses positivity")

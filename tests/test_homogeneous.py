@@ -146,13 +146,6 @@ def test_invariant_flow_preserves_stationary_point():
     assert all(r["stat_residual"] < 1e-13 for r in records)
 
 
-def test_invariant_flow_stop_tol_short_circuits():
-    records, final = invariant_flow(su2_round(1.0), t_max=1.0, dt=0.01,
-                                    stop_tol=1e-8)
-    assert len(records) == 1
-    assert records[0]["t"] == 0.0
-
-
 def test_heisenberg_flow_pancakes():
     start = LieData(heisenberg_algebra(), np.eye(3), 0.0)
     records, final = invariant_flow(start, t_max=0.5, dt=0.005)

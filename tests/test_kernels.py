@@ -295,6 +295,21 @@ def test_exterior_derivative_matches_the_full_formula(dims, k):
     _assert_exactly_antisymmetric(out, dims)
 
 
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_forms_above_the_dimension_are_exact_zeros(dims):
+    # d of an n-form and X . w of an (n + 1)-form vanish identically; in 2D
+    # the field strength H = db is such a 3-form
+    grid = _form_grid(dims)
+    w = _random_form(grid, 800 + dims, dims)
+    dw = geometry.exterior_derivative_values(grid, w.values)
+    assert dw.shape == grid.shape + (dims,) * (dims + 1)
+    assert not np.any(dw)
+    x = _random_vector(grid, 810 + dims)
+    xdw = geometry.interior_product_values(x.values, dw)
+    assert xdw.shape == w.values.shape
+    assert not np.any(xdw)
+
+
 @pytest.mark.parametrize("dims,k", _ranks(1, 1))
 def test_codifferential_matches_the_full_formula(dims, k):
     grid = _form_grid(dims)

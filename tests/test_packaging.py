@@ -1,5 +1,6 @@
 """The package metadata points at things that exist, importing the package
-stays light, and every public function has a caller outside the tests."""
+stays light, every public function has a caller outside the tests, and every
+FlowConfig field is set by one."""
 
 import ast
 import importlib
@@ -81,3 +82,20 @@ def test_every_public_function_is_reached_outside_the_tests():
                  for name in _public_functions(path)
                  if name.rpartition(".")[2] not in used]
     assert not unreached, "reached only by tests: " + ", ".join(unreached)
+
+
+def test_every_flow_config_field_is_passed_outside_the_tests():
+    # a field that every caller in src/ and perfbench/ leaves at its default
+    # is a constant, not an option; it belongs in a module constant
+    tree = ast.parse((ROOT / "src" / "grflab" / "flow.py").read_text())
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "FlowConfig")
+    fields = [item.target.id for item in config.body
+              if isinstance(item, ast.AnnAssign)]
+    passed = {node.arg
+              for path in sorted((ROOT / "src" / "grflab").glob("*.py"))
+              + sorted((ROOT / "perfbench").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.keyword)}
+    unset = [name for name in fields if name not in passed]
+    assert fields and not unset, "never passed by keyword: " + ", ".join(unset)

@@ -20,7 +20,7 @@ from grflab import (
     step,
     total_field_strength,
 )
-from grflab import geometry, lattice
+from grflab import geometry, lattice, spectrum
 from grflab.errors import ConvergenceError
 from grflab.experiments import perturbed_state
 from grflab.geometry import (
@@ -94,10 +94,11 @@ def test_operator_self_adjoint_in_volume_inner_product():
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
 
-def test_matches_dense_oracle_on_conformal_metric():
+def test_matches_dense_oracle_on_conformal_metric(monkeypatch):
     o = ConformalOracle(8, a1=0.2, a2=0.1)
     lam_dense = dense_lowest_eigenvalue(o.metric)
-    sol = lowest_eigenpair(o.metric, tol=1e-10)
+    monkeypatch.setattr(spectrum, "EIG_TOL", 1e-10)
+    sol = lowest_eigenpair(o.metric)
     assert abs(sol.lam - lam_dense) < 1e-9
 
 
@@ -232,7 +233,8 @@ def test_critical_point_diagnostics_flat():
     grid = Grid((12, 12, 12))
     g = flat_metric(grid)
     b = TensorField(grid, np.zeros(grid.shape + (3, 3)), "antisymmetric")
-    report = critical_point_diagnostics(g, total_field_strength(grid, b))
+    H = total_field_strength(grid, b)
+    report = critical_point_diagnostics(g, H, lowest_eigenpair(g, H))
     d = report.as_dict()
     assert abs(d["mu"]) < 1e-12
     assert d["mu_grad_g"] < 1e-12
@@ -247,17 +249,18 @@ def test_critical_point_diagnostics_report_the_mu_gradient():
     g = MetricField(grid, flat_metric(grid).values + h.values)
     grad = mu_gradient(g, b)
     report = critical_point_diagnostics(g, total_field_strength(grid, b),
-                                        sol=grad.solution)
+                                        grad.solution)
     assert report.mu_grad_g == np.max(np.abs(grad.g_part.values))
     assert report.mu_grad_b == np.max(np.abs(grad.b_part.values))
     assert report.mu_grad_b > 0.0
 
 
-def test_eigensolver_reports_stall():
-    # max_outer=0 forces the failure path on any state needing iteration
+def test_eigensolver_reports_stall(monkeypatch):
+    # MAX_OUTER = 0 forces the failure path on any state needing iteration
     o = ConformalOracle(12, a1=0.2)
+    monkeypatch.setattr(spectrum, "MAX_OUTER", 0)
     with pytest.raises(ConvergenceError):
-        lowest_eigenpair(o.metric, max_outer=0)
+        lowest_eigenpair(o.metric)
 
 
 def _shifted_system(dims):
@@ -342,12 +345,12 @@ def test_a_carried_residual_that_passes_is_checked_by_a_true_apply(monkeypatch):
     reference = lowest_eigenpair(g, H)
     solve, starts = SchrodingerOperator.solve_shifted, []
 
-    def faking(self, rhs, sigma, x0=None, rtol=1e-10, max_iter=2000,
-               phi_x0=None, phi_out=None):
+    def faking(self, rhs, sigma, x0=None, rtol=1e-10, phi_x0=None,
+               phi_out=None):
         starts.append(np.array_equal(
             phi_x0, self.apply_values(x0 * SHIFT_MARGIN) / SHIFT_MARGIN))
-        x = solve(self, rhs, sigma, x0=x0, rtol=rtol, max_iter=max_iter,
-                  phi_x0=phi_x0, phi_out=phi_out)
+        x = solve(self, rhs, sigma, x0=x0, rtol=rtol, phi_x0=phi_x0,
+                  phi_out=phi_out)
         if len(starts) == 1:
             phi_out[...] = x
         return x
@@ -387,9 +390,10 @@ def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
     assert np.array_equal(grad.b_part.values, b_part)
 
 
-def test_cg_counts_an_exit_on_max_iter():
+def test_cg_counts_an_exit_on_max_iter(monkeypatch):
     op, w, sigma = _shifted_system(3)
-    op.solve_shifted(w, sigma, rtol=1e-15, max_iter=1)
+    monkeypatch.setattr(spectrum, "CG_MAX_ITER", 1)
+    op.solve_shifted(w, sigma, rtol=1e-15)
     assert op.cg_exits == {"converged": 0, "max_iter": 1, "indefinite": 0}
     assert op.cg_iterations == 1
 
