@@ -25,7 +25,6 @@ from .lattice import (
 )
 from .geometry import MetricField, flat_metric, scalar_curvature
 from .spectrum import (
-    CriticalPointReport,
     MuGradient,
     SchrodingerOperator,
     SpectralSolution,
@@ -34,10 +33,7 @@ from .spectrum import (
     f_equation_residual,
     lowest_eigenpair,
     mu_directional_derivative,
-    mu_gradient,
-    mu_value,
     schrodinger_apply,
-    total_field_strength,
 )
 from .flow import (
     FlowConfig,
@@ -52,7 +48,7 @@ from .flow import (
     write_trajectory_csv,
 )
 from .diffeo import diffeo_flow, pullback
-from .lojasiewicz import LojasiewiczFit, lojasiewicz_estimate
+from .lojasiewicz import lojasiewicz_estimate
 from .homogeneous import (
     LieData,
     abelian_algebra,

@@ -54,7 +54,7 @@ from .geometry import (
     interior_product_values, lie_derivative_metric_values, ricci_values)
 from .spectrum import (
     _energy, _identity_gap, _potential, assemble_mu_gradient,
-    field_strength_values, lowest_eigenpair, total_field_strength)
+    field_strength_values, lowest_eigenpair)
 
 SPD_RETRIES = 10
 MAX_STEPS = 200000
@@ -78,7 +78,9 @@ class FlowState:
     time: float = 0.0
 
     def field_strength(self):
-        return total_field_strength(self.g.grid, self.b, self.hhat)
+        """H = hhat + db as a validated field."""
+        return TensorField(self.g.grid, field_strength_values(
+            self.g.grid, self.b.values, self.hhat), "antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class FlowConfig:
     side pair (weighted by e^{-f} in a spectral gauge: the gradient norm);
     reaching it gives the CONVERGED verdict. A diagnostics row is recorded
     every record_every accepted steps, an integer of at least 1. No float
-    field may be NaN, and cfl must be finite.
+    field may be NaN, and cfl must be finite. keep_gauge_fields asks for the
+    run's gauge_series and needs a gauge that keeps fields.
     """
 
     gauge: str = "grf"
@@ -100,7 +103,10 @@ class FlowConfig:
     keep_gauge_fields: bool = False
 
     def __post_init__(self):
-        _gauge(self.gauge)
+        gauge = _gauge(self.gauge)
+        if self.keep_gauge_fields and not gauge.keeps_fields:
+            raise ConfigError(
+                f"the {self.gauge!r} gauge keeps no gauge fields")
         for name in ("t_max", "cfl", "stop_tol"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
@@ -117,12 +123,13 @@ class FlowConfig:
 class Trajectory:
     """Outcome of a flow run: final state, sampled diagnostics, verdict.
 
-    final is the state the run ended at; gauge is the run's GAUGES key. gauge_series, present when the run kept
-    gauge fields, lists (t, dt, [X at the four Runge-Kutta stages]) per
-    accepted step; diffeo_flow consumes it to integrate the compensating
-    diffeomorphisms at matching order. side_eig_failures counts the rows
-    whose side eigensolve failed (spectral columns NaN); eig_outer_iterations
-    and eig_cg_iterations total the iterations of every returned eigensolve.
+    final is the state the run ended at; gauge is the run's GAUGES key.
+    gauge_series, present when the run kept gauge fields, lists (t, dt,
+    [X at the four Runge-Kutta stages]) per accepted step; diffeo_flow
+    consumes it to integrate the compensating diffeomorphisms at matching
+    order. side_eig_failures counts the rows whose side eigensolve failed
+    (spectral columns NaN); eig_outer_iterations and eig_cg_iterations total
+    the iterations of every returned eigensolve.
     """
 
     final: FlowState
@@ -381,8 +388,7 @@ def run_flow(initial, config, g_ref=None):
 
     state = initial
     records = []
-    gauge_series = [] if (config.keep_gauge_fields
-                          and gauge.keeps_fields) else None
+    gauge_series = [] if config.keep_gauge_fields else None
     verdict, reason = "DIVERGED", "step budget exhausted"
     steps = 0
     while True:

@@ -158,12 +158,10 @@ def _inverse_and_det(a):
     return inv, det
 
 
-def flat_metric(grid, diagonal=None):
-    """Constant metric, identity by default or with a given diagonal."""
-    n = grid.n_dims
-    diag = np.ones(n) if diagonal is None else np.asarray(diagonal, dtype=float)
-    values = np.zeros(grid.shape + (n, n))
-    values[...] = np.diag(diag)
+def flat_metric(grid):
+    """The identity metric."""
+    values = np.zeros(grid.shape + (grid.n_dims, grid.n_dims))
+    values[...] = np.eye(grid.n_dims)
     return MetricField(grid, values)
 
 

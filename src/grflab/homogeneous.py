@@ -14,6 +14,7 @@ c^k_{ij} e_k, antisymmetric in (i, j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .errors import ConvergenceError, FieldError, PositivityError
 from .flow import _rk4_with_retries
 
 _JACOBI_TOL = 1e-12
+# Newton steps find_stationary takes before it gives up
+NEWTON_MAX_ITER = 100
 _EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPSILON[_i, _j, _k] = 1.0
@@ -225,8 +228,9 @@ def _unpack(x):
     return g, float(x[6])
 
 
-def find_stationary(data0, tol=1e-12, max_iter=100):
-    """Newton iteration onto the stationary set Ric = H^2/4.
+def find_stationary(data0, tol=1e-12):
+    """Newton iteration onto the stationary set Ric = H^2/4, in at most
+    NEWTON_MAX_ITER steps.
 
     The system has 6 equations in the 7 unknowns (g, h3); the least-squares
     Newton step handles the underdetermined Jacobian and lands on the nearby
@@ -249,7 +253,7 @@ def find_stationary(data0, tol=1e-12, max_iter=100):
 
     x = _pack(np.array(data0.g), data0.h3)
     res = residual(x)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(res))) < tol:
             g, h3 = _unpack(x)
             return LieData(data0.c, g, h3)
@@ -280,12 +284,13 @@ def invariant_flow(data0, t_max, dt=0.002):
     """Fixed-step RK4 integration of the matrix ODE up to t_max.
 
     Uses the lattice flows' Runge-Kutta step, halved while the metric leaves
-    the SPD cone (StepSizeError when that never ends). Returns (records,
-    final LieData), one record per step and one at the end. Each record holds
-    t, the six upper metric entries, h3, the stationarity residual, and dt.
+    the SPD cone (StepSizeError when that never ends). t_max and dt must be
+    positive and finite, else FieldError. Returns (records, final LieData),
+    one record per step and one at the end. Each record holds t, the six
+    upper metric entries, h3, the stationarity residual, and dt.
     """
-    if t_max <= 0 or dt <= 0:
-        raise FieldError("t_max and dt must be positive")
+    if not (0 < t_max < math.inf and 0 < dt < math.inf):
+        raise FieldError("t_max and dt must be positive and finite")
 
     def slope(data):
         return (invariant_grf_rhs(data)[0],), None

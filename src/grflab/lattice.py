@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class Grid:
     Parameters
     ----------
     resolutions : tuple of int
-        Points per axis. Each must be even and at least 8; between 2 and 4
-        axes are supported.
+        Points per axis. Each must be an even integer of at least 8; between
+        2 and 4 axes are supported.
     periods : tuple of float
         Circumference per axis, default 2*pi on every axis.
     """
@@ -48,6 +49,9 @@ class Grid:
     periods: tuple = None
 
     def __post_init__(self):
+        for r in self.resolutions:
+            if not isinstance(r, numbers.Integral):
+                raise FieldError(f"resolutions must be integers, got {r!r}")
         res = tuple(int(r) for r in self.resolutions)
         if not 2 <= len(res) <= 4:
             raise FieldError(f"grid must have 2..4 axes, got {len(res)}")

@@ -1,65 +1,24 @@
-"""Gradient-inequality exponent estimation from flow trajectories.
+"""Gradient-inequality exponent estimation from flow records.
 
 Near a critical point the gradient norm controls the value gap through
-|grad mu| >= |mu|^{1 - theta} for some theta in (0, 1/2]. Along a recorded
-gradient-gauge trajectory both sides are sampled directly (rhs_l2 is the
-gradient norm in that gauge), so theta is estimated by a least-squares fit of
-log |grad mu| against log |mu|, then reconciled with the largest exponent not
-exceeding one half for which the inequality holds at every sample of the fit
-window. The fit residual and exclusion counts are always reported; nothing is
-asserted a priori.
+|grad mu| >= |mu|^{1 - theta} for some theta in (0, 1/2]. The records of a
+spectral-gauge run sample both sides directly (rhs_l2 is the gradient norm in
+that gauge), so theta is estimated by a least-squares fit of log |grad mu|
+against log |mu|, then reconciled with the largest exponent not exceeding one
+half for which the inequality holds at every sample of the fit window. The
+fit takes the record dicts alone and returns a dict; the fit residual and
+exclusion counts are always reported, and nothing is asserted a priori.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .flow import _gauge
 
 _ROUNDING_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class LojasiewiczFit:
-    """Fitted gradient-inequality exponent and its certificates.
-
-    theta_slope is the raw least-squares estimate 1 - slope; theta_hat
-    additionally respects the cap at one half and the pointwise feasibility
-    of the inequality on the window, so it is NaN when no positive exponent
-    works. window is the (first, last) time of the fitted samples.
-    """
-
-    theta_hat: float
-    theta_slope: float
-    fit_residual: float
-    window: tuple
-    n_samples: int
-    n_excluded: int
-    holds_everywhere: bool
-
-    def as_dict(self):
-        return {
-            "theta_hat": self.theta_hat,
-            "theta_slope": self.theta_slope,
-            "fit_residual": self.fit_residual,
-            "window": list(self.window),
-            "n_samples": self.n_samples,
-            "n_excluded": self.n_excluded,
-            "holds_everywhere": self.holds_everywhere,
-        }
-
-
-def _records_of(trajectory):
-    if hasattr(trajectory, "records"):
-        if not _gauge(trajectory.gauge).spectral:
-            raise ConfigError("exponent fit needs a trajectory of a spectral "
-                              f"gauge, got {trajectory.gauge!r}")
-        return trajectory.records
-    return list(trajectory)
 
 
 def _feasible_cap(log_lam, log_grad):
@@ -84,19 +43,29 @@ def _feasible_cap(log_lam, log_grad):
     return upper, feasible
 
 
-def lojasiewicz_estimate(trajectory, window_fraction=0.5, min_samples=10):
-    """Fit the gradient-inequality exponent on a trajectory's tail.
+def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
+    """Fit the gradient-inequality exponent on the tail of a run's records.
 
-    trajectory is a Trajectory of a spectral gauge (its rhs_l2 is the gradient
-    norm) or a bare list of record dicts with keys t, lambda, rhs_l2. Samples
-    with lambda >= 0 or a vanishing gradient norm are excluded and counted.
-    The fit window is the trailing window_fraction, in (0, 1], of the
-    remaining samples; fewer than min_samples usable rows is an error.
+    records are dicts with keys t, lambda and rhs_l2, the last the gradient
+    norm (as in the rows of a spectral-gauge run). Samples with lambda >= 0,
+    a non-finite lambda or a vanishing gradient norm are excluded and
+    counted. The fit window is the trailing window_fraction, in (0, 1], of
+    the remaining samples; fewer than min_samples usable rows is an error.
+
+    Returns a dict with, in order:
+    theta_hat: the exponent, 1 - slope capped at one half and at the
+        pointwise feasibility of the inequality on the window; NaN when no
+        positive exponent works.
+    theta_slope: the raw least-squares estimate 1 - slope.
+    fit_residual: the root-mean-square residual of the log-log fit.
+    window: [first, last] time of the fitted samples.
+    n_samples / n_excluded: rows fitted / rows excluded.
+    holds_everywhere: whether the inequality at theta_hat holds at every
+        fitted sample, up to a rounding-level slack.
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ConfigError(
             f"window_fraction must lie in (0, 1], got {window_fraction!r}")
-    records = _records_of(trajectory)
     rows = [
         r for r in records
         if math.isfinite(r["lambda"]) and r["lambda"] < 0.0
@@ -128,12 +97,12 @@ def lojasiewicz_estimate(trajectory, window_fraction=0.5, min_samples=10):
         holds = bool(np.all(log_grad >= bound - _ROUNDING_SLACK))
 
     t_values = [r["t"] for r in rows]
-    return LojasiewiczFit(
-        theta_hat=float(theta_hat),
-        theta_slope=theta_slope,
-        fit_residual=fit_residual,
-        window=(float(min(t_values)), float(max(t_values))),
-        n_samples=len(rows),
-        n_excluded=n_excluded,
-        holds_everywhere=holds,
-    )
+    return {
+        "theta_hat": float(theta_hat),
+        "theta_slope": theta_slope,
+        "fit_residual": fit_residual,
+        "window": [float(min(t_values)), float(max(t_values))],
+        "n_samples": len(rows),
+        "n_excluded": n_excluded,
+        "holds_everywhere": holds,
+    }

@@ -12,9 +12,10 @@ gradient of mu(g, b) = lambda(g, Hhat + db) in the e^{-f} dV_g pairing is
 
     ( -Ric - Hess f + H^2/4 ,  -(d* H + grad f . H) / 2 )
 
-which assemble_mu_gradient builds from a solved eigenprofile; finite
-differences of mu against this pairing are the package's main correctness
-oracle.
+which assemble_mu_gradient builds at (g, H) from a solved eigenpair. The
+package's main correctness oracle pairs it against mu_directional_derivative,
+a central difference of lambda whose two sides solve at the shifted metric
+and the field strength of the shifted potential.
 
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -369,14 +370,9 @@ def _energy(g, potential, f):
     return float(np.sum(density)) * g.grid.cell_volume
 
 
-def identity_gap(g, H, sol):
-    """|(1/6) int |H|^2 e^{-f} dV - lambda| of a solved eigenpair, which
-    vanishes at critical points of mu; H is a 3-form field or its array."""
-    return _identity_gap(g, _norm_sq(g, H), sol)
-
-
 def _identity_gap(g, h_sq, sol):
-    """identity_gap from the pointwise |H|^2_g already built."""
+    """|(1/6) int |H|^2 e^{-f} dV - lambda| of a solved eigenpair from the
+    pointwise |H|^2_g already built; it vanishes at critical points of mu."""
     density = h_sq * g.sqrt_det_values * np.exp(-sol.f.values)
     return abs(float(np.sum(density)) * g.grid.cell_volume / 6.0 - sol.lam)
 
@@ -385,18 +381,6 @@ def field_strength_values(grid, b_values, hhat=None):
     """Raw H = Hhat + db from a 2-form potential array."""
     h = exterior_derivative_values(grid, b_values)
     return h if hhat is None else h + hhat.values
-
-
-def total_field_strength(grid, b, hhat=None):
-    """H = Hhat + db for a 2-form potential b and optional closed background."""
-    return TensorField(grid, field_strength_values(grid, b.values, hhat),
-                       "antisymmetric")
-
-
-def mu_value(g, b, hhat=None, w0=None):
-    """mu(g, b) = lambda(g, Hhat + db)."""
-    H = total_field_strength(g.grid, b, hhat)
-    return lowest_eigenpair(g, H, w0=w0).lam
 
 
 @dataclass(frozen=True)
@@ -437,30 +421,30 @@ def assemble_mu_gradient(g, H, sol):
     )
 
 
-def mu_gradient(g, b, hhat=None, w0=None):
-    """The gradient of mu at (g, b): solve the eigenpair, then assemble."""
-    H = total_field_strength(g.grid, b, hhat)
-    return assemble_mu_gradient(g, H, lowest_eigenpair(g, H, w0=w0))
-
-
-def mu_directional_derivative(g, b, h, beta, w0, hhat=None, eps=1e-4):
+def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
     """Central finite difference of mu along (h, beta); the gradient oracle.
-    w0, the eigenfunction solved at (g, b), starts both side solves."""
+
+    Each side solves lambda at the metric g +- eps h and the validated field
+    strength d(b +- eps beta), with no background. w0, the eigenfunction
+    solved at (g, b), starts both side solves.
+    """
     values = []
     for sgn in (+1.0, -1.0):
         g_side = MetricField(g.grid, g.values + sgn * eps * h.values)
-        b_side = TensorField(g.grid, b.values + sgn * eps * beta.values,
-                             "antisymmetric")
-        values.append(mu_value(g_side, b_side, hhat, w0=w0))
+        H_side = TensorField(g.grid, field_strength_values(
+            g.grid, b.values + sgn * eps * beta.values), "antisymmetric")
+        values.append(lowest_eigenpair(g_side, H_side, w0=w0).lam)
     return (values[0] - values[1]) / (2.0 * eps)
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
-    """Stationarity residuals of a state, all sup-norms over components.
+def critical_point_diagnostics(g, H, sol):
+    """Every stationarity residual at (g, H) from its solved eigenpair sol,
+    as a dict of sup norms over components; H is a 3-form field or its
+    component array. |H|^2_g is built once. The keys, in order:
 
-    mu_grad_g / mu_grad_b: sup norms of the two parts of the gradient of mu,
-        as assemble_mu_gradient builds them (the b part carries the 1/2).
+    mu: the eigenvalue sol.lam.
+    mu_grad_g / mu_grad_b: the two parts of the gradient of mu, as
+        assemble_mu_gradient builds them (the b part carries the 1/2).
     ricci_vs_h2: ||Ric - H^2/4||, the metric part of flow stationarity.
     hodge_h: ||Delta_g H||, the form part of flow stationarity.
     scalar_gap: sup |R - |H|^2/12|; a nonzero value at a stationary point
@@ -469,30 +453,16 @@ class CriticalPointReport:
     identity_gap: |(1/6) int |H|^2 e^{-f} dV - mu|, which vanishes at
         critical points of mu and forces H = 0 there when mu <= 0.
     """
-
-    mu: float
-    mu_grad_g: float
-    mu_grad_b: float
-    ricci_vs_h2: float
-    hodge_h: float
-    scalar_gap: float
-    identity_gap: float
-
-    def as_dict(self):
-        return asdict(self)
-
-
-def critical_point_diagnostics(g, H, sol):
-    """Every stationarity residual of interest at (g, H), from its solved
-    eigenpair sol."""
-    grad = assemble_mu_gradient(g, H, sol)
-    return CriticalPointReport(
-        mu=sol.lam,
-        mu_grad_g=float(np.max(np.abs(grad.g_part.values))),
-        mu_grad_b=float(np.max(np.abs(grad.b_part.values))),
-        ricci_vs_h2=float(np.max(np.abs(
-            ricci_values(g) - 0.25 * h_squared_values(g, H.values)))),
-        hodge_h=float(np.max(np.abs(hodge_laplacian_values(g, H.values)))),
-        scalar_gap=float(np.max(np.abs(_potential(g, H)))),
-        identity_gap=identity_gap(g, H, sol),
-    )
+    h = _form_values(H)
+    h_sq = _norm_sq(g, h)
+    grad = assemble_mu_gradient(g, h, sol)
+    return {
+        "mu": sol.lam,
+        "mu_grad_g": float(np.max(np.abs(grad.g_part.values))),
+        "mu_grad_b": float(np.max(np.abs(grad.b_part.values))),
+        "ricci_vs_h2": float(np.max(np.abs(
+            ricci_values(g) - 0.25 * h_squared_values(g, h)))),
+        "hodge_h": float(np.max(np.abs(hodge_laplacian_values(g, h)))),
+        "scalar_gap": float(np.max(np.abs(_potential(g, h_sq=h_sq)))),
+        "identity_gap": _identity_gap(g, h_sq, sol),
+    }

@@ -37,6 +37,13 @@ def form_field(grid, values):
     return TensorField(grid, values, "covector" if k == 1 else "antisymmetric")
 
 
+def diagonal_metric(grid, diagonal):
+    """The constant metric with the given diagonal entries."""
+    values = np.zeros(grid.shape + (grid.n_dims, grid.n_dims))
+    values[...] = np.diag(np.asarray(diagonal, dtype=float))
+    return MetricField(grid, values)
+
+
 def normalize_profile(g, f):
     """Shift f by a constant so that int e^{-f} dV_g = 1."""
     mass = float(np.sum(np.exp(-f.values) * g.sqrt_det_values)) * g.grid.cell_volume

@@ -16,8 +16,8 @@ from grflab.experiments import (
     monotonicity_run,
     stability_run,
 )
-from grflab import flow, spectrum
-from grflab.errors import ConvergenceError, NonFiniteError
+from grflab import experiments, flow, homogeneous, spectrum
+from grflab.errors import ConvergenceError, FieldError, NonFiniteError
 
 
 def test_flat_equilibrium_is_exact():
@@ -81,7 +81,10 @@ def test_gradient_check_solves_three_eigenpairs_per_seed(monkeypatch):
         cold.append(kwargs.get("w0") is None)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "lowest_eigenpair", counting)
+    # the centre solve runs through experiments' binding, the side solves
+    # through spectrum's
+    for module in (experiments, spectrum):
+        monkeypatch.setattr(module, "lowest_eigenpair", counting)
     gradient_check(seeds=(0, 1))
     assert cold == [True, False, False] * 2
 
@@ -99,6 +102,19 @@ def test_eigen_report_on_perturbed_data():
     assert report["mu"] == report["lambda"] < 0.0
     for key, value in report.items():
         assert math.isfinite(value), key
+
+
+@pytest.mark.parametrize("flow_t_max", [float("nan"), float("inf"), -0.05])
+def test_homogeneous_report_rejects_a_flow_horizon_that_is_not_positive(
+        monkeypatch, flow_t_max):
+    # the horizon reaches invariant_flow's check instead of skipping the
+    # flow; a step would mean the check was passed
+    def no_step(*args):
+        raise AssertionError("invariant_flow took a step")
+
+    monkeypatch.setattr(homogeneous, "_rk4_with_retries", no_step)
+    with pytest.raises(FieldError, match="positive and finite"):
+        homogeneous_report("su2", flow_t_max=flow_t_max)
 
 
 @pytest.mark.parametrize("algebra", ["su2", "heisenberg", "abelian"])

@@ -16,14 +16,12 @@ from grflab import (
     flat_metric,
     grf_rhs,
     lowest_eigenpair,
-    mu_gradient,
+    mu_directional_derivative,
     mu_gradient_flow_rhs,
-    mu_value,
     random_form_perturbation,
     random_metric_perturbation,
     run_flow,
     step,
-    total_field_strength,
     write_trajectory_csv,
 )
 from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
@@ -34,8 +32,7 @@ from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
                          _remember, _warm_solve)
 from grflab.geometry import (deturck_vector_values, interior_product_values,
                              lie_derivative_metric_values)
-from grflab.spectrum import (_energy, _potential, critical_point_diagnostics,
-                             identity_gap)
+from grflab.spectrum import _energy, _potential, critical_point_diagnostics
 
 from oracles import deturck_rhs_reference, grf_rhs_reference, mu_rhs_reference
 
@@ -212,7 +209,7 @@ def test_mu_flow_monotone_over_short_run():
     row = _diagnostics_row(final, final.field_strength().values, 0.0, 0.0,
                            sol)
     report = critical_point_diagnostics(final.g, final.field_strength(), sol)
-    assert row["identity_gap"] == report.identity_gap
+    assert row["identity_gap"] == report["identity_gap"]
 
 
 def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
@@ -242,7 +239,8 @@ def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
         assert built == ["antisymmetric"]
         assert row["F_value"] == _energy(state.g, _potential(state.g, h),
                                          sol.f)
-        assert row["identity_gap"] == identity_gap(state.g, h, sol)
+        assert row["identity_gap"] == critical_point_diagnostics(
+            state.g, h, sol)["identity_gap"]
 
 
 def test_predictor_reuses_extrapolates_and_interpolates():
@@ -390,9 +388,11 @@ def test_gauge_series_only_for_deturck():
     assert len(stages) == 4
     assert all(s.values.shape == state.g.grid.shape + (3,) for s in stages)
 
-    config2 = FlowConfig(gauge="grf", t_max=0.02, stop_tol=1e-14,
-                         keep_gauge_fields=True)
-    assert run_flow(state, config2).gauge_series is None
+    assert run_flow(state, replace(config, keep_gauge_fields=False),
+                    g_ref=ref).gauge_series is None
+    for gauge in ("grf", "mu_gradient"):
+        with pytest.raises(ConfigError, match="keeps no gauge fields"):
+            FlowConfig(gauge=gauge, keep_gauge_fields=True)
 
 
 def test_deturck_requires_reference_metric():
@@ -510,7 +510,7 @@ def test_overflowing_run_ends_in_diverged_without_numpy_warnings(gauge):
 
 @pytest.mark.parametrize("entry", ["grf_rhs", "deturck_rhs",
                                    "mu_gradient_flow_rhs", "lowest_eigenpair",
-                                   "mu_value", "mu_gradient"])
+                                   "mu_directional_derivative"])
 def test_overflow_outside_a_run_raises_non_finite_alone(entry):
     # called outside run_flow, an overflow in H^2 or |H|^2 is reported by the
     # output or potential check, with no numpy warning first
@@ -521,9 +521,10 @@ def test_overflow_outside_a_run_raises_non_finite_alone(entry):
         "deturck_rhs": lambda: deturck_rhs(start, g_ref),
         "mu_gradient_flow_rhs": lambda: mu_gradient_flow_rhs(start),
         "lowest_eigenpair": lambda: lowest_eigenpair(
-            g, total_field_strength(g.grid, b)),
-        "mu_value": lambda: mu_value(g, b),
-        "mu_gradient": lambda: mu_gradient(g, b),
+            g, start.field_strength()),
+        # the side solves along (g, b) itself
+        "mu_directional_derivative": lambda: mu_directional_derivative(
+            g, b, g, b, None),
     }[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -30,8 +30,8 @@ from grflab.geometry import (
 )
 from grflab.lattice import diff_values, gradient_values, symmetric_pairs
 
-from oracles import (ConformalOracle, form_field, reference_scalar,
-                     stencil_wavenumber)
+from oracles import (ConformalOracle, diagonal_metric, form_field,
+                     reference_scalar, stencil_wavenumber)
 
 # Absolute mismatch budgets against the analytic conformal oracle at 16^3,
 # amplitudes a1=0.1, a2=0.05. The scheme is 4th order; the acceptance suite
@@ -93,7 +93,7 @@ def test_metric_rejects_indefinite():
 
 def test_flat_metric_curvature_is_exactly_zero():
     grid = Grid((8, 8, 8))
-    g = flat_metric(grid, diagonal=(2.0, 1.0, 0.5))
+    g = diagonal_metric(grid, (2.0, 1.0, 0.5))
     assert np.all(christoffel_values(g) == 0.0)
     assert np.all(ricci_values(g) == 0.0)
     assert np.all(scalar_curvature(g).values == 0.0)
@@ -153,7 +153,7 @@ def test_hessian_flat_is_stencil_second_derivative():
 
 def test_gradient_vector_raises_index():
     grid = Grid((8, 8, 8))
-    g = flat_metric(grid, diagonal=(4.0, 1.0, 1.0))
+    g = diagonal_metric(grid, (4.0, 1.0, 1.0))
     x, _, _ = grid.coordinate_arrays()
     gv = gradient_vector_values(g, np.sin(x) + np.zeros(grid.shape))
     k1 = stencil_wavenumber(1, 8)

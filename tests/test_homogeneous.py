@@ -18,6 +18,7 @@ from grflab import (
     su2_algebra,
 )
 from grflab.errors import ConvergenceError, FieldError, PositivityError
+from grflab import homogeneous
 from grflab.flow import write_records_csv
 from grflab.geometry import h_squared_values
 from grflab.homogeneous import (
@@ -154,6 +155,20 @@ def test_heisenberg_flow_pancakes():
     assert final.g[2, 2] < 1.0
     assert final.h3 == 0.0
     assert records[-1]["t"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("t_max, dt", [
+    (float("nan"), 0.002), (float("inf"), 0.002), (0.1, float("nan")),
+    (0.1, float("inf")), (-0.1, 0.002)])
+def test_invariant_flow_rejects_a_horizon_or_step_that_is_not_finite(
+        monkeypatch, t_max, dt):
+    # an infinite horizon would step forever, so a step fails the test
+    def no_step(*args):
+        raise AssertionError("invariant_flow took a step")
+
+    monkeypatch.setattr(homogeneous, "_rk4_with_retries", no_step)
+    with pytest.raises(FieldError, match="positive and finite"):
+        invariant_flow(su2_round(1.0), t_max=t_max, dt=dt)
 
 
 def test_lie_data_validation():

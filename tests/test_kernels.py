@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grflab import (
+    FlowState,
     Grid,
     MetricField,
     ScalarField,
@@ -22,7 +23,6 @@ from grflab.spectrum import (
     SchrodingerOperator,
     _real_fourier_basis,
     field_strength_values,
-    total_field_strength,
 )
 from grflab.lattice import (
     diff_values,
@@ -41,6 +41,7 @@ from oracles import (
     codifferential_full,
     complex_fft_preconditioner,
     deturck_vector_full,
+    diagonal_metric,
     fft_nyquist_projection,
     form_field,
     hessian_full,
@@ -181,7 +182,7 @@ def test_symmetric_pairing_matches_the_einsum(dims):
 def test_metric_inverse_is_exact_on_diagonal_metrics(dims):
     grid = Grid((8,) * dims)
     diagonal = np.array([0.7, 3.0, 1.3, 0.9][:dims])
-    g = flat_metric(grid, diagonal)
+    g = diagonal_metric(grid, diagonal)
     expected = np.zeros((dims, dims))
     expected[range(dims), range(dims)] = 1.0 / diagonal
     assert np.array_equal(g.inv_values, np.broadcast_to(expected,
@@ -209,7 +210,7 @@ def test_trace_only_ricci_matches_the_full_stack():
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_trace_only_ricci_is_exactly_zero_on_flat_metrics(dims):
-    g = flat_metric(Grid((8,) * dims), np.linspace(0.5, 2.0, dims))
+    g = diagonal_metric(Grid((8,) * dims), np.linspace(0.5, 2.0, dims))
     assert np.all(ricci_values(g) == 0.0)
 
 
@@ -469,7 +470,7 @@ def test_metric_right_hand_sides_are_exact_mirrors(gauge):
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_connection_is_exactly_zero_on_flat_metrics(dims):
     grid = _form_grid(dims)
-    g = flat_metric(grid, np.linspace(0.5, 2.0, dims))
+    g = diagonal_metric(grid, np.linspace(0.5, 2.0, dims))
     x = _random_vector(grid, 1500 + dims)
     assert np.all(geometry.christoffel_values(g) == 0.0)
     assert np.all(geometry.deturck_vector_values(g, flat_metric(grid)) == 0.0)
@@ -489,7 +490,8 @@ def test_connection_is_exactly_zero_on_flat_metrics(dims):
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_values_kernels_equal_their_public_wrappers(dims):
     # every kernel output passes, unchanged, the validation of the field it
-    # stands for; scalar_curvature and total_field_strength wrap their kernels
+    # stands for; scalar_curvature and FlowState.field_strength wrap their
+    # kernels
     grid = _form_grid(dims)
     g = _bumpy_metric(grid, 1000 + dims)
     f = _random_form(grid, 1001 + dims, 0)
@@ -532,7 +534,7 @@ def test_values_kernels_equal_their_public_wrappers(dims):
         b = forms[2]
         hhat = forms[3] if dims == 3 else None
         pairs.append((field_strength_values(grid, b.values, hhat),
-                      total_field_strength(grid, b, hhat)))
+                      FlowState(g, b, hhat).field_strength()))
     for raw, field in pairs:
         assert np.array_equal(raw, field.values)
 
@@ -545,7 +547,7 @@ def test_max_inverse_eigenvalue_is_the_full_eigvalsh_max(dims):
         return float(np.max(np.linalg.eigvalsh(g.inv_values)))
 
     # a flat metric: every point ties for the maximum
-    flat = flat_metric(grid, np.linspace(0.5, 1.5, dims)[::-1])
+    flat = diagonal_metric(grid, np.linspace(0.5, 1.5, dims)[::-1])
     assert flat.max_inverse_eigenvalue() == full(flat)
     bumpy = _bumpy_metric(grid, 1100 + dims)
     assert bumpy.max_inverse_eigenvalue() == full(bumpy)

@@ -12,7 +12,7 @@ from grflab import (
 from grflab.errors import FieldError
 from grflab.lattice import _peak, _symmetry_defect, diff_values, gradient_values
 
-from oracles import stencil_wavenumber
+from oracles import diagonal_metric, stencil_wavenumber
 
 
 def test_grid_validation():
@@ -26,6 +26,10 @@ def test_grid_validation():
         Grid((8, 8), periods=(2.0,))
     with pytest.raises(FieldError):
         Grid((8, 8), periods=(2.0, -1.0))
+    for bad in (12.5, 12.0, float("nan")):
+        with pytest.raises(FieldError, match="integers"):
+            Grid((bad, 12, 12))  # not an integer, not truncated
+    assert Grid((np.int64(12), 12, 12)).resolutions == (12, 12, 12)
 
 
 def test_grid_geometry_accessors():
@@ -171,7 +175,7 @@ def test_weighted_inner_three_form_counts_six():
 
 def test_weighted_inner_vector_uses_metric():
     grid = Grid((8, 8, 8))
-    g = flat_metric(grid, diagonal=(4.0, 1.0, 1.0))
+    g = diagonal_metric(grid, (4.0, 1.0, 1.0))
     vals = np.zeros(grid.shape + (3,))
     vals[..., 0] = 1.0
     x = TensorField(grid, vals, "vector")

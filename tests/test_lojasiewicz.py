@@ -19,27 +19,27 @@ def power_law_records(theta, prefactor=1.0, n=60, lam0=1e-3, lam1=1e-9):
 
 def test_recovers_planted_exponent_half():
     fit = lojasiewicz_estimate(power_law_records(0.5, prefactor=2.0))
-    assert fit.theta_slope == pytest.approx(0.5, abs=1e-9)
-    assert fit.theta_hat == pytest.approx(0.5, abs=1e-9)
-    assert fit.fit_residual < 1e-9
-    assert fit.holds_everywhere
-    assert fit.n_excluded == 0
+    assert fit["theta_slope"] == pytest.approx(0.5, abs=1e-9)
+    assert fit["theta_hat"] == pytest.approx(0.5, abs=1e-9)
+    assert fit["fit_residual"] < 1e-9
+    assert fit["holds_everywhere"]
+    assert fit["n_excluded"] == 0
 
 
 def test_recovers_planted_exponent_quarter():
     fit = lojasiewicz_estimate(power_law_records(0.25, prefactor=3.0))
-    assert fit.theta_slope == pytest.approx(0.25, abs=1e-9)
-    assert fit.theta_hat == pytest.approx(0.25, abs=1e-9)
-    assert fit.holds_everywhere
+    assert fit["theta_slope"] == pytest.approx(0.25, abs=1e-9)
+    assert fit["theta_hat"] == pytest.approx(0.25, abs=1e-9)
+    assert fit["holds_everywhere"]
 
 
 def test_cap_applies_when_slope_exceeds_half():
     # a steeper-than-sqrt decay fits theta > 1/2; the estimate caps at 1/2
     # provided the inequality still holds there
     fit = lojasiewicz_estimate(power_law_records(0.7, prefactor=5.0))
-    assert fit.theta_slope == pytest.approx(0.7, abs=1e-9)
-    assert fit.theta_hat == pytest.approx(0.5, abs=1e-12)
-    assert fit.holds_everywhere
+    assert fit["theta_slope"] == pytest.approx(0.7, abs=1e-9)
+    assert fit["theta_hat"] == pytest.approx(0.5, abs=1e-12)
+    assert fit["holds_everywhere"]
 
 
 def test_small_prefactor_tightens_the_cap():
@@ -47,22 +47,23 @@ def test_small_prefactor_tightens_the_cap():
     # |lambda| in the window, so the cap lands strictly below the slope
     rows = power_law_records(0.5, prefactor=0.1)
     fit = lojasiewicz_estimate(rows)
-    assert fit.theta_hat < 0.5
-    assert fit.holds_everywhere
-    in_window = [r for r in rows if fit.window[0] <= r["t"] <= fit.window[1]]
+    assert fit["theta_hat"] < 0.5
+    assert fit["holds_everywhere"]
+    first, last = fit["window"]
+    in_window = [r for r in rows if first <= r["t"] <= last]
     cap = min(
         1.0 - math.log(r["rhs_l2"]) / math.log(abs(r["lambda"]))
         for r in in_window
     )
-    assert fit.theta_hat == pytest.approx(cap, abs=1e-12)
+    assert fit["theta_hat"] == pytest.approx(cap, abs=1e-12)
 
 
 def test_infeasible_data_returns_nan():
     # gradient decaying much faster than the value gap: no exponent works
     rows = power_law_records(-0.5, prefactor=1e-6)
     fit = lojasiewicz_estimate(rows)
-    assert math.isnan(fit.theta_hat)
-    assert not fit.holds_everywhere
+    assert math.isnan(fit["theta_hat"])
+    assert not fit["holds_everywhere"]
 
 
 def test_excludes_nonnegative_and_zero_gradient_rows():
@@ -71,19 +72,19 @@ def test_excludes_nonnegative_and_zero_gradient_rows():
     rows.insert(0, {"t": -2.0, "lambda": float("nan"), "rhs_l2": 1e-2})
     rows.insert(0, {"t": -1.0, "lambda": -1e-4, "rhs_l2": 0.0})
     fit = lojasiewicz_estimate(rows)
-    assert fit.n_excluded == 3
-    assert fit.theta_hat == pytest.approx(0.5, abs=1e-9)
+    assert fit["n_excluded"] == 3
+    assert fit["theta_hat"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_window_fraction_and_explicit_window():
     # the fit reports the explicit time window its fraction selected
     rows = power_law_records(0.5, n=40)
     fit = lojasiewicz_estimate(rows, window_fraction=0.25)
-    assert fit.n_samples == 10
-    assert fit.window == (30.0, 39.0)
+    assert fit["n_samples"] == 10
+    assert fit["window"] == [30.0, 39.0]
     fit2 = lojasiewicz_estimate(rows, window_fraction=1.0)
-    assert fit2.n_samples == 40
-    assert fit2.window == (0.0, 39.0)
+    assert fit2["n_samples"] == 40
+    assert fit2["window"] == [0.0, 39.0]
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, 3.0, float("nan")])
@@ -98,12 +99,14 @@ def test_min_samples_enforced():
     with pytest.raises(ConfigError):
         lojasiewicz_estimate(rows)
     fit = lojasiewicz_estimate(rows, min_samples=4)
-    assert fit.n_samples == 4
+    assert fit["n_samples"] == 4
 
 
-def test_as_dict_round_trips_fields():
+def test_fit_is_a_dict_of_plain_values_in_a_fixed_key_order():
+    # experiments.lojasiewicz_report extends this dict and the pipelines
+    # return it as it is, so its keys and their order are the interface
     fit = lojasiewicz_estimate(power_law_records(0.5))
-    d = fit.as_dict()
-    assert d["theta_hat"] == fit.theta_hat
-    assert d["n_samples"] == fit.n_samples
-    assert d["window"] == list(fit.window)
+    assert list(fit) == ["theta_hat", "theta_slope", "fit_residual", "window",
+                         "n_samples", "n_excluded", "holds_everywhere"]
+    assert [type(v) for v in fit.values()] == [float, float, float, list,
+                                              int, int, bool]

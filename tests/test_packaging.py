@@ -1,8 +1,9 @@
 """The package metadata points at things that exist, importing the package
 stays light, every public function has a caller outside the tests, and every
-FlowConfig field is set by one."""
+FlowConfig field and every defaulted parameter is set by one."""
 
 import ast
+import collections
 import importlib
 import os
 import pathlib
@@ -82,6 +83,60 @@ def test_every_public_function_is_reached_outside_the_tests():
                  for name in _public_functions(path)
                  if name.rpartition(".")[2] not in used]
     assert not unreached, "reached only by tests: " + ", ".join(unreached)
+
+
+def _defaulted_parameters(path):
+    """(qualified name, parameter, its index among the positional ones or
+    None) of every defaulted parameter of a module's public functions and
+    public methods, a method's self or cls not counted."""
+    def params(func, qual, skip):
+        args = func.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield qual, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qual, arg.arg, None
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from params(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield from params(item, f"{node.name}.{item.name}", 1)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a parameter that every call in src/ and perfbench/ leaves at its default
+    # is a constant, not an option. A call passes it by keyword, by position,
+    # or through *args or **kwargs; calls are matched by the called name. The
+    # pipelines of experiments are the entry points, so they are exempt.
+    calls = collections.defaultdict(list)
+    for path in (sorted((ROOT / "src" / "grflab").glob("*.py"))
+                 + sorted((ROOT / "perfbench").glob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None)
+                calls[name].append(node)
+
+    def passed(call, param, index):
+        return (any(kw.arg in (param, None) for kw in call.keywords)
+                or index is not None and (
+                    index < len(call.args)
+                    or any(isinstance(a, ast.Starred) for a in call.args)))
+
+    unset = [f"{qual}({param})"
+             for path in sorted((ROOT / "src" / "grflab").glob("*.py"))
+             if path.stem not in ("__init__", "experiments")
+             for qual, param, index in _defaulted_parameters(path)
+             if not any(passed(call, param, index)
+                        for call in calls[qual.rpartition(".")[2]])]
+    assert not unset, "left at the default by every caller: " + ", ".join(unset)
 
 
 def test_every_flow_config_field_is_passed_outside_the_tests():
