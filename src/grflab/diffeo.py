@@ -13,12 +13,16 @@ is then one unfiltered evaluation at the coordinates wrapped into the grid.
 A pullback interpolates and contracts only the independent components of its
 field, n(n+1)/2 for a symmetric 2-tensor and C(n, k) for a k-form, and
 mirrors them into full storage, so the result has its symmetry exactly.
+
+The splines are scipy.ndimage's, imported by _interpolate when it first runs:
+no other module uses scipy, so `import grflab` and every pipeline without a
+gauge recovery load numpy alone, and a fresh interpreter skips the quarter
+second and the ~28 MB that importing scipy.ndimage costs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import map_coordinates, spline_filter1d
 
 from .errors import FieldError, JacobianError
 from .lattice import (
@@ -45,6 +49,8 @@ def _index_coordinates(grid, u_values):
 def _interpolate(stack, coords_index):
     """Periodic cubic spline of each field of stack (components first, then
     the grid axes) at grid-index coordinates (the axis first)."""
+    from scipy.ndimage import map_coordinates, spline_filter1d
+
     n = len(coords_index)
     coeffs = stack
     for a in range(1, n + 1):

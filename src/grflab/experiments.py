@@ -71,13 +71,14 @@ def perturbed_state(resolution=16, amplitude=0.05, seed=0, cutoff=2,
     sup amplitude. hhat_c adds the constant background 3-form c e^123.
     """
     grid = Grid((resolution,) * dims)
-    g = flat_metric(grid)
-    b = TensorField.zeros(grid, 2, "antisymmetric")
     if amplitude != 0.0:
         h = random_metric_perturbation(grid, amplitude, seed, cutoff=cutoff)
-        g = MetricField(grid, g.values + h.values)
+        g = MetricField(grid, np.eye(dims) + h.values)
         b = random_form_perturbation(grid, amplitude, seed + 1000,
                                      cutoff=cutoff)
+    else:
+        g = flat_metric(grid)
+        b = TensorField.zeros(grid, 2, "antisymmetric")
     hhat = background_three_form(grid, hhat_c) if hhat_c != 0.0 else None
     return FlowState(g=g, b=b, hhat=hhat)
 

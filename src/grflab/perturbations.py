@@ -33,7 +33,10 @@ def trig_polynomial(grid, rng, component_shape=(), cutoff=1):
 
     Coefficients are uniform on [-1, 1]; the draw order is (mode, component,
     cos/sin) in C order, which makes the field a pure function of the
-    generator state. The cutoff must stay below N/2 on every axis: the
+    generator state. A mode's phase, cosine and sine span only the grid axes
+    it varies along and broadcast into the sum, which adds the terms in the
+    same order as on full grids, so the bits are those of a full-grid
+    evaluation. The cutoff must stay below N/2 on every axis: the
     derivative stencil cannot see a k = N/2 (Nyquist) checkerboard, and a
     metric that varies only in checkerboards is a fixed point of every flow.
     """
@@ -49,14 +52,14 @@ def trig_polynomial(grid, rng, component_shape=(), cutoff=1):
                for x, p in zip(grid.coordinate_arrays(), grid.periods)]
     out = np.zeros(tuple(component_shape) + grid.shape)
     for m, k in enumerate(modes):
-        phase = np.zeros(grid.shape)
+        # 0.0 + x is the sum a zero-filled grid would make, signed zeros too
+        phase = 0.0
         for a, k_a in enumerate(k):
             if k_a != 0:
                 phase = phase + k_a * angular[a]
         cos, sin = np.cos(phase), np.sin(phase)
-        a_k = coeffs[m, ..., 0]
-        b_k = coeffs[m, ..., 1]
-        out = out + np.multiply.outer(a_k, cos) + np.multiply.outer(b_k, sin)
+        out += np.multiply.outer(coeffs[m, ..., 0], cos)
+        out += np.multiply.outer(coeffs[m, ..., 1], sin)
     # move component axes behind the grid axes
     n_comp = len(component_shape)
     if n_comp:

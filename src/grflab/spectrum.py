@@ -115,6 +115,9 @@ class SchrodingerOperator:
         self.penalty = 4.0 * max(np.pi / h for h in self.grid.spacings) ** 2
         self._penalty_weight = self.penalty / g.sqrt_det_values
         self._signs, self._sym_sq, self._nyquist, self._bases = _grid_constants(g.grid)
+        # the preconditioner's constant-coefficient surrogate, one per operator
+        self._mean_potential = float(np.mean(self.potential))
+        self._mean_sq = float(np.mean(g.sqrt_det_values))
         self.cg_iterations = 0
         self.cg_exits = {"converged": 0, "max_iter": 0, "indefinite": 0}
 
@@ -143,9 +146,9 @@ class SchrodingerOperator:
         """r -> the surrogate's exact inverse applied to r: one m x m matmul
         per axis into the real Fourier basis, a divide by the symbol, and one
         per axis back."""
-        c0 = max(float(np.mean(self.potential)) - sigma, 0.1)
-        mean_sq = float(np.mean(self.g.sqrt_det_values))
-        symbol = mean_sq * (4.0 * self._sym_sq + c0) + self.penalty * self._nyquist
+        c0 = max(self._mean_potential - sigma, 0.1)
+        symbol = (self._mean_sq * (4.0 * self._sym_sq + c0)
+                  + self.penalty * self._nyquist)
         shape = self.grid.shape
 
         def along_axes(u, mats):

@@ -26,6 +26,7 @@ from grflab.geometry import (
     codifferential_values, deturck_vector_values, gradient_vector_values,
     h_squared_values, hessian_values, interior_product_values,
     lie_derivative_metric_values, ricci_values)
+from grflab.perturbations import _positive_modes
 
 
 def form_field(grid, values):
@@ -415,6 +416,30 @@ def pullback_full(u_values, values, spacings, symmetric=False):
         out = np.moveaxis(out, -1, n + slot)
     if symmetric:
         out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return out
+
+
+def trig_polynomial_full(grid, rng, component_shape=(), cutoff=1):
+    """trig_polynomial as first written: every mode's phase, cosine and sine
+    on the full grid, summed out of place. Same draws, same terms, same
+    order; no Nyquist check."""
+    modes = _positive_modes(grid.n_dims, cutoff)
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(modes),) + tuple(component_shape) + (2,))
+    angular = [2.0 * np.pi * x / p
+               for x, p in zip(grid.coordinate_arrays(), grid.periods)]
+    out = np.zeros(tuple(component_shape) + grid.shape)
+    for m, k in enumerate(modes):
+        phase = np.zeros(grid.shape)
+        for a, k_a in enumerate(k):
+            if k_a != 0:
+                phase = phase + k_a * angular[a]
+        cos, sin = np.cos(phase), np.sin(phase)
+        a_k = coeffs[m, ..., 0]
+        b_k = coeffs[m, ..., 1]
+        out = out + np.multiply.outer(a_k, cos) + np.multiply.outer(b_k, sin)
+    n_comp = len(component_shape)
+    if n_comp:
+        out = np.moveaxis(out, range(n_comp), range(-n_comp, 0))
     return out
 
 

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from grflab import experiments
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -31,18 +33,43 @@ def test_readme_exists():
     assert (ROOT / _project()["readme"]).is_file()
 
 
-def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    # every fresh interpreter that imports grflab would pay their import time
-    # and memory, the set-up time and peak RSS of every perfbench workload
-    code = ("import sys, grflab; print(' '.join(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'interpolate'], "
-            "['scipy', 'sparse']))))")
+def _run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == []
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_import_loads_no_scipy_module():
+    # only the diffeomorphism splines use scipy; every fresh interpreter that
+    # imports grflab would otherwise pay its import time and memory, the
+    # set-up time and peak RSS of every perfbench workload
+    code = f"import sys, grflab; print(' '.join({_SCIPY_LOADED}))"
+    assert _run_fresh(code).split() == []
+
+
+def test_scipy_loads_at_the_first_gauge_recovery():
+    # the stability and monotonicity pipelines run on numpy alone; the gauge
+    # recovery then imports scipy.ndimage inside the run, and its report is
+    # the one an interpreter that had scipy loaded from the start returns
+    code = (
+        "import sys\n"
+        "from grflab import experiments\n"
+        "experiments.stability_run(resolution=8, stop_tol=0.5)\n"
+        "experiments.monotonicity_run(resolution=8, stop_tol=0.025)\n"
+        f"print(' '.join({_SCIPY_LOADED}) or '-')\n"
+        "print(repr(experiments.gauge_consistency_run(resolution=8)))\n"
+        "print('scipy.ndimage' in sys.modules)\n")
+    before, report, loaded = _run_fresh(code).splitlines()
+    assert before == "-"
+    assert loaded == "True"
+    assert report == repr(experiments.gauge_consistency_run(resolution=8))
 
 
 def _names_used(path):

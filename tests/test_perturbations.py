@@ -11,6 +11,8 @@ from grflab.errors import FieldError
 from grflab.experiments import perturbed_state
 from grflab.perturbations import _positive_modes
 
+from oracles import trig_polynomial_full
+
 
 @pytest.fixture
 def grid():
@@ -89,3 +91,21 @@ def test_cutoff_reaching_the_nyquist_band_rejected():
     with pytest.raises(FieldError, match="Nyquist"):
         perturbed_state(resolution=8, cutoff=4)
     assert trig_polynomial(Grid((12, 8, 12)), rng, cutoff=3).shape == (12, 8, 12)
+
+
+@pytest.mark.parametrize("grid", [Grid((8, 10)), Grid((12, 12, 12)),
+                                  Grid((12, 8, 12)), Grid((8, 8, 10, 8))],
+                         ids=["2d", "3d", "3d-anisotropic", "4d"])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("components", ["scalar", "tensor"])
+def test_trig_polynomial_equals_the_full_grid_sum_bit_for_bit(grid, cutoff,
+                                                              components):
+    # a mode's phase spans only the axes it varies along; the sum must still
+    # be the full-grid one, signed zeros included
+    shape = () if components == "scalar" else (grid.n_dims,) * 2
+    fast = trig_polynomial(grid, np.random.default_rng(cutoff), shape, cutoff)
+    full = trig_polynomial_full(grid, np.random.default_rng(cutoff), shape,
+                                cutoff)
+    assert fast.shape == full.shape == grid.shape + shape
+    assert np.array_equal(fast, full)
+    assert np.array_equal(np.signbit(fast), np.signbit(full))
