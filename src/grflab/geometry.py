@@ -11,16 +11,26 @@ k x k minors of g or g^-1, and each result is expanded to full storage once,
 which makes it exactly antisymmetric.
 
 Symmetric 2-tensors are treated the same way: the connection, Ricci, Hessian
-and Lie-derivative kernels compute on the n(n+1)/2 pairs i <= j only, with
-index sums as elementwise multiply-adds, and mirror each result once, which
-makes it exactly symmetric. The Christoffel symbols are cached on those pairs
-(christoffel_values) and never expanded to full storage.
+and Lie-derivative kernels compute on the n(n+1)/2 pairs i <= j only and
+mirror each result once, which makes it exactly symmetric. The Christoffel
+symbols are cached on those pairs (christoffel_values) and never expanded to
+full storage.
+
+The metric algebra is component major: MetricField keeps g and g^-1 as
+read-only (n, n) + grid arrays, and the kernels keep their component axes
+first, so every component plane is one contiguous block. Each pointwise index
+sum is one np.einsum over such planes with the grid axes last; without
+`optimize` it adds the terms in index order, plane by plane, the order of the
+multiply-adds it replaces. The minors-based form kernels keep their Leibniz
+multiply-adds, reading the same contiguous planes through component-last
+views.
 
 Each operator is one `*_values` kernel on raw component arrays; a form's
 degree is read off its array's rank. Fields are validated where they enter or
 leave the system (MetricField, ScalarField, TensorField), not in between.
-A metric is certified where it enters, by MetricField, with multiply-adds on
-its component arrays: positivity by the pivots of an LDL^T, then its inverse.
+A metric is certified where it enters, by MetricField, on its component
+planes: positivity by the pivots of an LDL^T, then its Gauss-Jordan inverse,
+checked by max |g g^-1 - I|.
 
 The codifferential is the exact adjoint of the discrete exterior derivative
 for the inner product that counts each increasing index tuple once (the
@@ -40,14 +50,12 @@ from .lattice import (
     ScalarField,
     TensorField,
     apply_minors,
-    contract,
     diff_values,
     expand_form,
     expand_symmetric,
     form_components,
     gradient_values,
     increasing_tuples,
-    matrix_product,
     pointwise_inner_values,
     pointwise_minors,
     slot_pairs,
@@ -67,6 +75,13 @@ class MetricField:
     rather than regularized, so a flow that drifts out of the metric cone
     fails loudly at the offending step. Curvature quantities are computed
     lazily and cached per instance.
+
+    values is component last, grid shape + (n, n). components and
+    inv_components hold g and g^-1 component major, shape (n, n) + grid
+    shape, read-only, so each plane [a, b] is one contiguous block; the
+    kernels' index sums run over them. inv_values is a component-last view
+    of inv_components, not a copy: its planes [..., a, b] are the same
+    contiguous blocks.
     """
 
     def __init__(self, grid, values):
@@ -79,14 +94,17 @@ class MetricField:
             raise PositivityError(
                 f"metric has a pointwise eigenvalue below {EPS_SPD:g}")
         inv, det = _inverse_and_det(comps)
-        res = np.array(matrix_product(comps, inv))
+        inv = np.array(inv)
+        res = np.einsum("ik...,kj...->ij...", comps, inv)
         res[range(n), range(n)] -= 1.0
         gap = float(np.max(np.abs(res)))
         if gap > _INVERSE_TOL:
             raise PositivityError(f"metric inverse residual {gap:.3e} exceeds 1e-12")
-        inv = np.ascontiguousarray(np.moveaxis(np.array(inv), (0, 1), (-2, -1)))
-        inv.setflags(write=False)
-        self.inv_values = inv
+        for arr in (comps, inv):
+            arr.setflags(write=False)
+        self.components = comps
+        self.inv_components = inv
+        self.inv_values = np.moveaxis(inv, (0, 1), (-2, -1))
         sq = np.sqrt(det)
         sq.setflags(write=False)
         self.sqrt_det_values = sq
@@ -171,26 +189,25 @@ def christoffel_values(g):
     symmetric_pairs, shape (n, n(n+1)/2) + grid shape.
 
     Only the derivatives D_c g_ij with i <= j are taken; the first-kind
-    symbols (D_i g_jl + D_j g_il - D_l g_ij) / 2 are gathered from them and
-    raised with g^kl by multiply-adds.
+    symbols (D_i g_jl + D_j g_il - D_l g_ij) / 2 are built from them in place
+    and raised with g^kl by one einsum.
     """
     def build():
         grid = g.grid
         n = grid.n_dims
         i, j, table = symmetric_pairs(n)
-        l = np.arange(n)[:, None]
-        comps = np.moveaxis(g.values[..., i, j], -1, 0)
-        dg = np.stack([diff_values(comps, 1 + c, grid.spacings[c])
-                       for c in range(n)])  # [c, p] = D_c g_p
-        first = 0.5 * (dg[i, table[j, l]] + dg[j, table[i, l]]
-                       - dg[l, table[i, j]])  # [l, p] = Gamma_l,ij
-        inv = np.ascontiguousarray(np.moveaxis(g.inv_values, (-2, -1), (0, 1)))
-        gam = np.empty_like(first)
-        for k in range(n):
-            np.multiply(inv[k, 0], first[0], out=gam[k])
-            for m in range(1, n):
-                gam[k] += inv[k, m] * first[m]
-        return gam
+        comps = g.components[i, j]
+        dg = [diff_values(comps, 1 + c, grid.spacings[c])
+              for c in range(n)]  # [c][p] = D_c g_p
+        first = np.empty((n,) + comps.shape)  # [l, p] = Gamma_l,ij
+        for l in range(n):
+            for p in range(len(i)):
+                plane = first[l, p]
+                np.add(dg[i[p]][table[j[p], l]], dg[j[p]][table[i[p], l]],
+                       out=plane)
+                plane -= dg[l][p]
+        first *= 0.5
+        return np.einsum("km...,mp...->kp...", g.inv_components, first)
     return g._cached("christoffel", build)
 
 
@@ -213,17 +230,20 @@ def ricci_values(g):
         dphi = np.stack([diff_values(phi, 1 + c, grid.spacings[c])
                          for c in range(n)])  # [i, j] = D_i phi_j
         term2 = 0.5 * (dphi[i, j] + dphi[j, i])
-        term3 = sum(phi[m] * gam[m] for m in range(n))
-        # sum_kl Gamma^k_il Gamma^l_kj
-        term4 = sum(gam[a, table[i, b]] * gam[b, table[a, j]]
-                    for a in range(n) for b in range(n))
+        term3 = np.einsum("m...,mp...->p...", phi, gam)
+        # sum_ab Gamma^a_ib Gamma^b_ja over the row blocks [a, b] = Gamma^a_mb
+        rows = [gam[:, table[m]] for m in range(n)]
+        term4 = np.empty_like(term3)
+        for p in range(len(i)):
+            np.einsum("ab...,ba...->...", rows[i[p]], rows[j[p]], out=term4[p])
         return expand_symmetric(term1 - term2 + term3 - term4, n)
     return g._cached("ricci", build)
 
 
 def scalar_curvature_values(g):
     def build():
-        return contract("...ij,...ij->...", g.inv_values, ricci_values(g))
+        ric = np.moveaxis(ricci_values(g), (-2, -1), (0, 1))
+        return np.einsum("ij...,ij...->...", g.inv_components, ric)
     return g._cached("scalar_curvature", build)
 
 
@@ -243,15 +263,16 @@ def hessian_values(g, f_values, df=None):
     # symmetric_pairs runs (i, i), (i, i + 1), ..., (i, n - 1) for each i
     ddf = np.concatenate([diff_values(df[i:], 1 + i, grid.spacings[i])
                           for i in range(n)])
-    gam = christoffel_values(g)
-    return expand_symmetric(ddf - sum(gam[k] * df[k] for k in range(n)), n)
+    gam_df = np.einsum("kp...,k...->p...", christoffel_values(g), df)
+    return expand_symmetric(ddf - gam_df, n)
 
 
 def gradient_vector_values(g, f_values, df=None):
     """Metric gradient g^ab D_b f of a scalar array, a contravariant array;
     df as in hessian_values."""
     df = gradient_values(g.grid, f_values) if df is None else df
-    return np.einsum("...ab,...b->...a", g.inv_values, df)
+    up = np.einsum("ab...,b...->a...", g.inv_components, np.moveaxis(df, -1, 0))
+    return np.moveaxis(up, 0, -1)
 
 
 def laplacian_values(g, values):
@@ -259,28 +280,25 @@ def laplacian_values(g, values):
     the sign convention Delta = -(d*d), nonpositive.
 
     It is self-adjoint against the volume-weighted quadrature exactly, by the
-    skew-adjointness of the stencil, not merely to truncation order. The
-    n(n+1)/2 distinct flux coefficients sqrt g g^ab are cached on the metric;
-    each flux component is a contiguous sum of products.
+    skew-adjointness of the stencil, not merely to truncation order. That
+    needs exactly symmetric flux coefficients sqrt g g^ab, and the computed
+    g^-1 is symmetric only to rounding: they are built on the pairs a <= b,
+    mirrored, and cached on the metric component major. The fluxes are one
+    einsum over them.
     """
     grid = g.grid
     n, h = grid.n_dims, grid.spacings
 
     def build():
-        coeff = {}
-        for a in range(n):
-            for b in range(a, n):
-                coeff[a, b] = coeff[b, a] = g.sqrt_det_values * g.inv_values[..., a, b]
-        return coeff
+        i, j, table = symmetric_pairs(n)
+        return (g.sqrt_det_values * g.inv_components[i, j])[table]
 
     coeff = g._cached("flux_coefficients", build)
-    du = [diff_values(values, b, h[b]) for b in range(n)]
+    du = np.stack([diff_values(values, b, h[b]) for b in range(n)])
+    flux = np.einsum("ab...,b...->a...", coeff, du)
     div = np.zeros(values.shape)
     for a in range(n):
-        flux = coeff[a, 0] * du[0]
-        for b in range(1, n):
-            flux += coeff[a, b] * du[b]
-        div += diff_values(flux, a, h[a])
+        div += diff_values(flux[a], a, h[a])
     return np.divide(div, g.sqrt_det_values, out=div)
 
 
@@ -291,12 +309,10 @@ def lie_derivative_metric_values(g, x_values):
     grid = g.grid
     n = grid.n_dims
     i, j, _ = symmetric_pairs(n)
-    xl = np.stack([sum(g.values[..., a, b] * x_values[..., b]
-                       for b in range(n)) for a in range(n)])
+    xl = np.einsum("ab...,b...->a...", g.components, np.moveaxis(x_values, -1, 0))
     dxl = np.stack([diff_values(xl, 1 + c, grid.spacings[c])
                     for c in range(n)])  # [i, j] = D_i X_j
-    gam = christoffel_values(g)
-    gam_term = sum(gam[k] * xl[k] for k in range(n))
+    gam_term = np.einsum("kp...,k...->p...", christoffel_values(g), xl)
     return expand_symmetric(dxl[i, j] + dxl[j, i] - 2.0 * gam_term, n)
 
 
@@ -416,7 +432,7 @@ def deturck_vector_values(g, g_ref):
     harmonic; vanishes identically when both metrics are constant.
     """
     i, j, _ = symmetric_pairs(g.grid.n_dims)
-    weight = np.moveaxis(np.where(i == j, 1.0, 2.0) * g.inv_values[..., i, j],
-                         -1, 0)
+    weight = g.inv_components[i, j]
+    weight[i != j] *= 2.0
     diff = christoffel_values(g) - christoffel_values(g_ref)
-    return np.moveaxis(np.sum(diff * weight, axis=1), 0, -1)
+    return np.moveaxis(np.einsum("kp...,p...->k...", diff, weight), 0, -1)

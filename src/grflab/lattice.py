@@ -228,9 +228,23 @@ def diff_values(values, axis, spacing):
     periodic quadrature without any boundary correction. The shifted operands
     are slices of one C-ordered copy wrapped by two cells on each side; the
     arithmetic is that of np.roll copies, so the result is bit-identical.
+    Along the last axis those slices would be strided rows, so the copy is
+    differenced flat, in contiguous runs, and the m valid columns of each
+    row are copied out once.
     """
     m = values.shape[axis]
     padded = values.take(_wrap_index(m), axis=axis, mode="clip")
+    if axis % values.ndim == values.ndim - 1:
+        # row r's column x sits at flat[r * (m + 4) + x]; the last four
+        # entries of run belong to a discarded column and stay unset
+        flat = padded.reshape(-1)
+        run = np.empty(flat.shape)
+        out = run[:-4]
+        np.subtract(flat[3:-1], flat[1:-3], out=out)
+        out *= 8.0
+        out -= np.subtract(flat[4:], flat[:-4])
+        out /= 12.0 * spacing
+        return run.reshape(padded.shape)[..., :m].copy()
     lead = (slice(None),) * (axis % values.ndim)
     up1, um1, up2, um2 = (padded[lead + (slice(2 + k, 2 + k + m),)]
                           for k in (1, -1, 2, -2))
@@ -242,12 +256,12 @@ def diff_values(values, axis, spacing):
 
 
 def gradient_values(grid, values):
-    """All coordinate derivatives, the derivative axis first among components."""
+    """All coordinate derivatives, the derivative axis first among components.
+    The result is a view of derivative-major storage, so each derivative
+    [..., a] is one contiguous block."""
     n = grid.n_dims
-    out = np.empty(values.shape[:n] + (n,) + values.shape[n:])
-    for a in range(n):
-        out[(slice(None),) * n + (a,)] = diff_values(values, a, grid.spacings[a])
-    return out
+    out = np.stack([diff_values(values, a, grid.spacings[a]) for a in range(n)])
+    return np.moveaxis(out, 0, n)
 
 
 # Component index letters for generated einsum expressions.
@@ -352,14 +366,9 @@ def apply_minors(minors, components):
             for row in minors]
 
 
-def matrix_product(x, y):
-    """Pointwise product of matrix fields x[i][j], y[i][j] by multiply-adds."""
-    out = [[row[0] * col for col in y[0]] for row in x]
-    for k in range(1, len(y)):
-        for row, out_row in zip(x, out):
-            for acc, col in zip(out_row, y[k]):
-                acc += row[k] * col
-    return out
+def _planes(values):
+    """A contiguous copy of an array with its two component axes first."""
+    return np.ascontiguousarray(np.moveaxis(values, (-2, -1), (0, 1)))
 
 
 def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_values):
@@ -371,7 +380,7 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
     counts each unordered index pair twice. Antisymmetric operands of rank
     k >= 2 are summed over independent components only, as
     k! sum_{I,J} a_I det(g^-1[I, J]) b_J, and a "symmetric2" first operand
-    is paired as tr(g^-1 a g^-1 b^T) by multiply-adds.
+    is paired as tr(g^-1 a g^-1 b^T) by einsums over component-major copies.
     """
     if rank == 0:
         return a_values * b_values
@@ -385,12 +394,13 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
             a * u for a, u in zip(form_components(a_values, n, rank), up))
     if symmetry_a == "symmetric2":
         # tr(M P) with M = g^-1 a and P = g^-1 b^T, which is M when b is a
+        # on component-major copies, so that the products come out component
+        # major and the trace sums them plane by plane, in the order i, j
         inv = np.moveaxis(inv_values, (-2, -1), (0, 1))
-        m = matrix_product(inv, np.moveaxis(a_values, (-2, -1), (0, 1)))
-        p = m if b_values is a_values else matrix_product(
-            inv, np.moveaxis(b_values, (-1, -2), (0, 1)))
-        return sum(m[i][j] * p[j][i]
-                   for i, j in itertools.product(range(len(m)), repeat=2))
+        m = np.einsum("ik...,kj...->ij...", inv, _planes(a_values))
+        p = m if b_values is a_values else np.einsum(
+            "ik...,jk...->ij...", inv, _planes(b_values))
+        return np.einsum("ij...,ji...->...", m, p)
     pairing = g_values if symmetry_a == "vector" else inv_values
     idx_a = INDEX_LETTERS[:rank]
     idx_b = INDEX_LETTERS[rank:2 * rank]

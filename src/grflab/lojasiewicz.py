@@ -13,6 +13,7 @@ exclusion counts are always reported, and nothing is asserted a priori.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -50,14 +51,19 @@ def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
     norm (as in the rows of a spectral-gauge run). Samples with lambda >= 0,
     a non-finite lambda or a vanishing gradient norm are excluded and
     counted. The fit window is the trailing window_fraction, in (0, 1], of
-    the remaining samples; fewer than min_samples usable rows is an error.
+    the remaining samples; fewer than min_samples usable rows is an error,
+    and min_samples must be an integer of at least 2, since a slope needs two
+    rows.
 
     Returns a dict with, in order:
     theta_hat: the exponent, 1 - slope capped at one half and at the
         pointwise feasibility of the inequality on the window; NaN when no
-        positive exponent works.
-    theta_slope: the raw least-squares estimate 1 - slope.
-    fit_residual: the root-mean-square residual of the log-log fit.
+        positive exponent works, or when |lambda| takes one value on the
+        whole window, so that no slope exists.
+    theta_slope: the raw least-squares estimate 1 - slope; NaN without a
+        slope.
+    fit_residual: the root-mean-square residual of the log-log fit; NaN
+        without a slope.
     window: [first, last] time of the fitted samples.
     n_samples / n_excluded: rows fitted / rows excluded.
     holds_everywhere: whether the inequality at theta_hat holds at every
@@ -66,6 +72,9 @@ def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
     if not 0.0 < window_fraction <= 1.0:
         raise ConfigError(
             f"window_fraction must lie in (0, 1], got {window_fraction!r}")
+    if not isinstance(min_samples, numbers.Integral) or min_samples < 2:
+        raise ConfigError(
+            f"min_samples must be an integer >= 2, got {min_samples!r}")
     rows = [
         r for r in records
         if math.isfinite(r["lambda"]) and r["lambda"] < 0.0
@@ -80,14 +89,18 @@ def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
 
     log_lam = np.log(np.abs(np.array([r["lambda"] for r in rows])))
     log_grad = np.log(np.array([r["rhs_l2"] for r in rows]))
-    slope, intercept = np.polyfit(log_lam, log_grad, 1)
-    theta_slope = 1.0 - float(slope)
-    fitted = slope * log_lam + intercept
-    fit_residual = float(np.sqrt(np.mean((log_grad - fitted) ** 2)))
+    if np.ptp(log_lam) == 0.0:
+        # one |lambda| on the whole window: np.polyfit would only warn
+        theta_slope = fit_residual = float("nan")
+    else:
+        slope, intercept = np.polyfit(log_lam, log_grad, 1)
+        theta_slope = 1.0 - float(slope)
+        fitted = slope * log_lam + intercept
+        fit_residual = float(np.sqrt(np.mean((log_grad - fitted) ** 2)))
 
     cap, feasible = _feasible_cap(log_lam, log_grad)
     theta_hat = min(theta_slope, cap)
-    if not feasible or theta_hat <= 0.0:
+    if not feasible or not theta_hat > 0.0:
         theta_hat = float("nan")
         holds = False
     else:

@@ -255,8 +255,8 @@ def _potential(g, H=None, h_sq=None):
 
 def _df_sq(g, f):
     """|df|^2_g of a scalar field."""
-    df = gradient_values(g.grid, f.values)
-    return np.einsum("...ab,...a,...b->...", g.inv_values, df, df)
+    df = np.moveaxis(gradient_values(g.grid, f.values), -1, 0)
+    return np.einsum("ab...,a...,b...->...", g.inv_components, df, df)
 
 
 def schrodinger_apply(g, H, u):

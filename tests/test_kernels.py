@@ -83,6 +83,65 @@ def test_diff_values_is_the_roll_formula_bit_for_bit(dims, rank):
             assert out.flags.c_contiguous
 
 
+@pytest.mark.parametrize("resolution", [12, 16])
+def test_diff_values_on_component_first_planes_is_the_roll_formula(resolution):
+    # six component planes ahead of the grid axes, as the Christoffel kernel
+    # differentiates them; the last grid axis takes the flat-run path
+    grid = Grid((resolution,) * 3)
+    rng = np.random.default_rng(resolution)
+    values = rng.standard_normal((6,) + grid.shape)
+    values[1] = 0.0  # constant rows: signed zeros must come out as np.roll's
+    values[2] = -values[2, ..., :1]
+    for axis in range(1, 4):
+        out = diff_values(values, axis, grid.spacings[axis - 1])
+        ref = roll_derivative(values, axis, grid.spacings[axis - 1])
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_metric_stores_its_algebra_component_major(dims):
+    grid = Grid((8,) * dims)
+    rng = np.random.default_rng(50 + dims)
+    g = MetricField(grid, _spd_field(grid, rng, np.linspace(0.6, 2.5, dims),
+                                     0.3))
+    shape = (dims, dims) + grid.shape
+    assert g.components.shape == g.inv_components.shape == shape
+    assert np.array_equal(g.components, np.moveaxis(g.values, (-2, -1), (0, 1)))
+    # inv_values is a view of the component-major inverse, not a copy
+    assert np.shares_memory(g.inv_values, g.inv_components)
+    assert np.array_equal(g.inv_values,
+                          np.moveaxis(g.inv_components, (0, 1), (-2, -1)))
+    for arr in (g.components, g.inv_components, g.inv_values):
+        assert arr.flags.c_contiguous or arr is g.inv_values
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    for a, b in itertools.product(range(dims), repeat=2):
+        assert g.inv_values[..., a, b].flags.c_contiguous
+    gam = geometry.christoffel_values(g)
+    assert gam.shape == (dims, dims * (dims + 1) // 2) + grid.shape
+    assert gam.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_laplacian_flux_coefficients_are_exactly_symmetric(dims):
+    grid = Grid((8,) * dims)
+    rng = np.random.default_rng(60 + dims)
+    g = MetricField(grid, _spd_field(grid, rng, np.linspace(0.6, 2.5, dims),
+                                     0.3))
+    # the computed inverse is symmetric only to rounding ...
+    assert not all(np.array_equal(g.inv_components[a, b], g.inv_components[b, a])
+                   for a, b in itertools.combinations(range(dims), 2))
+    laplacian_values(g, rng.standard_normal(grid.shape))
+    coeff = g._cache["flux_coefficients"]
+    # ... but the fluxes' coefficients sqrt g g^ab are mirrored exactly
+    for a, b in itertools.product(range(dims), repeat=2):
+        assert np.array_equal(coeff[a, b], coeff[b, a])
+        assert np.array_equal(coeff[a, b], g.sqrt_det_values
+                              * g.inv_components[min(a, b), max(a, b)])
+
+
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_metric_inverse_and_determinant_match_lapack(dims):
     grid = Grid((8,) * dims)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,33 @@ def test_min_samples_enforced():
         lojasiewicz_estimate(rows)
     fit = lojasiewicz_estimate(rows, min_samples=4)
     assert fit["n_samples"] == 4
+
+
+@pytest.mark.parametrize("min_samples", [-1, 0, 1, 2.0, 10.5, "10", None])
+def test_min_samples_must_be_an_integer_of_at_least_two(min_samples):
+    # a one-row window used to fit a rank-deficient line and certify it; no
+    # usable row at all used to raise a bare TypeError
+    for rows in (power_law_records(0.5, n=20), []):
+        with pytest.raises(ConfigError, match="min_samples must be an integer"):
+            lojasiewicz_estimate(rows, min_samples=min_samples)
+    assert lojasiewicz_estimate(power_law_records(0.5, n=4),
+                                min_samples=2)["n_samples"] == 2
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_a_window_of_one_lambda_has_no_exponent(n):
+    # log |lambda| has zero spread: no slope exists, so nothing is certified
+    rows = [{"t": float(k), "lambda": -1e-4, "rhs_l2": 1e-2 * (k + 1)}
+            for k in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = lojasiewicz_estimate(rows, window_fraction=1.0, min_samples=2)
+    assert fit["n_samples"] == n
+    assert math.isnan(fit["theta_hat"])
+    assert math.isnan(fit["theta_slope"]) and math.isnan(fit["fit_residual"])
+    assert fit["holds_everywhere"] is False
+    assert [type(v) for v in fit.values()] == [float, float, float, list,
+                                              int, int, bool]
 
 
 def test_fit_is_a_dict_of_plain_values_in_a_fixed_key_order():
