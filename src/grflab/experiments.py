@@ -39,9 +39,7 @@ from .homogeneous import (
     find_stationary,
     heisenberg_algebra,
     invariant_flow,
-    invariant_h_squared,
     invariant_norm_sq,
-    invariant_ricci,
     invariant_scalar_curvature,
     stationarity_residual,
     su2_algebra,
@@ -142,8 +140,11 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
     gradient pairing. Both side solves of the difference start from the
     eigenfunction the gradient solved, so a seed costs three eigensolves.
     The relative errors are the package's primary correctness certificate
-    for the variational structure.
+    for the variational structure. seeds must not be empty.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigError("gradient_check needs at least one seed")
     rows = []
     for seed in seeds:
         state = perturbed_state(resolution=resolution, amplitude=amplitude,
@@ -354,8 +355,6 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, newton_tol=1e-12,
         out.update({"stationary_found": False, "failure": str(exc)})
         stat = None
     if stat is not None:
-        ric = invariant_ricci(stat)
-        h2 = invariant_h_squared(stat)
         r = invariant_scalar_curvature(stat)
         norm_sq = invariant_norm_sq(stat)
         out.update({
@@ -365,7 +364,6 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, newton_tol=1e-12,
             "g_offdiag_sup": float(np.max(np.abs(
                 stat.g - np.diag(np.diag(stat.g))))),
             "h3": stat.h3,
-            "ricci_vs_quarter_h2": float(np.max(np.abs(ric - 0.25 * h2))),
             "scalar_vs_quarter_norm": abs(r - 0.25 * norm_sq),
             "scalar_gap": abs(r - norm_sq / 12.0),
         })

@@ -19,18 +19,19 @@ full storage.
 The metric algebra is component major: MetricField keeps g and g^-1 as
 read-only (n, n) + grid arrays, and the kernels keep their component axes
 first, so every component plane is one contiguous block. Each pointwise index
-sum is one np.einsum over such planes with the grid axes last; without
-`optimize` it adds the terms in index order, plane by plane, the order of the
-multiply-adds it replaces. The minors-based form kernels keep their Leibniz
-multiply-adds, reading the same contiguous planes through component-last
-views.
+sum is one np.einsum over such planes with the grid axes last. No einsum in
+the package passes `optimize`, so none is planned into pairwise or BLAS
+products: the terms are added in index order, plane by plane. The
+minors-based kernels keep their Leibniz multiply-adds, reading the same
+contiguous planes through component-last views.
 
 Each operator is one `*_values` kernel on raw component arrays; a form's
 degree is read off its array's rank. Fields are validated where they enter or
 leave the system (MetricField, ScalarField, TensorField), not in between.
 A metric is certified where it enters, by MetricField, on its component
-planes: positivity by the pivots of an LDL^T, then its Gauss-Jordan inverse,
-checked by max |g g^-1 - I|.
+planes: positivity by the pivots of an LDL^T, then its inverse and
+determinant by cofactors of the (n-1) x (n-1) minors that the form kernels
+expand too, the inverse checked by max |g g^-1 - I|.
 
 The codifferential is the exact adjoint of the discrete exterior derivative
 for the inner product that counts each increasing index tuple once (the
@@ -81,7 +82,8 @@ class MetricField:
     shape, read-only, so each plane [a, b] is one contiguous block; the
     kernels' index sums run over them. inv_values is a component-last view
     of inv_components, not a copy: its planes [..., a, b] are the same
-    contiguous blocks.
+    contiguous blocks. g^-1 and sqrt_det_values come from the cofactors of
+    g (_inverse_and_det), so g^-1 is exactly symmetric.
     """
 
     def __init__(self, grid, values):
@@ -94,10 +96,9 @@ class MetricField:
             raise PositivityError(
                 f"metric has a pointwise eigenvalue below {EPS_SPD:g}")
         inv, det = _inverse_and_det(comps)
-        inv = np.array(inv)
         res = np.einsum("ik...,kj...->ij...", comps, inv)
         res[range(n), range(n)] -= 1.0
-        gap = float(np.max(np.abs(res)))
+        gap = float(np.max(np.abs(res, out=res)))
         if gap > _INVERSE_TOL:
             raise PositivityError(f"metric inverse residual {gap:.3e} exceeds 1e-12")
         for arr in (comps, inv):
@@ -148,31 +149,30 @@ def _pivots_positive(a, shift):
     return True
 
 
-def _inverse_and_det(a):
-    """Pointwise inverse, indexed like a, and determinant of a matrix field
-    a[i][j] by Gauss-Jordan elimination, skipping the updates that leave an
-    entry as it is (by the identity start's zero columns, a's eliminated ones).
+def _inverse_and_det(comps):
+    """Pointwise inverse, component major, and determinant of a symmetric
+    matrix field comps[i, j] by cofactors of the (n-1) x (n-1) minors M_ij of
+    pointwise_minors: det by the first-row Laplace expansion, then
+    g^ij = (-1)^(i+j) M_ij / det.
 
-    No pivoting: that is safe only for matrices already certified positive
-    definite. Zero off-diagonal entries eliminate nothing, so a diagonal
-    matrix gets its exact reciprocal inverse.
+    The minor table holds one array at M_ij and M_ji, so the inverse is
+    exactly symmetric. An odd cofactor is 0.0 - M_ij, which is -M_ij except
+    that a zero minor gives +0.0: a diagonal matrix's inverse has +0.0 off
+    its diagonal. det is positive only for a matrix already certified
+    positive definite.
     """
-    n = len(a)
-    a = [list(row) for row in a]
-    inv = [[float(i == j) for j in range(n)] for i in range(n)]
-    det = 1.0
-    for k in range(n):
-        pivot = a[k][k]
-        det = det * pivot
-        a[k][k + 1:] = [x / pivot for x in a[k][k + 1:]]
-        inv[k][:k + 1] = [x / pivot for x in inv[k][:k + 1]]
-        for i in range(n):
-            if i != k:
-                factor = a[i][k]
-                a[i][k + 1:] = [x - factor * y for x, y
-                                in zip(a[i][k + 1:], a[k][k + 1:])]
-                inv[i][:k + 1] = [x - factor * y for x, y
-                                  in zip(inv[i][:k + 1], inv[k][:k + 1])]
+    n = len(comps)
+    minors = pointwise_minors(np.moveaxis(comps, (0, 1), (-2, -1)), n - 1)
+
+    def cofactor(i, j):
+        m = minors[n - 1 - i][n - 1 - j]  # tuple n - 1 - i omits index i
+        return m if (i + j) % 2 == 0 else 0.0 - m
+
+    det = sum(comps[0, j] * cofactor(0, j) for j in range(n))
+    inv = np.empty(comps.shape)
+    for i, j in zip(*symmetric_pairs(n)[:2]):
+        np.divide(cofactor(i, j), det, out=inv[i, j])
+        inv[j, i] = inv[i, j]
     return inv, det
 
 
@@ -281,19 +281,14 @@ def laplacian_values(g, values):
 
     It is self-adjoint against the volume-weighted quadrature exactly, by the
     skew-adjointness of the stencil, not merely to truncation order. That
-    needs exactly symmetric flux coefficients sqrt g g^ab, and the computed
-    g^-1 is symmetric only to rounding: they are built on the pairs a <= b,
-    mirrored, and cached on the metric component major. The fluxes are one
-    einsum over them.
+    needs exactly symmetric flux coefficients sqrt g g^ab, which they are
+    because g^-1 is; they are cached on the metric component major, and the
+    fluxes are one einsum over them.
     """
     grid = g.grid
     n, h = grid.n_dims, grid.spacings
-
-    def build():
-        i, j, table = symmetric_pairs(n)
-        return (g.sqrt_det_values * g.inv_components[i, j])[table]
-
-    coeff = g._cached("flux_coefficients", build)
+    coeff = g._cached("flux_coefficients",
+                      lambda: g.sqrt_det_values * g.inv_components)
     du = np.stack([diff_values(values, b, h[b]) for b in range(n)])
     flux = np.einsum("ab...,b...->a...", coeff, du)
     div = np.zeros(values.shape)

@@ -264,23 +264,6 @@ def gradient_values(grid, values):
     return np.moveaxis(out, 0, n)
 
 
-# Component index letters for generated einsum expressions.
-INDEX_LETTERS = "abcdefgh"
-
-
-@functools.lru_cache(maxsize=128)
-def _contraction_path(subscripts, shapes):
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-
-
-def contract(subscripts, *operands):
-    """np.einsum along the greedy contraction path, planned once per
-    expression and operand shapes instead of on every call."""
-    path = _contraction_path(subscripts, tuple(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 @functools.lru_cache(maxsize=None)
 def increasing_tuples(n, k):
     """Index tuples i_1 < ... < i_k naming the independent k-form components."""
@@ -381,6 +364,8 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
     k >= 2 are summed over independent components only, as
     k! sum_{I,J} a_I det(g^-1[I, J]) b_J, and a "symmetric2" first operand
     is paired as tr(g^-1 a g^-1 b^T) by einsums over component-major copies.
+    Any other pairing is one np.einsum over every index at once, without
+    `optimize`, so its terms are added in index order.
     """
     if rank == 0:
         return a_values * b_values
@@ -402,11 +387,11 @@ def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_v
             "ik...,jk...->ij...", inv, _planes(b_values))
         return np.einsum("ij...,ji...->...", m, p)
     pairing = g_values if symmetry_a == "vector" else inv_values
-    idx_a = INDEX_LETTERS[:rank]
-    idx_b = INDEX_LETTERS[rank:2 * rank]
-    pair_terms = ",".join(f"...{i}{j}" for i, j in zip(idx_a, idx_b))
-    expr = f"...{idx_a},{pair_terms},...{idx_b}->..."
-    return contract(expr, a_values, *([pairing] * rank), b_values)
+    # slot s of a is index s, slot s of b is index rank + s
+    operands = [a_values, [..., *range(rank)]]
+    for s in range(rank):
+        operands += [pairing, [..., s, rank + s]]
+    return np.einsum(*operands, b_values, [..., *range(rank, 2 * rank)], [...])
 
 
 def weighted_inner(a, b, g, weight=None):
@@ -418,15 +403,16 @@ def weighted_inner(a, b, g, weight=None):
         Same grid, same rank; tensor indices are contracted pairwise with the
         inverse metric (full contraction), vectors with the metric.
     g : MetricField
-        Supplies the pointwise pairing and the volume density.
+        Supplies the pointwise pairing and the volume density; on a's grid.
     weight : ScalarField, optional
-        Extra pointwise weight, default 1.
+        Extra pointwise weight on a's grid, default 1.
 
     The reduction is a single numpy pairwise sum in grid storage order, so
     results are reproducible bit-for-bit between runs.
     """
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise FieldError("fields live on different grids")
+    for other in (b, g) if weight is None else (b, g, weight):
+        if other.grid is not a.grid and other.grid != a.grid:
+            raise FieldError("fields live on different grids")
     rank_a = 0 if isinstance(a, ScalarField) else a.rank
     rank_b = 0 if isinstance(b, ScalarField) else b.rank
     if rank_a != rank_b:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, FieldError, NonFiniteError
+from .errors import ConfigError, ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
     ScalarField, TensorField, gradient_values, stencil_symbol, weighted_inner)
 from .geometry import (
@@ -275,10 +275,10 @@ def lowest_eigenpair(g, H=None, w0=None):
         Closed 3-form entering the potential, as a field or its component
         array; None means zero.
     w0 : ScalarField or ndarray, optional
-        Start vector, None for the constant. run_flow passes the line in t
-        through the eigenfunctions of the last two times it solved; any
-        nonzero vector works, and one closer to the ground state takes
-        fewer steps.
+        Start vector of the grid's shape, None for the constant. run_flow
+        passes the line in t through the eigenfunctions of the last two
+        times it solved; any nonzero vector works, and one closer to the
+        ground state takes fewer steps.
 
     The pair is accepted once ||Phi w - lambda w||_{L2(dV_g)} <= EIG_TOL;
     more than MAX_OUTER steps raise ConvergenceError. The shift tracks the
@@ -297,6 +297,9 @@ def lowest_eigenpair(g, H=None, w0=None):
         w = np.ones(g.grid.shape)
     else:
         w = np.array(w0.values if isinstance(w0, ScalarField) else w0, dtype=float)
+        if w.shape != g.grid.shape:
+            raise FieldError(f"initial vector for the eigensolver has shape "
+                             f"{w.shape}, the grid {g.grid.shape}")
     norm = op.volume_norm(w)
     if norm == 0.0:
         raise FieldError("initial vector for the eigensolver vanishes")
@@ -429,8 +432,11 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
 
     Each side solves lambda at the metric g +- eps h and the validated field
     strength d(b +- eps beta), with no background. w0, the eigenfunction
-    solved at (g, b), starts both side solves.
+    solved at (g, b), starts both side solves. eps must be positive and
+    finite.
     """
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps!r}")
     values = []
     for sgn in (+1.0, -1.0):
         g_side = MetricField(g.grid, g.values + sgn * eps * h.values)
@@ -445,7 +451,6 @@ def critical_point_diagnostics(g, H, sol):
     as a dict of sup norms over components; H is a 3-form field or its
     component array. |H|^2_g is built once. The keys, in order:
 
-    mu: the eigenvalue sol.lam.
     mu_grad_g / mu_grad_b: the two parts of the gradient of mu, as
         assemble_mu_gradient builds them (the b part carries the 1/2).
     ricci_vs_h2: ||Ric - H^2/4||, the metric part of flow stationarity.
@@ -460,7 +465,6 @@ def critical_point_diagnostics(g, H, sol):
     h_sq = _norm_sq(g, h)
     grad = assemble_mu_gradient(g, h, sol)
     return {
-        "mu": sol.lam,
         "mu_grad_g": float(np.max(np.abs(grad.g_part.values))),
         "mu_grad_b": float(np.max(np.abs(grad.b_part.values))),
         "ricci_vs_h2": float(np.max(np.abs(

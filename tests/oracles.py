@@ -18,6 +18,8 @@ form_field wraps a raw form array as the validated field of its degree, for
 the tests that pair kernel outputs with weighted_inner.
 """
 
+import itertools
+
 import numpy as np
 from scipy.ndimage import map_coordinates
 
@@ -280,26 +282,39 @@ def h_squared_full(h_values, inv_values):
                      inv_values, h_values, optimize=True)
 
 
+def leibniz_det(values):
+    """Pointwise determinant of a k x k matrix field on full storage: the
+    Leibniz sum over the permutations in itertools order, each product taken
+    row by row and each signed term added to a running sum from 0.0."""
+    k = values.shape[-1]
+    total = 0.0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = values[..., 0, perm[0]]
+        for r in range(1, k):
+            term = term * values[..., r, perm[r]]
+        total = total + (-1.0) ** inversions * term
+    return total
+
+
 def inverse_and_det_full(values):
-    """Pointwise inverse and determinant of a matrix field by Gauss-Jordan
-    elimination without pivoting, every row operation on whole component
-    rows, as the metric inverse was first written."""
+    """Pointwise inverse and determinant of a symmetric matrix field by
+    cofactors on full storage: the minor M_ij for i >= j is the Leibniz
+    determinant of values with row i and column j deleted, M_ji = M_ij,
+    det = sum_j (-1)^j g_0j M_0j from 0, and g^ij = (-1)^(i+j) M_ij / det."""
     n = values.shape[-1]
-    a = np.moveaxis(values, (-2, -1), (0, 1)).copy()
-    inv = np.zeros_like(a)
-    inv[range(n), range(n)] = 1.0
-    det = 1.0
-    for k in range(n):
-        pivot = a[k, k].copy()
-        det = det * pivot
-        a[k] /= pivot
-        inv[k] /= pivot
-        for i in range(n):
-            if i != k:
-                factor = a[i, k].copy()
-                a[i] -= factor * a[k]
-                inv[i] -= factor * inv[k]
-    return np.ascontiguousarray(np.moveaxis(inv, (0, 1), (-2, -1))), det
+    minor = {}
+    for i in range(n):
+        for j in range(i + 1):
+            sub = np.delete(np.delete(values, i, axis=-2), j, axis=-1)
+            minor[i, j] = minor[j, i] = leibniz_det(sub)
+    det = 0.0
+    for j in range(n):
+        det = det + values[..., 0, j] * ((-1.0) ** j * minor[0, j])
+    inv = np.empty(values.shape)
+    for i, j in itertools.product(range(n), repeat=2):
+        inv[..., i, j] = (-1.0) ** (i + j) * minor[i, j] / det
+    return inv, det
 
 
 def form_inner_full(a_values, b_values, inv_values, k):

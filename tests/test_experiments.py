@@ -17,7 +17,8 @@ from grflab.experiments import (
     stability_run,
 )
 from grflab import experiments, flow, homogeneous, spectrum
-from grflab.errors import ConvergenceError, FieldError, NonFiniteError
+from grflab.errors import (ConfigError, ConvergenceError, FieldError,
+                           NonFiniteError)
 
 
 def test_flat_equilibrium_is_exact():
@@ -89,6 +90,12 @@ def test_gradient_check_solves_three_eigenpairs_per_seed(monkeypatch):
     assert cold == [True, False, False] * 2
 
 
+def test_gradient_check_needs_a_seed(monkeypatch):
+    monkeypatch.setattr(experiments, "perturbed_state", None)  # never reached
+    with pytest.raises(ConfigError, match="at least one seed"):
+        gradient_check(seeds=())
+
+
 def test_gauge_consistency_gap_is_small():
     report = gauge_consistency_run()
     assert math.isfinite(report["gap_sup"])
@@ -99,7 +106,8 @@ def test_eigen_report_on_perturbed_data():
     report = eigen_report(12, amplitude=0.05)
     assert report["eigen_residual"] <= spectrum.EIG_TOL
     assert report["f_eq_residual"] < 0.05
-    assert report["mu"] == report["lambda"] < 0.0
+    assert report["lambda"] < 0.0
+    assert "mu" not in report  # lambda is mu; it is reported once
     for key, value in report.items():
         assert math.isfinite(value), key
 
@@ -128,6 +136,8 @@ def test_homogeneous_report_flow_and_stationary_search(algebra):
     else:
         assert report["stationary_found"] is True
         assert report["residual"] < 1e-12
+        # residual is sup |Ric - H^2/4|; it is reported once
+        assert "ricci_vs_quarter_h2" not in report
 
 
 ENDPOINT_FIELDS = ("t_end", "lambda_end", "ricci_linf_end", "H_l2_end",

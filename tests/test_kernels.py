@@ -130,16 +130,16 @@ def test_laplacian_flux_coefficients_are_exactly_symmetric(dims):
     rng = np.random.default_rng(60 + dims)
     g = MetricField(grid, _spd_field(grid, rng, np.linspace(0.6, 2.5, dims),
                                      0.3))
-    # the computed inverse is symmetric only to rounding ...
-    assert not all(np.array_equal(g.inv_components[a, b], g.inv_components[b, a])
-                   for a, b in itertools.combinations(range(dims), 2))
+    # the cofactor inverse reads one minor at (a, b) and (b, a) ...
+    for a, b in itertools.combinations(range(dims), 2):
+        assert np.array_equal(g.inv_components[a, b], g.inv_components[b, a])
     laplacian_values(g, rng.standard_normal(grid.shape))
     coeff = g._cache["flux_coefficients"]
-    # ... but the fluxes' coefficients sqrt g g^ab are mirrored exactly
+    # ... so the fluxes' coefficients sqrt g g^ab are exactly symmetric too
     for a, b in itertools.product(range(dims), repeat=2):
         assert np.array_equal(coeff[a, b], coeff[b, a])
-        assert np.array_equal(coeff[a, b], g.sqrt_det_values
-                              * g.inv_components[min(a, b), max(a, b)])
+        assert np.array_equal(coeff[a, b],
+                              g.sqrt_det_values * g.inv_components[a, b])
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -155,15 +155,14 @@ def test_metric_inverse_and_determinant_match_lapack(dims):
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
-def test_metric_inverse_and_determinant_are_the_full_gauss_jordan(dims):
+def test_metric_inverse_and_determinant_are_the_full_cofactors(dims):
     grid = Grid((8,) * dims)
     rng = np.random.default_rng(20 + dims)
     values = _spd_field(grid, rng, np.linspace(0.6, 2.5, dims), 0.3)
     ref_inv, ref_det = inverse_and_det_full(values)
-    comps = [[values[..., i, j] for j in range(dims)] for i in range(dims)]
-    inv, det = geometry._inverse_and_det(comps)
-    assert np.array_equal(np.stack([np.stack(row, -1) for row in inv], -2),
-                          ref_inv)
+    inv, det = geometry._inverse_and_det(
+        np.ascontiguousarray(np.moveaxis(values, (-2, -1), (0, 1))))
+    assert np.array_equal(np.moveaxis(inv, (0, 1), (-2, -1)), ref_inv)
     assert np.array_equal(det, ref_det)
     g = MetricField(grid, values)
     assert np.array_equal(g.inv_values, ref_inv)
@@ -240,13 +239,21 @@ def test_symmetric_pairing_matches_the_einsum(dims):
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_metric_inverse_is_exact_on_diagonal_metrics(dims):
     grid = Grid((8,) * dims)
+    off = ~np.eye(dims, dtype=bool)
+    flat = flat_metric(grid)
+    assert np.array_equal(flat.inv_values,
+                          np.broadcast_to(np.eye(dims), flat.values.shape))
+    assert np.all(flat.sqrt_det_values == 1.0)
     diagonal = np.array([0.7, 3.0, 1.3, 0.9][:dims])
     g = diagonal_metric(grid, diagonal)
-    expected = np.zeros((dims, dims))
-    expected[range(dims), range(dims)] = 1.0 / diagonal
-    assert np.array_equal(g.inv_values, np.broadcast_to(expected,
-                                                        g.values.shape))
+    for metric in (flat, g):
+        # zero minors make +0.0 entries at odd and even positions alike
+        assert np.all(metric.inv_values[..., off] == 0.0)
+        assert not np.any(np.signbit(metric.inv_values[..., off]))
     assert np.all(g.sqrt_det_values == np.sqrt(np.prod(diagonal)))
+    # a cofactor quotient M_ii / det, not a reciprocal: within one ulp
+    got = np.einsum("...ii->...i", g.inv_values)
+    assert np.all(np.abs(got - 1.0 / diagonal) <= np.spacing(1.0 / diagonal))
 
 
 def test_trace_only_ricci_matches_the_full_stack():

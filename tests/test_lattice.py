@@ -5,6 +5,7 @@ import pytest
 
 from grflab import (
     Grid,
+    ScalarField,
     TensorField,
     flat_metric,
     weighted_inner,
@@ -193,6 +194,27 @@ def test_weighted_inner_rejects_mixed_variance():
     a = TensorField(grid, vals, "covector")
     with pytest.raises(FieldError):
         weighted_inner(x, a, g)
+
+
+def test_weighted_inner_rejects_fields_on_different_grids():
+    # the same shape on other periods: cell volume and density disagree
+    grid, other = Grid((8, 8, 8)), Grid((8, 8, 8), periods=(1.0,) * 3)
+    vals = np.zeros(grid.shape + (3, 3))
+    vals[..., 0, 1], vals[..., 1, 0] = 0.3, -0.3
+    b = TensorField(grid, vals, "antisymmetric")
+    g = flat_metric(grid)
+    ones = np.ones(grid.shape)
+    cases = [(TensorField(other, vals, "antisymmetric"), g, None),
+             (b, flat_metric(other), None),
+             (b, g, ScalarField(other, ones))]
+    for second, metric, weight in cases:
+        with pytest.raises(FieldError, match="fields live on different grids"):
+            weighted_inner(b, second, metric, weight)
+    # an equal grid that is another object pairs as the same one
+    same = Grid((8, 8, 8))
+    expected = weighted_inner(b, b, g, ScalarField(grid, ones))
+    assert weighted_inner(b, TensorField(same, vals, "antisymmetric"),
+                          flat_metric(same), ScalarField(same, ones)) == expected
 
 
 def test_gradient_values_layout():

@@ -181,3 +181,24 @@ def test_every_flow_config_field_is_passed_outside_the_tests():
               if isinstance(node, ast.keyword)}
     unset = [name for name in fields if name not in passed]
     assert fields and not unset, "never passed by keyword: " + ", ".join(unset)
+
+
+def test_no_einsum_in_src_is_planned():
+    # without `optimize` np.einsum adds the terms of an index sum in index
+    # order, plane by plane; a planned path (optimize, or one from
+    # einsum_path) splits the sum into pairwise or BLAS products in another
+    # order. A **kwargs call is flagged too, since it may carry `optimize`.
+    planned = []
+    for path in sorted((ROOT / "src" / "grflab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name == "einsum_path":
+                planned.append(f"{path.name}:{node.lineno} einsum_path")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "einsum"
+                  and any(kw.arg in ("optimize", None)
+                          for kw in node.keywords)):
+                planned.append(f"{path.name}:{node.lineno} einsum(optimize)")
+    assert not planned, "planned einsums: " + ", ".join(planned)

@@ -18,7 +18,7 @@ from grflab import (
     step,
 )
 from grflab import geometry, lattice, spectrum
-from grflab.errors import ConvergenceError
+from grflab.errors import ConfigError, ConvergenceError, FieldError
 from grflab.experiments import perturbed_state
 from grflab.geometry import (
     codifferential_values, exterior_derivative_values, gradient_vector_values,
@@ -227,11 +227,35 @@ def test_critical_point_diagnostics_flat():
     g = flat_metric(grid)
     b = TensorField(grid, np.zeros(grid.shape + (3, 3)), "antisymmetric")
     H = FlowState(g, b).field_strength()
-    d = critical_point_diagnostics(g, H, lowest_eigenpair(g, H))
-    assert abs(d["mu"]) < 1e-12
+    sol = lowest_eigenpair(g, H)
+    d = critical_point_diagnostics(g, H, sol)
+    assert abs(sol.lam) < 1e-12
+    assert "mu" not in d
     assert d["mu_grad_g"] < 1e-12
     assert d["mu_grad_b"] < 1e-12
     assert d["identity_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 8), (1, 8, 8), (8, 8, 8, 1)])
+def test_a_start_vector_off_the_grid_shape_is_refused(shape):
+    g = flat_metric(Grid((8, 8, 8)))
+    with pytest.raises(FieldError, match=rf"shape \({shape[0]},.*the grid "
+                                         r"\(8, 8, 8\)"):
+        lowest_eigenpair(g, w0=np.ones(shape))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-4, float("nan"), float("inf")])
+def test_mu_directional_derivative_needs_a_positive_finite_eps(monkeypatch,
+                                                                eps):
+    state = perturbed_state(resolution=8)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before eps was checked")
+
+    monkeypatch.setattr(spectrum, "lowest_eigenpair", no_solve)
+    with pytest.raises(ConfigError, match="eps must be positive and finite"):
+        mu_directional_derivative(state.g, state.b, state.g.field, state.b,
+                                  np.ones(state.g.grid.shape), eps=eps)
 
 
 def test_critical_point_diagnostics_report_the_mu_gradient():
