@@ -3,16 +3,18 @@
 The gauge-fixed and plain flows differ by the flow of the gauge vector field:
 integrating d(psi)/dt = -X o psi from the identity and pulling the gauged
 solution back along psi reproduces the ungauged one. Maps are stored as
-periodic displacements u with psi(x) = x + u(x), and the Jacobian of psi is
-the lattice derivative of the displacement.
+periodic displacements u with psi(x) = x + u(x), a vector field stored
+component major like every field, and the Jacobian of psi is the lattice
+derivative of the displacement.
 
 Off-grid values come from periodic cubic B-splines. A field's components are
 filtered together, once per grid axis, and the spline coefficients are padded
 periodically by the cubic taps (one cell before, two after); each component
 is then one unfiltered evaluation at the coordinates wrapped into the grid.
-A pullback interpolates and contracts only the independent components of its
-field, n(n+1)/2 for a symmetric 2-tensor and C(n, k) for a k-form, and
-mirrors them into full storage, so the result has its symmetry exactly.
+A pullback interpolates only the packed components of its field, n(n+1)/2
+for a symmetric 2-tensor and C(n, k) for a k-form. Its Jacobian contraction
+is the one place full storage appears: each packed output component sums
+over every full index tuple of the interpolated field.
 
 The splines are scipy.ndimage's, imported by _interpolate when it first runs:
 no other module uses scipy, so `import grflab` and every pipeline without a
@@ -29,9 +31,9 @@ from .lattice import (
     ScalarField,
     TensorField,
     expand_form,
-    expand_symmetric,
     gradient_values,
     increasing_tuples,
+    require_same_grid,
     symmetric_pairs,
 )
 from .geometry import MetricField
@@ -42,7 +44,7 @@ _MIN_JACOBIAN = 0.1
 def _index_coordinates(grid, u_values):
     """Grid-index coordinates of psi(x) = x + u(x), the axis first."""
     base = grid.coordinate_arrays()
-    return np.stack([(base[a] + u_values[..., a]) / grid.spacings[a]
+    return np.stack([(base[a] + u_values[a]) / grid.spacings[a]
                      for a in range(grid.n_dims)], axis=0)
 
 
@@ -65,12 +67,15 @@ def _interpolate(stack, coords_index):
 
 
 def displacement_jacobian(grid, u_values):
-    """J[..., a, i] = d(psi^a)/dx^i for psi = id + u, by the lattice stencil."""
-    return np.swapaxes(gradient_values(grid, u_values), -1, -2) + np.eye(grid.n_dims)
+    """J[a, i] = d(psi^a)/dx^i for psi = id + u, by the lattice stencil,
+    shape (n, n) + grid."""
+    n = grid.n_dims
+    eye = np.eye(n).reshape((n, n) + (1,) * n)
+    return np.swapaxes(gradient_values(grid, u_values), 0, 1) + eye
 
 
 def _check_jacobian(jac):
-    det_min = float(np.min(np.linalg.det(jac)))
+    det_min = float(np.min(np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)))))
     if det_min <= _MIN_JACOBIAN:
         raise JacobianError(
             f"map degenerates: min det J = {det_min:.3e} <= {_MIN_JACOBIAN}")
@@ -88,13 +93,10 @@ def diffeo_flow(x_series, grid):
     empty series. Raises JacobianError if any accepted map leaves the
     diffeomorphism guard det J > 0.1.
     """
-    n = grid.n_dims
-    u = np.zeros(grid.shape + (n,))
+    u = np.zeros((grid.n_dims,) + grid.shape)
 
     def stage_velocity(x_field, u_now):
-        moved = _interpolate(np.moveaxis(x_field.values, -1, 0),
-                             _index_coordinates(grid, u_now))
-        return -np.moveaxis(moved, 0, -1)
+        return -_interpolate(x_field.values, _index_coordinates(grid, u_now))
 
     for _, dt, stages in x_series:
         x1, x2, x3, x4 = stages
@@ -107,62 +109,53 @@ def diffeo_flow(x_series, grid):
     return TensorField(grid, u, "vector")
 
 
-def _independent_components(n, rank, symmetry):
-    """Index tuples of a covariant field's independent components, and the
-    map from their values, stacked first, to full storage. A form of degree
-    above n is zero, with no increasing index tuple, and keeps all of them."""
-    if symmetry == "symmetric2":
-        i, j, _ = symmetric_pairs(n)
-        return tuple(zip(i, j)), lambda c: expand_symmetric(c, n)
-    if symmetry == "antisymmetric" and rank <= n:
-        return increasing_tuples(n, rank), lambda c: expand_form(list(c), n, rank)
-    return (tuple(np.ndindex(*(n,) * rank)),
-            lambda c: np.moveaxis(c, 0, -1).reshape(c.shape[1:] + (n,) * rank))
-
-
 def pullback(displacement, fld):
     """Pull a covariant field back along psi = id + displacement.
 
     (psi* T)_{i...}(x) = J^a_i(x) ... T_{a...}(psi(x)) with J the lattice
     Jacobian of psi and field values at psi(x) interpolated by periodic cubic
-    splines. Only the independent components are interpolated and contracted
-    (the pairs i <= j of a symmetric 2-tensor, the increasing index tuples of
-    a k-form) and then mirrored, so a pulled-back metric is exactly symmetric
-    and a pulled-back form exactly antisymmetric. Accepts scalar fields,
-    covariant TensorFields, and MetricFields (returned as a MetricField);
-    contravariant fields are rejected since they push forward, not back.
+    splines. Only the packed components are interpolated and computed (the
+    pairs i <= j of a symmetric 2-tensor, the increasing index tuples of a
+    k-form). Accepts scalar fields, covariant TensorFields, and MetricFields
+    (returned as a MetricField) on the displacement's grid; contravariant
+    fields are rejected since they push forward, not back.
     """
     grid = displacement.grid
-    if displacement.symmetry != "vector" or displacement.rank != 1:
+    if displacement.symmetry != "vector":
         raise FieldError("displacement must be a vector field")
+    require_same_grid(grid, fld)
     u = displacement.values
     jac = displacement_jacobian(grid, u)
     _check_jacobian(jac)
     coords_index = _index_coordinates(grid, u)
 
+    if isinstance(fld, ScalarField):
+        return ScalarField(grid, _interpolate(fld.values[None], coords_index)[0])
     is_metric = isinstance(fld, MetricField)
-    source = fld.field if is_metric else fld
-    if isinstance(source, ScalarField):
-        return ScalarField(grid, _interpolate(source.values[None], coords_index)[0])
-    if source.symmetry == "vector":
+    symmetry = "symmetric2" if is_metric else fld.symmetry
+    if symmetry == "vector":
         raise FieldError("cannot pull back a contravariant field")
+    if not len(fld.values):  # a form of degree above n is 0
+        return fld
 
-    rank = source.rank
-    tuples, expand = _independent_components(grid.n_dims, rank, source.symmetry)
-    slots = tuple(np.array(s) for s in zip(*tuples))
-    moved = _interpolate(np.moveaxis(source.values[(...,) + slots], -1, 0),
-                         coords_index)
-    # each independent component i... sums T_{a...}(psi(x)) J^a_i ... over
-    # every full index tuple a..., by multiply-adds in one fixed order
-    full = expand(moved)
+    n, rank = grid.n_dims, 2 if is_metric else fld.rank
+    moved = _interpolate(fld.values, coords_index)
+    # the index tuples of the packed components, and the full storage
+    if symmetry == "symmetric2":
+        i, j, table = symmetric_pairs(n)
+        tuples, full = tuple(zip(i, j)), moved[table]
+    else:
+        tuples, full = increasing_tuples(n, rank), expand_form(moved, n, rank)
+    # each packed component i... sums T_{a...}(psi(x)) J^a_i ... over every
+    # full index tuple a..., by multiply-adds in one fixed order
     comps = [0.0] * len(tuples)
     for p, idx in enumerate(tuples):
-        for src in np.ndindex(*(grid.n_dims,) * rank):
-            term = full[(...,) + src]
+        for src in np.ndindex(*(n,) * rank):
+            term = full[src]
             for a, i in zip(src, idx):
-                term = term * jac[..., a, i]
+                term = term * jac[a, i]
             comps[p] = comps[p] + term
-    out = expand(np.stack(comps))
+    out = np.stack(comps)
     if is_metric:
         return MetricField(grid, out)
-    return TensorField(grid, out, source.symmetry)
+    return TensorField(grid, out, symmetry)

@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .lattice import Grid, TensorField, expand_form
-from .geometry import MetricField, flat_metric
+from .lattice import Grid, TensorField
+from .geometry import MetricField, flat_metric, identity_values
 from .perturbations import random_form_perturbation, random_metric_perturbation
 from .spectrum import (
     assemble_mu_gradient,
@@ -56,7 +56,7 @@ def background_three_form(grid, c):
     """The constant 3-form c e^1 ^ e^2 ^ e^3 as a validated TensorField."""
     if grid.n_dims != 3:
         raise ConfigError("the constant 3-form background needs three axes")
-    return TensorField(grid, expand_form([np.full(grid.shape, float(c))], 3, 3),
+    return TensorField(grid, np.full((1,) + grid.shape, float(c)),
                        "antisymmetric")
 
 
@@ -71,12 +71,13 @@ def perturbed_state(resolution=16, amplitude=0.05, seed=0, cutoff=2,
     grid = Grid((resolution,) * dims)
     if amplitude != 0.0:
         h = random_metric_perturbation(grid, amplitude, seed, cutoff=cutoff)
-        g = MetricField(grid, np.eye(dims) + h.values)
+        g = MetricField(grid, identity_values(grid) + h.values)
         b = random_form_perturbation(grid, amplitude, seed + 1000,
                                      cutoff=cutoff)
     else:
         g = flat_metric(grid)
-        b = TensorField.zeros(grid, 2, "antisymmetric")
+        b = TensorField(grid, np.zeros((math.comb(dims, 2),) + grid.shape),
+                        "antisymmetric")
     hhat = background_three_form(grid, hhat_c) if hhat_c != 0.0 else None
     return FlowState(g=g, b=b, hhat=hhat)
 
@@ -315,7 +316,8 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
     pulled_h = pullback(disp, gauged.final.field_strength())
     gap_g = float(np.max(np.abs(pulled_g.values - plain.final.g.values)))
     gap_h = float(np.max(np.abs(pulled_h.values
-                                - plain.final.field_strength().values)))
+                                - plain.final.field_strength().values),
+                         initial=0.0))  # H has no component in 2D
     return {
         "resolution": resolution,
         "amplitude": amplitude,

@@ -23,8 +23,10 @@ write_trajectory_csv exports exactly the eight named columns at 17
 significant digits, through write_records_csv, the one CSV writer of the
 package.
 
-The right-hand sides compose raw arrays, with H = Hhat + db built once from
-the validated b; only their outputs (dg, db, the gauge vector) are fields.
+The right-hand sides compose raw packed arrays (see lattice), with
+H = Hhat + db built once from the validated b; only their outputs (dg, db,
+the gauge vector) are fields. A state holds g, b and Hhat packed, so an RK4
+axpy touches n(n+1)/2 + C(n, 2) planes, 6 + 3 in 3D.
 
 A run keeps one stream of eigensolves, the stage solves of a spectral gauge
 or else the side solves of the diagnostics rows. It remembers the
@@ -45,9 +47,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceError, NonFiniteError,
-                     PositivityError, StepSizeError)
-from .lattice import ScalarField, TensorField, weighted_inner
+from .errors import (ConfigError, ConvergenceError, FieldError,
+                     NonFiniteError, PositivityError, StepSizeError)
+from .lattice import ScalarField, TensorField, require_same_grid, weighted_inner
 from .geometry import (
     MetricField, codifferential_values, deturck_vector_values,
     exterior_derivative_values, form_norm_sq_values, h_squared_values,
@@ -68,14 +70,23 @@ class FlowState:
     """One point on a flow line.
 
     b is the evolving 2-form potential and hhat an optional fixed closed
-    background, so the physical field strength is H = hhat + db. The gauge
-    a state is evolved in is not part of it; the Trajectory names it.
+    background 3-form, so the physical field strength is H = hhat + db; both
+    must live on g's grid. The gauge a state is evolved in is not part of
+    it; the Trajectory names it.
     """
 
     g: MetricField
     b: TensorField
     hhat: Optional[TensorField] = None
     time: float = 0.0
+
+    def __post_init__(self):
+        require_same_grid(self.g.grid, self.b, self.hhat)
+        for name, degree in (("b", 2), ("hhat", 3)):
+            fld = getattr(self, name)
+            if fld is not None and (fld.symmetry, fld.rank) != (
+                    "antisymmetric", degree):
+                raise FieldError(f"{name} must be a {degree}-form")
 
     def field_strength(self):
         """H = hhat + db as a validated field."""
@@ -150,7 +161,7 @@ def _grf_values(g, h):
     """The raw pair -2 Ric + H^2/2, -d* H of the metric g and the field
     strength array h."""
     return (-2.0 * ricci_values(g) + 0.5 * h_squared_values(g, h),
-            -codifferential_values(g, h))
+            -codifferential_values(g, h, 3))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -180,7 +191,7 @@ def deturck_rhs(state, g_ref):
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
     dg, db = _grf_values(g, h)
     dg = dg + lie_derivative_metric_values(g, x.values)
-    db = db + interior_product_values(x.values, h)
+    db = db + interior_product_values(x.values, h, 3)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -347,11 +358,11 @@ def _diagnostics_row(state, h, dt, rhs_l2, sol):
     gap."""
     g = state.g
     if g.grid.n_dims > 3:  # dH is a 4-form
-        dh_linf = float(np.max(np.abs(exterior_derivative_values(g.grid, h))))
+        dh_linf = float(np.max(np.abs(exterior_derivative_values(g.grid, h, 3))))
     else:
         dh_linf = 0.0
 
-    h_sq = form_norm_sq_values(g, h, "antisymmetric")
+    h_sq = form_norm_sq_values(g, h)
     h_l2_sq = float(np.sum(h_sq * g.sqrt_det_values)) * g.grid.cell_volume
     nan = float("nan")
     return {

@@ -1,37 +1,31 @@
 """Riemannian operators and exterior calculus over the lattice layer.
 
-Index conventions: metrics, 2-forms and 3-forms are covariant with full
-component storage; "vector" fields are contravariant. Form norms use full
-index contraction (|H|^2 = H_ijk H^ijk with all index triples counted), which
-is the normalization under which tr_g(H^2) = |H|^2 pointwise.
+Index conventions: metrics, 2-forms and 3-forms are covariant; "vector"
+fields are contravariant. Form norms use full index contraction
+(|H|^2 = H_ijk H^ijk with all index triples counted), which is the
+normalization under which tr_g(H^2) = |H|^2 pointwise.
 
-Forms are stored in full, but the exterior-calculus kernels compute on the
-C(n,k) increasing-index components of a k-form only: metric index moves use
-k x k minors of g or g^-1, and each result is expanded to full storage once,
-which makes it exactly antisymmetric.
+Every field and kernel array is packed and component major (see lattice):
+a k-form holds its C(n,k) increasing-index components, a symmetric 2-tensor
+its n(n+1)/2 pairs i <= j, a vector its n components, each plane one
+contiguous block before the grid axes. The exterior-calculus kernels take
+the degree k of their form argument and move its indices with k x k minors
+of g or g^-1; the connection, Ricci, Hessian and Lie-derivative kernels
+compute on the pairs i <= j. The Christoffel symbols are cached on those
+pairs (christoffel_values).
 
-Symmetric 2-tensors are treated the same way: the connection, Ricci, Hessian
-and Lie-derivative kernels compute on the n(n+1)/2 pairs i <= j only and
-mirror each result once, which makes it exactly symmetric. The Christoffel
-symbols are cached on those pairs (christoffel_values) and never expanded to
-full storage.
+MetricField keeps g and g^-1 packed, read-only, and once per metric the full
+(n, n) + grid matrix of g^-1, which the index sums contract. Each pointwise
+index sum is one np.einsum over such planes with the grid axes last. No
+einsum in the package passes `optimize`, so none is planned into pairwise or
+BLAS products: the terms are added in index order, plane by plane. The
+minors-based kernels keep their Leibniz multiply-adds on the packed planes.
 
-The metric algebra is component major: MetricField keeps g and g^-1 as
-read-only (n, n) + grid arrays, and the kernels keep their component axes
-first, so every component plane is one contiguous block. Each pointwise index
-sum is one np.einsum over such planes with the grid axes last. No einsum in
-the package passes `optimize`, so none is planned into pairwise or BLAS
-products: the terms are added in index order, plane by plane. The
-minors-based kernels keep their Leibniz multiply-adds, reading the same
-contiguous planes through component-last views.
-
-Each operator is one `*_values` kernel on raw component arrays; a form's
-degree is read off its array's rank. Fields are validated where they enter or
-leave the system (MetricField, ScalarField, TensorField), not in between.
-A metric is certified where it enters, by MetricField, on its component
-planes: positivity by the pivots of an LDL^T, then its inverse and
-determinant by cofactors of the (n-1) x (n-1) minors that the form kernels
-expand too, the inverse checked by max |g g^-1 - I|.
+Fields are validated where they enter or leave the system (MetricField,
+ScalarField, TensorField), not in between. A metric is certified where it
+enters, by MetricField: positivity by the pivots of an LDL^T, then its
+inverse and determinant by cofactors of the (n-1) x (n-1) minors that the
+form kernels expand too, the inverse checked by max |g g^-1 - I|.
 
 The codifferential is the exact adjoint of the discrete exterior derivative
 for the inner product that counts each increasing index tuple once (the
@@ -52,9 +46,6 @@ from .lattice import (
     TensorField,
     apply_minors,
     diff_values,
-    expand_form,
-    expand_symmetric,
-    form_components,
     gradient_values,
     increasing_tuples,
     pointwise_inner_values,
@@ -77,43 +68,35 @@ class MetricField:
     fails loudly at the offending step. Curvature quantities are computed
     lazily and cached per instance.
 
-    values is component last, grid shape + (n, n). components and
-    inv_components hold g and g^-1 component major, shape (n, n) + grid
-    shape, read-only, so each plane [a, b] is one contiguous block; the
-    kernels' index sums run over them. inv_values is a component-last view
-    of inv_components, not a copy: its planes [..., a, b] are the same
-    contiguous blocks. g^-1 and sqrt_det_values come from the cofactors of
-    g (_inverse_and_det), so g^-1 is exactly symmetric.
+    values and inv_components hold g and g^-1 packed, shape
+    (n(n+1)/2,) + grid shape in symmetric_pairs order, read-only. _inv_full
+    is g^-1 gathered once into its full (n, n) + grid matrix, read-only,
+    whose planes the kernels' index sums contract. g^-1 and sqrt_det_values
+    come from the cofactors of g (_inverse_and_det).
     """
 
     def __init__(self, grid, values):
         self.grid = grid
-        field = TensorField(grid, values, "symmetric2")
-        self.values = field.values
+        self.values = TensorField(grid, values, "symmetric2").values
         n = grid.n_dims
-        comps = np.ascontiguousarray(np.moveaxis(self.values, (-2, -1), (0, 1)))
-        if not _pivots_positive(comps, EPS_SPD):
+        table = symmetric_pairs(n)[2]
+        if not _pivots_positive(self.values, table, EPS_SPD):
             raise PositivityError(
                 f"metric has a pointwise eigenvalue below {EPS_SPD:g}")
-        inv, det = _inverse_and_det(comps)
-        res = np.einsum("ik...,kj...->ij...", comps, inv)
+        inv, det = _inverse_and_det(self.values, n)
+        inv_full = inv[table]
+        res = np.einsum("ik...,kj...->ij...", self.values[table], inv_full)
         res[range(n), range(n)] -= 1.0
         gap = float(np.max(np.abs(res, out=res)))
         if gap > _INVERSE_TOL:
             raise PositivityError(f"metric inverse residual {gap:.3e} exceeds 1e-12")
-        for arr in (comps, inv):
-            arr.setflags(write=False)
-        self.components = comps
-        self.inv_components = inv
-        self.inv_values = np.moveaxis(inv, (0, 1), (-2, -1))
         sq = np.sqrt(det)
-        sq.setflags(write=False)
+        for arr in (inv, inv_full, sq):
+            arr.setflags(write=False)
+        self.inv_components = inv
+        self._inv_full = inv_full
         self.sqrt_det_values = sq
         self._cache = {}
-
-    @property
-    def field(self):
-        return TensorField(self.grid, self.values, "symmetric2")
 
     def max_inverse_eigenvalue(self):
         """Largest pointwise eigenvalue of g^-1, bit for bit that of eigvalsh
@@ -121,10 +104,11 @@ class MetricField:
         entry and its largest absolute row sum (Gershgorin), so eigvalsh runs
         only where that sum reaches the global diagonal maximum (less 1e-12
         relative, for rounding)."""
-        inv = self.inv_values
-        floor = np.max(np.einsum("...ii->...i", inv))
-        rows = np.max(np.sum(np.abs(inv), axis=-1), axis=-1)
-        candidates = inv[rows >= (1.0 - 1e-12) * floor]
+        n = self.grid.n_dims
+        floor = np.max(self._inv_full[range(n), range(n)])
+        rows = np.max(np.sum(np.abs(self._inv_full), axis=1), axis=0)
+        candidates = np.moveaxis(self._inv_full, (0, 1), (-2, -1))[
+            rows >= (1.0 - 1e-12) * floor]
         return float(np.max(np.linalg.eigvalsh(candidates)))
 
     def _cached(self, key, builder):
@@ -133,11 +117,11 @@ class MetricField:
         return self._cache[key]
 
 
-def _pivots_positive(a, shift):
-    """Whether the symmetric field a[i][j] - shift I (lower triangle read) is
-    positive definite everywhere: Cholesky's test, every pivot of its
-    unpivoted LDL^T positive (Sylvester). Stops at the first failing pivot."""
-    s = [list(row[:i + 1]) for i, row in enumerate(a)]
+def _pivots_positive(comps, table, shift):
+    """Whether the packed symmetric field comps - shift I is positive
+    definite everywhere: Cholesky's test, every pivot of its unpivoted LDL^T
+    positive (Sylvester). Stops at the first failing pivot."""
+    s = [[comps[table[i, j]] for j in range(i + 1)] for i in range(len(table))]
     for k in range(len(s)):
         pivot = s[k][k] - shift  # the shift enters the diagonal only
         if not pivot.min() > 0.0:
@@ -149,38 +133,41 @@ def _pivots_positive(a, shift):
     return True
 
 
-def _inverse_and_det(comps):
-    """Pointwise inverse, component major, and determinant of a symmetric
-    matrix field comps[i, j] by cofactors of the (n-1) x (n-1) minors M_ij of
+def _inverse_and_det(comps, n):
+    """Pointwise inverse, packed, and determinant of a packed symmetric
+    matrix field by cofactors of the (n-1) x (n-1) minors M_ij of
     pointwise_minors: det by the first-row Laplace expansion, then
     g^ij = (-1)^(i+j) M_ij / det.
 
-    The minor table holds one array at M_ij and M_ji, so the inverse is
-    exactly symmetric. An odd cofactor is 0.0 - M_ij, which is -M_ij except
-    that a zero minor gives +0.0: a diagonal matrix's inverse has +0.0 off
-    its diagonal. det is positive only for a matrix already certified
-    positive definite.
+    An odd cofactor is 0.0 - M_ij, which is -M_ij except that a zero minor
+    gives +0.0: a diagonal matrix's inverse has +0.0 off its diagonal. det
+    is positive only for a matrix already certified positive definite.
     """
-    n = len(comps)
-    minors = pointwise_minors(np.moveaxis(comps, (0, 1), (-2, -1)), n - 1)
+    minors = pointwise_minors(comps, n - 1)
 
     def cofactor(i, j):
         m = minors[n - 1 - i][n - 1 - j]  # tuple n - 1 - i omits index i
         return m if (i + j) % 2 == 0 else 0.0 - m
 
-    det = sum(comps[0, j] * cofactor(0, j) for j in range(n))
+    # the first n pairs are (0, j)
+    det = sum(comps[j] * cofactor(0, j) for j in range(n))
     inv = np.empty(comps.shape)
-    for i, j in zip(*symmetric_pairs(n)[:2]):
-        np.divide(cofactor(i, j), det, out=inv[i, j])
-        inv[j, i] = inv[i, j]
+    for p, (i, j) in enumerate(zip(*symmetric_pairs(n)[:2])):
+        np.divide(cofactor(i, j), det, out=inv[p])
     return inv, det
+
+
+def identity_values(grid):
+    """Packed components of the identity metric on grid."""
+    i, j, _ = symmetric_pairs(grid.n_dims)
+    values = np.zeros((len(i),) + grid.shape)
+    values[i == j] = 1.0
+    return values
 
 
 def flat_metric(grid):
     """The identity metric."""
-    values = np.zeros(grid.shape + (grid.n_dims, grid.n_dims))
-    values[...] = np.eye(grid.n_dims)
-    return MetricField(grid, values)
+    return MetricField(grid, identity_values(grid))
 
 
 def christoffel_values(g):
@@ -196,10 +183,8 @@ def christoffel_values(g):
         grid = g.grid
         n = grid.n_dims
         i, j, table = symmetric_pairs(n)
-        comps = g.components[i, j]
-        dg = [diff_values(comps, 1 + c, grid.spacings[c])
-              for c in range(n)]  # [c][p] = D_c g_p
-        first = np.empty((n,) + comps.shape)  # [l, p] = Gamma_l,ij
+        dg = gradient_values(grid, g.values)  # [c, p] = D_c g_p
+        first = np.empty((n,) + g.values.shape)  # [l, p] = Gamma_l,ij
         for l in range(n):
             for p in range(len(i)):
                 plane = first[l, p]
@@ -207,13 +192,13 @@ def christoffel_values(g):
                        out=plane)
                 plane -= dg[l][p]
         first *= 0.5
-        return np.einsum("km...,mp...->kp...", g.inv_components, first)
+        return np.einsum("km...,mp...->kp...", g._inv_full, first)
     return g._cached("christoffel", build)
 
 
 def ricci_values(g):
-    """Ricci tensor from the curvature of the Levi-Civita connection, on full
-    storage, its four terms computed on the pairs i <= j and mirrored once."""
+    """Ricci tensor from the curvature of the Levi-Civita connection, its
+    four terms computed on the pairs i <= j."""
     def build():
         grid = g.grid
         n = grid.n_dims
@@ -227,8 +212,7 @@ def ricci_values(g):
         # explicitly because the discrete product rule leaves an O(h^4)
         # antisymmetric remainder that would otherwise leak into Ric.
         phi = np.sum(gam[k[:, None], table[k[:, None], k]], axis=0)
-        dphi = np.stack([diff_values(phi, 1 + c, grid.spacings[c])
-                         for c in range(n)])  # [i, j] = D_i phi_j
+        dphi = gradient_values(grid, phi)  # [i, j] = D_i phi_j
         term2 = 0.5 * (dphi[i, j] + dphi[j, i])
         term3 = np.einsum("m...,mp...->p...", phi, gam)
         # sum_ab Gamma^a_ib Gamma^b_ja over the row blocks [a, b] = Gamma^a_mb
@@ -236,14 +220,15 @@ def ricci_values(g):
         term4 = np.empty_like(term3)
         for p in range(len(i)):
             np.einsum("ab...,ba...->...", rows[i[p]], rows[j[p]], out=term4[p])
-        return expand_symmetric(term1 - term2 + term3 - term4, n)
+        return term1 - term2 + term3 - term4
     return g._cached("ricci", build)
 
 
 def scalar_curvature_values(g):
     def build():
-        ric = np.moveaxis(ricci_values(g), (-2, -1), (0, 1))
-        return np.einsum("ij...,ij...->...", g.inv_components, ric)
+        # summed over the full matrices, in the order i, j
+        ric = ricci_values(g)[symmetric_pairs(g.grid.n_dims)[2]]
+        return np.einsum("ij...,ij...->...", g._inv_full, ric)
     return g._cached("scalar_curvature", build)
 
 
@@ -254,25 +239,24 @@ def scalar_curvature(g):
 
 def hessian_values(g, f_values, df=None):
     """Covariant Hessian Hess f = D_i D_j f - Gamma^k_ij D_k f of a scalar
-    array on full storage, computed on the pairs i <= j (D_i D_j f
-    differentiates D_j f along axis i) and mirrored once. df, when given, is
-    gradient_values(g.grid, f_values); it saves the first derivatives."""
+    array on the pairs i <= j (D_i D_j f differentiates D_j f along axis i).
+    df, when given, is gradient_values(g.grid, f_values); it saves the first
+    derivatives."""
     grid = g.grid
     n = grid.n_dims
-    df = np.moveaxis(gradient_values(grid, f_values) if df is None else df, -1, 0)
+    df = gradient_values(grid, f_values) if df is None else df
     # symmetric_pairs runs (i, i), (i, i + 1), ..., (i, n - 1) for each i
     ddf = np.concatenate([diff_values(df[i:], 1 + i, grid.spacings[i])
                           for i in range(n)])
     gam_df = np.einsum("kp...,k...->p...", christoffel_values(g), df)
-    return expand_symmetric(ddf - gam_df, n)
+    return ddf - gam_df
 
 
 def gradient_vector_values(g, f_values, df=None):
     """Metric gradient g^ab D_b f of a scalar array, a contravariant array;
     df as in hessian_values."""
     df = gradient_values(g.grid, f_values) if df is None else df
-    up = np.einsum("ab...,b...->a...", g.inv_components, np.moveaxis(df, -1, 0))
-    return np.moveaxis(up, 0, -1)
+    return np.einsum("ab...,b...->a...", g._inv_full, df)
 
 
 def laplacian_values(g, values):
@@ -282,15 +266,14 @@ def laplacian_values(g, values):
     It is self-adjoint against the volume-weighted quadrature exactly, by the
     skew-adjointness of the stencil, not merely to truncation order. That
     needs exactly symmetric flux coefficients sqrt g g^ab, which they are
-    because g^-1 is; they are cached on the metric component major, and the
+    because g^-1 is; they are cached on the metric as a full matrix, and the
     fluxes are one einsum over them.
     """
     grid = g.grid
     n, h = grid.n_dims, grid.spacings
     coeff = g._cached("flux_coefficients",
-                      lambda: g.sqrt_det_values * g.inv_components)
-    du = np.stack([diff_values(values, b, h[b]) for b in range(n)])
-    flux = np.einsum("ab...,b...->a...", coeff, du)
+                      lambda: g.sqrt_det_values * g._inv_full)
+    flux = np.einsum("ab...,b...->a...", coeff, gradient_values(grid, values))
     div = np.zeros(values.shape)
     for a in range(n):
         div += diff_values(flux[a], a, h[a])
@@ -300,15 +283,12 @@ def laplacian_values(g, values):
 def lie_derivative_metric_values(g, x_values):
     """Lie derivative L_X g of the metric along a vector array: the
     symmetrized covariant derivative D_i X_j + D_j X_i - 2 Gamma^k_ij X_k of
-    the lowered field, computed on the pairs i <= j and mirrored once."""
-    grid = g.grid
-    n = grid.n_dims
-    i, j, _ = symmetric_pairs(n)
-    xl = np.einsum("ab...,b...->a...", g.components, np.moveaxis(x_values, -1, 0))
-    dxl = np.stack([diff_values(xl, 1 + c, grid.spacings[c])
-                    for c in range(n)])  # [i, j] = D_i X_j
+    the lowered field, computed on the pairs i <= j."""
+    i, j, table = symmetric_pairs(g.grid.n_dims)
+    xl = np.einsum("ab...,b...->a...", g.values[table], x_values)
+    dxl = gradient_values(g.grid, xl)  # [i, j] = D_i X_j
     gam_term = np.einsum("kp...,k...->p...", christoffel_values(g), xl)
-    return expand_symmetric(dxl[i, j] + dxl[j, i] - 2.0 * gam_term, n)
+    return dxl[i, j] + dxl[j, i] - 2.0 * gam_term
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +296,25 @@ def lie_derivative_metric_values(g, x_values):
 # ---------------------------------------------------------------------------
 
 
-def exterior_derivative_values(grid, values):
-    """Discrete exterior derivative of a k-form array, k < n read off its rank.
+def exterior_derivative_values(grid, values, k):
+    """Discrete exterior derivative of a packed k-form array (a grid array
+    for k = 0), a packed (k + 1)-form.
 
     (d w)_{a0..ak} = sum_m (-1)^m D_{a_m} w_{a0..^a_m..ak}, computed on the
-    increasing index tuples only and expanded, so the output is exactly
-    antisymmetric; d(d w) = 0 holds because coordinate stencils commute. A
-    (k + 1)-form with k + 1 > n is exactly zero.
+    increasing index tuples; d(d w) = 0 holds because coordinate stencils
+    commute. A (k + 1)-form with k + 1 > n has no component.
     """
-    n = grid.n_dims
-    k = values.ndim - n
-    if k + 1 > n:
-        return np.zeros(values.shape + (n,))
-    comps = form_components(values, n, k)
-    out = [0.0] * len(increasing_tuples(n, k + 1))
-    for a, j, sign, p in slot_pairs(n, k + 1):
-        out[p] = out[p] + sign * diff_values(comps[j], a, grid.spacings[a])
-    return expand_form(out, n, k + 1)
+    comps = values if k else [values]
+    out = np.zeros((len(increasing_tuples(grid.n_dims, k + 1)),) + grid.shape)
+    for a, j, sign, p in slot_pairs(grid.n_dims, k + 1):
+        out[p] += sign * diff_values(comps[j], a, grid.spacings[a])
+    return out
 
 
-def codifferential_values(g, values):
-    """Codifferential d* of a k-form array, k >= 1 read off its rank: the
-    exact discrete adjoint of exterior_derivative_values, a (k-1)-form.
+def codifferential_values(g, values, k):
+    """Codifferential d* of a packed k-form array, k >= 1: the exact discrete
+    adjoint of exterior_derivative_values, a (k-1)-form (a grid array for
+    k = 1).
 
     Computed as the musical conjugation of the negative stencil divergence:
     d* w = lower((-1/sqrt g) D_c (sqrt g raise(w)^{c...})), raising with the
@@ -347,76 +324,71 @@ def codifferential_values(g, values):
     weighted_inner's full-contraction pairing, <d a, b> = k <a, d* b>.
     """
     n = g.grid.n_dims
-    k = values.ndim - n
     sq = g.sqrt_det_values
-    raised = apply_minors(pointwise_minors(g.inv_values, k),
-                          form_components(values, n, k))
+    raised = apply_minors(pointwise_minors(g.inv_components, k), values)
     weighted = [sq * w for w in raised]
-    acc = [0.0] * len(increasing_tuples(n, k - 1))
+    acc = np.zeros((len(increasing_tuples(n, k - 1)),) + g.grid.shape)
     for c, j, sign, p in slot_pairs(n, k):
-        acc[j] = acc[j] - sign * diff_values(weighted[p], c, g.grid.spacings[c])
-    acc = [a / sq for a in acc]
+        acc[j] -= sign * diff_values(weighted[p], c, g.grid.spacings[c])
+    acc /= sq
     if k == 1:
         return acc[0]
-    return expand_form(apply_minors(pointwise_minors(g.values, k - 1), acc),
-                       n, k - 1)
+    return np.stack(apply_minors(pointwise_minors(g.values, k - 1), acc))
 
 
-def hodge_laplacian_values(g, values):
-    """Hodge Laplacian -(d d* + d* d) of a k-form array, k read off its rank:
-    exactly self-adjoint and nonpositive. On a flat metric it acts
-    componentwise as the flat scalar Laplacian."""
+def hodge_laplacian_values(g, values, k):
+    """Hodge Laplacian -(d d* + d* d) of a packed k-form array (a grid array
+    for k = 0): exactly self-adjoint and nonpositive. On a flat metric it
+    acts componentwise as the flat scalar Laplacian."""
     grid = g.grid
-    k = values.ndim - grid.n_dims
     total = 0
     if k > 0:
-        total = exterior_derivative_values(grid, codifferential_values(g, values))
+        total = exterior_derivative_values(
+            grid, codifferential_values(g, values, k), k - 1)
     if k < grid.n_dims:
         total = total + codifferential_values(
-            g, exterior_derivative_values(grid, values))
+            g, exterior_derivative_values(grid, values, k), k + 1)
     return -total
 
 
-def interior_product_values(x_values, values):
-    """Contraction X . w of a vector array into the first slot of a k-form
-    array, a (k-1)-form; exactly zero when k > n, where w vanishes."""
-    n = x_values.shape[-1]
-    k = values.ndim - x_values.ndim + 1
-    if k > n:
-        return np.zeros(values.shape[:-1])
-    comps = form_components(values, n, k)
-    out = [0.0] * len(increasing_tuples(n, k - 1))
+def interior_product_values(x_values, values, k):
+    """Contraction X . w of a vector array into the first slot of a packed
+    k-form array, a (k-1)-form (a grid array for k = 1); it has only zero
+    components when k > n, where w vanishes."""
+    n = len(x_values)
+    out = np.zeros((len(increasing_tuples(n, k - 1)),) + x_values.shape[1:])
     for a, j, sign, p in slot_pairs(n, k):
-        out[j] = out[j] + sign * x_values[..., a] * comps[p]
-    return out[0] if k == 1 else expand_form(out, n, k - 1)
+        out[j] += sign * x_values[a] * values[p]
+    return out[0] if k == 1 else out
 
 
 def h_squared_values(g, h_values):
-    """Pointwise square of a 3-form array as a symmetric 2-tensor.
+    """Pointwise square of a packed 3-form array as a packed symmetric
+    2-tensor.
 
     (H^2)_ij = H_iab H_jcd g^ac g^bd = 2 sum_{a<b} H_iab H_j^{ab}, with the
     raised pair from the 2 x 2 minors of g^-1; with the full-contraction norm
     this satisfies tr_g H^2 = |H|^2 identically.
     """
     n = g.grid.n_dims
-    comps = form_components(h_values, n, 3)
     slots = [[None] * len(increasing_tuples(n, 2)) for _ in range(n)]
     for i, j, sign, p in slot_pairs(n, 3):
-        slots[i][j] = sign * comps[p]  # the 2-form H_i.. on increasing pairs
-    minors = pointwise_minors(g.inv_values, 2)
-    out = np.empty(g.grid.shape + (n, n))
+        slots[i][j] = sign * h_values[p]  # the 2-form H_i.. on increasing pairs
+    minors = pointwise_minors(g.inv_components, 2)
+    out = np.empty(g.values.shape)
+    table = symmetric_pairs(n)[2]
     for j in range(n):
         up = apply_minors(minors, slots[j])
         for i in range(j + 1):
-            out[..., i, j] = out[..., j, i] = 2.0 * sum(
+            out[table[i, j]] = 2.0 * sum(
                 h * u for h, u in zip(slots[i], up) if h is not None)
     return out
 
 
-def form_norm_sq_values(g, values, symmetry):
-    """Pointwise squared norm with full index contraction."""
-    return pointwise_inner_values(values, values, values.ndim - g.grid.n_dims,
-                                  symmetry, g.inv_values, g.values)
+def form_norm_sq_values(g, values):
+    """Pointwise squared norm of a packed k-form, k >= 2, with full index
+    contraction."""
+    return pointwise_inner_values(values, values, "antisymmetric", g)
 
 
 def deturck_vector_values(g, g_ref):
@@ -427,7 +399,7 @@ def deturck_vector_values(g, g_ref):
     harmonic; vanishes identically when both metrics are constant.
     """
     i, j, _ = symmetric_pairs(g.grid.n_dims)
-    weight = g.inv_components[i, j]
+    weight = g.inv_components.copy()
     weight[i != j] *= 2.0
     diff = christoffel_values(g) - christoffel_values(g_ref)
-    return np.moveaxis(np.einsum("kp...,p...->k...", diff, weight), 0, -1)
+    return np.einsum("kp...,p...->k...", diff, weight)

@@ -7,8 +7,16 @@ discrete Hodge Laplacian downstream is exactly self-adjoint), and the integral
 of any stencil derivative vanishes identically (telescoping around the wrap).
 Reductions use numpy's pairwise summation in a fixed order, so repeated runs
 are bit-reproducible.
-Kernels compose raw arrays; ScalarField and TensorField validate data where
-it enters or leaves the system, not every intermediate array.
+
+Fields hold only their independent components, component major: a symmetric
+2-tensor its n(n+1)/2 pairs i <= j in symmetric_pairs order, a k-form its
+C(n, k) increasing index tuples in increasing_tuples order, a vector its n
+components, each stacked along a leading axis before the grid axes, so every
+component plane is one contiguous block. Symmetry holds by construction and
+is never checked; a form's degree is read off its component count, which is
+unique for degrees 2 .. n + 1. Kernels compose raw arrays in the same layout;
+ScalarField and TensorField validate data where it enters or leaves the
+system, not every intermediate array.
 """
 
 from __future__ import annotations
@@ -25,11 +33,9 @@ from .errors import FieldError, NonFiniteError
 
 TWO_PI = 2.0 * np.pi
 
-# Recognized symmetry tags for TensorField. "vector" marks the single
-# contravariant case; all other tags are covariant in every slot.
-SYMMETRIES = ("general", "vector", "covector", "symmetric2", "antisymmetric")
-
-_SYMMETRY_CHECK_TOL = 1e-12
+# Recognized symmetry tags for TensorField: the contravariant "vector", and
+# the covariant "symmetric2" and "antisymmetric" (forms of degree 2 .. n + 1).
+SYMMETRIES = ("vector", "symmetric2", "antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -135,73 +141,60 @@ class ScalarField:
         object.__setattr__(self, "values", arr)
 
 
-def _symmetry_defect(values, n_grid, symmetry):
-    """Max violation of the declared index symmetry, 0 for rank<2 tags."""
-    rank = values.ndim - n_grid
-    axes = tuple(range(n_grid, values.ndim))
-    if symmetry == "symmetric2" or (symmetry == "antisymmetric" and rank == 2):
-        # each unordered pair of slots once, the diagonal included
-        upper, lower, _ = symmetric_pairs(values.shape[-1])
-        combine = np.add if symmetry == "antisymmetric" else np.subtract
-        gap = combine(values[..., upper, lower], values[..., lower, upper])
-        return _peak(gap, "symmetry defect")
-    if symmetry == "antisymmetric" and rank > 2:
-        worst = 0.0
-        # adjacent transpositions generate the symmetric group
-        for i in range(rank - 1):
-            swapped = np.swapaxes(values, axes[i], axes[i + 1])
-            worst = max(worst, _peak(values + swapped, "symmetry defect"))
-        return worst
-    return 0.0
+def require_same_grid(grid, *fields):
+    """FieldError unless every field given (None skipped) lives on grid."""
+    for fld in fields:
+        if fld is not None and fld.grid is not grid and fld.grid != grid:
+            raise FieldError("fields live on different grids")
+
+
+def form_degree(n, count):
+    """The degree k in 2 .. n + 1 of a k-form with count independent
+    components on n axes; FieldError when there is none."""
+    for k in range(2, n + 2):
+        if math.comb(n, k) == count:
+            return k
+    raise FieldError(f"{count} components are no form of degree 2..{n + 1} "
+                     f"on {n} axes")
 
 
 @dataclass(frozen=True)
 class TensorField:
-    """Tensor field with a declared index symmetry.
+    """Tensor field with a declared index symmetry, on packed storage.
 
-    values has shape grid.shape + (n,)*rank. Shape, finiteness and the
-    symmetry tag are validated on construction and never silently repaired:
-    operations are written so the tag is preserved structurally, and a
-    violation beyond 1e-12 is a bug in the caller, not something to clean up.
-    Fields mark where data enters or leaves the system (inputs, flow states,
-    right-hand-side outputs); kernels compose raw arrays.
+    values has shape (components,) + grid.shape: n components for a
+    "vector", n(n+1)/2 for a "symmetric2" tensor and C(n, k) for an
+    "antisymmetric" k-form, whose degree (rank) is read off that count. Shape
+    and finiteness are validated on construction; symmetry holds by
+    construction. Fields mark where data enters or leaves the system
+    (inputs, flow states, right-hand-side outputs); kernels compose raw
+    arrays.
     """
 
     grid: Grid
     values: np.ndarray
-    symmetry: str = "general"
+    symmetry: str
 
     def __post_init__(self):
         if self.symmetry not in SYMMETRIES:
             raise FieldError(f"unknown symmetry tag {self.symmetry!r}")
         arr = _lock(self.values)
         n = self.grid.n_dims
-        rank = arr.ndim - n
-        if arr.shape[:n] != self.grid.shape or rank < 1 or arr.shape[n:] != (n,) * rank:
+        if arr.ndim != n + 1 or arr.shape[1:] != self.grid.shape:
             raise FieldError(
-                f"tensor field shape {arr.shape} does not match grid "
-                f"{self.grid.shape} with square component axes"
-            )
-        if self.symmetry in ("vector", "covector") and rank != 1:
-            raise FieldError(f"{self.symmetry} fields must have rank 1, got {rank}")
-        if self.symmetry == "symmetric2" and rank != 2:
-            raise FieldError(f"symmetric2 fields must have rank 2, got {rank}")
-        scale = max(1.0, _peak(arr, "tensor field"))
-        defect = _symmetry_defect(arr, n, self.symmetry)
-        if defect > _SYMMETRY_CHECK_TOL * scale:
-            raise FieldError(
-                f"declared symmetry {self.symmetry!r} violated by {defect:.3e}"
-            )
+                f"tensor field shape {arr.shape} is not (components,) + grid "
+                f"{self.grid.shape}")
+        if self.symmetry == "antisymmetric":
+            rank = form_degree(n, len(arr))
+        else:
+            rank = 1 if self.symmetry == "vector" else 2
+            if len(arr) != (n if rank == 1 else n * (n + 1) // 2):
+                raise FieldError(f"{len(arr)} components do not make a "
+                                 f"{self.symmetry} field on {n} axes")
+        if arr.size:
+            _peak(arr, "tensor field")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def rank(self):
-        return self.values.ndim - self.grid.n_dims
-
-    @classmethod
-    def zeros(cls, grid, rank, symmetry="general"):
-        shape = grid.shape + (grid.n_dims,) * rank
-        return cls(grid, np.zeros(shape), symmetry)
+        object.__setattr__(self, "rank", rank)
 
 
 def stencil_symbol(n_points, spacing):
@@ -256,12 +249,11 @@ def diff_values(values, axis, spacing):
 
 
 def gradient_values(grid, values):
-    """All coordinate derivatives, the derivative axis first among components.
-    The result is a view of derivative-major storage, so each derivative
-    [..., a] is one contiguous block."""
-    n = grid.n_dims
-    out = np.stack([diff_values(values, a, grid.spacings[a]) for a in range(n)])
-    return np.moveaxis(out, 0, n)
+    """All coordinate derivatives of an array whose grid axes come last, the
+    derivative axis first: [c, ...] = D_c values, each one contiguous block."""
+    lead = values.ndim - grid.n_dims
+    return np.stack([diff_values(values, lead + a, grid.spacings[a])
+                     for a in range(grid.n_dims)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,19 +281,14 @@ def slot_pairs(n, k):
                  if a not in rest)
 
 
-def form_components(values, n, k):
-    """Views of a k-form's increasing-index components, in increasing_tuples order."""
-    return [values[(...,) + idx] for idx in increasing_tuples(n, k)]
-
-
 def expand_form(components, n, k):
-    """Full storage of a k-form from its increasing-index components: each
-    permuted slot holds the component or its exact negation, slots with a
-    repeated index hold 0, so the result is exactly antisymmetric."""
-    out = np.zeros(components[0].shape + (n,) * k)
+    """Full storage (n,)*k + grid of a packed k-form: each permuted slot
+    holds the component or its exact negation, slots with a repeated index
+    hold 0, so the result is exactly antisymmetric."""
+    out = np.zeros((n,) * k + components.shape[1:])
     for idx, comp in zip(increasing_tuples(n, k), components):
         for perm, sign in _signed_permutations(k):
-            out[(...,) + tuple(idx[p] for p in perm)] = comp if sign > 0 else -comp
+            out[tuple(idx[p] for p in perm)] = comp if sign > 0 else -comp
     return out
 
 
@@ -309,7 +296,8 @@ def expand_form(components, n, k):
 def symmetric_pairs(n):
     """Index arrays (i, j) of the pairs i <= j naming the independent
     components of a symmetric 2-tensor, in lexicographic order, and the n x n
-    table of each pair's position in that order."""
+    table of each pair's position in that order; indexing packed components
+    with the table gathers the full matrix."""
     i, j = np.triu_indices(n)
     table = np.empty((n, n), dtype=np.intp)
     table[i, j] = table[j, i] = np.arange(len(i))
@@ -318,28 +306,24 @@ def symmetric_pairs(n):
     return i, j, table
 
 
-def expand_symmetric(components, n):
-    """Full storage of a symmetric 2-tensor from its independent components,
-    stacked first in symmetric_pairs order: each fills both mirrored slots,
-    so the result is exactly symmetric."""
-    return np.moveaxis(components, 0, -1)[..., symmetric_pairs(n)[2]]
-
-
-def pointwise_minors(mat, k):
-    """Table of the k x k minors det(mat[..., I, J]) of a pointwise symmetric
-    matrix over increasing tuples I, J, by Leibniz expansion (k <= 4). Only
-    I <= J are expanded; the table holds the same array at (J, I)."""
-    idx = increasing_tuples(mat.shape[-1], k)
-    table = [[None] * len(idx) for _ in idx]
+def pointwise_minors(components, k):
+    """Table of the k x k minors det(mat[I, J]) of a pointwise symmetric
+    matrix, given by its packed components, over increasing tuples I, J, by
+    Leibniz expansion (k <= 4). Only I <= J are expanded; the table holds the
+    same array at (J, I)."""
+    n = (math.isqrt(8 * len(components) + 1) - 1) // 2
+    table = symmetric_pairs(n)[2]
+    idx = increasing_tuples(n, k)
+    minors = [[None] * len(idx) for _ in idx]
     for p, q in itertools.combinations_with_replacement(range(len(idx)), 2):
         total = 0.0
         for perm, sign in _signed_permutations(k):
-            term = mat[..., idx[p][0], idx[q][perm[0]]]
+            term = components[table[idx[p][0], idx[q][perm[0]]]]
             for r in range(1, k):
-                term = term * mat[..., idx[p][r], idx[q][perm[r]]]
+                term = term * components[table[idx[p][r], idx[q][perm[r]]]]
             total = total + term if sign > 0 else total - term
-        table[p][q] = table[q][p] = total
-    return table
+        minors[p][q] = minors[q][p] = total
+    return minors
 
 
 def apply_minors(minors, components):
@@ -349,49 +333,35 @@ def apply_minors(minors, components):
             for row in minors]
 
 
-def _planes(values):
-    """A contiguous copy of an array with its two component axes first."""
-    return np.ascontiguousarray(np.moveaxis(values, (-2, -1), (0, 1)))
+def pointwise_inner_values(a_values, b_values, symmetry, g):
+    """Raw pointwise metric contraction <a, b>_g of two packed arrays with the
+    same symmetry tag ("scalar" for plain grid arrays) under the metric g.
 
-
-def pointwise_inner_values(a_values, b_values, rank, symmetry_a, inv_values, g_values):
-    """Raw pointwise metric contraction <a, b>_g over all component indices.
-
-    Every index pair is contracted with the inverse metric, except rank-1
-    "vector" fields whose single index is contravariant and pairs with the
-    metric itself. Full contraction, no 1/k! normalization: for a 2-form this
-    counts each unordered index pair twice. Antisymmetric operands of rank
-    k >= 2 are summed over independent components only, as
-    k! sum_{I,J} a_I det(g^-1[I, J]) b_J, and a "symmetric2" first operand
-    is paired as tr(g^-1 a g^-1 b^T) by einsums over component-major copies.
-    Any other pairing is one np.einsum over every index at once, without
-    `optimize`, so its terms are added in index order.
+    Every covariant index pair is contracted with the inverse metric, the
+    contravariant index of a "vector" with the metric itself. Full
+    contraction, no 1/k! normalization, on packed components: an
+    off-diagonal pair counts twice and an increasing k-tuple k! times. Forms
+    are summed as k! sum_{I,J} a_I det(g^-1[I, J]) b_J; symmetric 2-tensors
+    are paired as tr(g^-1 a g^-1 b^T) by einsums over their full matrices,
+    gathered through the symmetric_pairs table, so that the products come
+    out component major and the trace sums them plane by plane, in the order
+    i, j.
     """
-    if rank == 0:
+    if symmetry == "scalar":
         return a_values * b_values
-    if rank > 4:
-        raise FieldError("contractions implemented for rank <= 4")
-    if symmetry_a == "antisymmetric" and rank >= 2:
-        n = a_values.shape[-1]
-        up = apply_minors(pointwise_minors(inv_values, rank),
-                          form_components(b_values, n, rank))
-        return math.factorial(rank) * sum(
-            a * u for a, u in zip(form_components(a_values, n, rank), up))
-    if symmetry_a == "symmetric2":
-        # tr(M P) with M = g^-1 a and P = g^-1 b^T, which is M when b is a
-        # on component-major copies, so that the products come out component
-        # major and the trace sums them plane by plane, in the order i, j
-        inv = np.moveaxis(inv_values, (-2, -1), (0, 1))
-        m = np.einsum("ik...,kj...->ij...", inv, _planes(a_values))
+    table = symmetric_pairs(g.grid.n_dims)[2]
+    if symmetry == "vector":
+        return np.einsum("ab...,a...,b...->...", g.values[table], a_values,
+                         b_values)
+    if symmetry == "symmetric2":
+        # tr(M P) with M = g^-1 a and P = g^-1 b, which is M when b is a
+        m = np.einsum("ik...,kj...->ij...", g._inv_full, a_values[table])
         p = m if b_values is a_values else np.einsum(
-            "ik...,jk...->ij...", inv, _planes(b_values))
+            "ik...,kj...->ij...", g._inv_full, b_values[table])
         return np.einsum("ij...,ji...->...", m, p)
-    pairing = g_values if symmetry_a == "vector" else inv_values
-    # slot s of a is index s, slot s of b is index rank + s
-    operands = [a_values, [..., *range(rank)]]
-    for s in range(rank):
-        operands += [pairing, [..., s, rank + s]]
-    return np.einsum(*operands, b_values, [..., *range(rank, 2 * rank)], [...])
+    rank = form_degree(g.grid.n_dims, len(a_values))
+    up = apply_minors(pointwise_minors(g.inv_components, rank), b_values)
+    return math.factorial(rank) * sum(a * u for a, u in zip(a_values, up))
 
 
 def weighted_inner(a, b, g, weight=None):
@@ -400,8 +370,8 @@ def weighted_inner(a, b, g, weight=None):
     Parameters
     ----------
     a, b : ScalarField or TensorField
-        Same grid, same rank; tensor indices are contracted pairwise with the
-        inverse metric (full contraction), vectors with the metric.
+        Same grid, same symmetry tag and shape; paired by
+        pointwise_inner_values (full contraction).
     g : MetricField
         Supplies the pointwise pairing and the volume density; on a's grid.
     weight : ScalarField, optional
@@ -410,22 +380,13 @@ def weighted_inner(a, b, g, weight=None):
     The reduction is a single numpy pairwise sum in grid storage order, so
     results are reproducible bit-for-bit between runs.
     """
-    for other in (b, g) if weight is None else (b, g, weight):
-        if other.grid is not a.grid and other.grid != a.grid:
-            raise FieldError("fields live on different grids")
-    rank_a = 0 if isinstance(a, ScalarField) else a.rank
-    rank_b = 0 if isinstance(b, ScalarField) else b.rank
-    if rank_a != rank_b:
-        raise FieldError(f"rank mismatch in inner product: {rank_a} vs {rank_b}")
-    sym = "scalar" if rank_a == 0 else a.symmetry
-    sym_b = "scalar" if rank_b == 0 else b.symmetry
-    if (sym == "vector") != (sym_b == "vector"):
-        raise FieldError("cannot pair a contravariant field with a covariant one")
-    if sym == "antisymmetric" and sym_b != "antisymmetric":
-        sym = "general"  # the independent-component path needs two forms
-    density = pointwise_inner_values(
-        a.values, b.values, rank_a, sym, g.inv_values, g.values
-    )
+    require_same_grid(a.grid, b, g, weight)
+    sym, sym_b = ("scalar" if isinstance(f, ScalarField) else f.symmetry
+                  for f in (a, b))
+    if sym != sym_b or a.values.shape != b.values.shape:
+        raise FieldError("inner product needs two fields of one symmetry "
+                         "and shape")
+    density = pointwise_inner_values(a.values, b.values, sym, g)
     density = density * g.sqrt_det_values
     if weight is not None:
         density = density * weight.values

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .errors import FieldError
-from .lattice import TensorField
+from .lattice import TensorField, symmetric_pairs
 
 
 def _positive_modes(n_dims, cutoff):
@@ -29,7 +29,8 @@ def _positive_modes(n_dims, cutoff):
 
 
 def trig_polynomial(grid, rng, component_shape=(), cutoff=1):
-    """Random real trigonometric polynomial with the given component shape.
+    """Random real trigonometric polynomial with the given component shape,
+component major: shape component_shape + grid shape.
 
     Coefficients are uniform on [-1, 1]; the draw order is (mode, component,
     cos/sin) in C order, which makes the field a pure function of the
@@ -60,32 +61,37 @@ def trig_polynomial(grid, rng, component_shape=(), cutoff=1):
         cos, sin = np.cos(phase), np.sin(phase)
         out += np.multiply.outer(coeffs[m, ..., 0], cos)
         out += np.multiply.outer(coeffs[m, ..., 1], sin)
-    # move component axes behind the grid axes
-    n_comp = len(component_shape)
-    if n_comp:
-        out = np.moveaxis(out, range(n_comp), range(-n_comp, 0))
     return out
 
 
-def random_metric_perturbation(grid, amplitude, seed, cutoff=1):
-    """Symmetric 2-tensor perturbation with sup |components| = amplitude."""
-    rng = np.random.default_rng(seed)
+def _draw(grid, seed, cutoff):
+    """A seeded random n x n trigonometric polynomial, component major."""
     n = grid.n_dims
-    raw = trig_polynomial(grid, rng, component_shape=(n, n), cutoff=cutoff)
-    sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-    peak = float(np.max(np.abs(sym)))
+    return trig_polynomial(grid, np.random.default_rng(seed),
+                           component_shape=(n, n), cutoff=cutoff)
+
+
+def _scaled(grid, values, amplitude, symmetry):
+    """The packed field values scaled to sup |components| = amplitude."""
+    peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         raise FieldError("degenerate draw: perturbation vanished")
-    return TensorField(grid, sym * (amplitude / peak), "symmetric2")
+    return TensorField(grid, values * (amplitude / peak), symmetry)
+
+
+def random_metric_perturbation(grid, amplitude, seed, cutoff=1):
+    """Symmetric 2-tensor perturbation with sup |components| = amplitude:
+    the symmetric part of a random matrix, on its pairs i <= j."""
+    raw = _draw(grid, seed, cutoff)
+    i, j, _ = symmetric_pairs(grid.n_dims)
+    return _scaled(grid, 0.5 * (raw[i, j] + raw[j, i]), amplitude,
+                   "symmetric2")
 
 
 def random_form_perturbation(grid, amplitude, seed, cutoff=1):
-    """2-form potential perturbation with sup |components| = amplitude."""
-    rng = np.random.default_rng(seed)
-    n = grid.n_dims
-    raw = trig_polynomial(grid, rng, component_shape=(n, n), cutoff=cutoff)
-    anti = 0.5 * (raw - np.swapaxes(raw, -1, -2))
-    peak = float(np.max(np.abs(anti)))
-    if peak == 0.0:
-        raise FieldError("degenerate draw: perturbation vanished")
-    return TensorField(grid, anti * (amplitude / peak), "antisymmetric")
+    """2-form potential perturbation with sup |components| = amplitude:
+    the antisymmetric part of a random matrix, on its pairs i < j."""
+    raw = _draw(grid, seed, cutoff)
+    i, j = np.triu_indices(grid.n_dims, 1)
+    return _scaled(grid, 0.5 * (raw[i, j] - raw[j, i]), amplitude,
+                   "antisymmetric")

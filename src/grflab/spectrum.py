@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
-    ScalarField, TensorField, gradient_values, stencil_symbol, weighted_inner)
+    ScalarField, TensorField, gradient_values, require_same_grid,
+    stencil_symbol, weighted_inner)
 from .geometry import (
     MetricField, codifferential_values, exterior_derivative_values,
     form_norm_sq_values, gradient_vector_values, h_squared_values,
@@ -100,10 +101,12 @@ class SchrodingerOperator:
     def __init__(self, g, H=None):
         self.g = g
         self.grid = g.grid
-        # (g, H) enter the eigensolver here, so the potential is validated;
-        # an overflow in |H|^2 is reported by that check, not by numpy
+        # (g, H) enter the eigensolver here, so H and the potential are
+        # validated; an overflow in |H|^2 is reported by that check, not by
+        # numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            self.potential = ScalarField(g.grid, _potential(g, H)).values
+            self.potential = ScalarField(
+                g.grid, _potential(g, _form_values(g, H))).values
         # The first-derivative stencil annihilates the Nyquist mode on every
         # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
@@ -231,23 +234,27 @@ class SpectralSolution:
     cg_short_exits: int = 0
 
 
-def _form_values(H):
-    """The component array of a form given as a TensorField or as the array."""
-    return H.values if isinstance(H, TensorField) else H
+def _form_values(g, H):
+    """The packed array of a 3-form on g's grid, given as a TensorField or as
+    the array, or None for None; FieldError for anything else."""
+    if H is None:
+        return None
+    if not isinstance(H, TensorField):
+        H = TensorField(g.grid, H, "antisymmetric")
+    require_same_grid(g.grid, H)
+    if (H.symmetry, H.rank) != ("antisymmetric", 3):
+        raise FieldError(f"H must be a 3-form, got a {H.symmetry} field "
+                         f"of rank {H.rank}")
+    return H.values
 
 
-def _norm_sq(g, H):
-    """Pointwise |H|^2_g of a 3-form field or its component array."""
-    return form_norm_sq_values(g, _form_values(H), "antisymmetric")
-
-
-def _potential(g, H=None, h_sq=None):
-    """The raw Schrodinger potential R - |H|^2/12 (R alone when H is None).
-    h_sq, when given, is the pointwise |H|^2_g already built; H is then not
-    needed."""
+def _potential(g, h=None, h_sq=None):
+    """The raw Schrodinger potential R - |H|^2/12 of a packed 3-form array h
+    (R alone when h is None). h_sq, when given, is the pointwise |H|^2_g
+    already built; h is then not needed."""
     r = scalar_curvature_values(g)
-    if h_sq is None and H is not None:
-        h_sq = _norm_sq(g, H)
+    if h_sq is None and h is not None:
+        h_sq = form_norm_sq_values(g, h)
     if h_sq is not None:
         r = r - h_sq / 12.0
     return r
@@ -255,8 +262,8 @@ def _potential(g, H=None, h_sq=None):
 
 def _df_sq(g, f):
     """|df|^2_g of a scalar field."""
-    df = np.moveaxis(gradient_values(g.grid, f.values), -1, 0)
-    return np.einsum("ab...,a...,b...->...", g.inv_components, df, df)
+    df = gradient_values(g.grid, f.values)
+    return np.einsum("ab...,a...,b...->...", g._inv_full, df, df)
 
 
 def schrodinger_apply(g, H, u):
@@ -272,8 +279,8 @@ def lowest_eigenpair(g, H=None, w0=None):
     ----------
     g : MetricField
     H : TensorField, ndarray or None
-        Closed 3-form entering the potential, as a field or its component
-        array; None means zero.
+        Closed 3-form on g's grid entering the potential, as a field or its
+        packed array; None means zero. Anything else raises FieldError.
     w0 : ScalarField or ndarray, optional
         Start vector of the grid's shape, None for the constant. run_flow
         passes the line in t through the eigenfunctions of the last two
@@ -359,7 +366,7 @@ def f_equation_residual(g, H, sol):
     only solver-small when f is constant.
     """
     f_eq = (2.0 * laplacian_values(g, sol.f.values) - _df_sq(g, sol.f)
-            + _potential(g, H) - sol.lam)
+            + _potential(g, _form_values(g, H)) - sol.lam)
     return float(np.max(np.abs(f_eq)))
 
 
@@ -384,8 +391,8 @@ def _identity_gap(g, h_sq, sol):
 
 
 def field_strength_values(grid, b_values, hhat=None):
-    """Raw H = Hhat + db from a 2-form potential array."""
-    h = exterior_derivative_values(grid, b_values)
+    """Raw H = Hhat + db from a packed 2-form potential array."""
+    h = exterior_derivative_values(grid, b_values, 2)
     return h if hhat is None else h + hhat.values
 
 
@@ -412,14 +419,14 @@ class MuGradient:
 
 def assemble_mu_gradient(g, H, sol):
     """The gradient of mu at (g, H) from its solved eigenpair sol; H is a
-    3-form field or its component array."""
-    h, f = _form_values(H), sol.f.values
+    3-form field or its packed array."""
+    h, f = _form_values(g, H), sol.f.values
     df = gradient_values(g.grid, f)  # shared by Hess f and grad f
     g_part_vals = (-ricci_values(g) - hessian_values(g, f, df)
                    + 0.25 * h_squared_values(g, h))
     b_part_vals = -0.5 * (
-        codifferential_values(g, h)
-        + interior_product_values(gradient_vector_values(g, f, df), h))
+        codifferential_values(g, h, 3)
+        + interior_product_values(gradient_vector_values(g, f, df), h, 3))
     return MuGradient(
         g_part=TensorField(g.grid, g_part_vals, "symmetric2"),
         b_part=TensorField(g.grid, b_part_vals, "antisymmetric"),
@@ -432,9 +439,10 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
 
     Each side solves lambda at the metric g +- eps h and the validated field
     strength d(b +- eps beta), with no background. w0, the eigenfunction
-    solved at (g, b), starts both side solves. eps must be positive and
-    finite.
+    solved at (g, b), starts both side solves. b, h and beta must live on
+    g's grid, and eps must be positive and finite.
     """
+    require_same_grid(g.grid, b, h, beta)
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps must be positive and finite, got {eps!r}")
     values = []
@@ -449,7 +457,7 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
 def critical_point_diagnostics(g, H, sol):
     """Every stationarity residual at (g, H) from its solved eigenpair sol,
     as a dict of sup norms over components; H is a 3-form field or its
-    component array. |H|^2_g is built once. The keys, in order:
+    packed array. |H|^2_g is built once. The keys, in order:
 
     mu_grad_g / mu_grad_b: the two parts of the gradient of mu, as
         assemble_mu_gradient builds them (the b part carries the 1/2).
@@ -461,15 +469,17 @@ def critical_point_diagnostics(g, H, sol):
     identity_gap: |(1/6) int |H|^2 e^{-f} dV - mu|, which vanishes at
         critical points of mu and forces H = 0 there when mu <= 0.
     """
-    h = _form_values(H)
-    h_sq = _norm_sq(g, h)
+    h = _form_values(g, H)
+    h_sq = form_norm_sq_values(g, h)
     grad = assemble_mu_gradient(g, h, sol)
     return {
         "mu_grad_g": float(np.max(np.abs(grad.g_part.values))),
         "mu_grad_b": float(np.max(np.abs(grad.b_part.values))),
         "ricci_vs_h2": float(np.max(np.abs(
             ricci_values(g) - 0.25 * h_squared_values(g, h)))),
-        "hodge_h": float(np.max(np.abs(hodge_laplacian_values(g, h)))),
+        # an H of degree above n has no component: its sup is 0
+        "hodge_h": float(np.max(np.abs(hodge_laplacian_values(g, h, 3)),
+                                initial=0.0)),
         "scalar_gap": float(np.max(np.abs(_potential(g, h_sq=h_sq)))),
         "identity_gap": _identity_gap(g, h_sq, sol),
     }

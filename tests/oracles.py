@@ -8,14 +8,16 @@ package's stencils, so agreement is evidence rather than tautology.
 
 The middle sections keep kernels as they were first written, on full
 component storage with per-point matmuls, einsums and FFTs; the package's
-kernels on independent components must agree with them to rounding.
+kernels on packed components must agree with them to rounding. Full storage
+here is component last, grid shape + (n,)*k; full_symmetric, full_form and
+packed turn the package's packed, component-major arrays into it and back.
 
 Only the last section calls the package: it composes the three flow
 right-hand sides kernel by kernel from the validated field strength, one
 `*_values` kernel per term. The flows assemble the same formulas, sharing
 intermediates, and the tests require the two to agree bit for bit.
-form_field wraps a raw form array as the validated field of its degree, for
-the tests that pair kernel outputs with weighted_inner.
+form_field wraps a raw packed form array as the validated field of its
+degree, for the tests that pair kernel outputs with weighted_inner.
 """
 
 import itertools
@@ -24,6 +26,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from grflab import Grid, MetricField, ScalarField, TensorField, lowest_eigenpair
+from grflab.lattice import expand_form, increasing_tuples, symmetric_pairs
 from grflab.geometry import (
     codifferential_values, deturck_vector_values, gradient_vector_values,
     h_squared_values, hessian_values, interior_product_values,
@@ -31,20 +34,53 @@ from grflab.geometry import (
 from grflab.perturbations import _positive_modes
 
 
-def form_field(grid, values):
-    """A raw k-form array, k read off its rank, as the validated field of its
-    degree: a scalar, a covector or an antisymmetric tensor."""
-    k = values.ndim - grid.n_dims
+def full_symmetric(components):
+    """Full component-last storage of a packed symmetric 2-tensor."""
+    n = (int(np.sqrt(8 * len(components) + 1)) - 1) // 2
+    return np.moveaxis(components[symmetric_pairs(n)[2]], (0, 1), (-2, -1))
+
+
+def full_form(components, n, k):
+    """Full component-last storage of a packed k-form (k >= 1)."""
+    if k == 1:
+        return np.moveaxis(components, 0, -1)
+    return np.moveaxis(expand_form(components, n, k), range(k),
+                       range(-k, 0))
+
+
+def packed(full, n, k, symmetric=False):
+    """The packed, component-major array of a full component-last symmetric
+    2-tensor (symmetric=True) or k-form (k >= 1)."""
+    if symmetric:
+        i, j, _ = symmetric_pairs(n)
+        return np.moveaxis(full[..., i, j], -1, 0)
+    idx = increasing_tuples(n, k)
+    return np.stack([full[(...,) + t] for t in idx]) if idx else (
+        np.zeros((0,) + full.shape[:full.ndim - k]))
+
+
+def form_field(grid, values, k):
+    """A raw packed k-form array as the validated field of its degree: a
+    scalar for k = 0, else an antisymmetric tensor (k >= 2)."""
     if k == 0:
         return ScalarField(grid, values)
-    return TensorField(grid, values, "covector" if k == 1 else "antisymmetric")
+    return TensorField(grid, values, "antisymmetric")
+
+
+def one_form_inner(g, a_values, b_values):
+    """int g^ab a_a b_b dV_g of two packed 1-forms, by einsum on the full
+    inverse: the pairing of 1-forms, which no field tag carries."""
+    inv = full_symmetric(g.inv_components)
+    density = np.einsum("...ab,...a,...b->...", inv, np.moveaxis(a_values, 0, -1),
+                        np.moveaxis(b_values, 0, -1))
+    return float(np.sum(density * g.sqrt_det_values)) * g.grid.cell_volume
 
 
 def diagonal_metric(grid, diagonal):
     """The constant metric with the given diagonal entries."""
-    values = np.zeros(grid.shape + (grid.n_dims, grid.n_dims))
-    values[...] = np.diag(np.asarray(diagonal, dtype=float))
-    return MetricField(grid, values)
+    full = np.zeros(grid.shape + (grid.n_dims, grid.n_dims))
+    full[...] = np.diag(np.asarray(diagonal, dtype=float))
+    return MetricField(grid, packed(full, grid.n_dims, 2, symmetric=True))
 
 
 def normalize_profile(g, f):
@@ -65,7 +101,7 @@ class ConformalOracle:
         vals = np.zeros(self.grid.shape + (3, 3))
         for i in range(3):
             vals[..., i, i] = e2
-        self.metric = MetricField(self.grid, vals)
+        self.metric = MetricField(self.grid, packed(vals, 3, 2, symmetric=True))
 
         shape = self.grid.shape
         dphi = np.zeros(shape + (3,))
@@ -437,7 +473,8 @@ def pullback_full(u_values, values, spacings, symmetric=False):
 def trig_polynomial_full(grid, rng, component_shape=(), cutoff=1):
     """trig_polynomial as first written: every mode's phase, cosine and sine
     on the full grid, summed out of place. Same draws, same terms, same
-    order; no Nyquist check."""
+    order; no Nyquist check. Component major, as the package stores
+    fields."""
     modes = _positive_modes(grid.n_dims, cutoff)
     coeffs = rng.uniform(-1.0, 1.0, size=(len(modes),) + tuple(component_shape) + (2,))
     angular = [2.0 * np.pi * x / p
@@ -452,9 +489,6 @@ def trig_polynomial_full(grid, rng, component_shape=(), cutoff=1):
         a_k = coeffs[m, ..., 0]
         b_k = coeffs[m, ..., 1]
         out = out + np.multiply.outer(a_k, cos) + np.multiply.outer(b_k, sin)
-    n_comp = len(component_shape)
-    if n_comp:
-        out = np.moveaxis(out, range(n_comp), range(-n_comp, 0))
     return out
 
 
@@ -467,7 +501,7 @@ def grf_rhs_reference(state):
     """(dg, db) of the plain coupled flow from the validated field strength."""
     g, H = state.g, state.field_strength().values
     dg = -2.0 * ricci_values(g) + 0.5 * h_squared_values(g, H)
-    return dg, -codifferential_values(g, H)
+    return dg, -codifferential_values(g, H, 3)
 
 
 def deturck_rhs_reference(state, g_ref):
@@ -476,7 +510,7 @@ def deturck_rhs_reference(state, g_ref):
     x = deturck_vector_values(g, g_ref)
     dg = (-2.0 * ricci_values(g) + 0.5 * h_squared_values(g, H)
           + lie_derivative_metric_values(g, x))
-    db = -codifferential_values(g, H) + interior_product_values(x, H)
+    db = -codifferential_values(g, H, 3) + interior_product_values(x, H, 3)
     return dg, db, x
 
 
@@ -488,6 +522,6 @@ def mu_rhs_reference(state):
     f = sol.f.values
     dg = (-ricci_values(g) - hessian_values(g, f)
           + 0.25 * h_squared_values(g, H))
-    db = -0.5 * (codifferential_values(g, H)
-                 + interior_product_values(gradient_vector_values(g, f), H))
+    db = -0.5 * (codifferential_values(g, H, 3)
+                 + interior_product_values(gradient_vector_values(g, f), H, 3))
     return dg, db, sol

@@ -7,9 +7,8 @@ from grflab import Grid, MetricField, ScalarField, TensorField, flat_metric, pul
 from grflab.diffeo import _interpolate, diffeo_flow, displacement_jacobian
 from grflab.errors import FieldError, JacobianError
 from grflab.experiments import gauge_consistency_run
-from grflab.lattice import expand_form
-
-from oracles import displacement_jacobian_full, interpolate_grid_wrap, pullback_full
+from oracles import (displacement_jacobian_full, full_form, full_symmetric,
+                     interpolate_grid_wrap, packed, pullback_full)
 
 # unequal resolutions and periods on every axis
 GRIDS = {
@@ -25,8 +24,8 @@ def grid():
 
 
 def constant_vector(grid, c):
-    vals = np.broadcast_to(np.asarray(c, dtype=float), grid.shape + (3,))
-    return TensorField(grid, np.array(vals), "vector")
+    vals = np.asarray(c, dtype=float).reshape((3, 1, 1, 1))
+    return TensorField(grid, vals + np.zeros((3,) + grid.shape), "vector")
 
 
 def trig_scalar(grid, offset=(0.0, 0.0, 0.0)):
@@ -58,7 +57,7 @@ def test_constant_field_integrates_to_translation(grid):
     disp = diffeo_flow(series, grid)
     # d(psi)/dt = -c integrates exactly under Runge-Kutta
     expected = -0.3 * c
-    assert np.max(np.abs(disp.values - expected)) < 1e-14
+    assert np.max(np.abs(np.moveaxis(disp.values, 0, -1) - expected)) < 1e-14
 
     f = ScalarField(grid, trig_scalar(grid))
     moved = pullback(disp, f)
@@ -82,14 +81,14 @@ def test_time_dependent_series_keeps_integrator_order(grid):
         series.append((t, dt, stages))
     disp = diffeo_flow(series, grid)
     expected = -np.sin(n_steps * dt)
-    assert np.max(np.abs(disp.values[..., 0] - expected)) < 1e-6
-    assert np.max(np.abs(disp.values[..., 1:])) < 1e-15
+    assert np.max(np.abs(disp.values[0] - expected)) < 1e-6
+    assert np.max(np.abs(disp.values[1:])) < 1e-15
 
 
 def test_jacobian_guard_trips_on_folding(grid):
     x1 = grid.coordinate_arrays()[0]
-    u = np.zeros(grid.shape + (3,))
-    u[..., 0] = -0.95 * np.sin(x1) * np.ones(grid.shape)
+    u = np.zeros((3,) + grid.shape)
+    u[0] = -0.95 * np.sin(x1) * np.ones(grid.shape)
     disp = TensorField(grid, u, "vector")
     f = ScalarField(grid, trig_scalar(grid))
     with pytest.raises(JacobianError):
@@ -101,7 +100,7 @@ def test_jacobian_guard_trips_on_folding(grid):
 
 def test_jacobian_of_translation_is_identity(grid):
     u = constant_vector(grid, (0.4, 0.1, -0.2)).values
-    jac = displacement_jacobian(grid, u)
+    jac = np.moveaxis(displacement_jacobian(grid, u), (0, 1), (-2, -1))
     assert np.max(np.abs(jac - np.eye(3))) < 1e-15
 
 
@@ -110,24 +109,36 @@ def test_pullback_rejects_contravariant_and_untged_input(grid):
     vec = constant_vector(grid, (0.1, 0.0, 0.0))
     with pytest.raises(FieldError):
         pullback(vec, vec)   # vectors push forward, not back
-    not_a_vector = TensorField(grid, np.zeros(grid.shape + (3,)))
+    # a 2-form holds three components in 3D, as a vector does
+    not_a_vector = TensorField(grid, np.zeros((3,) + grid.shape),
+                               "antisymmetric")
     with pytest.raises(FieldError):
         pullback(not_a_vector, f)
 
 
-def test_covector_pullback_matches_chain_rule(grid):
+def test_pullback_rejects_a_field_on_another_grid(grid):
+    # the same shape on other periods
+    other = Grid((12, 12, 12), periods=(1.0, 1.0, 1.0))
+    disp = constant_vector(grid, (0.1, 0.0, 0.0))
+    for fld in (ScalarField(other, trig_scalar(other)), flat_metric(other),
+                TensorField(other, np.zeros((3,) + other.shape),
+                            "antisymmetric")):
+        with pytest.raises(FieldError, match="different grids"):
+            pullback(disp, fld)
+
+
+def test_two_form_pullback_matches_chain_rule(grid):
     # along a translation the Jacobian is the identity, so covariant
     # components just get resampled at the shifted points
     c = np.array([0.25, 0.0, 0.0])
     disp = constant_vector(grid, -c)
     x, y, z = grid.coordinate_arrays()
-    df = np.zeros(grid.shape + (3,))
-    df[..., 0] = np.cos(x) * np.ones(grid.shape)
-    field = TensorField(grid, df)
-    out = pullback(disp, field)
+    b = np.zeros((3,) + grid.shape)
+    b[0] = np.cos(x) * np.ones(grid.shape)  # the pair (0, 1)
+    out = pullback(disp, TensorField(grid, b, "antisymmetric"))
     expected = np.cos(x - c[0]) * np.ones(grid.shape)
-    assert np.max(np.abs(out.values[..., 0] - expected)) < 1e-3
-    assert np.max(np.abs(out.values[..., 1:])) < 1e-12
+    assert np.max(np.abs(out.values[0] - expected)) < 1e-3
+    assert np.max(np.abs(out.values[1:])) < 1e-12
 
 
 def wobbly_displacement(grid, cells=2.3):
@@ -135,12 +146,12 @@ def wobbly_displacement(grid, cells=2.3):
     points leave the grid on both sides, plus a smooth shear."""
     n = grid.n_dims
     x = grid.coordinate_arrays()
-    u = np.zeros(grid.shape + (n,))
+    u = np.zeros((n,) + grid.shape)
     for a in range(n):
         b = (a + 1) % n
         wave = np.sin(2.0 * np.pi * x[b] / grid.periods[b] + a)
-        u[..., a] = ((-1) ** a * cells * grid.spacings[a]
-                     + 0.05 * grid.periods[a] * wave)
+        u[a] = ((-1) ** a * cells * grid.spacings[a]
+                + 0.05 * grid.periods[a] * wave)
     return u
 
 
@@ -168,42 +179,53 @@ def test_interpolation_matches_the_grid_wrap_oracle(dims):
 def test_jacobian_is_the_per_component_stencil_bit_for_bit(dims):
     grid = GRIDS[dims]
     u = wobbly_displacement(grid)
-    assert np.array_equal(displacement_jacobian(grid, u),
-                          displacement_jacobian_full(u, grid.spacings))
+    assert np.array_equal(
+        np.moveaxis(displacement_jacobian(grid, u), (0, 1), (-2, -1)),
+        displacement_jacobian_full(np.moveaxis(u, 0, -1), grid.spacings))
 
 
 def _covariant_fields(grid, rng, max_degree):
-    """(field, symmetry) pairs of every covariant kind pullback accepts,
-    k-forms up to max_degree; a scalar's symmetry is None."""
+    """(field, degree) pairs of every covariant kind pullback accepts,
+    k-forms of degree 2 .. max_degree; a scalar's degree is 0 and a
+    symmetric 2-tensor's None."""
     n = grid.n_dims
     raw = rng.standard_normal(grid.shape + (n, n))
-    sym = raw + np.swapaxes(raw, -1, -2)
+    sym = packed(raw + np.swapaxes(raw, -1, -2), n, 2, symmetric=True)
     fields = [
-        (ScalarField(grid, raw[..., 0, 0]), None),
-        (TensorField(grid, raw[..., 0], "covector"), "covector"),
-        (TensorField(grid, raw), "general"),
-        (TensorField(grid, sym, "symmetric2"), "symmetric2"),
-        (MetricField(grid, np.eye(n) + 0.02 * sym), "symmetric2"),
+        (ScalarField(grid, raw[..., 0, 0]), 0),
+        (TensorField(grid, sym, "symmetric2"), None),
+        (MetricField(grid, np.eye(n)[np.triu_indices(n)].reshape(
+            (-1,) + (1,) * n) + 0.02 * sym), None),
     ]
-    for k in range(1, max_degree + 1):
-        comps = list(rng.standard_normal((math.comb(n, k),) + grid.shape))
-        fields.append((TensorField(grid, expand_form(comps, n, k),
-                                   "antisymmetric"), "antisymmetric"))
+    for k in range(2, max_degree + 1):
+        comps = rng.standard_normal((math.comb(n, k),) + grid.shape)
+        fields.append((TensorField(grid, comps, "antisymmetric"), k))
     return fields
+
+
+def _full(fld, degree, n):
+    """Full component-last storage of a field's values."""
+    if degree == 0:
+        return fld.values
+    return (full_symmetric(fld.values) if degree is None
+            else full_form(fld.values, n, degree))
 
 
 @pytest.mark.parametrize("dims", sorted(GRIDS))
 def test_pullback_matches_the_full_component_oracle(dims):
     grid = GRIDS[dims]
+    n = grid.n_dims
     u = wobbly_displacement(grid)
     disp = TensorField(grid, u, "vector")
     # the oracle interpolates all n^k components: in 4D, 3- and 4-forms
     # would take seconds, and 2D and 3D cover the top degree
-    max_degree = 2 if grid.n_dims == 4 else grid.n_dims
+    max_degree = 2 if n == 4 else n
     fields = _covariant_fields(grid, np.random.default_rng(5), max_degree)
-    for fld, symmetry in fields:
-        expected = pullback_full(u, fld.values, grid.spacings,
-                                 symmetry == "symmetric2")
+    for fld, degree in fields:
+        expected = pullback_full(np.moveaxis(u, 0, -1), _full(fld, degree, n),
+                                 grid.spacings, degree is None)
+        if degree != 0:
+            expected = packed(expected, n, degree, symmetric=degree is None)
         out = pullback(disp, fld)
         assert type(out) is type(fld)
         assert out.values.shape == expected.shape
@@ -213,17 +235,18 @@ def test_pullback_matches_the_full_component_oracle(dims):
 
 @pytest.mark.parametrize("dims", ["3d", "4d"])
 def test_pulled_back_fields_are_exactly_symmetric(dims):
+    # packed storage keeps one array per independent component, so a pulled
+    # back tensor keeps its symmetry tag and its component count
     grid = GRIDS[dims]
     n = grid.n_dims
     disp = TensorField(grid, wobbly_displacement(grid), "vector")
-    for fld, symmetry in _covariant_fields(grid, np.random.default_rng(9), n):
-        if symmetry not in ("symmetric2", "antisymmetric"):
+    for fld, degree in _covariant_fields(grid, np.random.default_rng(9), n):
+        if degree == 0:
             continue
-        out = pullback(disp, fld).values
-        sign = 1.0 if symmetry == "symmetric2" else -1.0
-        for slot in range(out.ndim - n - 1):
-            swapped = np.swapaxes(out, n + slot, n + slot + 1)
-            assert np.array_equal(out, sign * swapped)
+        out = pullback(disp, fld)
+        assert out.values.shape == fld.values.shape
+        assert getattr(out, "symmetry", "symmetric2") == getattr(
+            fld, "symmetry", "symmetric2")
 
 
 def test_gauge_consistency_run_keeps_its_recorded_gaps():
@@ -243,7 +266,7 @@ def test_gauge_consistency_run_keeps_its_recorded_gaps():
 
 def test_form_of_degree_above_the_dimension_pulls_back_to_zero(grid):
     disp = TensorField(grid, wobbly_displacement(grid), "vector")
-    zero = TensorField(grid, np.zeros(grid.shape + (3,) * 4), "antisymmetric")
+    zero = TensorField(grid, np.zeros((0,) + grid.shape), "antisymmetric")
     out = pullback(disp, zero)
     assert out.values.shape == zero.values.shape
     assert not np.any(out.values)

@@ -24,8 +24,8 @@ from grflab import (
     step,
     write_trajectory_csv,
 )
-from grflab.errors import (ConfigError, ConvergenceError, NonFiniteError,
-                           StepSizeError)
+from grflab.errors import (ConfigError, ConvergenceError, FieldError,
+                           NonFiniteError, StepSizeError)
 from grflab.experiments import perturbed_state as canned_state
 from grflab import flow, spectrum
 from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
@@ -40,7 +40,7 @@ from oracles import deturck_rhs_reference, grf_rhs_reference, mu_rhs_reference
 def flat_state(n=12):
     grid = Grid((n, n, n))
     g = flat_metric(grid)
-    b = TensorField(grid, np.zeros(grid.shape + (3, 3)), "antisymmetric")
+    b = TensorField(grid, np.zeros((3,) + grid.shape), "antisymmetric")
     return FlowState(g=g, b=b)
 
 
@@ -150,7 +150,7 @@ def test_deturck_is_grf_plus_gauge_terms():
     assert np.max(np.abs(x.values - x_direct)) < 1e-14
     lie = lie_derivative_metric_values(g, x.values)
     assert np.max(np.abs(dg1.values - dg0.values - lie)) < 1e-13
-    contraction = interior_product_values(x.values, H.values)
+    contraction = interior_product_values(x.values, H.values, 3)
     assert np.max(np.abs(db1.values - db0.values - contraction)) < 1e-13
 
 
@@ -225,7 +225,7 @@ def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
     kernel = flow.form_norm_sq_values
 
     def counting(*args):
-        built.append(args[2])
+        built.append(args[1].shape)
         return kernel(*args)
 
     # the row reaches |H|^2_g through flow and through spectrum's helpers
@@ -236,7 +236,7 @@ def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
         sol = lowest_eigenpair(state.g, h)
         built.clear()
         row = _diagnostics_row(state, h, 0.01, 0.0, sol)
-        assert built == ["antisymmetric"]
+        assert built == [(1,) + state.g.grid.shape]  # the one 3-form
         assert row["F_value"] == _energy(state.g, _potential(state.g, h),
                                          sol.f)
         assert row["identity_gap"] == critical_point_diagnostics(
@@ -386,7 +386,7 @@ def test_gauge_series_only_for_deturck():
     assert t == 0.0
     assert dt > 0.0
     assert len(stages) == 4
-    assert all(s.values.shape == state.g.grid.shape + (3,) for s in stages)
+    assert all(s.values.shape == (3,) + state.g.grid.shape for s in stages)
 
     assert run_flow(state, replace(config, keep_gauge_fields=False),
                     g_ref=ref).gauge_series is None
@@ -541,3 +541,40 @@ def test_overflowing_stage_ends_in_diverged_without_numpy_warnings(gauge):
         traj = run_flow(start, FlowConfig(gauge=gauge, t_max=0.1), g_ref=g_ref)
     assert traj.verdict == "DIVERGED"
     assert traj.reason.startswith("Runge-Kutta stage failed")
+
+
+def test_flow_state_refuses_fields_on_another_grid():
+    # the same shape on other periods
+    state = flat_state(8)
+    other = Grid((8, 8, 8), periods=(1.0, 1.0, 1.0))
+    b = TensorField(other, np.zeros((3,) + other.shape), "antisymmetric")
+    hhat = TensorField(other, np.ones((1,) + other.shape), "antisymmetric")
+    with pytest.raises(FieldError, match="different grids"):
+        FlowState(state.g, b)
+    with pytest.raises(FieldError, match="different grids"):
+        FlowState(state.g, state.b, hhat)
+
+
+def test_flow_state_refuses_a_background_that_is_no_three_form():
+    state = flat_state(8)
+    with pytest.raises(FieldError, match="hhat must be a 3-form"):
+        FlowState(state.g, state.b, state.b)
+    with pytest.raises(FieldError, match="b must be a 2-form"):
+        FlowState(state.g,
+                  TensorField(state.g.grid, state.g.values, "symmetric2"))
+
+
+def test_a_two_dimensional_state_runs_with_an_empty_field_strength():
+    # in 2D H = db is a 3-form with no independent component
+    state = canned_state(resolution=8, dims=2)
+    H = state.field_strength()
+    assert H.values.shape == (0, 8, 8) and H.rank == 3
+    g_ref = flat_metric(state.g.grid)
+    for gauge in GAUGES:
+        out = step(state, gauge, 0.01, g_ref=g_ref)
+        assert out.time == 0.01 and out.b.values.shape == (1, 8, 8)
+    dg, db = grf_rhs(state)
+    assert dg.values.shape == (3, 8, 8) and not np.any(db.values)
+    traj = run_flow(state, FlowConfig(gauge="deturck", t_max=0.02),
+                    g_ref=g_ref)
+    assert traj.records[-1]["H_l2"] == 0.0

@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from grflab import (
     Grid,
     ScalarField,
-    TensorField,
     flat_metric,
     scalar_curvature,
     weighted_inner,
@@ -31,7 +30,8 @@ from grflab.geometry import (
 from grflab.lattice import diff_values, gradient_values, symmetric_pairs
 
 from oracles import (ConformalOracle, diagonal_metric, form_field,
-                     reference_scalar, stencil_wavenumber)
+                     full_symmetric, one_form_inner, packed, reference_scalar,
+                     stencil_wavenumber)
 
 # Absolute mismatch budgets against the analytic conformal oracle at 16^3,
 # amplitudes a1=0.1, a2=0.05. The scheme is 4th order; the acceptance suite
@@ -48,24 +48,17 @@ def oracle():
 
 
 def random_form(grid, seed, rank):
+    """Random packed k-form array on a 3D grid (a grid array for k = 0)."""
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.shape + (3,) * rank)
-    if rank >= 2:
-        # antisymmetrize over all component axes
-        axes = list(range(grid.n_dims, grid.n_dims + rank))
-        out = np.zeros_like(vals)
-        for perm in itertools.permutations(range(rank)):
-            sign = 1.0
-            p = list(perm)
-            for i in range(rank):
-                for j in range(i + 1, rank):
-                    if p[i] > p[j]:
-                        sign = -sign
-            src = [axes[p.index(k)] for k in range(rank)]
-            out += sign * np.moveaxis(vals, axes, src)
-        vals = out
-    sym = "covector" if rank == 1 else "antisymmetric"
-    return TensorField(grid, vals, sym)
+    lead = (math.comb(3, rank),) if rank else ()
+    return rng.standard_normal(lead + grid.shape)
+
+
+def inner(g, a, b, k):
+    """<a, b> of two packed k-forms: the oracle pairing for k = 1."""
+    if k == 1:
+        return one_form_inner(g, a, b)
+    return weighted_inner(form_field(g.grid, a, k), form_field(g.grid, b, k), g)
 
 
 def bumpy_metric(grid, seed=11, amp=0.1):
@@ -78,15 +71,15 @@ def bumpy_metric(grid, seed=11, amp=0.1):
     c = 0.5 * (c + c.T)
     wave = np.sin(x) * np.cos(y) + np.cos(z)
     base += amp * c * wave[..., None, None]
-    return MetricField(grid, base)
+    return MetricField(grid, packed(base, 3, 2, symmetric=True))
 
 
 def test_metric_rejects_indefinite():
     grid = Grid((8, 8, 8))
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 0] = -1.0
-    vals[..., 1, 1] = 1.0
-    vals[..., 2, 2] = 1.0
+    vals = np.zeros((6,) + grid.shape)
+    vals[0] = -1.0  # the pairs (0, 0), (1, 1) and (2, 2)
+    vals[3] = 1.0
+    vals[5] = 1.0
     with pytest.raises(PositivityError):
         MetricField(grid, vals)
 
@@ -108,7 +101,7 @@ def test_christoffel_conformal(oracle):
 
 
 def test_ricci_conformal(oracle):
-    num = ricci_values(oracle.metric)
+    num = full_symmetric(ricci_values(oracle.metric))
     err = np.max(np.abs(num - oracle.ricci()))
     assert err < TOL_RICCI
 
@@ -146,9 +139,10 @@ def test_hessian_flat_is_stencil_second_derivative():
     h = hessian_values(g, np.sin(x) + np.zeros(grid.shape))
     k1 = stencil_wavenumber(1, 16)
     expected = -k1 * k1 * np.sin(x)
-    assert np.max(np.abs(h[..., 0, 0] - expected)) < 1e-12
-    assert np.max(np.abs(h[..., 1, 1])) < 1e-13
-    assert np.max(np.abs(h[..., 0, 1])) < 1e-13
+    # the pairs (0, 0), (1, 1) and (0, 1)
+    assert np.max(np.abs(h[0] - expected)) < 1e-12
+    assert np.max(np.abs(h[3])) < 1e-13
+    assert np.max(np.abs(h[1])) < 1e-13
 
 
 def test_gradient_vector_raises_index():
@@ -157,17 +151,19 @@ def test_gradient_vector_raises_index():
     x, _, _ = grid.coordinate_arrays()
     gv = gradient_vector_values(g, np.sin(x) + np.zeros(grid.shape))
     k1 = stencil_wavenumber(1, 8)
-    assert np.max(np.abs(gv[..., 0] - 0.25 * k1 * np.cos(x))) < 1e-13
+    assert np.max(np.abs(gv[0] - 0.25 * k1 * np.cos(x))) < 1e-13
 
 
 def test_exterior_derivative_squares_to_zero():
     grid = Grid((10, 10, 10))
     rng = np.random.default_rng(9)
     f = rng.standard_normal(grid.shape)
-    ddf = exterior_derivative_values(grid, exterior_derivative_values(grid, f))
+    ddf = exterior_derivative_values(
+        grid, exterior_derivative_values(grid, f, 0), 1)
     assert np.max(np.abs(ddf)) < 1e-12
-    a = random_form(grid, 10, 1).values
-    dda = exterior_derivative_values(grid, exterior_derivative_values(grid, a))
+    a = random_form(grid, 10, 1)
+    dda = exterior_derivative_values(
+        grid, exterior_derivative_values(grid, a, 1), 2)
     assert np.max(np.abs(dda)) < 1e-11
 
 
@@ -175,15 +171,10 @@ def test_codifferential_adjointness_factor():
     # <d a, b> = (k+1) <a, d* b> under the full-contraction pairing
     grid = Grid((10, 10, 10))
     g = bumpy_metric(grid, seed=13)
-    a = ScalarField(grid, np.random.default_rng(14).standard_normal(grid.shape))
-    pairs = [(a, random_form(grid, 15, 1)),
-             (random_form(grid, 16, 1), random_form(grid, 17, 2)),
-             (random_form(grid, 18, 2), random_form(grid, 19, 3))]
-    for factor, (a, b) in enumerate(pairs, start=1):
-        da = form_field(grid, exterior_derivative_values(grid, a.values))
-        db = form_field(grid, codifferential_values(g, b.values))
-        lhs = weighted_inner(da, b, g)
-        rhs = factor * weighted_inner(a, db, g)
+    for k, seeds in enumerate([(14, 15), (16, 17), (18, 19)]):
+        a, b = random_form(grid, seeds[0], k), random_form(grid, seeds[1], k + 1)
+        lhs = inner(g, exterior_derivative_values(grid, a, k), b, k + 1)
+        rhs = (k + 1) * inner(g, a, codifferential_values(g, b, k + 1), k)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -191,8 +182,8 @@ def test_codifferential_squares_to_zero():
     grid = Grid((10, 10, 10))
     g = bumpy_metric(grid, seed=21)
     H = random_form(grid, 22, 3)
-    dd = codifferential_values(g, codifferential_values(g, H.values))
-    scale = np.max(np.abs(H.values))
+    dd = codifferential_values(g, codifferential_values(g, H, 3), 2)
+    scale = np.max(np.abs(H))
     assert np.max(np.abs(dd)) < 1e-10 * scale
 
 
@@ -200,13 +191,12 @@ def test_hodge_laplacian_flat_acts_componentwise():
     grid = Grid((16, 16, 16))
     g = flat_metric(grid)
     x, _, _ = grid.coordinate_arrays()
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 1, 2] = np.sin(x)
-    vals[..., 2, 1] = -np.sin(x)
-    lap = hodge_laplacian_values(g, vals)
+    vals = np.zeros((3,) + grid.shape)
+    vals[2] = np.sin(x)  # the pair (1, 2)
+    lap = hodge_laplacian_values(g, vals, 2)
     k1 = stencil_wavenumber(1, 16)
-    assert np.max(np.abs(lap[..., 1, 2] + k1 * k1 * np.sin(x))) < 1e-12
-    assert np.max(np.abs(lap[..., 0, 1])) < 1e-12
+    assert np.max(np.abs(lap[2] + k1 * k1 * np.sin(x))) < 1e-12
+    assert np.max(np.abs(lap[0])) < 1e-12
 
 
 def test_hodge_laplacian_self_adjoint_nonpositive():
@@ -215,25 +205,24 @@ def test_hodge_laplacian_self_adjoint_nonpositive():
     for rank in (1, 2):
         a = random_form(grid, 24 + rank, rank)
         b = random_form(grid, 34 + rank, rank)
-        lap_a = form_field(grid, hodge_laplacian_values(g, a.values))
-        lap_b = form_field(grid, hodge_laplacian_values(g, b.values))
-        lhs = weighted_inner(lap_a, b, g)
-        rhs = weighted_inner(a, lap_b, g)
+        lap_a = hodge_laplacian_values(g, a, rank)
+        lap_b = hodge_laplacian_values(g, b, rank)
+        lhs = inner(g, lap_a, b, rank)
+        rhs = inner(g, a, lap_b, rank)
         assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
-        quad = weighted_inner(lap_a, a, g)
+        quad = inner(g, lap_a, a, rank)
         assert quad <= 1e-10
 
 
 def test_interior_product_convention():
     grid = Grid((8, 8, 8))
-    xv = np.zeros(grid.shape + (3,))
-    xv[..., 0] = 2.0
-    bv = np.zeros(grid.shape + (3, 3))
-    bv[..., 0, 1] = 3.0
-    bv[..., 1, 0] = -3.0
-    out = interior_product_values(xv, bv)
-    assert out[..., 1] == pytest.approx(6.0)
-    assert np.max(np.abs(out[..., 0])) == 0.0
+    xv = np.zeros((3,) + grid.shape)
+    xv[0] = 2.0
+    bv = np.zeros((3,) + grid.shape)
+    bv[0] = 3.0  # b_01 = -b_10 = 3
+    out = interior_product_values(xv, bv, 2)
+    assert out[1] == pytest.approx(6.0)
+    assert np.max(np.abs(out[0])) == 0.0
 
 
 def test_h_squared_constant_three_form():
@@ -241,25 +230,22 @@ def test_h_squared_constant_three_form():
     grid = Grid((8, 8, 8))
     g = flat_metric(grid)
     c = 1.3
-    eps = np.zeros((3, 3, 3))
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        eps[perm] = sign
-    H = c * np.broadcast_to(eps, grid.shape + (3, 3, 3))
+    H = np.full((1,) + grid.shape, c)
     h2 = h_squared_values(g, H)
-    for i in range(3):
-        assert h2[..., i, i] == pytest.approx(2.0 * c * c)
-    assert np.max(np.abs(h2[..., 0, 1])) < 1e-14
-    nrm = form_norm_sq_values(g, H, "antisymmetric")
+    for p in (0, 3, 5):  # the diagonal pairs
+        assert h2[p] == pytest.approx(2.0 * c * c)
+    assert np.max(np.abs(h2[1])) < 1e-14
+    nrm = form_norm_sq_values(g, H)
     assert nrm == pytest.approx(6.0 * c * c)
 
 
 def test_trace_of_h_squared_equals_norm():
     grid = Grid((10, 10, 10))
     g = bumpy_metric(grid, seed=41)
-    H = random_form(grid, 42, 3).values
-    tr = np.einsum("...ij,...ij->...", g.inv_values, h_squared_values(g, H))
-    nrm = form_norm_sq_values(g, H, "antisymmetric")
+    H = random_form(grid, 42, 3)
+    tr = np.einsum("...ij,...ij->...", full_symmetric(g.inv_components),
+                   full_symmetric(h_squared_values(g, H)))
+    nrm = form_norm_sq_values(g, H)
     assert np.max(np.abs(tr - nrm)) < 1e-10 * max(1.0, np.max(np.abs(nrm)))
 
 
@@ -267,13 +253,13 @@ def test_lie_derivative_flat_symmetrized_gradient():
     grid = Grid((16, 16, 16))
     g = flat_metric(grid)
     x, y, _ = grid.coordinate_arrays()
-    xv = np.zeros(grid.shape + (3,))
-    xv[..., 0] = np.sin(y) + np.zeros(grid.shape)
-    xv[..., 1] = np.cos(x) + np.zeros(grid.shape)
+    xv = np.zeros((3,) + grid.shape)
+    xv[0] = np.sin(y) + np.zeros(grid.shape)
+    xv[1] = np.cos(x) + np.zeros(grid.shape)
     lie = lie_derivative_metric_values(g, xv)
-    dxl = gradient_values(grid, xv)
-    expected = dxl + np.swapaxes(dxl, -1, -2)
-    assert np.max(np.abs(lie - expected)) < 1e-12
+    dxl = gradient_values(grid, xv)  # [i, j] = D_i X_j
+    expected = np.moveaxis(dxl + np.swapaxes(dxl, 0, 1), (0, 1), (-2, -1))
+    assert np.max(np.abs(full_symmetric(lie) - expected)) < 1e-12
 
 
 def test_deturck_vector_vanishes_on_matching_reference():
@@ -295,12 +281,12 @@ def test_deturck_vector_linearization():
     wave = np.sin(x + y) + np.cos(z)
     vals += c * wave[..., None, None]
     eps = 1e-5
-    g = MetricField(grid, gf.field.values + eps * vals)
-    X = deturck_vector_values(g, gf)
+    g = MetricField(grid, gf.values + eps * packed(vals, 3, 2, symmetric=True))
+    X = np.moveaxis(deturck_vector_values(g, gf), 0, -1)
     dh = np.stack([diff_values(vals, a, grid.spacings[a]) for a in range(3)],
                   axis=3)
     div_h = np.einsum("...aaj->...j", dh)
     tr_h = np.einsum("...aa->...", vals)
-    d_tr = gradient_values(grid, tr_h)
+    d_tr = np.moveaxis(gradient_values(grid, tr_h), 0, -1)
     expected = eps * (div_h - 0.5 * d_tr)
     assert np.max(np.abs(X - expected)) < 20.0 * eps * eps

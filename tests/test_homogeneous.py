@@ -29,6 +29,8 @@ from grflab.homogeneous import (
     stationarity_residual,
 )
 
+from oracles import full_symmetric
+
 ALGEBRAS = {"su2": su2_algebra, "heisenberg": heisenberg_algebra,
             "abelian": abelian_algebra}
 
@@ -70,11 +72,11 @@ def test_h_squared_matches_lattice_on_constant_data():
     grid = Grid((8, 8, 8))
     m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
     data = LieData(abelian_algebra(), m, 0.6)
-    g = MetricField(grid, np.broadcast_to(m, grid.shape + (3, 3)).copy())
-    H = TensorField(grid, np.broadcast_to(data.full_form(),
-                                          grid.shape + (3, 3, 3)).copy(),
+    i, j = np.triu_indices(3)
+    g = MetricField(grid, m[i, j].reshape(6, 1, 1, 1) + np.zeros((6,) + grid.shape))
+    H = TensorField(grid, np.full((1,) + grid.shape, data.full_form()[0, 1, 2]),
                     "antisymmetric")
-    lattice = h_squared_values(g, H.values)[0, 0, 0]
+    lattice = full_symmetric(h_squared_values(g, H.values))[0, 0, 0]
     assert np.max(np.abs(lattice - invariant_h_squared(data))) < 1e-13
 
 

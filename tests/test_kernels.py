@@ -1,6 +1,7 @@
 """The hot-path kernels against the reference formulas they replace."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,8 +28,6 @@ from grflab.spectrum import (
 from grflab.lattice import (
     diff_values,
     expand_form,
-    expand_symmetric,
-    form_components,
     increasing_tuples,
     pointwise_inner_values,
     pointwise_minors,
@@ -44,6 +43,8 @@ from oracles import (
     diagonal_metric,
     fft_nyquist_projection,
     form_field,
+    full_form,
+    full_symmetric,
     hessian_full,
     laplacian_einsum,
     exterior_derivative_full,
@@ -52,6 +53,8 @@ from oracles import (
     inverse_and_det_full,
     interior_product_full,
     lie_derivative_full,
+    one_form_inner,
+    packed,
     real_fft_preconditioner,
     ricci_full,
     ricci_full_stack,
@@ -60,9 +63,11 @@ from oracles import (
 
 
 def _spd_field(grid, rng, diagonal, amplitude):
+    """Packed symmetric field diag(diagonal) plus symmetrized uniform noise."""
     n = grid.n_dims
     noise = rng.uniform(-amplitude, amplitude, grid.shape + (n, n))
-    return np.diag(diagonal) + 0.5 * (noise + np.swapaxes(noise, -1, -2))
+    full = np.diag(diagonal) + 0.5 * (noise + np.swapaxes(noise, -1, -2))
+    return packed(full, n, 2, symmetric=True)
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -106,21 +111,18 @@ def test_metric_stores_its_algebra_component_major(dims):
     rng = np.random.default_rng(50 + dims)
     g = MetricField(grid, _spd_field(grid, rng, np.linspace(0.6, 2.5, dims),
                                      0.3))
-    shape = (dims, dims) + grid.shape
-    assert g.components.shape == g.inv_components.shape == shape
-    assert np.array_equal(g.components, np.moveaxis(g.values, (-2, -1), (0, 1)))
-    # inv_values is a view of the component-major inverse, not a copy
-    assert np.shares_memory(g.inv_values, g.inv_components)
-    assert np.array_equal(g.inv_values,
-                          np.moveaxis(g.inv_components, (0, 1), (-2, -1)))
-    for arr in (g.components, g.inv_components, g.inv_values):
-        assert arr.flags.c_contiguous or arr is g.inv_values
+    pairs = dims * (dims + 1) // 2
+    assert g.values.shape == g.inv_components.shape == (pairs,) + grid.shape
+    # the full inverse is gathered once from the packed one
+    table = symmetric_pairs(dims)[2]
+    assert g._inv_full.shape == (dims, dims) + grid.shape
+    assert np.array_equal(g._inv_full, g.inv_components[table])
+    for arr in (g.values, g.inv_components, g._inv_full, g.sqrt_det_values):
+        assert arr.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
-    for a, b in itertools.product(range(dims), repeat=2):
-        assert g.inv_values[..., a, b].flags.c_contiguous
     gam = geometry.christoffel_values(g)
-    assert gam.shape == (dims, dims * (dims + 1) // 2) + grid.shape
+    assert gam.shape == (dims, pairs) + grid.shape
     assert gam.flags.c_contiguous
 
 
@@ -130,16 +132,14 @@ def test_laplacian_flux_coefficients_are_exactly_symmetric(dims):
     rng = np.random.default_rng(60 + dims)
     g = MetricField(grid, _spd_field(grid, rng, np.linspace(0.6, 2.5, dims),
                                      0.3))
-    # the cofactor inverse reads one minor at (a, b) and (b, a) ...
-    for a, b in itertools.combinations(range(dims), 2):
-        assert np.array_equal(g.inv_components[a, b], g.inv_components[b, a])
     laplacian_values(g, rng.standard_normal(grid.shape))
     coeff = g._cache["flux_coefficients"]
-    # ... so the fluxes' coefficients sqrt g g^ab are exactly symmetric too
+    # the packed inverse holds one array per pair, so the fluxes'
+    # coefficients sqrt g g^ab are exactly symmetric
     for a, b in itertools.product(range(dims), repeat=2):
         assert np.array_equal(coeff[a, b], coeff[b, a])
         assert np.array_equal(coeff[a, b],
-                              g.sqrt_det_values * g.inv_components[a, b])
+                              g.sqrt_det_values * g._inv_full[a, b])
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -148,9 +148,10 @@ def test_metric_inverse_and_determinant_match_lapack(dims):
     rng = np.random.default_rng(dims)
     diagonal = np.linspace(0.6, 2.5, dims)
     g = MetricField(grid, _spd_field(grid, rng, diagonal, 0.1))
-    inv = np.linalg.inv(g.values)
-    sqrt_det = np.sqrt(np.linalg.det(g.values))
-    assert np.max(np.abs(g.inv_values - inv)) <= 1e-13 * np.max(np.abs(inv))
+    inv = np.linalg.inv(full_symmetric(g.values))
+    sqrt_det = np.sqrt(np.linalg.det(full_symmetric(g.values)))
+    assert (np.max(np.abs(full_symmetric(g.inv_components) - inv))
+            <= 1e-13 * np.max(np.abs(inv)))
     assert np.max(np.abs(g.sqrt_det_values / sqrt_det - 1.0)) <= 1e-13
 
 
@@ -159,13 +160,12 @@ def test_metric_inverse_and_determinant_are_the_full_cofactors(dims):
     grid = Grid((8,) * dims)
     rng = np.random.default_rng(20 + dims)
     values = _spd_field(grid, rng, np.linspace(0.6, 2.5, dims), 0.3)
-    ref_inv, ref_det = inverse_and_det_full(values)
-    inv, det = geometry._inverse_and_det(
-        np.ascontiguousarray(np.moveaxis(values, (-2, -1), (0, 1))))
-    assert np.array_equal(np.moveaxis(inv, (0, 1), (-2, -1)), ref_inv)
+    ref_inv, ref_det = inverse_and_det_full(full_symmetric(values))
+    inv, det = geometry._inverse_and_det(values, dims)
+    assert np.array_equal(full_symmetric(inv), ref_inv)
     assert np.array_equal(det, ref_det)
     g = MetricField(grid, values)
-    assert np.array_equal(g.inv_values, ref_inv)
+    assert np.array_equal(full_symmetric(g.inv_components), ref_inv)
     assert np.array_equal(g.sqrt_det_values, np.sqrt(ref_det))
 
 
@@ -199,21 +199,21 @@ def test_ldl_positivity_verdict_is_choleskys(dims):
     below[:, 0] = eps * (1.0 + 1e-3)
     below[points // 3, 0] = eps * (1.0 - 1e-3)
     cases = [(spd, True), (indefinite, False), (above, True), (below, False)]
+    table = symmetric_pairs(dims)[2]
     for eigenvalues, expected in cases:
         values = _field_with_spectrum(rng, eigenvalues)
-        comps = [[values[..., i, j] for j in range(dims)] for i in range(dims)]
-        verdict = geometry._pivots_positive(comps, eps)
+        comps = packed(values, dims, 2, symmetric=True)
+        verdict = geometry._pivots_positive(comps, table, eps)
         assert verdict is expected is _cholesky_accepts(values)
         for p in range(points):
-            point = [[c[p:p + 1] for c in row] for row in comps]
-            assert (geometry._pivots_positive(point, eps)
+            assert (geometry._pivots_positive(comps[:, p:p + 1], table, eps)
                     is _cholesky_accepts(values[p:p + 1]))
     grid = Grid((8,) * dims)
     values = _field_with_spectrum(
         rng, np.broadcast_to(np.linspace(-0.1, 1.0, dims), grid.shape + (dims,)))
     with pytest.raises(PositivityError,
                        match="metric has a pointwise eigenvalue below 1e-08"):
-        MetricField(grid, values)
+        MetricField(grid, packed(values, dims, 2, symmetric=True))
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -224,14 +224,14 @@ def test_symmetric_pairing_matches_the_einsum(dims):
                                      0.3))
     a = _spd_field(grid, rng, np.zeros(dims), 1.0)
     b = _spd_field(grid, rng, np.zeros(dims), 1.0)
-    general = rng.standard_normal(grid.shape + (dims, dims))
-    for second in (a, b, general):
-        got = pointwise_inner_values(a, second, 2, "symmetric2", g.inv_values,
-                                     g.values)
-        ref = form_inner_full(a, second, g.inv_values, 2)
+    inv = full_symmetric(g.inv_components)
+    for second in (a, b):
+        got = pointwise_inner_values(a, second, "symmetric2", g)
+        ref = form_inner_full(full_symmetric(a), full_symmetric(second), inv, 2)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     field = TensorField(grid, a, "symmetric2")
-    ref = float(np.sum(form_inner_full(a, a, g.inv_values, 2)
+    ref = float(np.sum(form_inner_full(full_symmetric(a), full_symmetric(a),
+                                       inv, 2)
                        * g.sqrt_det_values)) * grid.cell_volume
     assert weighted_inner(field, field, g) == pytest.approx(ref, rel=1e-13)
 
@@ -241,18 +241,18 @@ def test_metric_inverse_is_exact_on_diagonal_metrics(dims):
     grid = Grid((8,) * dims)
     off = ~np.eye(dims, dtype=bool)
     flat = flat_metric(grid)
-    assert np.array_equal(flat.inv_values,
-                          np.broadcast_to(np.eye(dims), flat.values.shape))
+    assert np.array_equal(flat.inv_components, flat.values)
     assert np.all(flat.sqrt_det_values == 1.0)
     diagonal = np.array([0.7, 3.0, 1.3, 0.9][:dims])
     g = diagonal_metric(grid, diagonal)
     for metric in (flat, g):
         # zero minors make +0.0 entries at odd and even positions alike
-        assert np.all(metric.inv_values[..., off] == 0.0)
-        assert not np.any(np.signbit(metric.inv_values[..., off]))
+        inv = full_symmetric(metric.inv_components)
+        assert np.all(inv[..., off] == 0.0)
+        assert not np.any(np.signbit(inv[..., off]))
     assert np.all(g.sqrt_det_values == np.sqrt(np.prod(diagonal)))
     # a cofactor quotient M_ii / det, not a reciprocal: within one ulp
-    got = np.einsum("...ii->...i", g.inv_values)
+    got = np.einsum("...ii->...i", full_symmetric(g.inv_components))
     assert np.all(np.abs(got - 1.0 / diagonal) <= np.spacing(1.0 / diagonal))
 
 
@@ -268,10 +268,12 @@ def test_trace_only_ricci_matches_the_full_stack():
         for part in smooth:
             values[..., i, j] += coeff * part
             values[..., j, i] = values[..., i, j]
-    g = MetricField(grid, values)
-    ref = ricci_full_stack(g.values, g.inv_values, grid.spacings)
+    g = MetricField(grid, packed(values, 3, 2, symmetric=True))
+    ref = ricci_full_stack(values, full_symmetric(g.inv_components),
+                           grid.spacings)
     assert np.max(np.abs(ref)) > 1e-2
-    assert np.max(np.abs(ricci_values(g) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert (np.max(np.abs(full_symmetric(ricci_values(g)) - ref))
+            <= 1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -308,29 +310,23 @@ def _bumpy_metric(grid, seed):
         values[..., i, j] += wave
         if i != j:
             values[..., j, i] += wave
-    return MetricField(grid, values)
+    return MetricField(grid, packed(values, n, 2, symmetric=True))
 
 
 def _random_form(grid, seed, k):
-    """Random k-form, antisymmetrized by an explicit sum over permutations."""
-    n = grid.n_dims
-    raw = np.random.default_rng(seed).standard_normal(grid.shape + (n,) * k)
-    if k == 0:
-        return ScalarField(grid, raw)
-    if k == 1:
-        return TensorField(grid, raw, "covector")
-    axes = list(range(n, n + k))
-    out = np.zeros_like(raw)
-    for perm in itertools.permutations(range(k)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        out += (-1) ** inversions * np.moveaxis(raw, axes,
-                                                [axes[p] for p in perm])
-    return TensorField(grid, out, "antisymmetric")
+    """Random packed k-form array (a grid array for k = 0)."""
+    lead = (math.comb(grid.n_dims, k),) if k else ()
+    return np.random.default_rng(seed).standard_normal(lead + grid.shape)
+
+
+def _full(w, n, k):
+    """Full component-last storage of a packed k-form (a grid array for 0)."""
+    return full_form(w, n, k) if k else w
 
 
 def _random_vector(grid, seed):
     n = grid.n_dims
-    raw = np.random.default_rng(seed).standard_normal(grid.shape + (n,))
+    raw = np.random.default_rng(seed).standard_normal((n,) + grid.shape)
     return TensorField(grid, raw, "vector")
 
 
@@ -339,13 +335,6 @@ def _assert_close(out, ref):
     scale = np.max(np.abs(ref))
     assert scale > 0.0
     assert np.max(np.abs(out - ref)) <= FORM_REL * scale
-
-
-def _assert_exactly_antisymmetric(values, n_grid):
-    # adjacent transpositions generate every permutation of the slots
-    for i in range(values.ndim - n_grid - 1):
-        swapped = np.swapaxes(values, n_grid + i, n_grid + i + 1)
-        assert np.array_equal(values, -swapped)
 
 
 def _ranks(low, high_offset):
@@ -357,23 +346,24 @@ def _ranks(low, high_offset):
 def test_exterior_derivative_matches_the_full_formula(dims, k):
     grid = _form_grid(dims)
     w = _random_form(grid, 100 + 10 * dims + k, k)
-    out = geometry.exterior_derivative_values(grid, w.values)
-    _assert_close(out, exterior_derivative_full(w.values, grid.spacings, k))
-    _assert_exactly_antisymmetric(out, dims)
+    out = geometry.exterior_derivative_values(grid, w, k)
+    assert out.shape == (math.comb(dims, k + 1),) + grid.shape
+    _assert_close(full_form(out, dims, k + 1),
+                  exterior_derivative_full(_full(w, dims, k), grid.spacings, k))
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_forms_above_the_dimension_are_exact_zeros(dims):
-    # d of an n-form and X . w of an (n + 1)-form vanish identically; in 2D
-    # the field strength H = db is such a 3-form
+    # d of an n-form and X . w of an (n + 1)-form vanish identically: the
+    # (n + 1)-form has no component; in 2D the field strength H = db is such
+    # a 3-form
     grid = _form_grid(dims)
     w = _random_form(grid, 800 + dims, dims)
-    dw = geometry.exterior_derivative_values(grid, w.values)
-    assert dw.shape == grid.shape + (dims,) * (dims + 1)
-    assert not np.any(dw)
+    dw = geometry.exterior_derivative_values(grid, w, dims)
+    assert dw.shape == (0,) + grid.shape
     x = _random_vector(grid, 810 + dims)
-    xdw = geometry.interior_product_values(x.values, dw)
-    assert xdw.shape == w.values.shape
+    xdw = geometry.interior_product_values(x.values, dw, dims + 1)
+    assert xdw.shape == w.shape
     assert not np.any(xdw)
 
 
@@ -382,11 +372,11 @@ def test_codifferential_matches_the_full_formula(dims, k):
     grid = _form_grid(dims)
     g = _bumpy_metric(grid, 200 + dims)
     w = _random_form(grid, 210 + 10 * dims + k, k)
-    out = geometry.codifferential_values(g, w.values)
-    ref = codifferential_full(w.values, g.values, g.inv_values,
+    out = geometry.codifferential_values(g, w, k)
+    ref = codifferential_full(full_form(w, dims, k), full_symmetric(g.values),
+                              full_symmetric(g.inv_components),
                               g.sqrt_det_values, grid.spacings, k)
-    _assert_close(out, ref)
-    _assert_exactly_antisymmetric(out, dims)
+    _assert_close(_full(out, dims, k - 1), ref)
 
 
 @pytest.mark.parametrize("dims", [3, 4])
@@ -394,33 +384,46 @@ def test_h_squared_matches_the_full_formula(dims):
     grid = _form_grid(dims)
     g = _bumpy_metric(grid, 300 + dims)
     H = _random_form(grid, 310 + dims, 3)
-    out = geometry.h_squared_values(g, H.values)
-    _assert_close(out, h_squared_full(H.values, g.inv_values))
-    assert np.array_equal(out, np.swapaxes(out, -1, -2))
+    out = geometry.h_squared_values(g, H)
+    _assert_close(full_symmetric(out),
+                  h_squared_full(full_form(H, dims, 3),
+                                 full_symmetric(g.inv_components)))
 
 
-@pytest.mark.parametrize("dims,k", _ranks(2, 1))
+@pytest.mark.parametrize("dims,k", _ranks(2, 1) + [(2, 3), (3, 4)])
 def test_form_inner_products_match_the_full_formula(dims, k):
+    # k = 3 is |H|^2 over all index triples; an (n + 1)-form has no
+    # component and pairs to 0
     grid = _form_grid(dims)
     g = _bumpy_metric(grid, 400 + dims)
     a = _random_form(grid, 410 + 10 * dims + k, k)
     b = _random_form(grid, 420 + 10 * dims + k, k)
-    _assert_close(geometry.form_norm_sq_values(g, a.values, a.symmetry),
-                  form_inner_full(a.values, a.values, g.inv_values, k))
-    density = form_inner_full(a.values, b.values, g.inv_values, k)
+    inv = full_symmetric(g.inv_components)
+    full_a, full_b = full_form(a, dims, k), full_form(b, dims, k)
+    norm = np.broadcast_to(geometry.form_norm_sq_values(g, a), grid.shape)
+    density = form_inner_full(full_a, full_b, inv, k)
     ref = float(np.sum(density * g.sqrt_det_values)) * grid.cell_volume
-    assert weighted_inner(a, b, g) == pytest.approx(ref, rel=1e-12)
+    got = weighted_inner(form_field(grid, a, k), form_field(grid, b, k), g)
+    if k > dims:
+        assert not np.any(norm) and got == ref == 0.0
+        return
+    _assert_close(norm, form_inner_full(full_a, full_a, inv, k))
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_form_paired_with_a_general_tensor_uses_every_component():
-    grid = _form_grid(3)
-    g = _bumpy_metric(grid, 500)
-    a = _random_form(grid, 501, 2)
-    raw = np.random.default_rng(502).standard_normal(grid.shape + (3, 3))
-    b = TensorField(grid, raw, "general")
-    density = form_inner_full(a.values, raw, g.inv_values, 2)
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_vector_pairing_matches_the_full_formula(dims):
+    grid = _form_grid(dims)
+    g = _bumpy_metric(grid, 450 + dims)
+    x, y = _random_vector(grid, 451 + dims), _random_vector(grid, 452 + dims)
+    g_full = full_symmetric(g.values)
+    density = np.einsum("...ab,a...,b...->...", g_full, x.values, y.values)
     ref = float(np.sum(density * g.sqrt_det_values)) * grid.cell_volume
-    assert weighted_inner(a, b, g) == pytest.approx(ref, rel=1e-12)
+    assert weighted_inner(x, y, g) == pytest.approx(ref, rel=1e-12)
+    # lowered to a 1-form, x pairs with the inverse metric to the same value
+    lowered = np.einsum("...ab,b...->a...", g_full, x.values)
+    assert one_form_inner(g, lowered, lowered) == pytest.approx(
+        weighted_inner(x, x, g), rel=1e-12)
 
 
 @pytest.mark.parametrize("dims,k", _ranks(1, 1))
@@ -428,23 +431,25 @@ def test_interior_product_matches_the_full_formula(dims, k):
     grid = _form_grid(dims)
     x = _random_vector(grid, 600 + dims)
     w = _random_form(grid, 610 + 10 * dims + k, k)
-    out = geometry.interior_product_values(x.values, w.values)
-    _assert_close(out, interior_product_full(x.values, w.values, k))
-    _assert_exactly_antisymmetric(out, dims)
+    out = geometry.interior_product_values(x.values, w, k)
+    _assert_close(_full(out, dims, k - 1),
+                  interior_product_full(np.moveaxis(x.values, 0, -1),
+                                        full_form(w, dims, k), k))
 
 
 @pytest.mark.parametrize("dims,k", _ranks(1, 1))
 def test_expand_form_inverts_form_components(dims, k):
     grid = _form_grid(dims)
-    rng = np.random.default_rng(700 + 10 * dims + k)
-    comps = [rng.standard_normal(grid.shape)
-             for _ in increasing_tuples(dims, k)]
+    comps = _random_form(grid, 700 + 10 * dims + k, k)
     full = expand_form(comps, dims, k)
-    _assert_exactly_antisymmetric(full, dims)
-    for got, want in zip(form_components(full, dims, k), comps):
-        assert np.array_equal(got, want)
-    w = _random_form(grid, 710 + 10 * dims + k, k).values
-    _assert_close(expand_form(form_components(w, dims, k), dims, k), w)
+    assert full.shape == (dims,) * k + grid.shape
+    # every permuted slot holds the component or its exact negation
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        axes = perm + tuple(range(k, k + dims))
+        assert np.array_equal(np.transpose(full, axes), sign * full)
+    assert np.array_equal(
+        packed(np.moveaxis(full, range(k), range(-k, 0)), dims, k), comps)
 
 
 @pytest.mark.parametrize("dims,k", _ranks(1, 1))
@@ -452,10 +457,11 @@ def test_pointwise_minors_are_determinants(dims, k):
     grid = _form_grid(dims)
     g = _bumpy_metric(grid, 800 + dims)
     idx = increasing_tuples(dims, k)
-    table = pointwise_minors(g.inv_values, k)
+    table = pointwise_minors(g.inv_components, k)
+    inv = full_symmetric(g.inv_components)
     for p, rows in enumerate(idx):
         for q, cols in enumerate(idx):
-            ref = np.linalg.det(g.inv_values[..., rows, :][..., cols])
+            ref = np.linalg.det(inv[..., rows, :][..., cols])
             assert np.max(np.abs(table[p][q] - ref)) <= 1e-13
 
 
@@ -464,8 +470,13 @@ def test_pointwise_minors_are_determinants(dims, k):
 # ---------------------------------------------------------------------------
 
 
-def _assert_exactly_symmetric(values):
-    assert np.array_equal(values, np.swapaxes(values, -1, -2))
+def _assert_exactly_symmetric(values, dims):
+    # packed, component major: the full matrix is gathered from one array
+    # per pair, so it is exactly symmetric by construction
+    assert values.shape[0] == dims * (dims + 1) // 2
+    assert values.flags.c_contiguous
+    full = full_symmetric(values)
+    assert np.array_equal(full, np.swapaxes(full, -1, -2))
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -476,11 +487,11 @@ def test_symmetric_pairs_index_the_upper_triangle(dims):
     for p, (i, j) in enumerate(pairs):
         assert table[i, j] == table[j, i] == p
     comps = np.random.default_rng(dims).standard_normal((len(pairs), 3, 5))
-    full = expand_symmetric(comps, dims)
-    assert full.shape == (3, 5, dims, dims)
-    _assert_exactly_symmetric(full)
+    full = comps[table]
+    assert full.shape == (dims, dims, 3, 5)
     for p, (i, j) in enumerate(pairs):
-        assert np.array_equal(full[..., i, j], comps[p])
+        assert np.array_equal(full[i, j], comps[p])
+        assert np.array_equal(full[j, i], comps[p])
 
 
 @pytest.mark.parametrize("resolutions,periods", ANISOTROPIC_GRIDS)
@@ -491,19 +502,25 @@ def test_connection_kernels_match_the_full_layout(resolutions, periods):
     g_ref = _bumpy_metric(grid, 1310 + dims)
     f = _random_form(grid, 1320 + dims, 0)
     x = _random_vector(grid, 1330 + dims)
-    gam = christoffel_full(g.values, g.inv_values, grid.spacings)
-    gam_ref = christoffel_full(g_ref.values, g_ref.inv_values, grid.spacings)
+    g_full, inv = full_symmetric(g.values), full_symmetric(g.inv_components)
+    gam = christoffel_full(g_full, inv, grid.spacings)
+    gam_ref = christoffel_full(full_symmetric(g_ref.values),
+                               full_symmetric(g_ref.inv_components),
+                               grid.spacings)
     # the kernel stores Gamma^k_ij on the pairs i <= j, component major
     i, j, _ = symmetric_pairs(dims)
     _assert_close(geometry.christoffel_values(g),
                   np.moveaxis(gam[..., i, j], (-2, -1), (0, 1)))
-    _assert_close(ricci_values(g), ricci_full(gam, grid.spacings))
-    _assert_close(geometry.deturck_vector_values(g, g_ref),
-                  deturck_vector_full(gam, gam_ref, g.inv_values))
-    _assert_close(geometry.lie_derivative_metric_values(g, x.values),
-                  lie_derivative_full(gam, g.values, x.values, grid.spacings))
-    _assert_close(geometry.hessian_values(g, f.values),
-                  hessian_full(gam, f.values, grid.spacings))
+    _assert_close(full_symmetric(ricci_values(g)),
+                  ricci_full(gam, grid.spacings))
+    _assert_close(np.moveaxis(geometry.deturck_vector_values(g, g_ref), 0, -1),
+                  deturck_vector_full(gam, gam_ref, inv))
+    _assert_close(
+        full_symmetric(geometry.lie_derivative_metric_values(g, x.values)),
+        lie_derivative_full(gam, g_full, np.moveaxis(x.values, 0, -1),
+                            grid.spacings))
+    _assert_close(full_symmetric(geometry.hessian_values(g, f)),
+                  hessian_full(gam, f, grid.spacings))
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -512,25 +529,25 @@ def test_symmetric_kernel_outputs_are_exact_mirrors(dims):
     g = _bumpy_metric(grid, 1400 + dims)
     f = _random_form(grid, 1401 + dims, 0)
     x = _random_vector(grid, 1402 + dims)
-    _assert_exactly_symmetric(ricci_values(g))
-    _assert_exactly_symmetric(geometry.lie_derivative_metric_values(g, x.values))
-    _assert_exactly_symmetric(geometry.hessian_values(g, f.values))
+    _assert_exactly_symmetric(ricci_values(g), dims)
+    _assert_exactly_symmetric(
+        geometry.lie_derivative_metric_values(g, x.values), dims)
+    _assert_exactly_symmetric(geometry.hessian_values(g, f), dims)
 
 
 @pytest.mark.parametrize("gauge", GAUGES)
 def test_metric_right_hand_sides_are_exact_mirrors(gauge):
     state = perturbed_state(resolution=12, hhat_c=0.3)
     grid = state.g.grid
-    # the per-point matmuls of the full layout left a 6.9e-18 defect here
-    _assert_exactly_symmetric(ricci_values(state.g))
+    _assert_exactly_symmetric(ricci_values(state.g), 3)
     if gauge == "grf":
         dg, db = grf_rhs(state)
     elif gauge == "deturck":
         dg, db, _ = deturck_rhs(state, flat_metric(grid))
     else:
         dg, db, _ = mu_gradient_flow_rhs(state)
-    _assert_exactly_symmetric(dg.values)
-    _assert_exactly_antisymmetric(db.values, grid.n_dims)
+    _assert_exactly_symmetric(dg.values, 3)
+    assert db.values.shape == (3,) + grid.shape and db.rank == 2
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4])
@@ -541,11 +558,13 @@ def test_connection_is_exactly_zero_on_flat_metrics(dims):
     assert np.all(geometry.christoffel_values(g) == 0.0)
     assert np.all(geometry.deturck_vector_values(g, flat_metric(grid)) == 0.0)
     # with Gamma = 0 the Lie derivative is the symmetrized stencil gradient
-    xl = np.einsum("...ja,...a->...j", g.values, x.values)
+    xl = np.einsum("...ja,...a->...j", full_symmetric(g.values),
+                   np.moveaxis(x.values, 0, -1))
     dxl = np.stack([diff_values(xl, a, grid.spacings[a]) for a in range(dims)],
                    axis=dims)
-    assert np.array_equal(geometry.lie_derivative_metric_values(g, x.values),
-                          dxl + np.swapaxes(dxl, -1, -2))
+    assert np.array_equal(
+        full_symmetric(geometry.lie_derivative_metric_values(g, x.values)),
+        dxl + np.swapaxes(dxl, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +575,8 @@ def test_connection_is_exactly_zero_on_flat_metrics(dims):
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_values_kernels_equal_their_public_wrappers(dims):
     # every kernel output passes, unchanged, the validation of the field it
-    # stands for; scalar_curvature and FlowState.field_strength wrap their
-    # kernels
+    # stands for (1-forms have no field tag); scalar_curvature and
+    # FlowState.field_strength wrap their kernels
     grid = _form_grid(dims)
     g = _bumpy_metric(grid, 1000 + dims)
     f = _random_form(grid, 1001 + dims, 0)
@@ -567,38 +586,41 @@ def test_values_kernels_equal_their_public_wrappers(dims):
     g_ref = _bumpy_metric(grid, 1005 + dims)
     tagged = [
         (geometry.ricci_values(g), "symmetric2"),
-        (geometry.hessian_values(g, f.values), "symmetric2"),
+        (geometry.hessian_values(g, f), "symmetric2"),
         (geometry.lie_derivative_metric_values(g, x.values), "symmetric2"),
         (geometry.deturck_vector_values(g, g_ref), "vector"),
-        (geometry.gradient_vector_values(g, f.values), "vector"),
+        (geometry.gradient_vector_values(g, f), "vector"),
     ]
     pairs = [(raw, TensorField(grid, raw, sym)) for raw, sym in tagged]
     pairs.append((geometry.scalar_curvature_values(g),
                   geometry.scalar_curvature(g)))
     for k, w in enumerate(forms):
-        sym = "scalar" if k == 0 else w.symmetry
-        norm = geometry.form_norm_sq_values(g, w.values, sym)
-        pairs.append((norm, ScalarField(grid, norm)))
-        outputs = [geometry.hodge_laplacian_values(g, w.values)]
+        if k >= 2:
+            norm = geometry.form_norm_sq_values(g, w)
+            pairs.append((norm, ScalarField(grid, norm)))
+        outputs = [(geometry.hodge_laplacian_values(g, w, k), k)]
         # the Hodge Laplacian composes the raw kernels
         expected = 0.0
         if k < dims:
-            dw = geometry.exterior_derivative_values(grid, w.values)
-            outputs.append(dw)
-            expected = expected + geometry.codifferential_values(g, dw)
+            dw = geometry.exterior_derivative_values(grid, w, k)
+            outputs.append((dw, k + 1))
+            expected = expected + geometry.codifferential_values(g, dw, k + 1)
         if k > 0:
-            dstar_w = geometry.codifferential_values(g, w.values)
-            outputs += [dstar_w,
-                        geometry.interior_product_values(x.values, w.values)]
-            expected = expected + geometry.exterior_derivative_values(grid,
-                                                                      dstar_w)
-        assert np.array_equal(outputs[0], -expected)
-        pairs.extend((raw, form_field(grid, raw)) for raw in outputs)
+            dstar_w = geometry.codifferential_values(g, w, k)
+            outputs += [(dstar_w, k - 1),
+                        (geometry.interior_product_values(x.values, w, k),
+                         k - 1)]
+            expected = expected + geometry.exterior_derivative_values(
+                grid, dstar_w, k - 1)
+        assert np.array_equal(outputs[0][0], -expected)
+        pairs.extend((raw, form_field(grid, raw, j)) for raw, j in outputs
+                     if j != 1)
     if dims >= 3:
-        h2 = geometry.h_squared_values(g, forms[3].values)
+        h2 = geometry.h_squared_values(g, forms[3])
         pairs.append((h2, TensorField(grid, h2, "symmetric2")))
-        b = forms[2]
-        hhat = forms[3] if dims == 3 else None
+        b = TensorField(grid, forms[2], "antisymmetric")
+        hhat = (TensorField(grid, forms[3], "antisymmetric") if dims == 3
+                else None)
         pairs.append((field_strength_values(grid, b.values, hhat),
                       FlowState(g, b, hhat).field_strength()))
     for raw, field in pairs:
@@ -610,7 +632,8 @@ def test_max_inverse_eigenvalue_is_the_full_eigvalsh_max(dims):
     grid = _form_grid(dims)
 
     def full(g):
-        return float(np.max(np.linalg.eigvalsh(g.inv_values)))
+        return float(np.max(np.linalg.eigvalsh(
+            full_symmetric(g.inv_components))))
 
     # a flat metric: every point ties for the maximum
     flat = diagonal_metric(grid, np.linspace(0.5, 1.5, dims)[::-1])
@@ -622,20 +645,22 @@ def test_max_inverse_eigenvalue_is_the_full_eigvalsh_max(dims):
     assert noisy.max_inverse_eigenvalue() == full(noisy)
     # one spiked point carries the maximum
     values = np.array(bumpy.values)
-    values[(1,) * dims] *= 0.25
+    values[(slice(None),) + (1,) * dims] *= 0.25
     spiked = MetricField(grid, values)
     assert spiked.max_inverse_eigenvalue() == full(spiked)
     assert spiked.max_inverse_eigenvalue() > 2.0 * bumpy.max_inverse_eigenvalue()
 
 
 def test_asymmetric_symmetric2_input_still_raises():
+    # an asymmetric matrix has no packed storage; its full (n, n) array is
+    # refused as a symmetric2 field and as a metric
     grid = _form_grid(3)
     g = _bumpy_metric(grid, 1200)
-    asym = np.array(g.values)
+    asym = np.array(full_symmetric(g.values))
     asym[..., 0, 1] += 1e-6
-    with pytest.raises(FieldError, match="symmetric2"):
+    with pytest.raises(FieldError, match="tensor field shape"):
         MetricField(grid, asym)
-    with pytest.raises(FieldError, match="symmetric2"):
+    with pytest.raises(FieldError, match="tensor field shape"):
         TensorField(grid, asym, "symmetric2")
 
 
@@ -724,8 +749,9 @@ def test_schrodinger_apply_is_its_out_of_place_composition_bit_for_bit(
     g, h = op.g, op.grid.spacings
     du = [diff_values(u, b, h[b]) for b in range(len(h))]
 
-    def coeff(a, b):  # sqrt g g^ab from the upper triangle of g^-1
-        return g.sqrt_det_values * g.inv_values[..., min(a, b), max(a, b)]
+    def coeff(a, b):  # sqrt g g^ab from the packed g^-1
+        return g.sqrt_det_values * g.inv_components[
+            symmetric_pairs(len(h))[2][a, b]]
 
     div = 0.0
     for a in range(len(h)):
@@ -751,6 +777,6 @@ def test_schrodinger_apply_is_its_out_of_place_composition_bit_for_bit(
 def test_laplacian_matches_the_einsum_flux(resolutions, periods):
     op, u = _schrodinger_setup(resolutions, periods, 35)
     g = op.g
-    ref = laplacian_einsum(u, g.inv_values, g.sqrt_det_values,
-                           g.grid.spacings)
+    ref = laplacian_einsum(u, full_symmetric(g.inv_components),
+                           g.sqrt_det_values, g.grid.spacings)
     assert _rel_gap(laplacian_values(g, u), ref) < 1e-13

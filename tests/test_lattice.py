@@ -11,9 +11,9 @@ from grflab import (
     weighted_inner,
 )
 from grflab.errors import FieldError
-from grflab.lattice import _peak, _symmetry_defect, diff_values, gradient_values
+from grflab.lattice import diff_values, gradient_values
 
-from oracles import diagonal_metric, stencil_wavenumber
+from oracles import diagonal_metric, full_symmetric, stencil_wavenumber
 
 
 def test_grid_validation():
@@ -106,44 +106,48 @@ def test_shift_commutes_with_derivative():
 
 def test_tensor_field_validation():
     grid = Grid((8, 8, 8))
-    bad = np.zeros(grid.shape + (3, 3))
-    bad[..., 0, 1] = 1.0   # not symmetric
     with pytest.raises(FieldError):
-        TensorField(grid, bad, "symmetric2")
+        TensorField(grid, np.zeros(grid.shape + (3, 3)), "symmetric2")  # full
     with pytest.raises(FieldError):
-        TensorField(grid, bad, "antisymmetric")  # missing the -1 on (1,0)
+        TensorField(grid, np.zeros((3,) + grid.shape), "symmetric2")
     with pytest.raises(FieldError):
-        TensorField(grid, np.zeros(grid.shape + (3,)), "symmetric2")
+        TensorField(grid, np.full((3,) + grid.shape, np.nan), "vector")
     with pytest.raises(FieldError):
-        TensorField(grid, np.full(grid.shape + (3,), np.nan), "vector")
-    ok = bad - np.swapaxes(bad, -1, -2)
-    TensorField(grid, ok, "antisymmetric")
+        TensorField(grid, np.zeros((3,) + grid.shape), "general")
+    TensorField(grid, np.zeros((6,) + grid.shape), "symmetric2")
 
 
-@pytest.mark.parametrize("dims", [2, 3, 4])
-@pytest.mark.parametrize("symmetry, sign", [("antisymmetric", 1.0),
-                                            ("symmetric2", -1.0)])
-def test_rank_two_defect_on_pairs_equals_the_swapped_sum(dims, symmetry, sign):
-    # the pairs i <= j see every entry of a + sign a^T once or twice (the
-    # diagonal once), so the maximum equals that of the full swapped sum
+@pytest.mark.parametrize("dims, count, symmetry", [
+    (2, 2, "antisymmetric"), (3, 2, "antisymmetric"), (3, 6, "antisymmetric"),
+    (4, 3, "antisymmetric"), (4, 5, "antisymmetric"), (3, 4, "vector"),
+    (2, 2, "symmetric2")])
+def test_tensor_field_refuses_a_count_of_no_degree(dims, count, symmetry):
     grid = Grid((8,) * dims)
-    rng = np.random.default_rng(60 + dims)
-    a = rng.standard_normal(grid.shape + (dims, dims))
-    exact = a - sign * np.swapaxes(a, -1, -2)
-    for values in (exact, exact + 1e-13 * rng.standard_normal(exact.shape), a):
-        swapped = _peak(values + sign * np.swapaxes(values, -1, -2), "defect")
-        assert _symmetry_defect(values, dims, symmetry) == swapped
-    assert _symmetry_defect(exact, dims, symmetry) == 0.0
+    with pytest.raises(FieldError, match="components"):
+        TensorField(grid, np.zeros((count,) + grid.shape), symmetry)
+
+
+@pytest.mark.parametrize("dims, degrees", [(2, {2: 1, 3: 0}),
+                                           (3, {2: 3, 3: 1, 4: 0}),
+                                           (4, {2: 6, 3: 4, 4: 1, 5: 0})])
+def test_form_degree_is_read_off_the_component_count(dims, degrees):
+    grid = Grid((8,) * dims)
+    for k, count in degrees.items():
+        form = TensorField(grid, np.zeros((count,) + grid.shape),
+                           "antisymmetric")
+        assert form.values.shape == (count,) + grid.shape and form.rank == k
 
 
 def test_partial_derivative_keeps_symmetry():
+    # a stencil derivative along a grid axis acts on each packed component,
+    # so the derivative of the full tensor is the full tensor of it
     grid = Grid((8, 8, 8))
     x, _, _ = grid.coordinate_arrays()
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 1] = np.sin(x)
-    vals[..., 1, 0] = np.sin(x)
-    out = diff_values(vals, 0, grid.spacings[0])
-    assert np.array_equal(out, np.swapaxes(out, -1, -2))
+    vals = np.zeros((6,) + grid.shape)
+    vals[1] = np.sin(x)  # the pair (0, 1)
+    out = diff_values(vals, 1, grid.spacings[0])
+    assert np.array_equal(full_symmetric(out),
+                          diff_values(full_symmetric(vals), 0, grid.spacings[0]))
     TensorField(grid, out, "symmetric2")
 
 
@@ -153,9 +157,8 @@ def test_weighted_inner_full_contraction_two_form():
     grid = Grid((8, 8, 8))
     g = flat_metric(grid)
     c = 0.7
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 1] = c
-    vals[..., 1, 0] = -c
+    vals = np.zeros((3,) + grid.shape)
+    vals[0] = c
     b = TensorField(grid, vals, "antisymmetric")
     vol = (2.0 * np.pi) ** 3
     assert weighted_inner(b, b, g) == pytest.approx(2.0 * c * c * vol, rel=1e-13)
@@ -164,12 +167,7 @@ def test_weighted_inner_full_contraction_two_form():
 def test_weighted_inner_three_form_counts_six():
     grid = Grid((8, 8, 8))
     g = flat_metric(grid)
-    eps = np.zeros((3, 3, 3))
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        eps[perm] = sign
-    H = TensorField(grid, np.broadcast_to(eps, grid.shape + (3, 3, 3)).copy(),
-                    "antisymmetric")
+    H = TensorField(grid, np.ones((1,) + grid.shape), "antisymmetric")
     vol = (2.0 * np.pi) ** 3
     assert weighted_inner(H, H, g) == pytest.approx(6.0 * vol, rel=1e-13)
 
@@ -177,8 +175,8 @@ def test_weighted_inner_three_form_counts_six():
 def test_weighted_inner_vector_uses_metric():
     grid = Grid((8, 8, 8))
     g = diagonal_metric(grid, (4.0, 1.0, 1.0))
-    vals = np.zeros(grid.shape + (3,))
-    vals[..., 0] = 1.0
+    vals = np.zeros((3,) + grid.shape)
+    vals[0] = 1.0
     x = TensorField(grid, vals, "vector")
     vol = (2.0 * np.pi) ** 3
     # <x,x>_g = g_00 = 4, density sqrt(det) = 2
@@ -186,21 +184,23 @@ def test_weighted_inner_vector_uses_metric():
 
 
 def test_weighted_inner_rejects_mixed_variance():
+    # in 3D a vector and a 2-form both hold three components
     grid = Grid((8, 8, 8))
     g = flat_metric(grid)
-    vals = np.zeros(grid.shape + (3,))
-    vals[..., 0] = 1.0
+    vals = np.zeros((3,) + grid.shape)
+    vals[0] = 1.0
     x = TensorField(grid, vals, "vector")
-    a = TensorField(grid, vals, "covector")
-    with pytest.raises(FieldError):
-        weighted_inner(x, a, g)
+    a = TensorField(grid, vals, "antisymmetric")
+    for first, second in ((x, a), (a, x)):
+        with pytest.raises(FieldError, match="one symmetry"):
+            weighted_inner(first, second, g)
 
 
 def test_weighted_inner_rejects_fields_on_different_grids():
     # the same shape on other periods: cell volume and density disagree
     grid, other = Grid((8, 8, 8)), Grid((8, 8, 8), periods=(1.0,) * 3)
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 1], vals[..., 1, 0] = 0.3, -0.3
+    vals = np.zeros((3,) + grid.shape)
+    vals[0] = 0.3
     b = TensorField(grid, vals, "antisymmetric")
     g = flat_metric(grid)
     ones = np.ones(grid.shape)
@@ -222,10 +222,13 @@ def test_gradient_values_layout():
     x, y, _ = grid.coordinate_arrays()
     u = np.sin(x) + np.cos(y) + np.zeros(grid.shape)
     du = gradient_values(grid, u)
-    assert du.shape == grid.shape + (3,)
+    assert du.shape == (3,) + grid.shape
     k1 = stencil_wavenumber(1, 8)
-    assert np.max(np.abs(du[..., 0] - k1 * (np.cos(x) + np.zeros(grid.shape)))) < 1e-13
-    assert np.max(np.abs(du[..., 2])) < 1e-13
+    assert np.max(np.abs(du[0] - k1 * (np.cos(x) + np.zeros(grid.shape)))) < 1e-13
+    assert np.max(np.abs(du[2])) < 1e-13
+    # leading component axes stay in front of the derivative's grid axes
+    stack = np.stack([u, 2.0 * u])
+    assert np.array_equal(gradient_values(grid, stack)[:, 1], 2.0 * du)
 
 
 def test_grid_spacings_are_computed_once_and_not_a_field():

@@ -28,16 +28,12 @@ from grflab.spectrum import (
     SHIFT_MARGIN, _energy, _potential, assemble_mu_gradient,
     mu_directional_derivative, schrodinger_apply)
 
-from oracles import ConformalOracle, normalize_profile
+from oracles import ConformalOracle, normalize_profile, packed
 
 
 def constant_three_form(grid, c=1.0):
-    eps = np.zeros((3, 3, 3))
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        eps[perm] = sign
-    return TensorField(grid, c * np.broadcast_to(eps, grid.shape + (3, 3, 3)),
-                       "antisymmetric")
+    """c e^1 ^ e^2 ^ e^3, its one component c."""
+    return TensorField(grid, np.full((1,) + grid.shape, c), "antisymmetric")
 
 
 def solved_gradient(g, b):
@@ -147,14 +143,14 @@ def test_total_field_strength_combines_background_and_potential():
     b = random_form_perturbation(grid, 0.3, seed=4)
     hhat = constant_three_form(grid, 0.7)
     H = FlowState(flat_metric(grid), b, hhat).field_strength()
-    expected = hhat.values + exterior_derivative_values(grid, b.values)
+    expected = hhat.values + exterior_derivative_values(grid, b.values, 2)
     assert np.max(np.abs(H.values - expected)) < 1e-14
 
 
 def test_mu_gradient_vanishes_at_flat():
     grid = Grid((12, 12, 12))
     g = flat_metric(grid)
-    b = TensorField(grid, np.zeros(grid.shape + (3, 3)), "antisymmetric")
+    b = TensorField(grid, np.zeros((3,) + grid.shape), "antisymmetric")
     grad = solved_gradient(g, b)
     assert np.max(np.abs(grad.g_part.values)) < 1e-12
     assert np.max(np.abs(grad.b_part.values)) < 1e-12
@@ -182,17 +178,18 @@ def test_linearized_gradient_flat_sign_and_order():
     gflat = flat_metric(grid)
     x, y, z = grid.coordinate_arrays()
     # each h_ij is constant along axes i and j, so sum_i D_i h_ij = 0 exactly
-    vals = np.zeros(grid.shape + (3, 3))
-    vals[..., 0, 1] = vals[..., 1, 0] = 0.5 * (np.sin(z) + 0.5 * np.cos(2 * z))
-    vals[..., 0, 0] = 0.5 * np.cos(y) * np.sin(z)
-    vals[..., 2, 2] = 0.35 * np.sin(x + y)
+    vals = np.zeros((6,) + grid.shape)  # the pairs (0, 1), (0, 0), (2, 2)
+    vals[1] = 0.5 * (np.sin(z) + 0.5 * np.cos(2 * z))
+    vals[0] = 0.5 * np.cos(y) * np.sin(z)
+    vals[5] = 0.35 * np.sin(x + y)
     h = TensorField(grid, vals, "symmetric2")
     beta = random_form_perturbation(grid, 1.0, 6)
     lin_g = 0.5 * sum(
-        diff_values(diff_values(vals, a, grid.spacings[a]), a, grid.spacings[a])
+        diff_values(diff_values(vals, 1 + a, grid.spacings[a]), 1 + a,
+                    grid.spacings[a])
         for a in range(3))
     lin_b = -0.5 * codifferential_values(
-        gflat, exterior_derivative_values(grid, beta.values))
+        gflat, exterior_derivative_values(grid, beta.values, 2), 3)
 
     def fd(eps):
         gp = MetricField(grid, gflat.values + eps * h.values)
@@ -225,7 +222,7 @@ def test_schrodinger_apply_flat_constant_potential():
 def test_critical_point_diagnostics_flat():
     grid = Grid((12, 12, 12))
     g = flat_metric(grid)
-    b = TensorField(grid, np.zeros(grid.shape + (3, 3)), "antisymmetric")
+    b = TensorField(grid, np.zeros((3,) + grid.shape), "antisymmetric")
     H = FlowState(g, b).field_strength()
     sol = lowest_eigenpair(g, H)
     d = critical_point_diagnostics(g, H, sol)
@@ -254,8 +251,10 @@ def test_mu_directional_derivative_needs_a_positive_finite_eps(monkeypatch,
 
     monkeypatch.setattr(spectrum, "lowest_eigenpair", no_solve)
     with pytest.raises(ConfigError, match="eps must be positive and finite"):
-        mu_directional_derivative(state.g, state.b, state.g.field, state.b,
-                                  np.ones(state.g.grid.shape), eps=eps)
+        mu_directional_derivative(
+            state.g, state.b,
+            TensorField(state.g.grid, state.g.values, "symmetric2"), state.b,
+            np.ones(state.g.grid.shape), eps=eps)
 
 
 def test_critical_point_diagnostics_report_the_mu_gradient():
@@ -283,7 +282,9 @@ def _shifted_system(dims):
     grid = Grid((8,) * (dims - 1) + (10,))
     rng = np.random.default_rng(40 + dims)
     noise = rng.uniform(-0.05, 0.05, grid.shape + (dims, dims))
-    g = MetricField(grid, np.eye(dims) + 0.5 * (noise + np.swapaxes(noise, -1, -2)))
+    g = MetricField(grid, packed(
+        np.eye(dims) + 0.5 * (noise + np.swapaxes(noise, -1, -2)), dims, 2,
+        symmetric=True))
     op = SchrodingerOperator(g)
     w = 1.0 + 0.1 * rng.standard_normal(grid.shape)
     w = w / op.volume_norm(w)
@@ -390,8 +391,8 @@ def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
     f, h = sol.f.values, H.values
     g_part = (-ricci_values(g) - hessian_values(g, f)
               + 0.25 * h_squared_values(g, h))
-    b_part = -0.5 * (codifferential_values(g, h) + interior_product_values(
-        gradient_vector_values(g, f), h))
+    b_part = -0.5 * (codifferential_values(g, h, 3) + interior_product_values(
+        gradient_vector_values(g, f), h, 3))
     calls = []
 
     def counting(values, axis, spacing):
@@ -435,3 +436,40 @@ def test_warm_flow_eigensolve_reports_no_short_exit():
     assert sol.iterations > 0
     assert sol.cg_iterations >= sol.iterations
     assert sol.cg_short_exits == 0
+
+
+def test_the_g_h_entry_points_refuse_an_h_on_another_grid():
+    # the same shape on other periods
+    state = perturbed_state(resolution=8)
+    other = Grid((8, 8, 8), periods=(1.0, 1.0, 1.0))
+    H = TensorField(other, state.field_strength().values, "antisymmetric")
+    sol = lowest_eigenpair(state.g, state.field_strength())
+    for call in (lambda: lowest_eigenpair(state.g, H),
+                 lambda: SchrodingerOperator(state.g, H),
+                 lambda: assemble_mu_gradient(state.g, H, sol),
+                 lambda: critical_point_diagnostics(state.g, H, sol)):
+        with pytest.raises(FieldError, match="different grids"):
+            call()
+
+
+def test_the_g_h_entry_points_refuse_a_form_of_another_degree():
+    state = perturbed_state(resolution=8)
+    for H in (state.b, state.b.values,
+              TensorField(state.g.grid, state.g.values, "symmetric2")):
+        with pytest.raises(FieldError, match="3-form"):
+            lowest_eigenpair(state.g, H)
+        with pytest.raises(FieldError, match="3-form"):
+            schrodinger_apply(state.g, H, ScalarField(state.g.grid,
+                                                      np.ones((8, 8, 8))))
+
+
+def test_mu_directional_derivative_refuses_directions_on_another_grid():
+    state = perturbed_state(resolution=8)
+    other = Grid((8, 8, 8), periods=(1.0, 1.0, 1.0))
+    h = TensorField(state.g.grid, state.g.values, "symmetric2")
+    far_h = TensorField(other, state.g.values, "symmetric2")
+    far_b = TensorField(other, state.b.values, "antisymmetric")
+    for b, direction in ((far_b, (h, state.b)), (state.b, (far_h, state.b)),
+                         (state.b, (h, far_b))):
+        with pytest.raises(FieldError, match="different grids"):
+            mu_directional_derivative(state.g, b, *direction, None)
