@@ -7,22 +7,24 @@ periodic displacements u with psi(x) = x + u(x), a vector field stored
 component major like every field, and the Jacobian of psi is the lattice
 derivative of the displacement.
 
-Off-grid values come from periodic cubic B-splines. A field's components are
-filtered together, once per grid axis, and the spline coefficients are padded
-periodically by the cubic taps (one cell before, two after); each component
-is then one unfiltered evaluation at the coordinates wrapped into the grid.
-A pullback interpolates only the packed components of its field, n(n+1)/2
-for a symmetric 2-tensor and C(n, k) for a k-form. Its Jacobian contraction
-is the one place full storage appears: each packed output component sums
-over every full index tuple of the interpolated field.
+Off-grid values come from periodic cubic B-splines in numpy. A field's
+components are prefiltered together, once per grid axis, by the inverse of
+the periodic (1, 4, 1)/6 circulant. Each axis's floor indices and four cubic
+weights are then built once per call and shared by every component; the
+4^(n-1) taps of the trailing axes expand to flat offsets and weight products
+per point, and each of the four first-axis taps gathers every component at
+once. A pullback interpolates only the packed components of its field,
+n(n+1)/2 for a symmetric 2-tensor and C(n, k) for a k-form. Its Jacobian
+contraction is the one place full storage appears: each packed output
+component sums over every full index tuple of the interpolated field.
 
-The splines are scipy.ndimage's, imported by _interpolate when it first runs:
-no other module uses scipy, so `import grflab` and every pipeline without a
-gauge recovery load numpy alone, and a fresh interpreter skips the quarter
-second and the ~28 MB that importing scipy.ndimage costs.
+The package needs numpy alone; scipy.ndimage's map_coordinates is the tests'
+independent oracle for these splines.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,22 +50,65 @@ def _index_coordinates(grid, u_values):
                      for a in range(grid.n_dims)], axis=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _prefilter_matrix(m):
+    """Read-only inverse of the periodic (1, 4, 1)/6 circulant on m points,
+    which turns node values along one axis into spline coefficients.
+
+    The real Fourier basis of spectrum diagonalizes it, with eigenvalues
+    6 / (4 + 2 cos k); its entries are built in closed form instead, the
+    pole z = sqrt(3) - 2 raised to the periodic distance, which keeps them to
+    an ulp where a synthesis from that basis loses tens.
+    """
+    z = np.sqrt(3.0) - 2.0
+    d = np.arange(m)
+    column = (6.0 * z / (z * z - 1.0)) * (z ** d + z ** (m - d)) / (1.0 - z ** m)
+    inverse = column[np.subtract.outer(d, d) % m]
+    inverse.setflags(write=False)
+    return inverse
+
+
+def _taps(coords, m):
+    """The four node indices floor - 1 .. floor + 2, wrapped onto an axis of
+    m points, and their cubic B-spline weights at grid-index coordinates,
+    each of shape (4,) + coords.shape. A non-finite coordinate gets an
+    arbitrary index and non-finite weights."""
+    x = np.mod(coords, m)
+    floor = np.floor(x)
+    t = x - floor
+    with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary integer
+        i = floor.astype(np.intp)
+    s, t2 = 1.0 - t, t * t
+    weights = np.stack([s * s * s, (3.0 * t - 6.0) * t2 + 4.0,
+                        ((3.0 - 3.0 * t) * t + 3.0) * t + 1.0, t2 * t]) / 6.0
+    # np.mod may round a tiny negative coordinate up to m exactly, whose
+    # taps wrap like those of 0
+    return np.add.outer(np.arange(-1, 3), i) % m, weights
+
+
 def _interpolate(stack, coords_index):
     """Periodic cubic spline of each field of stack (components first, then
     the grid axes) at grid-index coordinates (the axis first)."""
-    from scipy.ndimage import map_coordinates, spline_filter1d
-
-    n = len(coords_index)
+    shape = stack.shape[1:]
     coeffs = stack
-    for a in range(1, n + 1):
-        coeffs = spline_filter1d(coeffs, 3, axis=a, mode="grid-wrap")
-    coeffs = np.pad(coeffs, [(0, 0)] + [(1, 2)] * n, mode="wrap")
-    # np.mod may round a tiny negative coordinate up to N exactly; its last
-    # tap then lies one past the padding with weight 0, and "nearest" clamps
-    wrapped = np.stack([np.mod(c, m) + 1.0
-                        for c, m in zip(coords_index, stack.shape[1:])])
-    return np.stack([map_coordinates(c, wrapped, order=3, mode="nearest",
-                                     prefilter=False) for c in coeffs])
+    for a, m in enumerate(shape, 1):
+        coeffs = np.moveaxis(
+            _prefilter_matrix(m) @ np.moveaxis(coeffs, a, -2), -2, a)
+    flat = coeffs.reshape(len(stack), -1)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    (first, w_first), *rest = [_taps(c, m) for c, m in zip(coords_index, shape)]
+    points = first.shape[1:]
+    # the trailing axes' taps of each point: flat offsets and weight products
+    offset = np.zeros((1,) + points, dtype=np.intp)
+    weight = np.ones((1,) + points)
+    for (idx, w), stride in zip(rest, strides[1:]):
+        offset = (offset[:, None] + stride * idx).reshape((-1,) + points)
+        weight = (weight[:, None] * w).reshape((-1,) + points)
+    out = 0.0
+    for idx, w in zip(first * strides[0], w_first):
+        taps = np.take(flat, idx + offset, axis=1)
+        out = out + np.einsum("ct...,t...->c...", taps, w * weight)
+    return out
 
 
 def displacement_jacobian(grid, u_values):
@@ -74,9 +119,15 @@ def displacement_jacobian(grid, u_values):
     return np.swapaxes(gradient_values(grid, u_values), 0, 1) + eye
 
 
+def _is_vector(fld):
+    return isinstance(fld, TensorField) and fld.symmetry == "vector"
+
+
 def _check_jacobian(jac):
+    if not np.all(np.isfinite(jac)):
+        raise JacobianError("map is not finite")
     det_min = float(np.min(np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)))))
-    if det_min <= _MIN_JACOBIAN:
+    if not det_min > _MIN_JACOBIAN:
         raise JacobianError(
             f"map degenerates: min det J = {det_min:.3e} <= {_MIN_JACOBIAN}")
 
@@ -90,7 +141,8 @@ def diffeo_flow(x_series, grid):
     the integrator's order instead of degrading through time interpolation.
 
     Returns the displacement of the final map, the identity's (zero) for an
-    empty series. Raises JacobianError if any accepted map leaves the
+    empty series. Raises FieldError if a stage is not a vector field on grid,
+    and JacobianError if any accepted map is not finite or leaves the
     diffeomorphism guard det J > 0.1.
     """
     u = np.zeros((grid.n_dims,) + grid.shape)
@@ -99,6 +151,9 @@ def diffeo_flow(x_series, grid):
         return -_interpolate(x_field.values, _index_coordinates(grid, u_now))
 
     for _, dt, stages in x_series:
+        if not all(_is_vector(x) for x in stages):
+            raise FieldError("gauge stages must be vector fields")
+        require_same_grid(grid, *stages)
         x1, x2, x3, x4 = stages
         l1 = stage_velocity(x1, u)
         l2 = stage_velocity(x2, u + 0.5 * dt * l1)
@@ -120,9 +175,9 @@ def pullback(displacement, fld):
     (returned as a MetricField) on the displacement's grid; contravariant
     fields are rejected since they push forward, not back.
     """
-    grid = displacement.grid
-    if displacement.symmetry != "vector":
+    if not _is_vector(displacement):
         raise FieldError("displacement must be a vector field")
+    grid = displacement.grid
     require_same_grid(grid, fld)
     u = displacement.values
     jac = displacement_jacobian(grid, u)

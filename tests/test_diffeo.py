@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from grflab import Grid, MetricField, ScalarField, TensorField, flat_metric, pullback
-from grflab.diffeo import _interpolate, diffeo_flow, displacement_jacobian
+from grflab.diffeo import (_interpolate, _prefilter_matrix, diffeo_flow,
+                           displacement_jacobian)
 from grflab.errors import FieldError, JacobianError
 from grflab.experiments import gauge_consistency_run
+from grflab.spectrum import _real_fourier_basis
 from oracles import (displacement_jacobian_full, full_form, full_symmetric,
                      interpolate_grid_wrap, packed, pullback_full)
 
@@ -109,11 +112,35 @@ def test_pullback_rejects_contravariant_and_untged_input(grid):
     vec = constant_vector(grid, (0.1, 0.0, 0.0))
     with pytest.raises(FieldError):
         pullback(vec, vec)   # vectors push forward, not back
-    # a 2-form holds three components in 3D, as a vector does
-    not_a_vector = TensorField(grid, np.zeros((3,) + grid.shape),
-                               "antisymmetric")
-    with pytest.raises(FieldError):
-        pullback(not_a_vector, f)
+    # a 2-form holds three components in 3D, as a vector does; a metric, a
+    # scalar and a bare array are no displacement either
+    two_form = TensorField(grid, np.zeros((3,) + grid.shape), "antisymmetric")
+    for disp in (two_form, flat_metric(grid), f, np.zeros((3,) + grid.shape)):
+        with pytest.raises(FieldError, match="vector field"):
+            pullback(disp, f)
+
+
+def test_diffeo_flow_rejects_stages_that_are_not_vectors_on_its_grid(grid):
+    other = Grid((12, 12, 12), periods=(1.0, 1.0, 1.0))
+    x = constant_vector(grid, (0.1, 0.0, 0.0))
+    # the same shape on other periods, and a 2-form, whose three components
+    # in 3D have a vector's shape
+    elsewhere = constant_vector(other, (0.1, 0.0, 0.0))
+    two_form = TensorField(grid, x.values, "antisymmetric")
+    for stage, match in ((elsewhere, "different grids"),
+                         (two_form, "vector fields")):
+        series = [(0.0, 0.1, [x, x, stage, x])]
+        with pytest.raises(FieldError, match=match):
+            diffeo_flow(series, grid)
+
+
+def test_diffeo_flow_stops_at_a_non_finite_step_without_a_warning(grid):
+    x = TensorField(grid, wobbly_displacement(grid), "vector")
+    series = [(0.0, 0.1, [x] * 4), (0.1, float("nan"), [x] * 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JacobianError, match="not finite"):
+            diffeo_flow(series, grid)
 
 
 def test_pullback_rejects_a_field_on_another_grid(grid):
@@ -173,6 +200,52 @@ def test_interpolation_matches_the_grid_wrap_oracle(dims):
         expected = interpolate_grid_wrap(stack[c], coords)
         peak = np.max(np.abs(stack[c]))
         assert np.max(np.abs(out[c] - expected)) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("m", [8, 10, 12, 14])
+def test_prefilter_inverts_the_circulant_diagonally_in_the_fourier_basis(m):
+    inverse = _prefilter_matrix(m)
+    assert not inverse.flags.writeable
+    circulant = (4.0 * np.eye(m) + np.roll(np.eye(m), 1, axis=0)
+                 + np.roll(np.eye(m), -1, axis=0)) / 6.0
+    assert np.max(np.abs(circulant @ inverse - np.eye(m))) <= 1e-15
+    rows, k = _real_fourier_basis(m)
+    eigenvalues = 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi * k / m))
+    assert np.max(np.abs(rows @ inverse @ rows.T - np.diag(eigenvalues))) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", sorted(GRIDS))
+def test_interpolation_at_the_nodes_returns_the_data(dims):
+    grid = GRIDS[dims]
+    n = grid.n_dims
+    stack = np.random.default_rng(13).standard_normal((3,) + grid.shape)
+    nodes = np.stack(np.meshgrid(*[np.arange(m, dtype=float)
+                                   for m in grid.resolutions], indexing="ij"))
+    # the nodes themselves, and the nodes one period back on every axis
+    period = np.array(grid.resolutions, dtype=float).reshape((n,) + (1,) * n)
+    peak = np.max(np.abs(stack))
+    for coords in (nodes, nodes - period):
+        assert np.max(np.abs(_interpolate(stack, coords) - stack)) <= 4e-15 * peak
+
+
+def test_interpolation_of_a_band_limited_field_converges_at_order_four():
+    periods = (2.0 * np.pi, 3.0)
+    kx, ky = (2.0 * np.pi / p for p in periods)
+
+    def field(x, y):
+        return np.sin(kx * x + 0.3) * np.cos(ky * y) + 0.5 * np.cos(2.0 * kx * x - ky * y)
+
+    points = (np.random.default_rng(3).uniform(0.0, 1.0, (2, 200))
+              * np.array(periods)[:, None])
+    errors = []
+    for m in (16, 32, 64):
+        grid = Grid((m, m), periods)
+        coords = points / np.array(grid.spacings)[:, None]
+        values = field(*grid.coordinate_arrays())[None]
+        errors.append(np.max(np.abs(_interpolate(values, coords)[0]
+                                    - field(*points))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((3.5 <= orders) & (orders <= 4.5)), orders
 
 
 @pytest.mark.parametrize("dims", sorted(GRIDS))
