@@ -25,7 +25,6 @@ from .lattice import (
 )
 from .geometry import MetricField, flat_metric, scalar_curvature
 from .spectrum import (
-    MuGradient,
     SchrodingerOperator,
     SpectralSolution,
     assemble_mu_gradient,

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .lattice import Grid, TensorField
+from .lattice import Grid, ScalarField, TensorField, weighted_inner
 from .geometry import MetricField, flat_metric, identity_values
 from .perturbations import random_form_perturbation, random_metric_perturbation
 from .spectrum import (
@@ -154,11 +154,13 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
         h_dir = random_metric_perturbation(grid, 1.0, seed + 77, cutoff=cutoff)
         b_dir = random_form_perturbation(grid, 1.0, seed + 177, cutoff=cutoff)
         H = state.field_strength()
-        grad = assemble_mu_gradient(state.g, H,
-                                    lowest_eigenpair(state.g, H))
-        paired = grad.pair(state.g, h_dir, b_dir)
+        sol = lowest_eigenpair(state.g, H)
+        g_part, b_part = assemble_mu_gradient(state.g, H, sol)
+        weight = ScalarField(grid, np.exp(-sol.f.values))
+        paired = weighted_inner(g_part, h_dir, state.g, weight)
+        paired += weighted_inner(b_part, b_dir, state.g, weight)
         fd = mu_directional_derivative(state.g, state.b, h_dir, b_dir,
-                                       grad.solution.w, eps=eps)
+                                       sol.w, eps=eps)
         denom = max(abs(fd), 1e-30)
         rows.append({
             "seed": seed,

@@ -23,10 +23,10 @@ write_trajectory_csv exports exactly the eight named columns at 17
 significant digits, through write_records_csv, the one CSV writer of the
 package.
 
-The right-hand sides compose raw packed arrays (see lattice), with
-H = Hhat + db built once from the validated b; only their outputs (dg, db,
-the gauge vector) are fields. A state holds g, b and Hhat packed, so an RK4
-axpy touches n(n+1)/2 + C(n, 2) planes, 6 + 3 in 3D.
+The right-hand sides compose raw packed arrays (see lattice) and read the
+H = Hhat + db a FlowState validates once; only their outputs (dg, db, the
+gauge vector) are fields. A state holds g, b and Hhat packed, so an RK4 axpy
+touches n(n+1)/2 + C(n, 2) planes, 6 + 3 in 3D.
 
 A run keeps one stream of eigensolves, the stage solves of a spectral gauge
 or else the side solves of the diagnostics rows. It remembers the
@@ -69,10 +69,10 @@ CSV_COLUMNS = ("t", "lambda", "H_l2", "ricci_linf", "dH_linf", "F_value",
 class FlowState:
     """One point on a flow line.
 
-    b is the evolving 2-form potential and hhat an optional fixed closed
-    background 3-form, so the physical field strength is H = hhat + db; both
-    must live on g's grid. The gauge a state is evolved in is not part of
-    it; the Trajectory names it.
+    g is a MetricField, b the evolving 2-form potential and hhat an optional
+    fixed closed background 3-form, both on g's grid. The field strength
+    H = hhat + db is built and validated once, with the state. The gauge a
+    state is evolved in is not part of it; the Trajectory names it.
     """
 
     g: MetricField
@@ -81,17 +81,24 @@ class FlowState:
     time: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.g, MetricField)
+                and isinstance(self.b, TensorField)
+                and isinstance(self.hhat, (TensorField, type(None)))):
+            raise FieldError("g must be a MetricField, b a TensorField and "
+                             "hhat one or None")
         require_same_grid(self.g.grid, self.b, self.hhat)
         for name, degree in (("b", 2), ("hhat", 3)):
             fld = getattr(self, name)
             if fld is not None and (fld.symmetry, fld.rank) != (
                     "antisymmetric", degree):
                 raise FieldError(f"{name} must be a {degree}-form")
+        object.__setattr__(self, "_h", TensorField(
+            self.g.grid, field_strength_values(self.g.grid, self.b.values,
+                                               self.hhat), "antisymmetric"))
 
     def field_strength(self):
-        """H = hhat + db as a validated field."""
-        return TensorField(self.g.grid, field_strength_values(
-            self.g.grid, self.b.values, self.hhat), "antisymmetric")
+        """H = hhat + db, the validated field built with the state."""
+        return self._h
 
 
 @dataclass(frozen=True)
@@ -168,8 +175,7 @@ def _grf_values(g, h):
 def grf_rhs(state):
     """Right-hand side of the coupled flow, before any gauge fixing."""
     g = state.g
-    dg, db = _grf_values(
-        g, field_strength_values(g.grid, state.b.values, state.hhat))
+    dg, db = _grf_values(g, state.field_strength().values)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -182,12 +188,12 @@ def deturck_rhs(state, g_ref):
 
     The metric equation gains Lie_X g and the potential equation the
     contraction X . H, whose exterior derivative reproduces Lie_X H on
-    closed H.
+    closed H. g_ref must live on the state's grid.
     """
     if g_ref is None:
         raise ConfigError("the deturck gauge needs a reference metric")
-    g = state.g
-    h = field_strength_values(g.grid, state.b.values, state.hhat)
+    g, h = state.g, state.field_strength().values
+    require_same_grid(g.grid, g_ref)
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
     dg, db = _grf_values(g, h)
     dg = dg + lie_derivative_metric_values(g, x.values)
@@ -201,11 +207,9 @@ def deturck_rhs(state, g_ref):
 
 def mu_gradient_flow_rhs(state, w0=None):
     """Gradient of mu at the state, plus the spectral solution used."""
-    g = state.g
-    h = field_strength_values(g.grid, state.b.values, state.hhat)
-    sol = lowest_eigenpair(g, h, w0=w0)
-    grad = assemble_mu_gradient(g, h, sol)
-    return grad.g_part, grad.b_part, sol
+    g, H = state.g, state.field_strength()
+    sol = lowest_eigenpair(g, H, w0=w0)
+    return assemble_mu_gradient(g, H, sol) + (sol,)
 
 
 @dataclass(frozen=True)
@@ -335,10 +339,13 @@ def _rk4_with_retries(y, h, slope, advance, t, k1=None):
 def step(state, rhs_kind, dt, g_ref=None):
     """One integrator step of the named right-hand side.
 
-    Halves dt when the metric leaves the positive cone, up to SPD_RETRIES
-    times, then raises StepSizeError; a failed stage raises it too.
-    Overflow is reported by the field checks, not by numpy warnings.
+    dt must be positive and finite (ConfigError). Halves dt when the metric
+    leaves the positive cone, up to SPD_RETRIES times, then raises
+    StepSizeError; a failed stage raises it too. Overflow is reported by the
+    field checks, not by numpy warnings.
     """
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     gauge, history, totals = _gauge(rhs_kind), [], collections.Counter()
     return _rk4_with_retries(
         state, dt,
@@ -351,12 +358,11 @@ def _pair_l2(g, dg, db, weight=None):
     return math.sqrt(max(sq, 0.0))
 
 
-def _diagnostics_row(state, h, dt, rhs_l2, sol):
-    """One trajectory record of the state with field strength array h.
-    sol is its eigenpair, or None when that failed, which blanks the spectral
-    columns. |H|^2_g is built once for H_l2, F's potential and the identity
-    gap."""
-    g = state.g
+def _diagnostics_row(state, dt, rhs_l2, sol):
+    """One trajectory record of the state. sol is its eigenpair, or None
+    when that failed, which blanks the spectral columns. |H|^2_g is built
+    once for H_l2, F's potential and the identity gap."""
+    g, h = state.g, state.field_strength().values
     if g.grid.n_dims > 3:  # dH is a 4-form
         dh_linf = float(np.max(np.abs(exterior_derivative_values(g.grid, h, 3))))
     else:
@@ -423,17 +429,14 @@ def run_flow(initial, config, g_ref=None):
         out_of_steps = steps >= MAX_STEPS
         if (steps % config.record_every == 0 or stopping or at_horizon
                 or out_of_steps):
-            # H = Hhat + db from the validated b, as the right-hand sides
-            # build it
-            h = field_strength_values(state.g.grid, state.b.values,
-                                      state.hhat)
             if sol is None:
                 try:
                     sol, = _warm_solve(lambda w0: (lowest_eigenpair(
-                        state.g, h, w0=w0),), state.time, history, totals)
+                        state.g, state.field_strength(), w0=w0),),
+                        state.time, history, totals)
                 except (ConvergenceError, NonFiniteError):
                     side_failures += 1
-            records.append(_diagnostics_row(state, h, dt, rhs_l2, sol))
+            records.append(_diagnostics_row(state, dt, rhs_l2, sol))
         if stopping:
             verdict, reason = "CONVERGED", ""
             break

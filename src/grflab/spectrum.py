@@ -12,10 +12,12 @@ gradient of mu(g, b) = lambda(g, Hhat + db) in the e^{-f} dV_g pairing is
 
     ( -Ric - Hess f + H^2/4 ,  -(d* H + grad f . H) / 2 )
 
-which assemble_mu_gradient builds at (g, H) from a solved eigenpair. The
-package's main correctness oracle pairs it against mu_directional_derivative,
-a central difference of lambda whose two sides solve at the shifted metric
-and the field strength of the shifted potential.
+which assemble_mu_gradient returns at (g, H), from a solved eigenpair, as
+two fields. The package's main correctness oracle pairs it against
+mu_directional_derivative, a central difference of lambda whose two sides
+solve at the shifted metric and the field strength of the shifted potential.
+H enters every (g, H) entry point as a 3-form TensorField on g's grid, or
+None for zero; a bare array is refused.
 
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
     ScalarField, TensorField, gradient_values, require_same_grid,
-    stencil_symbol, weighted_inner)
+    stencil_symbol)
 from .geometry import (
     MetricField, codifferential_values, exterior_derivative_values,
     form_norm_sq_values, gradient_vector_values, h_squared_values,
@@ -101,9 +103,8 @@ class SchrodingerOperator:
     def __init__(self, g, H=None):
         self.g = g
         self.grid = g.grid
-        # (g, H) enter the eigensolver here, so H and the potential are
-        # validated; an overflow in |H|^2 is reported by that check, not by
-        # numpy
+        # the potential is validated here; an overflow in |H|^2 is reported
+        # by that check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             self.potential = ScalarField(
                 g.grid, _potential(g, _form_values(g, H))).values
@@ -235,12 +236,12 @@ class SpectralSolution:
 
 
 def _form_values(g, H):
-    """The packed array of a 3-form on g's grid, given as a TensorField or as
-    the array, or None for None; FieldError for anything else."""
+    """The packed array of a 3-form TensorField on g's grid, or None for
+    None; FieldError for anything else, a bare array too."""
     if H is None:
         return None
     if not isinstance(H, TensorField):
-        H = TensorField(g.grid, H, "antisymmetric")
+        raise FieldError(f"H must be a 3-form TensorField, not {type(H).__name__}")
     require_same_grid(g.grid, H)
     if (H.symmetry, H.rank) != ("antisymmetric", 3):
         raise FieldError(f"H must be a 3-form, got a {H.symmetry} field "
@@ -267,7 +268,11 @@ def _df_sq(g, f):
 
 
 def schrodinger_apply(g, H, u):
-    """One application of the Schrodinger operator to a scalar field."""
+    """One application of the Schrodinger operator to a ScalarField u on g's
+    grid; FieldError for anything else."""
+    if not isinstance(u, ScalarField):
+        raise FieldError(f"u must be a ScalarField, got {type(u).__name__}")
+    require_same_grid(g.grid, u)
     op = SchrodingerOperator(g, H)
     return ScalarField(g.grid, op.apply_values(u.values))
 
@@ -278,9 +283,9 @@ def lowest_eigenpair(g, H=None, w0=None):
     Parameters
     ----------
     g : MetricField
-    H : TensorField, ndarray or None
-        Closed 3-form on g's grid entering the potential, as a field or its
-        packed array; None means zero. Anything else raises FieldError.
+    H : TensorField or None
+        Closed 3-form field on g's grid entering the potential; None means
+        zero. Anything else, a bare array too, raises FieldError.
     w0 : ScalarField or ndarray, optional
         Start vector of the grid's shape, None for the constant. run_flow
         passes the line in t through the eigenfunctions of the last two
@@ -396,30 +401,15 @@ def field_strength_values(grid, b_values, hhat=None):
     return h if hhat is None else h + hhat.values
 
 
-@dataclass(frozen=True)
-class MuGradient:
-    """Gradient of mu in the L2(e^{-f} dV_g) pairing.
-
-    g_part = -Ric - Hess f + H^2/4 (symmetric 2-tensor),
-    b_part = -(d* H + grad f . H)/2 (2-form). Pairing a direction (h, beta)
-    against these with weight e^{-f} reproduces d/dt mu(g + t h, b + t beta).
-    """
-
-    g_part: TensorField
-    b_part: TensorField
-    solution: SpectralSolution
-
-    def pair(self, g, h, beta):
-        """Directional pairing <grad mu, (h, beta)> in L2(e^{-f} dV_g)."""
-        weight = ScalarField(g.grid, np.exp(-self.solution.f.values))
-        total = weighted_inner(self.g_part, h, g, weight)
-        total += weighted_inner(self.b_part, beta, g, weight)
-        return total
-
-
 def assemble_mu_gradient(g, H, sol):
-    """The gradient of mu at (g, H) from its solved eigenpair sol; H is a
-    3-form field or its packed array."""
+    """The gradient of mu at the 3-form field H and metric g, in the
+    L2(e^{-f} dV_g) pairing, from its solved eigenpair sol.
+
+    Returns the fields (g_part, b_part): g_part = -Ric - Hess f + H^2/4
+    (symmetric 2-tensor), b_part = -(d* H + grad f . H)/2 (2-form). Pairing
+    a direction (h, beta) against these with weight e^{-f} reproduces
+    d/dt mu(g + t h, b + t beta).
+    """
     h, f = _form_values(g, H), sol.f.values
     df = gradient_values(g.grid, f)  # shared by Hess f and grad f
     g_part_vals = (-ricci_values(g) - hessian_values(g, f, df)
@@ -427,11 +417,8 @@ def assemble_mu_gradient(g, H, sol):
     b_part_vals = -0.5 * (
         codifferential_values(g, h, 3)
         + interior_product_values(gradient_vector_values(g, f, df), h, 3))
-    return MuGradient(
-        g_part=TensorField(g.grid, g_part_vals, "symmetric2"),
-        b_part=TensorField(g.grid, b_part_vals, "antisymmetric"),
-        solution=sol,
-    )
+    return (TensorField(g.grid, g_part_vals, "symmetric2"),
+            TensorField(g.grid, b_part_vals, "antisymmetric"))
 
 
 def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
@@ -439,9 +426,17 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
 
     Each side solves lambda at the metric g +- eps h and the validated field
     strength d(b +- eps beta), with no background. w0, the eigenfunction
-    solved at (g, b), starts both side solves. b, h and beta must live on
-    g's grid, and eps must be positive and finite.
+    solved at (g, b), starts both side solves. h must be a symmetric
+    2-tensor (a TensorField or a MetricField) and b and beta 2-forms, all on
+    g's grid (FieldError), and eps must be positive and finite.
     """
+    for name, fld, sym in (("h", h, "symmetric2"), ("b", b, "antisymmetric"),
+                           ("beta", beta, "antisymmetric")):
+        kind = (("symmetric2", 2) if isinstance(fld, MetricField)
+                else (fld.symmetry, fld.rank) if isinstance(fld, TensorField)
+                else None)
+        if kind != (sym, 2):
+            raise FieldError(f"{name} must be a rank-2 {sym} field")
     require_same_grid(g.grid, b, h, beta)
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps must be positive and finite, got {eps!r}")
@@ -456,8 +451,8 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
 
 def critical_point_diagnostics(g, H, sol):
     """Every stationarity residual at (g, H) from its solved eigenpair sol,
-    as a dict of sup norms over components; H is a 3-form field or its
-    packed array. |H|^2_g is built once. The keys, in order:
+    as a dict of sup norms over components; H is a 3-form field. |H|^2_g
+    is built once. The keys, in order:
 
     mu_grad_g / mu_grad_b: the two parts of the gradient of mu, as
         assemble_mu_gradient builds them (the b part carries the 1/2).
@@ -471,10 +466,10 @@ def critical_point_diagnostics(g, H, sol):
     """
     h = _form_values(g, H)
     h_sq = form_norm_sq_values(g, h)
-    grad = assemble_mu_gradient(g, h, sol)
+    g_part, b_part = assemble_mu_gradient(g, H, sol)
     return {
-        "mu_grad_g": float(np.max(np.abs(grad.g_part.values))),
-        "mu_grad_b": float(np.max(np.abs(grad.b_part.values))),
+        "mu_grad_g": float(np.max(np.abs(g_part.values))),
+        "mu_grad_b": float(np.max(np.abs(b_part.values))),
         "ricci_vs_h2": float(np.max(np.abs(
             ricci_values(g) - 0.25 * h_squared_values(g, h)))),
         # an H of degree above n has no component: its sup is 0

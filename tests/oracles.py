@@ -518,7 +518,7 @@ def mu_rhs_reference(state):
     """(dg, db, solution) of the mu-gradient flow, one kernel per term, each
     taking the derivatives of f afresh."""
     g, H = state.g, state.field_strength().values
-    sol = lowest_eigenpair(g, H)
+    sol = lowest_eigenpair(g, state.field_strength())
     f = sol.f.values
     dg = (-ricci_values(g) - hessian_values(g, f)
           + 0.25 * h_squared_values(g, H))

@@ -27,7 +27,7 @@ from grflab import (
 from grflab.errors import (ConfigError, ConvergenceError, FieldError,
                            NonFiniteError, StepSizeError)
 from grflab.experiments import perturbed_state as canned_state
-from grflab import flow, spectrum
+from grflab import flow, geometry, spectrum
 from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
                          _remember, _warm_solve)
 from grflab.geometry import (deturck_vector_values, interior_product_values,
@@ -206,8 +206,7 @@ def test_mu_flow_monotone_over_short_run():
     # gap helper, so on one eigenpair they agree bit for bit
     final = traj.final
     sol = mu_gradient_flow_rhs(final)[2]
-    row = _diagnostics_row(final, final.field_strength().values, 0.0, 0.0,
-                           sol)
+    row = _diagnostics_row(final, 0.0, 0.0, sol)
     report = critical_point_diagnostics(final.g, final.field_strength(), sol)
     assert row["identity_gap"] == report["identity_gap"]
 
@@ -232,15 +231,15 @@ def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
     for module in (flow, spectrum):
         monkeypatch.setattr(module, "form_norm_sq_values", counting)
     for state in (mu_end, deturck_end):
-        h = state.field_strength().values
-        sol = lowest_eigenpair(state.g, h)
+        H = state.field_strength()
+        sol = lowest_eigenpair(state.g, H)
         built.clear()
-        row = _diagnostics_row(state, h, 0.01, 0.0, sol)
+        row = _diagnostics_row(state, 0.01, 0.0, sol)
         assert built == [(1,) + state.g.grid.shape]  # the one 3-form
-        assert row["F_value"] == _energy(state.g, _potential(state.g, h),
+        assert row["F_value"] == _energy(state.g, _potential(state.g, H.values),
                                          sol.f)
         assert row["identity_gap"] == critical_point_diagnostics(
-            state.g, h, sol)["identity_gap"]
+            state.g, H, sol)["identity_gap"]
 
 
 def test_predictor_reuses_extrapolates_and_interpolates():
@@ -269,12 +268,12 @@ def test_predictor_reuses_extrapolates_and_interpolates():
 
 def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
     state = perturbed_state(8, 0.05, seed=3)
-    h = state.field_strength().values
     history, totals = [], collections.Counter()
 
     def side_solve(s):
         # the side solve of run_flow: the eigenpair alone, looked up in flow
-        return lambda w0: (flow.lowest_eigenpair(s.g, h, w0=w0),)
+        return lambda w0: (flow.lowest_eigenpair(s.g, s.field_strength(),
+                                                 w0=w0),)
 
     sol, = _warm_solve(side_solve(state), state.time, history, totals)
     assert [t for t, _ in history] == [0.0]
@@ -578,3 +577,86 @@ def test_a_two_dimensional_state_runs_with_an_empty_field_strength():
     traj = run_flow(state, FlowConfig(gauge="deturck", t_max=0.02),
                     g_ref=g_ref)
     assert traj.records[-1]["H_l2"] == 0.0
+
+
+def test_flow_state_refuses_a_metric_or_form_that_is_no_field():
+    state = flat_state(8)
+    for g, b, hhat in ((state.g.values, state.b, None),
+                       (state.g, None, None),
+                       (state.g, state.b.values, None),
+                       (state.g, state.b, np.ones((1, 8, 8, 8)))):
+        with pytest.raises(FieldError, match="g must be a MetricField, b a "
+                                             "TensorField and hhat one or "
+                                             "None"):
+            FlowState(g, b, hhat)
+
+
+def test_deturck_rhs_refuses_a_reference_on_another_grid():
+    state = canned_state(resolution=8)
+    # the same values on other periods, and another resolution
+    same_shape = MetricField(Grid((8, 8, 8), periods=(1.0, 1.0, 1.0)),
+                             state.g.values)
+    finer = flat_metric(Grid((12, 12, 12)))
+    for g_ref in (same_shape, finer):
+        for call in (lambda: deturck_rhs(state, g_ref),
+                     lambda: step(state, "deturck", 1e-3, g_ref=g_ref),
+                     lambda: run_flow(state, FlowConfig(gauge="deturck"),
+                                      g_ref=g_ref)):
+            with pytest.raises(FieldError, match="different grids"):
+                call()
+
+
+@pytest.mark.parametrize("dt", [-1e-3, 0.0, float("nan"), float("inf")])
+def test_step_needs_a_positive_finite_dt(monkeypatch, dt):
+    state = canned_state(resolution=8)
+
+    def no_rhs(*args):
+        raise AssertionError("a stage ran before dt was checked")
+
+    monkeypatch.setitem(GAUGES, "grf", flow.Gauge(no_rhs))
+    with pytest.raises(ConfigError, match="dt must be positive and finite"):
+        step(state, "grf", dt)
+
+
+def test_a_mu_gradient_step_validates_each_states_field_strength_once(
+        monkeypatch):
+    state = canned_state(resolution=8, hhat_c=0.3)
+    built, states = [], []
+    validate, construct = TensorField.__post_init__, FlowState.__post_init__
+
+    def counting_field(self):
+        validate(self)
+        if (self.symmetry, self.rank) == ("antisymmetric", 3):
+            built.append(self)
+
+    def counting_state(self):
+        construct(self)
+        states.append(self)
+
+    monkeypatch.setattr(TensorField, "__post_init__", counting_field)
+    monkeypatch.setattr(FlowState, "__post_init__", counting_state)
+    step(state, "mu_gradient", 1e-3)
+    # three stage states and the result, one H each; the eigensolve and the
+    # gradient assembly of a stage build none
+    assert len(states) == 4
+    assert len(built) == 4
+    assert all(s.field_strength() is h for s, h in zip(states, built))
+
+
+@pytest.mark.parametrize("dims, expected", [(3, 0), (4, 1)])
+def test_a_recorded_row_takes_d_only_for_the_dh_column(monkeypatch, dims,
+                                                       expected):
+    # H is built with the state; only a 4D row takes dH, a 4-form
+    state = canned_state(resolution=8, dims=dims)
+    calls = []
+    kernel = flow.exterior_derivative_values
+
+    def counting(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    for module in (flow, spectrum, geometry):
+        monkeypatch.setattr(module, "exterior_derivative_values", counting)
+    traj = run_flow(state, FlowConfig(gauge="grf", stop_tol=np.inf))
+    assert len(traj.records) == 1
+    assert calls == [3] * expected

@@ -23,7 +23,7 @@ from grflab.experiments import perturbed_state
 from grflab.geometry import (
     codifferential_values, exterior_derivative_values, gradient_vector_values,
     h_squared_values, hessian_values, interior_product_values, ricci_values)
-from grflab.lattice import diff_values
+from grflab.lattice import diff_values, weighted_inner
 from grflab.spectrum import (
     SHIFT_MARGIN, _energy, _potential, assemble_mu_gradient,
     mu_directional_derivative, schrodinger_apply)
@@ -37,10 +37,18 @@ def constant_three_form(grid, c=1.0):
 
 
 def solved_gradient(g, b):
-    """The gradient of mu at (g, b): the eigenpair solved at H = db, then
-    assembled."""
+    """The gradient of mu at (g, b) as (g_part, b_part, eigenpair): the
+    eigenpair solved at H = db, then assembled."""
     H = FlowState(g, b).field_strength()
-    return assemble_mu_gradient(g, H, lowest_eigenpair(g, H))
+    sol = lowest_eigenpair(g, H)
+    return assemble_mu_gradient(g, H, sol) + (sol,)
+
+
+def gradient_pairing(g, g_part, b_part, sol, h, beta):
+    """<grad mu, (h, beta)> in L2(e^{-f} dV_g)."""
+    weight = ScalarField(g.grid, np.exp(-sol.f.values))
+    return (weighted_inner(g_part, h, g, weight)
+            + weighted_inner(b_part, beta, g, weight))
 
 
 def dense_lowest_eigenvalue(g, H=None):
@@ -151,9 +159,9 @@ def test_mu_gradient_vanishes_at_flat():
     grid = Grid((12, 12, 12))
     g = flat_metric(grid)
     b = TensorField(grid, np.zeros((3,) + grid.shape), "antisymmetric")
-    grad = solved_gradient(g, b)
-    assert np.max(np.abs(grad.g_part.values)) < 1e-12
-    assert np.max(np.abs(grad.b_part.values)) < 1e-12
+    g_part, b_part, _ = solved_gradient(g, b)
+    assert np.max(np.abs(g_part.values)) < 1e-12
+    assert np.max(np.abs(b_part.values)) < 1e-12
 
 
 def test_gradient_pairing_matches_finite_difference():
@@ -163,10 +171,9 @@ def test_gradient_pairing_matches_finite_difference():
     g = MetricField(grid, flat_metric(grid).values + h.values)
     h_dir = random_metric_perturbation(grid, 1.0, 77)
     b_dir = random_form_perturbation(grid, 1.0, 177)
-    grad = solved_gradient(g, b)
-    pair = grad.pair(g, h_dir, b_dir)
-    fd = mu_directional_derivative(g, b, h_dir, b_dir, grad.solution.w,
-                                   eps=1e-4)
+    g_part, b_part, sol = solved_gradient(g, b)
+    pair = gradient_pairing(g, g_part, b_part, sol, h_dir, b_dir)
+    fd = mu_directional_derivative(g, b, h_dir, b_dir, sol.w, eps=1e-4)
     assert abs(fd - pair) < 1e-5 * abs(fd)
 
 
@@ -196,9 +203,10 @@ def test_linearized_gradient_flat_sign_and_order():
         gm = MetricField(grid, gflat.values - eps * h.values)
         bp = TensorField(grid, eps * beta.values, "antisymmetric")
         bm = TensorField(grid, -eps * beta.values, "antisymmetric")
-        gr_p, gr_m = solved_gradient(gp, bp), solved_gradient(gm, bm)
-        dg = (gr_p.g_part.values - gr_m.g_part.values) / (2 * eps)
-        db = (gr_p.b_part.values - gr_m.b_part.values) / (2 * eps)
+        gp_p, bp_p, _ = solved_gradient(gp, bp)
+        gp_m, bp_m, _ = solved_gradient(gm, bm)
+        dg = (gp_p.values - gp_m.values) / (2 * eps)
+        db = (bp_p.values - bp_m.values) / (2 * eps)
         return dg, db
 
     gaps = []
@@ -262,11 +270,11 @@ def test_critical_point_diagnostics_report_the_mu_gradient():
     h = random_metric_perturbation(grid, 0.05, 3)
     b = random_form_perturbation(grid, 0.05, 1003)
     g = MetricField(grid, flat_metric(grid).values + h.values)
-    grad = solved_gradient(g, b)
+    g_part, b_part, sol = solved_gradient(g, b)
     report = critical_point_diagnostics(g, FlowState(g, b).field_strength(),
-                                        grad.solution)
-    assert report["mu_grad_g"] == np.max(np.abs(grad.g_part.values))
-    assert report["mu_grad_b"] == np.max(np.abs(grad.b_part.values))
+                                        sol)
+    assert report["mu_grad_g"] == np.max(np.abs(g_part.values))
+    assert report["mu_grad_b"] == np.max(np.abs(b_part.values))
     assert report["mu_grad_b"] > 0.0
 
 
@@ -401,10 +409,10 @@ def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
 
     monkeypatch.setattr(lattice, "diff_values", counting)
     monkeypatch.setattr(geometry, "diff_values", counting)
-    grad = assemble_mu_gradient(g, H, sol)
+    grad_g, grad_b = assemble_mu_gradient(g, H, sol)
     assert sum(calls) == g.grid.n_dims
-    assert np.array_equal(grad.g_part.values, g_part)
-    assert np.array_equal(grad.b_part.values, b_part)
+    assert np.array_equal(grad_g.values, g_part)
+    assert np.array_equal(grad_b.values, b_part)
 
 
 def test_cg_counts_an_exit_on_max_iter(monkeypatch):
@@ -473,3 +481,49 @@ def test_mu_directional_derivative_refuses_directions_on_another_grid():
                          (state.b, (h, far_b))):
         with pytest.raises(FieldError, match="different grids"):
             mu_directional_derivative(state.g, b, *direction, None)
+
+
+def test_every_spectral_entry_point_refuses_a_bare_array_h():
+    state = perturbed_state(resolution=8)
+    g, H = state.g, state.field_strength()
+    sol = lowest_eigenpair(g, H)
+    u = ScalarField(g.grid, np.ones(g.grid.shape))
+    for call in (lambda h: SchrodingerOperator(g, h),
+                 lambda h: schrodinger_apply(g, h, u),
+                 lambda h: lowest_eigenpair(g, h),
+                 lambda h: f_equation_residual(g, h, sol),
+                 lambda h: assemble_mu_gradient(g, h, sol),
+                 lambda h: critical_point_diagnostics(g, h, sol)):
+        call(H)
+        with pytest.raises(FieldError, match="H must be a 3-form TensorField"):
+            call(H.values)
+
+
+def test_schrodinger_apply_refuses_a_u_that_is_no_scalar_field_on_the_grid():
+    state = perturbed_state(resolution=8)
+    g, H = state.g, state.field_strength()
+    other = Grid((8, 8, 8), periods=(1.0, 1.0, 1.0))
+    ones = np.ones(g.grid.shape)
+    with pytest.raises(FieldError, match="different grids"):
+        schrodinger_apply(g, H, ScalarField(other, ones))
+    for u in (ones, state.b):
+        with pytest.raises(FieldError, match="u must be a ScalarField"):
+            schrodinger_apply(g, H, u)
+
+
+def test_mu_directional_derivative_refuses_directions_of_the_wrong_kind(
+        monkeypatch):
+    state = perturbed_state(resolution=8)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the directions were checked")
+
+    monkeypatch.setattr(spectrum, "lowest_eigenpair", no_solve)
+    g, b = state.g, state.b
+    h = TensorField(g.grid, g.values, "symmetric2")
+    for args, name in (((b, b, b), "h"), ((b, b.values, b), "h"),
+                       ((h, h, b), "b"), ((b.values, h, b), "b"),
+                       ((b, h, h), "beta"), ((b, h, state.field_strength()),
+                                             "beta")):
+        with pytest.raises(FieldError, match=f"^{name} must be a rank-2"):
+            mu_directional_derivative(g, *args, None)
