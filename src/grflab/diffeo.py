@@ -18,6 +18,7 @@ n(n+1)/2 for a symmetric 2-tensor and C(n, k) for a k-form. Its Jacobian
 contraction is the one place full storage appears: each packed output
 component sums over every full index tuple of the interpolated field.
 
+Maps step through flow's RK4, a step's recorded stages its slopes in order.
 The package needs numpy alone; scipy.ndimage's map_coordinates is the tests'
 independent oracle for these splines.
 """
@@ -35,10 +36,11 @@ from .lattice import (
     expand_form,
     gradient_values,
     increasing_tuples,
-    require_same_grid,
+    require_field,
     symmetric_pairs,
 )
 from .geometry import MetricField
+from .flow import _rk4
 
 _MIN_JACOBIAN = 0.1
 
@@ -119,10 +121,6 @@ def displacement_jacobian(grid, u_values):
     return np.swapaxes(gradient_values(grid, u_values), 0, 1) + eye
 
 
-def _is_vector(fld):
-    return isinstance(fld, TensorField) and fld.symmetry == "vector"
-
-
 def _check_jacobian(jac):
     if not np.all(np.isfinite(jac)):
         raise JacobianError("map is not finite")
@@ -137,8 +135,9 @@ def diffeo_flow(x_series, grid):
 
     x_series is the gauge_series of a Trajectory: one (t, dt, stages) entry
     per accepted step, stages holding the gauge vector at the four
-    Runge-Kutta stage states. Reusing the stages keeps the map integration at
-    the integrator's order instead of degrading through time interpolation.
+    Runge-Kutta stage states, which flow's RK4 step takes as its slopes in
+    order: the map integration keeps the integrator's order instead of
+    degrading through time interpolation.
 
     Returns the displacement of the final map, the identity's (zero) for an
     empty series. Raises FieldError if a stage is not a vector field on grid,
@@ -146,20 +145,16 @@ def diffeo_flow(x_series, grid):
     diffeomorphism guard det J > 0.1.
     """
     u = np.zeros((grid.n_dims,) + grid.shape)
-
-    def stage_velocity(x_field, u_now):
-        return -_interpolate(x_field.values, _index_coordinates(grid, u_now))
-
     for _, dt, stages in x_series:
-        if not all(_is_vector(x) for x in stages):
-            raise FieldError("gauge stages must be vector fields")
-        require_same_grid(grid, *stages)
-        x1, x2, x3, x4 = stages
-        l1 = stage_velocity(x1, u)
-        l2 = stage_velocity(x2, u + 0.5 * dt * l1)
-        l3 = stage_velocity(x3, u + 0.5 * dt * l2)
-        l4 = stage_velocity(x4, u + dt * l3)
-        u = u + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        for x in stages:
+            require_field("gauge stage", x, grid, "vector", 1)
+        pending = iter(stages)
+
+        def slope(u_now):
+            x = next(pending).values
+            return (-_interpolate(x, _index_coordinates(grid, u_now)),), None
+
+        u = _rk4(u, dt, slope, lambda y, h, k: y + h * k[0][0], slope(u))[0]
         _check_jacobian(displacement_jacobian(grid, u))
     return TensorField(grid, u, "vector")
 
@@ -175,28 +170,24 @@ def pullback(displacement, fld):
     (returned as a MetricField) on the displacement's grid; contravariant
     fields are rejected since they push forward, not back.
     """
-    if not _is_vector(displacement):
-        raise FieldError("displacement must be a vector field")
-    grid = displacement.grid
-    require_same_grid(grid, fld)
+    grid = fld.grid
+    require_field("displacement", displacement, grid, "vector", 1)
+    if fld.symmetry == "vector":
+        raise FieldError("cannot pull back a contravariant field")
     u = displacement.values
     jac = displacement_jacobian(grid, u)
     _check_jacobian(jac)
     coords_index = _index_coordinates(grid, u)
 
-    if isinstance(fld, ScalarField):
+    if fld.symmetry == "scalar":
         return ScalarField(grid, _interpolate(fld.values[None], coords_index)[0])
-    is_metric = isinstance(fld, MetricField)
-    symmetry = "symmetric2" if is_metric else fld.symmetry
-    if symmetry == "vector":
-        raise FieldError("cannot pull back a contravariant field")
     if not len(fld.values):  # a form of degree above n is 0
         return fld
 
-    n, rank = grid.n_dims, 2 if is_metric else fld.rank
+    n, rank = grid.n_dims, fld.rank
     moved = _interpolate(fld.values, coords_index)
     # the index tuples of the packed components, and the full storage
-    if symmetry == "symmetric2":
+    if fld.symmetry == "symmetric2":
         i, j, table = symmetric_pairs(n)
         tuples, full = tuple(zip(i, j)), moved[table]
     else:
@@ -211,6 +202,6 @@ def pullback(displacement, fld):
                 term = term * jac[a, i]
             comps[p] = comps[p] + term
     out = np.stack(comps)
-    if is_metric:
+    if isinstance(fld, MetricField):
         return MetricField(grid, out)
-    return TensorField(grid, out, symmetry)
+    return TensorField(grid, out, fld.symmetry)

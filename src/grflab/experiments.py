@@ -45,6 +45,10 @@ from .homogeneous import (
     su2_algebra,
 )
 
+# monotonicity_run's certificate: the largest drop of lambda, its end gap
+LAMBDA_STEP_TOL = 1e-8
+LAMBDA_END_TOL = 1e-7
+
 _ALGEBRAS = {
     "su2": su2_algebra,
     "heisenberg": heisenberg_algebra,
@@ -241,13 +245,12 @@ def stability_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
 
 def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
                      hhat_c=0.0, stop_tol=1e-4, t_max=15.0, cfl=0.1,
-                     record_every=1, lambda_step_tol=1e-8,
-                     lambda_end_tol=1e-7, dims=3):
+                     record_every=1, dims=3):
     """One gradient-gauge run; the eigenvalue must climb to zero.
 
     The per-sample monotonicity certificate allows lambda to drop by at most
-    lambda_step_tol between records, and the endpoint must sit within
-    lambda_end_tol of the critical value zero, from below.
+    LAMBDA_STEP_TOL between records, and the endpoint must sit within
+    LAMBDA_END_TOL of the critical value zero, from below.
     """
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, hhat_c=hhat_c,
@@ -264,13 +267,13 @@ def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
     summary.update({
         "lambda_start": float(lams[0]) if len(lams) else float("nan"),
         "worst_lambda_drop": worst_drop,
-        "monotone": bool(worst_drop >= -lambda_step_tol),
+        "monotone": bool(worst_drop >= -LAMBDA_STEP_TOL),
         "all_negative": bool(len(lams) and np.all(lams < 0.0)),
         "passed": bool(
             traj.verdict == "CONVERGED"
-            and worst_drop >= -lambda_step_tol
+            and worst_drop >= -LAMBDA_STEP_TOL
             and np.all(lams < 0.0)
-            and abs(lams[-1]) < lambda_end_tol),
+            and abs(lams[-1]) < LAMBDA_END_TOL),
     })
     return traj, summary
 
@@ -332,15 +335,14 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
     }
 
 
-def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, newton_tol=1e-12,
-                       flow_t_max=0.0, flow_dt=0.002):
+def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, flow_t_max=0.0):
     """Stationary-point search and identity checks on a 3D group.
 
     Starts slightly off the expected stationary set (metric scale bumped by
     ten percent) so the Newton search does real work, then evaluates the
     stationarity identities at the landing point. A nonzero flow_t_max
-    appends a short invariant-flow integration from the starting data; it
-    must be positive and finite.
+    appends a short invariant-flow integration from the starting data, at
+    dt = 0.002; it must be positive and finite.
     """
     if algebra not in _ALGEBRAS:
         raise ConfigError(
@@ -354,7 +356,7 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, newton_tol=1e-12,
         "start_residual": stationarity_residual(data0),
     }
     try:
-        stat = find_stationary(data0, tol=newton_tol)
+        stat = find_stationary(data0)
     except ConvergenceError as exc:
         out.update({"stationary_found": False, "failure": str(exc)})
         stat = None
@@ -372,7 +374,7 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, newton_tol=1e-12,
             "scalar_gap": abs(r - norm_sq / 12.0),
         })
     if flow_t_max != 0.0:
-        records, final = invariant_flow(data0, t_max=flow_t_max, dt=flow_dt)
+        records, final = invariant_flow(data0, t_max=flow_t_max, dt=0.002)
         out["flow"] = {
             "t_end": records[-1]["t"],
             "n_records": len(records),

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, FieldError,
                      NonFiniteError, PositivityError, StepSizeError)
-from .lattice import ScalarField, TensorField, require_same_grid, weighted_inner
+from .lattice import ScalarField, TensorField, require_field, weighted_inner
 from .geometry import (
     MetricField, codifferential_values, deturck_vector_values,
     exterior_derivative_values, form_norm_sq_values, h_squared_values,
@@ -81,17 +81,12 @@ class FlowState:
     time: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.g, MetricField)
-                and isinstance(self.b, TensorField)
-                and isinstance(self.hhat, (TensorField, type(None)))):
-            raise FieldError("g must be a MetricField, b a TensorField and "
-                             "hhat one or None")
-        require_same_grid(self.g.grid, self.b, self.hhat)
-        for name, degree in (("b", 2), ("hhat", 3)):
-            fld = getattr(self, name)
-            if fld is not None and (fld.symmetry, fld.rank) != (
-                    "antisymmetric", degree):
-                raise FieldError(f"{name} must be a {degree}-form")
+        # a plain symmetric 2-tensor lacks the metric's cached inverse
+        if not isinstance(self.g, MetricField):
+            raise FieldError("g must be a MetricField")
+        require_field("b", self.b, self.g.grid, "antisymmetric", 2)
+        if self.hhat is not None:
+            require_field("hhat", self.hhat, self.g.grid, "antisymmetric", 3)
         object.__setattr__(self, "_h", TensorField(
             self.g.grid, field_strength_values(self.g.grid, self.b.values,
                                                self.hhat), "antisymmetric"))
@@ -193,7 +188,7 @@ def deturck_rhs(state, g_ref):
     if g_ref is None:
         raise ConfigError("the deturck gauge needs a reference metric")
     g, h = state.g, state.field_strength().values
-    require_same_grid(g.grid, g_ref)
+    require_field("g_ref", g_ref, g.grid, "symmetric2", 2)
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
     dg, db = _grf_values(g, h)
     dg = dg + lie_derivative_metric_values(g, x.values)
@@ -377,7 +372,7 @@ def _diagnostics_row(state, dt, rhs_l2, sol):
         "H_l2": math.sqrt(max(h_l2_sq, 0.0)),
         "ricci_linf": float(np.max(np.abs(ricci_values(g)))),
         "dH_linf": dh_linf,
-        "F_value": (_energy(g, _potential(g, h_sq=h_sq), sol.f)
+        "F_value": (_energy(g, _potential(g, h_sq), sol.f)
                     if sol is not None else nan),
         "rhs_l2": rhs_l2,
         "identity_gap": (_identity_gap(g, h_sq, sol)

@@ -72,8 +72,11 @@ class MetricField:
     (n(n+1)/2,) + grid shape in symmetric_pairs order, read-only. _inv_full
     is g^-1 gathered once into its full (n, n) + grid matrix, read-only,
     whose planes the kernels' index sums contract. g^-1 and sqrt_det_values
-    come from the cofactors of g (_inverse_and_det).
+    come from the cofactors of g (_inverse_and_det). Its kind is a
+    symmetric 2-tensor's, so it passes require_field wherever one is asked.
     """
+
+    symmetry, rank = "symmetric2", 2
 
     def __init__(self, grid, values):
         self.grid = grid

@@ -23,7 +23,8 @@ from .errors import ConvergenceError, FieldError, PositivityError
 from .flow import _rk4_with_retries
 
 _JACOBI_TOL = 1e-12
-# Newton steps find_stationary takes before it gives up
+# find_stationary's sup residual goal and its Newton step budget
+NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 _EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -228,9 +229,9 @@ def _unpack(x):
     return g, float(x[6])
 
 
-def find_stationary(data0, tol=1e-12):
-    """Newton iteration onto the stationary set Ric = H^2/4, in at most
-    NEWTON_MAX_ITER steps.
+def find_stationary(data0):
+    """Newton iteration onto the stationary set Ric = H^2/4, to a sup
+    residual below NEWTON_TOL in at most NEWTON_MAX_ITER steps.
 
     The system has 6 equations in the 7 unknowns (g, h3); the least-squares
     Newton step handles the underdetermined Jacobian and lands on the nearby
@@ -254,7 +255,7 @@ def find_stationary(data0, tol=1e-12):
     x = _pack(np.array(data0.g), data0.h3)
     res = residual(x)
     for _ in range(NEWTON_MAX_ITER):
-        if float(np.max(np.abs(res))) < tol:
+        if float(np.max(np.abs(res))) < NEWTON_TOL:
             g, h3 = _unpack(x)
             return LieData(data0.c, g, h3)
         jac = np.zeros((6, 7))
@@ -276,7 +277,7 @@ def find_stationary(data0, tol=1e-12):
         x = x + step * delta
         res = residual(x)
     raise ConvergenceError(
-        f"stationary-point search did not reach {tol:.1e}; "
+        f"stationary-point search did not reach {NEWTON_TOL:.1e}; "
         f"residual {float(np.max(np.abs(res))):.3e}")
 
 

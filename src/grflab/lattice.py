@@ -17,6 +17,10 @@ is never checked; a form's degree is read off its component count, which is
 unique for degrees 2 .. n + 1. Kernels compose raw arrays in the same layout;
 ScalarField and TensorField validate data where it enters or leaves the
 system, not every intermediate array.
+Every field carries its kind (symmetry, rank): ("scalar", 0), ("vector", 1),
+("symmetric2", 2), a MetricField's too, or ("antisymmetric", k). require_field,
+the one guard of an argument, raises FieldError naming it when its kind or
+grid is wrong, a bare array included.
 """
 
 from __future__ import annotations
@@ -116,12 +120,12 @@ def _lock(values):
     return arr
 
 
-def _peak(values, what):
-    """max |values| in two passes; NaN or inf shows in max or min and raises."""
-    hi, lo = values.max(), values.min()
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+def _require_finite(values, what):
+    """NonFiniteError unless every entry is finite: NaN or inf shows in the
+    max or the min of a non-empty array."""
+    if values.size and not (math.isfinite(values.max())
+                            and math.isfinite(values.min())):
         raise NonFiniteError(f"{what} contains non-finite entries")
-    return max(hi, -lo)
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,7 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
+    symmetry, rank = "scalar", 0
 
     def __post_init__(self):
         arr = _lock(self.values)
@@ -137,15 +142,27 @@ class ScalarField:
             raise FieldError(
                 f"scalar field shape {arr.shape} does not match grid {self.grid.shape}"
             )
-        _peak(arr, "scalar field")
+        _require_finite(arr, "scalar field")
         object.__setattr__(self, "values", arr)
 
 
-def require_same_grid(grid, *fields):
-    """FieldError unless every field given (None skipped) lives on grid."""
-    for fld in fields:
-        if fld is not None and fld.grid is not grid and fld.grid != grid:
-            raise FieldError("fields live on different grids")
+def _kind_name(symmetry, rank):
+    return {"scalar": "scalar field", "vector": "vector field",
+            "symmetric2": "symmetric 2-tensor"}.get(symmetry, f"{rank}-form")
+
+
+def require_field(name, fld, grid, symmetry, rank):
+    """FieldError naming the argument unless fld is a field of the kind
+    (symmetry, rank) on grid; anything without a kind, a bare array too, is
+    refused."""
+    kind = (getattr(fld, "symmetry", None), getattr(fld, "rank", None))
+    if kind != (symmetry, rank):
+        got = f"a {_kind_name(*kind)}" if kind[0] else type(fld).__name__
+        raise FieldError(f"{name} must be a {_kind_name(symmetry, rank)}, "
+                         f"not {got}")
+    if fld.grid is not grid and fld.grid != grid:
+        raise FieldError(f"{name} and the other fields live on different "
+                         f"grids")
 
 
 def form_degree(n, count):
@@ -191,8 +208,7 @@ class TensorField:
             if len(arr) != (n if rank == 1 else n * (n + 1) // 2):
                 raise FieldError(f"{len(arr)} components do not make a "
                                  f"{self.symmetry} field on {n} axes")
-        if arr.size:
-            _peak(arr, "tensor field")
+        _require_finite(arr, "tensor field")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "rank", rank)
 
@@ -369,9 +385,9 @@ def weighted_inner(a, b, g, weight=None):
 
     Parameters
     ----------
-    a, b : ScalarField or TensorField
-        Same grid, same symmetry tag and shape; paired by
-        pointwise_inner_values (full contraction).
+    a, b : fields
+        b of a's kind and grid; paired by pointwise_inner_values (full
+        contraction).
     g : MetricField
         Supplies the pointwise pairing and the volume density; on a's grid.
     weight : ScalarField, optional
@@ -380,13 +396,11 @@ def weighted_inner(a, b, g, weight=None):
     The reduction is a single numpy pairwise sum in grid storage order, so
     results are reproducible bit-for-bit between runs.
     """
-    require_same_grid(a.grid, b, g, weight)
-    sym, sym_b = ("scalar" if isinstance(f, ScalarField) else f.symmetry
-                  for f in (a, b))
-    if sym != sym_b or a.values.shape != b.values.shape:
-        raise FieldError("inner product needs two fields of one symmetry "
-                         "and shape")
-    density = pointwise_inner_values(a.values, b.values, sym, g)
+    require_field("b", b, a.grid, a.symmetry, a.rank)
+    require_field("g", g, a.grid, "symmetric2", 2)
+    if weight is not None:
+        require_field("weight", weight, a.grid, "scalar", 0)
+    density = pointwise_inner_values(a.values, b.values, a.symmetry, g)
     density = density * g.sqrt_det_values
     if weight is not None:
         density = density * weight.values

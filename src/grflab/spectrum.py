@@ -17,7 +17,8 @@ two fields. The package's main correctness oracle pairs it against
 mu_directional_derivative, a central difference of lambda whose two sides
 solve at the shifted metric and the field strength of the shifted potential.
 H enters every (g, H) entry point as a 3-form TensorField on g's grid, or
-None for zero; a bare array is refused.
+None for zero, which _form_values turns into the zero 3-form's array once,
+so that every entry point sees an array; a bare array is refused.
 
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
@@ -36,8 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
-    ScalarField, TensorField, gradient_values, require_same_grid,
-    stencil_symbol)
+    ScalarField, TensorField, gradient_values, require_field, stencil_symbol)
 from .geometry import (
     MetricField, codifferential_values, exterior_derivative_values,
     form_norm_sq_values, gradient_vector_values, h_squared_values,
@@ -106,8 +106,8 @@ class SchrodingerOperator:
         # the potential is validated here; an overflow in |H|^2 is reported
         # by that check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            self.potential = ScalarField(
-                g.grid, _potential(g, _form_values(g, H))).values
+            self.potential = ScalarField(g.grid, _potential(
+                g, form_norm_sq_values(g, _form_values(g, H)))).values
         # The first-derivative stencil annihilates the Nyquist mode on every
         # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
@@ -236,29 +236,18 @@ class SpectralSolution:
 
 
 def _form_values(g, H):
-    """The packed array of a 3-form TensorField on g's grid, or None for
-    None; FieldError for anything else, a bare array too."""
+    """The packed array of a 3-form field H on g's grid, the zero 3-form's
+    when H is None; FieldError for anything else, a bare array too."""
     if H is None:
-        return None
-    if not isinstance(H, TensorField):
-        raise FieldError(f"H must be a 3-form TensorField, not {type(H).__name__}")
-    require_same_grid(g.grid, H)
-    if (H.symmetry, H.rank) != ("antisymmetric", 3):
-        raise FieldError(f"H must be a 3-form, got a {H.symmetry} field "
-                         f"of rank {H.rank}")
+        return np.zeros((math.comb(g.grid.n_dims, 3),) + g.grid.shape)
+    require_field("H", H, g.grid, "antisymmetric", 3)
     return H.values
 
 
-def _potential(g, h=None, h_sq=None):
-    """The raw Schrodinger potential R - |H|^2/12 of a packed 3-form array h
-    (R alone when h is None). h_sq, when given, is the pointwise |H|^2_g
-    already built; h is then not needed."""
-    r = scalar_curvature_values(g)
-    if h_sq is None and h is not None:
-        h_sq = form_norm_sq_values(g, h)
-    if h_sq is not None:
-        r = r - h_sq / 12.0
-    return r
+def _potential(g, h_sq):
+    """The raw Schrodinger potential R - |H|^2/12 from the pointwise |H|^2_g
+    already built."""
+    return scalar_curvature_values(g) - h_sq / 12.0
 
 
 def _df_sq(g, f):
@@ -270,9 +259,7 @@ def _df_sq(g, f):
 def schrodinger_apply(g, H, u):
     """One application of the Schrodinger operator to a ScalarField u on g's
     grid; FieldError for anything else."""
-    if not isinstance(u, ScalarField):
-        raise FieldError(f"u must be a ScalarField, got {type(u).__name__}")
-    require_same_grid(g.grid, u)
+    require_field("u", u, g.grid, "scalar", 0)
     op = SchrodingerOperator(g, H)
     return ScalarField(g.grid, op.apply_values(u.values))
 
@@ -308,7 +295,7 @@ def lowest_eigenpair(g, H=None, w0=None):
     if w0 is None:
         w = np.ones(g.grid.shape)
     else:
-        w = np.array(w0.values if isinstance(w0, ScalarField) else w0, dtype=float)
+        w = np.array(getattr(w0, "values", w0), dtype=float)
         if w.shape != g.grid.shape:
             raise FieldError(f"initial vector for the eigensolver has shape "
                              f"{w.shape}, the grid {g.grid.shape}")
@@ -371,7 +358,8 @@ def f_equation_residual(g, H, sol):
     only solver-small when f is constant.
     """
     f_eq = (2.0 * laplacian_values(g, sol.f.values) - _df_sq(g, sol.f)
-            + _potential(g, _form_values(g, H)) - sol.lam)
+            + _potential(g, form_norm_sq_values(g, _form_values(g, H)))
+            - sol.lam)
     return float(np.max(np.abs(f_eq)))
 
 
@@ -402,8 +390,8 @@ def field_strength_values(grid, b_values, hhat=None):
 
 
 def assemble_mu_gradient(g, H, sol):
-    """The gradient of mu at the 3-form field H and metric g, in the
-    L2(e^{-f} dV_g) pairing, from its solved eigenpair sol.
+    """The gradient of mu at the 3-form field H (None for zero) and metric
+    g, in the L2(e^{-f} dV_g) pairing, from its solved eigenpair sol.
 
     Returns the fields (g_part, b_part): g_part = -Ric - Hess f + H^2/4
     (symmetric 2-tensor), b_part = -(d* H + grad f . H)/2 (2-form). Pairing
@@ -427,17 +415,12 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
     Each side solves lambda at the metric g +- eps h and the validated field
     strength d(b +- eps beta), with no background. w0, the eigenfunction
     solved at (g, b), starts both side solves. h must be a symmetric
-    2-tensor (a TensorField or a MetricField) and b and beta 2-forms, all on
-    g's grid (FieldError), and eps must be positive and finite.
+    2-tensor (a MetricField is one) and b and beta 2-forms, all on g's grid
+    (FieldError), and eps must be positive and finite.
     """
     for name, fld, sym in (("h", h, "symmetric2"), ("b", b, "antisymmetric"),
                            ("beta", beta, "antisymmetric")):
-        kind = (("symmetric2", 2) if isinstance(fld, MetricField)
-                else (fld.symmetry, fld.rank) if isinstance(fld, TensorField)
-                else None)
-        if kind != (sym, 2):
-            raise FieldError(f"{name} must be a rank-2 {sym} field")
-    require_same_grid(g.grid, b, h, beta)
+        require_field(name, fld, g.grid, sym, 2)
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps must be positive and finite, got {eps!r}")
     values = []
@@ -451,8 +434,8 @@ def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):
 
 def critical_point_diagnostics(g, H, sol):
     """Every stationarity residual at (g, H) from its solved eigenpair sol,
-    as a dict of sup norms over components; H is a 3-form field. |H|^2_g
-    is built once. The keys, in order:
+    as a dict of sup norms over components; H is a 3-form field or None.
+    |H|^2_g is built once. The keys, in order:
 
     mu_grad_g / mu_grad_b: the two parts of the gradient of mu, as
         assemble_mu_gradient builds them (the b part carries the 1/2).
@@ -475,6 +458,6 @@ def critical_point_diagnostics(g, H, sol):
         # an H of degree above n has no component: its sup is 0
         "hodge_h": float(np.max(np.abs(hodge_laplacian_values(g, h, 3)),
                                 initial=0.0)),
-        "scalar_gap": float(np.max(np.abs(_potential(g, h_sq=h_sq)))),
+        "scalar_gap": float(np.max(np.abs(_potential(g, h_sq)))),
         "identity_gap": _identity_gap(g, h_sq, sol),
     }

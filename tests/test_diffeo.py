@@ -128,7 +128,7 @@ def test_diffeo_flow_rejects_stages_that_are_not_vectors_on_its_grid(grid):
     elsewhere = constant_vector(other, (0.1, 0.0, 0.0))
     two_form = TensorField(grid, x.values, "antisymmetric")
     for stage, match in ((elsewhere, "different grids"),
-                         (two_form, "vector fields")):
+                         (two_form, "^gauge stage must be a vector field")):
         series = [(0.0, 0.1, [x, x, stage, x])]
         with pytest.raises(FieldError, match=match):
             diffeo_flow(series, grid)

@@ -140,6 +140,19 @@ def test_homogeneous_report_flow_and_stationary_search(algebra):
         assert "ricci_vs_quarter_h2" not in report
 
 
+def test_homogeneous_report_lands_on_the_round_su2_family_from_any_start():
+    # the su2 stationary set holds the round metrics c I with |h3| = c; the
+    # search starts from 1.1 scale I at h3 and lands on one of them
+    report = homogeneous_report(algebra="su2", scale=2.0, h3=1.7)
+    assert (report["scale"], report["h3_start"]) == (2.0, 1.7)
+    assert report["stationary_found"] is True
+    assert report["residual"] < 1e-12
+    assert report["g_offdiag_sup"] < 1e-8
+    c = report["g_diag"][0]
+    assert max(abs(d - c) for d in report["g_diag"]) < 1e-8
+    assert abs(abs(report["h3"]) - c) < 1e-8
+
+
 ENDPOINT_FIELDS = ("t_end", "lambda_end", "ricci_linf_end", "H_l2_end",
                    "rhs_l2_end", "dH_linf_max", "identity_gap_final_decade")
 

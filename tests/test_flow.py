@@ -236,7 +236,8 @@ def test_diagnostics_row_builds_h_norm_once_and_matches_public_helpers(
         built.clear()
         row = _diagnostics_row(state, 0.01, 0.0, sol)
         assert built == [(1,) + state.g.grid.shape]  # the one 3-form
-        assert row["F_value"] == _energy(state.g, _potential(state.g, H.values),
+        h_sq = kernel(state.g, H.values)
+        assert row["F_value"] == _energy(state.g, _potential(state.g, h_sq),
                                          sol.f)
         assert row["identity_gap"] == critical_point_diagnostics(
             state.g, H, sol)["identity_gap"]
@@ -581,13 +582,16 @@ def test_a_two_dimensional_state_runs_with_an_empty_field_strength():
 
 def test_flow_state_refuses_a_metric_or_form_that_is_no_field():
     state = flat_state(8)
-    for g, b, hhat in ((state.g.values, state.b, None),
-                       (state.g, None, None),
-                       (state.g, state.b.values, None),
-                       (state.g, state.b, np.ones((1, 8, 8, 8)))):
-        with pytest.raises(FieldError, match="g must be a MetricField, b a "
-                                             "TensorField and hhat one or "
-                                             "None"):
+    # a symmetric 2-tensor is no metric: it lacks the cached inverse
+    tensor = TensorField(state.g.grid, state.g.values, "symmetric2")
+    for g, b, hhat, match in (
+            (state.g.values, state.b, None, "^g must be a MetricField"),
+            (tensor, state.b, None, "^g must be a MetricField"),
+            (state.g, None, None, "^b must be a 2-form, not NoneType"),
+            (state.g, state.b.values, None, "^b must be a 2-form, not ndarray"),
+            (state.g, state.b, np.ones((1, 8, 8, 8)),
+             "^hhat must be a 3-form, not ndarray")):
+        with pytest.raises(FieldError, match=match):
             FlowState(g, b, hhat)
 
 

@@ -191,8 +191,10 @@ def test_weighted_inner_rejects_mixed_variance():
     vals[0] = 1.0
     x = TensorField(grid, vals, "vector")
     a = TensorField(grid, vals, "antisymmetric")
-    for first, second in ((x, a), (a, x)):
-        with pytest.raises(FieldError, match="one symmetry"):
+    for first, second, match in (
+            (x, a, "^b must be a vector field, not a 2-form"),
+            (a, x, "^b must be a 2-form, not a vector field")):
+        with pytest.raises(FieldError, match=match):
             weighted_inner(first, second, g)
 
 

@@ -7,8 +7,10 @@ import collections
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -200,3 +202,31 @@ def test_no_einsum_in_src_is_planned():
                           for kw in node.keywords)):
                 planned.append(f"{path.name}:{node.lineno} einsum(optimize)")
     assert not planned, "planned einsums: " + ", ".join(planned)
+
+
+def _workflow_python():
+    """The Python sources the CI workflow runs: its heredoc scripts and its
+    `python -c` strings."""
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    sources = [textwrap.dedent(body) for body in
+               re.findall(r"<<'EOF'\n(.*?)\n\s*EOF\n", text, re.S)]
+    return sources + re.findall(r'python[^"\n]* -c "([^"]*)"', text)
+
+
+def test_every_pipeline_parameter_is_passed_by_name_somewhere():
+    # a pipeline default that no caller in src/, perfbench/, the tests or
+    # the CI workflow ever sets by keyword is a constant, not an option. A
+    # keyword of the parameter's name in any call counts, since the
+    # workloads hand their parameters over in dicts
+    sources = [path.read_text() for path in
+               sorted((ROOT / "src" / "grflab").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py"))
+               + sorted((ROOT / "perfbench" / "tests").glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py"))]
+    passed = {node.arg for source in sources + _workflow_python()
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.keyword)}
+    unset = [f"{qual}({param})" for qual, param, _ in _defaulted_parameters(
+                 ROOT / "src" / "grflab" / "experiments.py")
+             if param not in passed]
+    assert not unset, "never passed by name: " + ", ".join(unset)
