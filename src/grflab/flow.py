@@ -47,8 +47,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceError, FieldError,
-                     NonFiniteError, PositivityError, StepSizeError)
+from .errors import (ConfigError, ConvergenceError, NonFiniteError,
+                     PositivityError, StepSizeError)
 from .lattice import ScalarField, TensorField, require_field, weighted_inner
 from .geometry import (
     MetricField, codifferential_values, deturck_vector_values,
@@ -81,9 +81,7 @@ class FlowState:
     time: float = 0.0
 
     def __post_init__(self):
-        # a plain symmetric 2-tensor lacks the metric's cached inverse
-        if not isinstance(self.g, MetricField):
-            raise FieldError("g must be a MetricField")
+        require_field("g", self.g, None, "metric", 2)
         require_field("b", self.b, self.g.grid, "antisymmetric", 2)
         if self.hhat is not None:
             require_field("hhat", self.hhat, self.g.grid, "antisymmetric", 3)
@@ -183,12 +181,12 @@ def deturck_rhs(state, g_ref):
 
     The metric equation gains Lie_X g and the potential equation the
     contraction X . H, whose exterior derivative reproduces Lie_X H on
-    closed H. g_ref must live on the state's grid.
+    closed H. g_ref must be a MetricField on the state's grid.
     """
     if g_ref is None:
         raise ConfigError("the deturck gauge needs a reference metric")
     g, h = state.g, state.field_strength().values
-    require_field("g_ref", g_ref, g.grid, "symmetric2", 2)
+    require_field("g_ref", g_ref, g.grid, "metric", 2)
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
     dg, db = _grf_values(g, h)
     dg = dg + lie_derivative_metric_values(g, x.values)

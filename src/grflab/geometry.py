@@ -73,10 +73,11 @@ class MetricField:
     is g^-1 gathered once into its full (n, n) + grid matrix, read-only,
     whose planes the kernels' index sums contract. g^-1 and sqrt_det_values
     come from the cofactors of g (_inverse_and_det). Its kind is a
-    symmetric 2-tensor's, so it passes require_field wherever one is asked.
+    symmetric 2-tensor's, so it passes require_field wherever one is asked,
+    and it alone passes where a ("metric", 2) is asked.
     """
 
-    symmetry, rank = "symmetric2", 2
+    symmetry, rank, is_metric = "symmetric2", 2, True
 
     def __init__(self, grid, values):
         self.grid = grid

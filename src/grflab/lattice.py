@@ -20,7 +20,8 @@ system, not every intermediate array.
 Every field carries its kind (symmetry, rank): ("scalar", 0), ("vector", 1),
 ("symmetric2", 2), a MetricField's too, or ("antisymmetric", k). require_field,
 the one guard of an argument, raises FieldError naming it when its kind or
-grid is wrong, a bare array included.
+grid is wrong, a bare array included. An argument that needs g^-1 or the
+volume density asks for the kind ("metric", 2), which only a MetricField has.
 """
 
 from __future__ import annotations
@@ -148,19 +149,24 @@ class ScalarField:
 
 def _kind_name(symmetry, rank):
     return {"scalar": "scalar field", "vector": "vector field",
-            "symmetric2": "symmetric 2-tensor"}.get(symmetry, f"{rank}-form")
+            "symmetric2": "symmetric 2-tensor",
+            "metric": "MetricField"}.get(symmetry, f"{rank}-form")
 
 
 def require_field(name, fld, grid, symmetry, rank):
     """FieldError naming the argument unless fld is a field of the kind
-    (symmetry, rank) on grid; anything without a kind, a bare array too, is
-    refused."""
+    (symmetry, rank) on grid, or on any grid when grid is None; anything
+    without a kind, a bare array too, is refused. The kind ("metric", 2) asks
+    for a MetricField, whose cached inverse and volume density a symmetric
+    2-tensor lacks; a MetricField also passes as ("symmetric2", 2)."""
     kind = (getattr(fld, "symmetry", None), getattr(fld, "rank", None))
+    if symmetry == "metric" and getattr(fld, "is_metric", False):
+        kind = ("metric", 2)
     if kind != (symmetry, rank):
         got = f"a {_kind_name(*kind)}" if kind[0] else type(fld).__name__
         raise FieldError(f"{name} must be a {_kind_name(symmetry, rank)}, "
                          f"not {got}")
-    if fld.grid is not grid and fld.grid != grid:
+    if grid is not None and fld.grid is not grid and fld.grid != grid:
         raise FieldError(f"{name} and the other fields live on different "
                          f"grids")
 
@@ -397,7 +403,7 @@ def weighted_inner(a, b, g, weight=None):
     results are reproducible bit-for-bit between runs.
     """
     require_field("b", b, a.grid, a.symmetry, a.rank)
-    require_field("g", g, a.grid, "symmetric2", 2)
+    require_field("g", g, a.grid, "metric", 2)
     if weight is not None:
         require_field("weight", weight, a.grid, "scalar", 0)
     density = pointwise_inner_values(a.values, b.values, a.symmetry, g)

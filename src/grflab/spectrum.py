@@ -18,13 +18,18 @@ mu_directional_derivative, a central difference of lambda whose two sides
 solve at the shifted metric and the field strength of the shifted potential.
 H enters every (g, H) entry point as a 3-form TensorField on g's grid, or
 None for zero, which _form_values turns into the zero 3-form's array once,
-so that every entry point sees an array; a bare array is refused.
+so that every entry point sees an array; a bare array is refused. g must be
+a MetricField: a symmetric 2-tensor lacks the inverse and volume density.
 
 lambda comes from shifted inverse iteration with preconditioned CG. The
 Nyquist-band penalty is an exact projector built from one rank-one projector
 per axis, the preconditioner is one small matmul per axis in a real Fourier
 basis, and every CG exit is counted (see SpectralSolution). CG carries Phi w
-along, so only the pair that passes EIG_TOL costs an apply of its own.
+along, so only the pair that passes EIG_TOL costs an apply of its own. Each
+inner solve is only as accurate as the outer step needs: its tolerance is a
+fixed fraction, CG_RESIDUAL_FRACTION, of the current eigen-residual. A looser
+inner solve can cost outer steps but never the answer, because acceptance,
+the true apply at EIG_TOL and the positivity certificate do not depend on it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,13 @@ EIG_TOL = 1e-9
 MAX_OUTER = 80
 CG_MAX_ITER = 2000
 SHIFT_MARGIN = 0.5
+# Each inner CG solve is asked for this fraction of the current eigen-residual
+# (relative to its right-hand side). Inexact inverse iteration keeps its outer
+# rate while the inner error shrinks in proportion to the residual (Golub & Ye,
+# BIT 40, 2000; Berns-Mueller, Graham & Spence, Linear Algebra Appl. 416,
+# 2006), so a tighter fraction costs CG iterations and saves almost no outer
+# step. A true apply at EIG_TOL certifies the answer whatever CG did.
+CG_RESIDUAL_FRACTION = 0.05
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,13 +113,13 @@ class SchrodingerOperator:
     """
 
     def __init__(self, g, H=None):
-        self.g = g
-        self.grid = g.grid
         # the potential is validated here; an overflow in |H|^2 is reported
         # by that check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            self.potential = ScalarField(g.grid, _potential(
-                g, form_norm_sq_values(g, _form_values(g, H)))).values
+            h_sq = form_norm_sq_values(g, _form_values(g, H))
+            self.potential = ScalarField(g.grid, _potential(g, h_sq)).values
+        self.g = g
+        self.grid = g.grid
         # The first-derivative stencil annihilates the Nyquist mode on every
         # (even) axis, so without correction the kinetic term is blind to a
         # whole band of sawtooth modes and a varying potential fills the low
@@ -237,7 +249,9 @@ class SpectralSolution:
 
 def _form_values(g, H):
     """The packed array of a 3-form field H on g's grid, the zero 3-form's
-    when H is None; FieldError for anything else, a bare array too."""
+    when H is None; FieldError for anything else, a bare array too, and for
+    a g that is no MetricField."""
+    require_field("g", g, None, "metric", 2)
     if H is None:
         return np.zeros((math.comb(g.grid.n_dims, 3),) + g.grid.shape)
     require_field("H", H, g.grid, "antisymmetric", 3)
@@ -259,8 +273,8 @@ def _df_sq(g, f):
 def schrodinger_apply(g, H, u):
     """One application of the Schrodinger operator to a ScalarField u on g's
     grid; FieldError for anything else."""
-    require_field("u", u, g.grid, "scalar", 0)
     op = SchrodingerOperator(g, H)
+    require_field("u", u, g.grid, "scalar", 0)
     return ScalarField(g.grid, op.apply_values(u.values))
 
 
@@ -270,6 +284,7 @@ def lowest_eigenpair(g, H=None, w0=None):
     Parameters
     ----------
     g : MetricField
+        Anything else, a symmetric 2-tensor too, raises FieldError.
     H : TensorField or None
         Closed 3-form field on g's grid entering the potential; None means
         zero. Anything else, a bare array too, raises FieldError.
@@ -282,8 +297,12 @@ def lowest_eigenpair(g, H=None, w0=None):
     The pair is accepted once ||Phi w - lambda w||_{L2(dV_g)} <= EIG_TOL;
     more than MAX_OUTER steps raise ConvergenceError. The shift tracks the
     Rayleigh quotient minus a fixed margin of 0.5, which keeps the shifted
-    operator positive definite through convergence. lambda and the residual
-    come from the Phi w that CG carries (phi_out); once that residual passes
+    operator positive definite through convergence. Each step's CG solve
+    stops at CG_RESIDUAL_FRACTION times the current residual, relative to its
+    right-hand side and clipped to [1e-13, 1e-2]; that keeps the outer rate
+    of exact inverse iteration, and how well CG solves decides only how many
+    steps are taken, not which pair is accepted. lambda and the residual come
+    from the Phi w that CG carries (phi_out); once that residual passes
     EIG_TOL, one true apply certifies the pair, or iteration goes on from the
     true Phi w. A solve costs its CG iterations plus two applies (one when w0
     passes at once). The returned eigenfunction is certified positive; a sign
@@ -321,7 +340,7 @@ def lowest_eigenpair(g, H=None, w0=None):
                 f"eigensolver stalled at residual {res:.3e} after {MAX_OUTER} steps"
             )
         sigma = lam - SHIFT_MARGIN
-        cg_rtol = max(1e-13, min(1e-2, 0.005 * res))
+        cg_rtol = max(1e-13, min(1e-2, CG_RESIDUAL_FRACTION * res))
         phi_z = phi_w / SHIFT_MARGIN
         z = op.solve_shifted(w, sigma, x0=w / SHIFT_MARGIN, rtol=cg_rtol,
                              phi_x0=phi_z, phi_out=phi_z)

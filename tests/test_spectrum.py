@@ -22,6 +22,7 @@ from grflab import (
 from grflab import geometry, lattice, spectrum
 from grflab.errors import ConfigError, ConvergenceError, FieldError
 from grflab.experiments import perturbed_state
+from grflab.flow import deturck_rhs
 from grflab.geometry import (
     codifferential_values, exterior_derivative_values, gradient_vector_values,
     h_squared_values, hessian_values, interior_product_values, ricci_values)
@@ -363,6 +364,35 @@ def test_returned_pair_is_that_of_a_fresh_apply(warm):
     assert sol.eigen_residual <= 1e-9
 
 
+def _hard_case_solves():
+    """Cold and then warm eigensolves on a strongly perturbed N = 16 metric
+    with a background, the warm one on a nearby metric from the cold pair."""
+    state = perturbed_state(resolution=16, amplitude=0.5, seed=7, cutoff=2,
+                            hhat_c=0.3)
+    g, H = state.g, state.field_strength()
+    cold = lowest_eigenpair(g, H)
+    nearby = MetricField(g.grid, g.values + random_metric_perturbation(
+        g.grid, 0.001, 11, cutoff=2).values)
+    return [(g, H, cold), (nearby, H, lowest_eigenpair(nearby, H, w0=cold.w))]
+
+
+def test_inner_solves_sized_to_the_residual_keep_the_certificate(monkeypatch):
+    solves = _hard_case_solves()
+    for g, H, sol in solves:
+        op, w = SchrodingerOperator(g, H), sol.w.values
+        phi_w = op.apply_values(w)
+        assert op.volume_norm(phi_w - sol.lam * w) <= spectrum.EIG_TOL
+        assert sol.cg_short_exits == 0
+    # outer steps as with tighter inner solves, a pinned number of CG
+    # iterations (42 and 29 when each asked for 0.005 of the residual)
+    assert [s.iterations for _, _, s in solves] == [8, 6]
+    assert [s.cg_iterations for _, _, s in solves] == [33, 20]
+    monkeypatch.setattr(spectrum, "CG_RESIDUAL_FRACTION", 0.005)
+    for (_, _, loose), (_, _, tight) in zip(solves, _hard_case_solves()):
+        assert tight.cg_iterations > loose.cg_iterations
+        assert loose.lam == pytest.approx(tight.lam, rel=1e-12)
+
+
 def test_a_carried_residual_that_passes_is_checked_by_a_true_apply(monkeypatch):
     # the first step's carried Phi w is replaced by w itself, whose Rayleigh
     # residual is 0; the true apply must reject it and iteration go on from
@@ -551,6 +581,28 @@ def test_a_none_h_is_the_zero_three_form_bit_for_bit(dims):
             == repr(critical_point_diagnostics(g, zero, sol)))
     assert (repr(f_equation_residual(g, None, sol))
             == repr(f_equation_residual(g, zero, sol)))
+
+
+@pytest.mark.parametrize("entry", ["deturck_rhs", "weighted_inner",
+                                   "lowest_eigenpair", "schrodinger_apply"])
+def test_a_metric_argument_refuses_a_symmetric_two_tensor(entry):
+    # the symmetric 2-tensor has a metric's kind and values but no cached
+    # inverse or volume density
+    state = perturbed_state(resolution=8)
+    u = ScalarField(state.g.grid, np.ones(state.g.grid.shape))
+    name, call = {
+        "deturck_rhs": ("g_ref", lambda g: deturck_rhs(state, g)),
+        "weighted_inner": ("g", lambda g: weighted_inner(u, u, g)),
+        "lowest_eigenpair": ("g", lambda g: lowest_eigenpair(g, None)),
+        "schrodinger_apply": ("g", lambda g: schrodinger_apply(g, None, u)),
+    }[entry]
+    call(state.g)
+    match = (f"^{name} must be a MetricField, "
+             f"not (a symmetric 2-tensor|ndarray)$")
+    for g in (TensorField(state.g.grid, state.g.values, "symmetric2"),
+              state.g.values):
+        with pytest.raises(FieldError, match=match):
+            call(g)
 
 
 def test_a_metric_direction_passes_as_its_symmetric_two_tensor():
