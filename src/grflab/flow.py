@@ -1,13 +1,15 @@
 """Time integration of the coupled metric / 3-form flows on the lattice.
 
-Three right-hand sides share one Runge-Kutta integrator. GAUGES, the one
-place a gauge is decided, maps each name to its Gauge record:
+Three right-hand sides share one assembly, geometry.gauged_grf_values, and
+one Runge-Kutta integrator. Each is s (-2 Ric + H^2/2 + L_X g, -d* H + X . H)
+at a gauge vector X and scale s. GAUGES, the one place a gauge is decided,
+maps each name to its Gauge record:
 
-  grf          dg = -2 Ric + H^2/2,            db = -d* H
-  deturck      the same plus Lie_X g and X . H for the reference-metric
-               gauge vector X, which makes the metric equation parabolic
-  mu_gradient  the gradient of mu: dg = -Ric - Hess f + H^2/4,
-               db = -(d* H + grad f . H)/2, so mu is nondecreasing
+  grf          X = 0, s = 1
+  deturck      X the DeTurck vector of a reference metric, s = 1, which
+               makes the metric equation parabolic
+  mu_gradient  X = -grad f, s = 1/2: the gradient of mu, so mu is
+               nondecreasing
 
 H = Hhat + db stays exactly closed because only the potential b is evolved
 and the discrete d d = 0 identity is exact. Steps are classical fourth-order
@@ -51,9 +53,8 @@ from .errors import (ConfigError, ConvergenceError, NonFiniteError,
                      PositivityError, StepSizeError)
 from .lattice import ScalarField, TensorField, require_field, weighted_inner
 from .geometry import (
-    MetricField, codifferential_values, deturck_vector_values,
-    exterior_derivative_values, form_norm_sq_values, h_squared_values,
-    interior_product_values, lie_derivative_metric_values, ricci_values)
+    MetricField, deturck_vector_values, exterior_derivative_values,
+    form_norm_sq_values, gauged_grf_values, ricci_values)
 from .spectrum import (
     _energy, _identity_gap, _potential, assemble_mu_gradient,
     field_strength_values, lowest_eigenpair)
@@ -157,18 +158,11 @@ class Trajectory:
         return np.array([r[key] for r in self.records])
 
 
-def _grf_values(g, h):
-    """The raw pair -2 Ric + H^2/2, -d* H of the metric g and the field
-    strength array h."""
-    return (-2.0 * ricci_values(g) + 0.5 * h_squared_values(g, h),
-            -codifferential_values(g, h, 3))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def grf_rhs(state):
     """Right-hand side of the coupled flow, before any gauge fixing."""
     g = state.g
-    dg, db = _grf_values(g, state.field_strength().values)
+    dg, db = gauged_grf_values(g, state.field_strength().values, None)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),
@@ -179,18 +173,16 @@ def grf_rhs(state):
 def deturck_rhs(state, g_ref):
     """Gauge-fixed right-hand side; also returns the gauge vector field.
 
-    The metric equation gains Lie_X g and the potential equation the
-    contraction X . H, whose exterior derivative reproduces Lie_X H on
-    closed H. g_ref must be a MetricField on the state's grid.
+    The flow pair moved along the DeTurck vector X of g_ref, which makes the
+    metric equation parabolic. g_ref must be a MetricField on the state's
+    grid.
     """
     if g_ref is None:
         raise ConfigError("the deturck gauge needs a reference metric")
-    g, h = state.g, state.field_strength().values
+    g = state.g
     require_field("g_ref", g_ref, g.grid, "metric", 2)
     x = TensorField(g.grid, deturck_vector_values(g, g_ref), "vector")
-    dg, db = _grf_values(g, h)
-    dg = dg + lie_derivative_metric_values(g, x.values)
-    db = db + interior_product_values(x.values, h, 3)
+    dg, db = gauged_grf_values(g, state.field_strength().values, x.values)
     return (
         TensorField(g.grid, dg, "symmetric2"),
         TensorField(g.grid, db, "antisymmetric"),

@@ -10,9 +10,9 @@ a k-form holds its C(n,k) increasing-index components, a symmetric 2-tensor
 its n(n+1)/2 pairs i <= j, a vector its n components, each plane one
 contiguous block before the grid axes. The exterior-calculus kernels take
 the degree k of their form argument and move its indices with k x k minors
-of g or g^-1; the connection, Ricci, Hessian and Lie-derivative kernels
-compute on the pairs i <= j. The Christoffel symbols are cached on those
-pairs (christoffel_values).
+of g or g^-1; the connection, Ricci and Lie-derivative kernels compute on
+the pairs i <= j. The Christoffel symbols are cached on those pairs
+(christoffel_values).
 
 MetricField keeps g and g^-1 packed, read-only, and once per metric the full
 (n, n) + grid matrix of g^-1, which the index sums contract. Each pointwise
@@ -34,6 +34,9 @@ divergence, discrete d(d(.)) and d*(d*(.)) vanish identically, and the Hodge
 Laplacian -(dd* + d*d) is exactly self-adjoint and nonpositive. Against the
 full-contraction pairing of weighted_inner the same adjointness reads
 <d a, b> = (k+1) <a, d* b> on (k+1)-forms.
+
+gauged_grf_values assembles every right-hand side of the package: the
+generalized Ricci flow pair moved along a gauge vector (see flow).
 """
 
 from __future__ import annotations
@@ -241,26 +244,10 @@ def scalar_curvature(g):
     return ScalarField(g.grid, scalar_curvature_values(g))
 
 
-def hessian_values(g, f_values, df=None):
-    """Covariant Hessian Hess f = D_i D_j f - Gamma^k_ij D_k f of a scalar
-    array on the pairs i <= j (D_i D_j f differentiates D_j f along axis i).
-    df, when given, is gradient_values(g.grid, f_values); it saves the first
-    derivatives."""
-    grid = g.grid
-    n = grid.n_dims
-    df = gradient_values(grid, f_values) if df is None else df
-    # symmetric_pairs runs (i, i), (i, i + 1), ..., (i, n - 1) for each i
-    ddf = np.concatenate([diff_values(df[i:], 1 + i, grid.spacings[i])
-                          for i in range(n)])
-    gam_df = np.einsum("kp...,k...->p...", christoffel_values(g), df)
-    return ddf - gam_df
-
-
-def gradient_vector_values(g, f_values, df=None):
-    """Metric gradient g^ab D_b f of a scalar array, a contravariant array;
-    df as in hessian_values."""
-    df = gradient_values(g.grid, f_values) if df is None else df
-    return np.einsum("ab...,b...->a...", g._inv_full, df)
+def gradient_vector_values(g, f_values):
+    """Metric gradient g^ab D_b f of a scalar array, a contravariant array."""
+    return np.einsum("ab...,b...->a...", g._inv_full,
+                     gradient_values(g.grid, f_values))
 
 
 def laplacian_values(g, values):
@@ -407,3 +394,15 @@ def deturck_vector_values(g, g_ref):
     weight[i != j] *= 2.0
     diff = christoffel_values(g) - christoffel_values(g_ref)
     return np.einsum("kp...,p...->k...", diff, weight)
+
+
+def gauged_grf_values(g, h_values, x_values):
+    """The generalized Ricci flow pair of g and the 3-form array h_values
+    moved along the vector array x_values, (-2 Ric + H^2/2 + L_X g,
+    -d* H + X . H); None adds no gauge term. d(X . H) is L_X H on closed H."""
+    dg = -2.0 * ricci_values(g) + 0.5 * h_squared_values(g, h_values)
+    db = -codifferential_values(g, h_values, 3)
+    if x_values is not None:
+        dg += lie_derivative_metric_values(g, x_values)
+        db += interior_product_values(x_values, h_values, 3)
+    return dg, db

@@ -10,12 +10,14 @@ energy
 over f with int e^{-f} dV = 1, the substitution being w = e^{-f/2}. The
 gradient of mu(g, b) = lambda(g, Hhat + db) in the e^{-f} dV_g pairing is
 
-    ( -Ric - Hess f + H^2/4 ,  -(d* H + grad f . H) / 2 )
+    ( -Ric - Hess f + H^2/4 ,  -(d* H + grad f . H) / 2 ),
 
-which assemble_mu_gradient returns at (g, H), from a solved eigenpair, as
-two fields. The package's main correctness oracle pairs it against
-mu_directional_derivative, a central difference of lambda whose two sides
-solve at the shifted metric and the field strength of the shifted potential.
+half the flow pair of geometry.gauged_grf_values at X = -grad f, since
+-Hess f = L_X g / 2; assemble_mu_gradient returns it at (g, H), from a
+solved eigenpair, as two fields. The package's main correctness oracle pairs
+it against mu_directional_derivative, a central difference of lambda whose
+two sides solve at the shifted metric and the field strength of the shifted
+potential.
 H enters every (g, H) entry point as a 3-form TensorField on g's grid, or
 None for zero, which _form_values turns into the zero 3-form's array once,
 so that every entry point sees an array; a bare array is refused. g must be
@@ -44,10 +46,10 @@ from .errors import ConfigError, ConvergenceError, FieldError, NonFiniteError
 from .lattice import (
     ScalarField, TensorField, gradient_values, require_field, stencil_symbol)
 from .geometry import (
-    MetricField, codifferential_values, exterior_derivative_values,
-    form_norm_sq_values, gradient_vector_values, h_squared_values,
-    hessian_values, hodge_laplacian_values, interior_product_values,
-    laplacian_values, ricci_values, scalar_curvature_values)
+    MetricField, exterior_derivative_values, form_norm_sq_values,
+    gauged_grf_values, gradient_vector_values, h_squared_values,
+    hodge_laplacian_values, laplacian_values, ricci_values,
+    scalar_curvature_values)
 
 # the eigensolver's acceptance residual and its outer and CG budgets
 EIG_TOL = 1e-9
@@ -180,23 +182,21 @@ class SchrodingerOperator:
             return along_axes(coeffs, [basis.T for basis in self._bases])
         return precondition
 
-    def solve_shifted(self, rhs, sigma, x0=None, rtol=1e-10, phi_x0=None,
-                      phi_out=None):
-        """CG solve of (Phi - sigma) x = rhs, volume-symmetrized, preconditioned,
-        in at most CG_MAX_ITER iterations.
+    def solve_shifted(self, rhs, sigma, x0, rtol, phi_x0, phi_out):
+        """CG solve of (Phi - sigma) x = rhs from x0 to the relative residual
+        rtol, volume-symmetrized, preconditioned, in at most CG_MAX_ITER
+        iterations.
 
-        phi_x0, when given, is Phi applied to x0; it saves the apply of the
-        initial residual. phi_out (may be phi_x0) receives Phi x, carried as
+        phi_x0 is Phi applied to x0; it saves the apply of the initial
+        residual. phi_out (may be phi_x0) receives Phi x, carried as
         phi_out += alpha Phi p at no apply of its own: a true apply to rounding.
         """
         sq = self.g.sqrt_det_values
         b = sq * rhs
         precondition = self._preconditioner(sigma)
-        x = np.zeros_like(b) if x0 is None else x0.copy()
-        phi = self.apply_values(x) if phi_x0 is None else phi_x0
-        r = b - sq * (phi - sigma * x)
-        if phi_out is not None:
-            phi_out[...] = phi
+        x = x0.copy()
+        r = b - sq * (phi_x0 - sigma * x)
+        phi_out[...] = phi_x0
         b_norm = float(np.linalg.norm(b))
         iterations, reason = 0, "converged"
         while b_norm > 0.0 and not float(np.linalg.norm(r)) <= rtol * b_norm:
@@ -218,8 +218,7 @@ class SchrodingerOperator:
             alpha = rz / pq
             x += alpha * p
             r -= alpha * q
-            if phi_out is not None:
-                phi_out += alpha * phi_p
+            phi_out += alpha * phi_p
             iterations += 1
         self.cg_iterations += iterations
         self.cg_exits[reason] += 1
@@ -413,19 +412,15 @@ def assemble_mu_gradient(g, H, sol):
     g, in the L2(e^{-f} dV_g) pairing, from its solved eigenpair sol.
 
     Returns the fields (g_part, b_part): g_part = -Ric - Hess f + H^2/4
-    (symmetric 2-tensor), b_part = -(d* H + grad f . H)/2 (2-form). Pairing
-    a direction (h, beta) against these with weight e^{-f} reproduces
+    (symmetric 2-tensor), b_part = -(d* H + grad f . H)/2 (2-form): half
+    the flow pair of gauged_grf_values at X = -grad f. Pairing a direction
+    (h, beta) against these with weight e^{-f} reproduces
     d/dt mu(g + t h, b + t beta).
     """
-    h, f = _form_values(g, H), sol.f.values
-    df = gradient_values(g.grid, f)  # shared by Hess f and grad f
-    g_part_vals = (-ricci_values(g) - hessian_values(g, f, df)
-                   + 0.25 * h_squared_values(g, h))
-    b_part_vals = -0.5 * (
-        codifferential_values(g, h, 3)
-        + interior_product_values(gradient_vector_values(g, f, df), h, 3))
-    return (TensorField(g.grid, g_part_vals, "symmetric2"),
-            TensorField(g.grid, b_part_vals, "antisymmetric"))
+    x = -gradient_vector_values(g, sol.f.values)
+    dg, db = gauged_grf_values(g, _form_values(g, H), x)
+    return (TensorField(g.grid, 0.5 * dg, "symmetric2"),
+            TensorField(g.grid, 0.5 * db, "antisymmetric"))
 
 
 def mu_directional_derivative(g, b, h, beta, w0, eps=1e-4):

@@ -29,8 +29,8 @@ from grflab import Grid, MetricField, ScalarField, TensorField, lowest_eigenpair
 from grflab.lattice import expand_form, increasing_tuples, symmetric_pairs
 from grflab.geometry import (
     codifferential_values, deturck_vector_values, gradient_vector_values,
-    h_squared_values, hessian_values, interior_product_values,
-    lie_derivative_metric_values, ricci_values)
+    h_squared_values, interior_product_values, lie_derivative_metric_values,
+    ricci_values)
 from grflab.perturbations import _positive_modes
 
 
@@ -515,13 +515,12 @@ def deturck_rhs_reference(state, g_ref):
 
 
 def mu_rhs_reference(state):
-    """(dg, db, solution) of the mu-gradient flow, one kernel per term, each
-    taking the derivatives of f afresh."""
+    """(dg, db, solution) of the mu-gradient flow, one kernel per term: half
+    the gauged pair (-2 Ric + H^2/2 + L_X g, -d* H + X . H) at X = -grad f."""
     g, H = state.g, state.field_strength().values
     sol = lowest_eigenpair(g, state.field_strength())
-    f = sol.f.values
-    dg = (-ricci_values(g) - hessian_values(g, f)
-          + 0.25 * h_squared_values(g, H))
-    db = -0.5 * (codifferential_values(g, H, 3)
-                 + interior_product_values(gradient_vector_values(g, f), H, 3))
-    return dg, db, sol
+    x = -gradient_vector_values(g, sol.f.values)
+    dg = (-2.0 * ricci_values(g) + 0.5 * h_squared_values(g, H)
+          + lie_derivative_metric_values(g, x))
+    db = -codifferential_values(g, H, 3) + interior_product_values(x, H, 3)
+    return 0.5 * dg, 0.5 * db, sol

@@ -22,16 +22,17 @@ from grflab import (
 from grflab import geometry, lattice, spectrum
 from grflab.errors import ConfigError, ConvergenceError, FieldError
 from grflab.experiments import perturbed_state
-from grflab.flow import deturck_rhs
+from grflab.flow import deturck_rhs, grf_rhs
 from grflab.geometry import (
     codifferential_values, exterior_derivative_values, gradient_vector_values,
-    h_squared_values, hessian_values, interior_product_values, ricci_values)
+    interior_product_values)
 from grflab.lattice import diff_values, weighted_inner
 from grflab.spectrum import (
     SHIFT_MARGIN, _energy, _potential, assemble_mu_gradient,
     mu_directional_derivative, schrodinger_apply)
 
-from oracles import ConformalOracle, normalize_profile, packed
+from oracles import (ConformalOracle, mu_rhs_reference, normalize_profile,
+                     packed)
 
 
 def constant_three_form(grid, c=1.0):
@@ -180,6 +181,20 @@ def test_gradient_pairing_matches_finite_difference():
     assert abs(fd - pair) < 1e-5 * abs(fd)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lambda_does_not_see_the_gauge(seed):
+    # a flow pair is twice the mu gradient moved along a gauge vector, and
+    # lambda is blind to diffeomorphisms: along grf and deturck alike,
+    # d/dt lambda = 2 |grad mu|^2 in the e^{-f} pairing
+    state = perturbed_state(resolution=8, seed=seed, hhat_c=0.0)
+    g, b = state.g, state.b
+    g_part, b_part, sol = solved_gradient(g, b)
+    climb = 2.0 * gradient_pairing(g, g_part, b_part, sol, g_part, b_part)
+    for dg, db in (grf_rhs(state), deturck_rhs(state, flat_metric(g.grid))[:2]):
+        fd = mu_directional_derivative(g, b, dg, db, sol.w, eps=1e-4)
+        assert fd == pytest.approx(climb, rel=1e-3)
+
+
 def test_linearized_gradient_flat_sign_and_order():
     # at the flat point the mu-gradient linearizes, along a divergence-free
     # h and any beta, to (D_a D_a h / 2, -d* d beta / 2): both blocks are
@@ -303,13 +318,25 @@ def _shifted_system(dims):
     return op, w, float(np.min(op.potential)) - 1.0
 
 
+def _solve_from_zero(op, w, sigma, rtol):
+    """solve_shifted from the zero start and its apply."""
+    zero = np.zeros_like(w)
+    return op.solve_shifted(w, sigma, x0=zero, rtol=rtol,
+                            phi_x0=op.apply_values(zero),
+                            phi_out=np.empty_like(w))
+
+
 @pytest.mark.parametrize("dims", [2, 3, 4])
 def test_solve_with_phi_x0_is_bit_identical(dims):
+    # Phi(w) / 0.5, the start lowest_eigenpair hands CG, is Phi(w / 0.5)
     op, w, sigma = _shifted_system(dims)
-    phi_w = op.apply_values(w)
-    plain = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8)
-    reused = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8,
-                              phi_x0=phi_w / 0.5)
+    x0 = w / 0.5
+    plain = op.solve_shifted(w, sigma, x0=x0, rtol=1e-8,
+                             phi_x0=op.apply_values(x0),
+                             phi_out=np.empty_like(w))
+    reused = op.solve_shifted(w, sigma, x0=x0, rtol=1e-8,
+                              phi_x0=op.apply_values(w) / 0.5,
+                              phi_out=np.empty_like(w))
     assert np.array_equal(plain, reused)
 
 
@@ -330,7 +357,7 @@ def test_a_converged_solve_preconditions_once_per_iteration(rtol):
         return counted
 
     op._preconditioner = counting
-    op.solve_shifted(w, sigma, rtol=rtol)
+    _solve_from_zero(op, w, sigma, rtol)
     assert op.cg_exits["converged"] == 1
     assert len(calls) == op.cg_iterations
     assert (op.cg_iterations > 0) == (rtol < 1.0)
@@ -340,10 +367,14 @@ def test_a_converged_solve_preconditions_once_per_iteration(rtol):
 def test_carried_phi_x_is_phi_of_the_returned_x_to_rounding(dims):
     op, w, sigma = _shifted_system(dims)
     phi_x = np.empty_like(w)
-    plain = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8)
     carried = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8,
                                phi_x0=op.apply_values(w) / 0.5, phi_out=phi_x)
-    assert np.array_equal(plain, carried)
+    # phi_out may be phi_x0, as in lowest_eigenpair
+    phi_z = op.apply_values(w) / 0.5
+    aliased = op.solve_shifted(w, sigma, x0=w / 0.5, rtol=1e-8,
+                               phi_x0=phi_z, phi_out=phi_z)
+    assert np.array_equal(aliased, carried)
+    assert np.array_equal(phi_z, phi_x)
     fresh = op.apply_values(carried)
     assert np.max(np.abs(phi_x - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
@@ -402,8 +433,7 @@ def test_a_carried_residual_that_passes_is_checked_by_a_true_apply(monkeypatch):
     reference = lowest_eigenpair(g, H)
     solve, starts = SchrodingerOperator.solve_shifted, []
 
-    def faking(self, rhs, sigma, x0=None, rtol=1e-10, phi_x0=None,
-               phi_out=None):
+    def faking(self, rhs, sigma, x0, rtol, phi_x0, phi_out):
         starts.append(np.array_equal(
             phi_x0, self.apply_values(x0 * SHIFT_MARGIN) / SHIFT_MARGIN))
         x = solve(self, rhs, sigma, x0=x0, rtol=rtol, phi_x0=phi_x0,
@@ -429,10 +459,11 @@ def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
     g, H = state.g, state.field_strength()
     sol = lowest_eigenpair(g, H)
     f, h = sol.f.values, H.values
-    g_part = (-ricci_values(g) - hessian_values(g, f)
-              + 0.25 * h_squared_values(g, h))
-    b_part = -0.5 * (codifferential_values(g, h, 3) + interior_product_values(
-        gradient_vector_values(g, f), h, 3))
+    g_part, b_part, _ = mu_rhs_reference(state)
+    # the b part is -(d* H + grad f . H)/2 bit for bit: only signs move
+    assert np.array_equal(b_part, -0.5 * (
+        codifferential_values(g, h, 3)
+        + interior_product_values(gradient_vector_values(g, f), h, 3)))
     calls = []
 
     def counting(values, axis, spacing):
@@ -450,7 +481,7 @@ def test_mu_gradient_differentiates_f_once_and_keeps_its_bits(monkeypatch):
 def test_cg_counts_an_exit_on_max_iter(monkeypatch):
     op, w, sigma = _shifted_system(3)
     monkeypatch.setattr(spectrum, "CG_MAX_ITER", 1)
-    op.solve_shifted(w, sigma, rtol=1e-15)
+    _solve_from_zero(op, w, sigma, 1e-15)
     assert op.cg_exits == {"converged": 0, "max_iter": 1, "indefinite": 0}
     assert op.cg_iterations == 1
 
@@ -458,7 +489,7 @@ def test_cg_counts_an_exit_on_max_iter(monkeypatch):
 def test_cg_counts_an_exit_on_an_indefinite_direction():
     # sigma above the whole spectrum makes every direction negative
     op, w, sigma = _shifted_system(3)
-    op.solve_shifted(w, sigma + 1e5)
+    _solve_from_zero(op, w, sigma + 1e5, 1e-10)
     assert op.cg_exits == {"converged": 0, "max_iter": 0, "indefinite": 1}
     assert op.cg_iterations == 0
 
