@@ -18,6 +18,13 @@ whose eigensolve runs only at points a Gershgorin bound cannot rule out; a
 step that breaks metric positivity is retried at half size, SPD_RETRIES (ten)
 times. The same loop integrates the matrix ODE of homogeneous.invariant_flow.
 
+The bound's stability limit: at the flat point the DeTurck flow's linear
+part is -|D(k)|^2 = -sum_a D(k_a)^2, D the stencil symbol
+(lattice.stencil_symbol), whose square peaks at 1.883 / h^2 per axis. RK4
+damps y' = z y / dt while z >= -2.785, its real stability interval, so on n
+axes cfl* = 2 * 2.785 / (1.883 n): 1.48 in 2D, 0.986 in 3D, 0.74 in 4D.
+FlowConfig's default 0.1 is a tenth of the 3D limit.
+
 A run takes at most MAX_STEPS steps. Every accepted step can record a
 diagnostics row with the columns t, lambda, H_l2, ricci_linf, dH_linf,
 F_value, rhs_l2, dt (plus the identity gap of the eigenpair);
@@ -105,6 +112,12 @@ class FlowConfig:
     every record_every accepted steps, an integer of at least 1. No float
     field may be NaN, and cfl must be finite. keep_gauge_fields asks for the
     run's gauge_series and needs a gauge that keeps fields.
+
+    cfl scales dt = cfl min(h)^2 / (2 max eig g^-1). RK4 on the flat-point
+    symbol -|D(k)|^2 is stable up to cfl* = 2 * 2.785 / (1.883 n): 1.48,
+    0.986 and 0.74 on 2, 3 and 4 axes (see the module docstring). Nothing
+    checks cfl against it: a run past it ends DIVERGED on positivity or at
+    the horizon.
     """
 
     gauge: str = "grf"

@@ -1,6 +1,7 @@
 import collections
 import csv
 from dataclasses import replace
+import inspect
 import warnings
 
 import numpy as np
@@ -26,12 +27,13 @@ from grflab import (
 )
 from grflab.errors import (ConfigError, ConvergenceError, FieldError,
                            NonFiniteError, StepSizeError)
-from grflab.experiments import perturbed_state as canned_state
+from grflab.experiments import perturbed_state as canned_state, stability_run
 from grflab import flow, geometry, spectrum
 from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
                          _remember, _warm_solve)
 from grflab.geometry import (deturck_vector_values, interior_product_values,
                              lie_derivative_metric_values)
+from grflab.lattice import stencil_symbol
 from grflab.spectrum import _energy, _potential, critical_point_diagnostics
 
 from oracles import deturck_rhs_reference, grf_rhs_reference, mu_rhs_reference
@@ -473,6 +475,72 @@ def test_unstable_run_ends_in_diverged_on_positivity(gauge, monkeypatch):
     traj = run_flow(start, config, g_ref=g_ref)
     assert traj.verdict == "DIVERGED"
     assert traj.reason.startswith("metric loses positivity")
+
+
+def _rk4_growth(z):
+    """RK4's one-step factor on y' = (z / dt) y."""
+    return 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+
+# the real stability boundary of RK4: |R(z)| = 1 at z < 0 is R(z) = 1, and
+# z (1 + z/2 + z^2/6 + z^3/24) = 0 leaves the cubic's one real root
+_RK4_Z = min(r.real for r in np.roots([1, 4, 12, 24]) if abs(r.imag) < 1e-12)
+
+
+def _rk4_limit_cfl(dims, resolution):
+    """The largest cfl of dt = cfl h^2 / 2 at the flat point for which RK4
+    damps every mode of the DeTurck flow, whose linear part there is
+    -|D(k)|^2 = -sum_a D(k_a)^2, with D the stencil symbol."""
+    peak = np.max(stencil_symbol(resolution, 1.0) ** 2)
+    return 2.0 * -_RK4_Z / (dims * peak)
+
+
+def test_stability_run_default_step_is_below_the_rk4_limit():
+    assert _RK4_Z == pytest.approx(-2.7853, abs=1e-4)
+    assert _rk4_growth(_RK4_Z) == pytest.approx(1.0, abs=1e-12)
+    # the finest sampling of the symbol gives its supremum over resolutions,
+    # 1.883 / h^2 for D o D, so the limit holds at every N
+    limits = {dims: _rk4_limit_cfl(dims, 4096) for dims in (2, 3, 4)}
+    assert [round(limits[d], 3) for d in (2, 3, 4)] == [1.479, 0.986, 0.74]
+    default = inspect.signature(stability_run).parameters["cfl"].default
+    assert all(default < limit for limit in limits.values())
+
+
+@pytest.mark.parametrize("fraction, grows", [(0.95, False), (1.05, True)])
+def test_one_mode_grows_past_the_rk4_limit_and_decays_below_it(fraction,
+                                                               grows):
+    # h_12 = eps cos 2(x + y + z) carries the largest symbol at N = 8; its
+    # quadratic terms land on k = 0 and the Nyquist band, so one step
+    # multiplies it by R(dt lambda) up to eps^2
+    n, eps = 8, 1e-6
+    grid = Grid((n, n, n))
+    h = grid.min_spacing
+    coords = np.meshgrid(*[np.arange(n) * h] * 3, indexing="ij")
+    mode = np.cos(2.0 * sum(coords))
+    pair = flat_metric(grid).values.copy()
+    pair[1] += eps * mode  # (0, 1) is the second symmetric pair in 3D
+    state = FlowState(g=MetricField(grid, pair), b=TensorField(
+        grid, np.zeros((3,) + grid.shape), "antisymmetric"))
+    lam = -3.0 * stencil_symbol(n, h)[2] ** 2
+    limit = _rk4_limit_cfl(3, n)
+    assert limit == pytest.approx(1.044, abs=1e-3)
+    # run_flow's step bound
+    dt = fraction * limit * h ** 2 / (2.0 * state.g.max_inverse_eigenvalue())
+
+    def amplitude(s):
+        return np.sum(s.g.values[1] * mode) / np.sum(mode * mode)
+
+    amplitudes = [amplitude(state)]
+    g_ref = flat_metric(grid)
+    for _ in range(20):
+        state = step(state, "deturck", dt, g_ref=g_ref)
+        amplitudes.append(amplitude(state))
+    assert amplitudes[1] / amplitudes[0] == pytest.approx(
+        _rk4_growth(dt * lam), rel=0.0, abs=1e-9)
+    if grows:
+        assert amplitudes[-1] > 20.0 * amplitudes[0]
+    else:
+        assert 0.0 < amplitudes[-1] < 0.05 * amplitudes[0]
 
 
 @pytest.mark.parametrize("gauge", GAUGES)
