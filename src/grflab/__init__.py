@@ -53,7 +53,6 @@ from .homogeneous import (
     abelian_algebra,
     find_stationary,
     heisenberg_algebra,
-    invariant_codifferential,
     invariant_flow,
     invariant_grf_rhs,
     invariant_h_squared,

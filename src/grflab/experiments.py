@@ -191,8 +191,9 @@ def _tail_rows(records, fraction=0.1):
 
 def _endpoint_summary(traj):
     """Verdict, reason, endpoint fields, failed side eigensolves and the
-    eigensolver's total outer and CG iterations of a run; the fields are NaN
-    when its first right-hand side failed, so that it has no record."""
+    eigensolver's total outer and CG iterations and short CG exits of a run;
+    the fields are NaN when its first right-hand side failed, so that it has
+    no record."""
     records = traj.records or [collections.defaultdict(lambda: math.nan)]
     last = records[-1]
     tail = _tail_rows(records) if traj.records else records
@@ -213,6 +214,7 @@ def _endpoint_summary(traj):
         "side_eig_failures": traj.side_eig_failures,
         "eig_outer_iterations": traj.eig_outer_iterations,
         "eig_cg_iterations": traj.eig_cg_iterations,
+        "eig_cg_short_exits": traj.eig_cg_short_exits,
     }
 
 

@@ -154,7 +154,9 @@ class Trajectory:
     consumes it to integrate the compensating diffeomorphisms at matching
     order. side_eig_failures counts the rows whose side eigensolve failed
     (spectral columns NaN); eig_outer_iterations and eig_cg_iterations total
-    the iterations of every returned eigensolve.
+    the iterations of every returned eigensolve, and eig_cg_short_exits its
+    inner CG solves that stopped at CG_MAX_ITER or on an indefinite
+    direction.
     """
 
     final: FlowState
@@ -166,6 +168,7 @@ class Trajectory:
     side_eig_failures: int = 0
     eig_outer_iterations: int = 0
     eig_cg_iterations: int = 0
+    eig_cg_short_exits: int = 0
 
     def column(self, key):
         return np.array([r[key] for r in self.records])
@@ -265,11 +268,13 @@ def _remember(history, t, w):
 def _warm_solve(solve, t, history, totals):
     """solve(w0), an eigensolve at time t returning its eigenpair last, from
     _predict of the run's history, which then remembers the eigenfunction;
-    totals counts the iterations. A solve that raises touches neither."""
+    totals counts the iterations and short CG exits. A solve that raises
+    touches neither."""
     out = solve(_predict(history, t))
     sol = out[-1]
     _remember(history, t, sol.w.values)
-    totals.update(outer=sol.iterations, cg=sol.cg_iterations)
+    totals.update(outer=sol.iterations, cg=sol.cg_iterations,
+                  short=sol.cg_short_exits)
     return out
 
 
@@ -461,7 +466,8 @@ def run_flow(initial, config, g_ref=None):
                       gauge_series=gauge_series,
                       side_eig_failures=side_failures,
                       eig_outer_iterations=totals["outer"],
-                      eig_cg_iterations=totals["cg"])
+                      eig_cg_iterations=totals["cg"],
+                      eig_cg_short_exits=totals["short"])
 
 
 def write_records_csv(records, columns, path):

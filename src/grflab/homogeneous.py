@@ -8,8 +8,16 @@ supplies exact stationary points (Ric = H^2/4 with nonzero H) that flat
 torus grids cannot host, plus an independent right-hand side the lattice
 code must reproduce on constant data.
 
+The groups are the unimodular ones, with their algebras in Milnor's form
+(Milnor, Adv. Math. 21, 1976): in a suitable frame [e_i, e_j] =
+lambda_k e_k for each cyclic (i, j, k), so an algebra is a triple lambda.
+su(2) is (1, 1, 1), Heisenberg (0, 0, 1) and the abelian algebra (0, 0, 0).
+On these the Jacobi identity holds and every bracket ad_{e_i} is traceless,
+so the invariant 3-form is harmonic (d*H = 0), f is constant, and the
+reduction is exact with h3 constant along the flow.
+
 Structure constants are stored as c[k, i, j] = c^k_{ij} with [e_i, e_j] =
-c^k_{ij} e_k, antisymmetric in (i, j).
+c^k_{ij} e_k; Milnor's form is c^k_{ij} = lambda_k epsilon_{ijk}.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import numpy as np
 from .errors import ConvergenceError, FieldError, PositivityError
 from .flow import _rk4_with_retries
 
-_JACOBI_TOL = 1e-12
 # find_stationary's sup residual goal and its Newton step budget
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -51,23 +58,16 @@ def abelian_algebra():
     return np.zeros((3, 3, 3))
 
 
-def _jacobi_residual(c):
-    cyc = (
-        np.einsum("aij,bak->bijk", c, c)
-        + np.einsum("ajk,bai->bijk", c, c)
-        + np.einsum("aki,baj->bijk", c, c)
-    )
-    return float(np.max(np.abs(cyc)))
-
-
 @dataclass(frozen=True)
 class LieData:
     """Left-invariant state: structure constants, metric matrix, 3-form size.
 
-    Validated on construction: c antisymmetric in its lower pair and
-    satisfying the Jacobi identity to 1e-12, g SPD. The unimodular property
-    (traceless brackets) decides whether the invariant 3-form is harmonic,
-    hence whether the reduction of the coupled flow is exact.
+    Validated on construction: c must be in Milnor's form c^k_{ij} =
+    lambda_k epsilon_{ijk} to 1e-12, with lambda_k = c^k_{ij} for cyclic
+    (i, j, k), and g must be SPD. Any other algebra, a non-unimodular one
+    among them, raises FieldError; so every LieData satisfies the Jacobi
+    identity and has a harmonic invariant 3-form, and the reduction of the
+    coupled flow is exact on it.
     """
 
     c: np.ndarray
@@ -81,11 +81,10 @@ class LieData:
             raise FieldError("expected c of shape (3,3,3) and g of shape (3,3)")
         if not np.all(np.isfinite(c)) or not np.all(np.isfinite(g)):
             raise FieldError("non-finite entries in Lie data")
-        if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-12:
-            raise FieldError("structure constants not antisymmetric in (i, j)")
-        jacobi = _jacobi_residual(c)
-        if jacobi > _JACOBI_TOL:
-            raise FieldError(f"Jacobi identity fails: residual {jacobi:.3e}")
+        lam = c[(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        if np.max(np.abs(c - lam[:, None, None] * _EPSILON)) > 1e-12:
+            raise FieldError("structure constants are not Milnor's "
+                             "unimodular form c^k_ij = lambda_k eps_ijk")
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise FieldError("metric matrix not symmetric")
         try:
@@ -154,58 +153,12 @@ def invariant_norm_sq(data):
     return float(np.einsum("ijk,abc,ia,jb,kc->", h, h, inv, inv, inv))
 
 
-def invariant_codifferential(data):
-    """d* H as an invariant 2-form (antisymmetric matrix).
-
-    Computed as the adjoint of the Chevalley-Eilenberg differential against
-    the normalized form inner products: solve <s, beta>_2 = <H, d beta>_3
-    over the 3-dimensional space of invariant 2-forms. Vanishes exactly on
-    unimodular algebras, which is what makes the h3 component of the flow
-    constant there.
-    """
-    c, g, inv = data.c, data.g, data.inv
-    h = data.full_form()
-
-    def d_two_form(beta):
-        # (d beta)_{ijk} = -c^a_{ij} beta_{ak} + c^a_{ik} beta_{aj}
-        #                  - c^a_{jk} beta_{ai}
-        t1 = np.einsum("aij,ak->ijk", c, beta)
-        t2 = np.einsum("aik,aj->ijk", c, beta)
-        t3 = np.einsum("ajk,ai->ijk", c, beta)
-        return -t1 + t2 - t3
-
-    basis = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        beta = np.zeros((3, 3))
-        beta[i, j], beta[j, i] = 1.0, -1.0
-        basis.append(beta)
-
-    def inner2(a, b):
-        return 0.5 * np.einsum("ij,kl,ik,jl->", a, b, inv, inv)
-
-    def inner3(a, b):
-        return np.einsum("ijk,abc,ia,jb,kc->", a, b, inv, inv, inv) / 6.0
-
-    gram = np.array([[inner2(bi, bj) for bj in basis] for bi in basis])
-    rhs = np.array([inner3(h, d_two_form(bi)) for bi in basis])
-    coeffs = np.linalg.solve(gram, rhs)
-    return sum(co * bi for co, bi in zip(coeffs, basis))
-
-
 def invariant_grf_rhs(data):
     """Matrix ODE right-hand side: (dg, dh3) = (-2 Ric + H^2/2, 0).
 
-    dh3 = 0 expresses that the invariant volume-proportional 3-form is
-    harmonic; that holds exactly when the algebra is unimodular, and is
-    verified here (through the assembled codifferential) rather than assumed.
+    dh3 = 0 because the invariant 3-form is harmonic on a unimodular
+    algebra, the only kind a LieData holds.
     """
-    delta_h = float(np.max(np.abs(invariant_codifferential(data))))
-    scale = max(abs(data.h3), 1.0)
-    if delta_h > 1e-10 * scale:
-        raise FieldError(
-            f"invariant 3-form is not harmonic (|d*H| = {delta_h:.3e}); "
-            "the scalar reduction of the form equation needs a unimodular "
-            "algebra")
     dg = -2.0 * invariant_ricci(data) + 0.5 * invariant_h_squared(data)
     return dg, 0.0
 
@@ -316,8 +269,3 @@ def invariant_flow(data0, t_max, dt=0.002):
         t += h
     records.append(make_row(t, data, stationarity_residual(data), dt))
     return records, data
-
-
-# the columns of invariant_flow records, for flow.write_records_csv
-INVARIANT_CSV_COLUMNS = ("t", "g11", "g12", "g13", "g22", "g23", "g33",
-                         "h3", "stat_residual", "dt")

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .errors import FieldError
-from .lattice import TensorField, symmetric_pairs
+from .lattice import TensorField, increasing_tuples, symmetric_pairs
 
 
 def _positive_modes(n_dims, cutoff):
@@ -92,6 +92,6 @@ def random_form_perturbation(grid, amplitude, seed, cutoff=1):
     """2-form potential perturbation with sup |components| = amplitude:
     the antisymmetric part of a random matrix, on its pairs i < j."""
     raw = _draw(grid, seed, cutoff)
-    i, j = np.triu_indices(grid.n_dims, 1)
+    i, j = zip(*increasing_tuples(grid.n_dims, 2))
     return _scaled(grid, 0.5 * (raw[i, j] - raw[j, i]), amplitude,
                    "antisymmetric")

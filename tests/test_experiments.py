@@ -48,9 +48,9 @@ def test_two_dimensional_stability_run_passes():
 def test_stability_verdict_and_end_time_do_not_depend_on_the_step():
     # the default step against half of it: the same verdict, and an end time
     # within one default step
-    runs = [stability_run(resolution=8, stop_tol=1e-5, threshold=1e-4,
-                          **kwargs) for kwargs in ({}, {"cfl": 0.1})]
-    (traj, default), (_, halved) = runs
+    common = dict(resolution=8, stop_tol=1e-5, threshold=1e-4)
+    (traj, default), (_, halved) = (stability_run(**common),
+                                    stability_run(cfl=0.1, **common))
     assert default["passed"] is halved["passed"] is True
     assert default["verdict"] == halved["verdict"] == "CONVERGED"
     assert default["n_records"] < halved["n_records"]
@@ -107,6 +107,55 @@ def test_gradient_check_needs_a_seed(monkeypatch):
     monkeypatch.setattr(experiments, "perturbed_state", None)  # never reached
     with pytest.raises(ConfigError, match="at least one seed"):
         gradient_check(seeds=())
+
+
+def test_gradient_check_error_falls_with_resolution():
+    # the pairing and the difference quotient differentiate the same discrete
+    # functional only in the limit: 8.95e-4 at N = 8, 9.69e-5 at N = 12
+    coarse, fine = (gradient_check(resolution=n, amplitude=0.05, cutoff=2,
+                                   seeds=(0,))["max_rel_error"]
+                    for n in (8, 12))
+    assert fine < 0.5 * coarse < 1e-3
+
+
+def test_gradient_check_in_two_dimensions_follows_eps():
+    # on two axes H = 0; the difference quotient's error grows with its
+    # half-width: 2.0e-6 at eps = 1e-4, 9.3e-6 at 1e-3
+    small, wide = (gradient_check(resolution=8, eps=eps, dims=2, seeds=(0,))
+                   for eps in (1e-4, 1e-3))
+    assert (small["eps"], wide["eps"]) == (1e-4, 1e-3)
+    assert small["max_rel_error"] < wide["max_rel_error"] < 1e-4
+
+
+def test_eigen_report_with_a_background_and_another_seed():
+    report = eigen_report(resolution=8, amplitude=0.05, seed=1, cutoff=1,
+                          hhat_c=0.3)
+    assert (report["seed"], report["hhat_c"]) == (1, 0.3)
+    assert report["eigen_residual"] <= spectrum.EIG_TOL
+    # below the flat value -|Hhat|^2/12 = -0.045 of the background alone
+    assert report["lambda"] < -0.045
+
+
+def test_eigen_report_is_exact_on_the_flat_two_torus():
+    report = eigen_report(resolution=8, dims=2)
+    assert report["lambda"] == report["f_spread"] == 0.0
+    assert report["iterations"] == 0
+
+
+def test_monotonicity_run_climbs_with_a_background_or_on_two_axes():
+    for _, summary in (monotonicity_run(resolution=8, hhat_c=0.3, cfl=0.2,
+                                        t_max=0.1),
+                       monotonicity_run(resolution=8, dims=2, t_max=0.1)):
+        assert summary["t_end"] == 0.1
+        assert summary["monotone"] and summary["all_negative"]
+        assert summary["lambda_end"] > summary["lambda_start"]
+
+
+def test_gauge_consistency_on_two_axes_at_a_smaller_step():
+    report = gauge_consistency_run(resolution=8, cfl=0.05, dims=2)
+    assert report["t_end"] == 0.1
+    assert report["field_strength_gap_sup"] == 0.0   # H has no component
+    assert 0.0 < report["metric_gap_sup"] < 2e-3     # 8.9e-4 measured
 
 
 def test_gauge_consistency_gap_is_small():
@@ -203,6 +252,26 @@ def test_summaries_total_the_eigensolver_iterations(monkeypatch, pipeline):
     assert len(solved) > 1
     assert summary["eig_outer_iterations"] == sum(s.iterations for s in solved)
     assert summary["eig_cg_iterations"] == sum(s.cg_iterations for s in solved)
+    assert summary["eig_cg_short_exits"] == 0
+
+
+@pytest.mark.parametrize("pipeline", [stability_run, monotonicity_run])
+def test_summaries_total_the_short_cg_exits(monkeypatch, pipeline):
+    solve = flow.lowest_eigenpair
+    solved = []
+
+    def counting(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    # one CG iteration per inner solve: most stop short and are counted
+    # (4 in 3 solves of the stability run, 13 in 17 of the monotonicity run)
+    monkeypatch.setattr(spectrum, "CG_MAX_ITER", 1)
+    monkeypatch.setattr(flow, "lowest_eigenpair", counting)
+    traj, summary = pipeline(resolution=8, t_max=0.1)
+    assert summary["side_eig_failures"] == 0
+    short = sum(s.cg_short_exits for s in solved)
+    assert summary["eig_cg_short_exits"] == traj.eig_cg_short_exits == short > 0
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, NonFiniteError])

@@ -281,7 +281,8 @@ def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
     sol, = _warm_solve(side_solve(state), state.time, history, totals)
     assert [t for t, _ in history] == [0.0]
     assert history[0][1] is sol.w.values
-    assert totals == {"outer": sol.iterations, "cg": sol.cg_iterations}
+    assert totals == {"outer": sol.iterations, "cg": sol.cg_iterations,
+                      "short": sol.cg_short_exits}
 
     def failing(*args, **kwargs):
         raise ConvergenceError("stalled")

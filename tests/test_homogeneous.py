@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from grflab import homogeneous
 from grflab.flow import write_records_csv
 from grflab.geometry import h_squared_values
 from grflab.homogeneous import (
-    INVARIANT_CSV_COLUMNS,
-    invariant_codifferential,
     invariant_h_squared,
     invariant_norm_sq,
     stationarity_residual,
@@ -33,6 +32,9 @@ from oracles import full_symmetric
 
 ALGEBRAS = {"su2": su2_algebra, "heisenberg": heisenberg_algebra,
             "abelian": abelian_algebra}
+# the columns of invariant_flow records
+INVARIANT_CSV_COLUMNS = ("t", "g11", "g12", "g13", "g22", "g23", "g33",
+                         "h3", "stat_residual", "dt")
 
 
 def su2_round(c=1.0, h3=None):
@@ -117,20 +119,60 @@ def test_heisenberg_has_no_stationary_point():
         find_stationary(start)
 
 
-def test_codifferential_vanishes_iff_unimodular():
-    assert np.max(np.abs(invariant_codifferential(su2_round()))) < 1e-14
-    heis = LieData(heisenberg_algebra(), np.eye(3), 1.0)
-    assert np.max(np.abs(invariant_codifferential(heis))) < 1e-14
+def _jacobi_residual(c):
+    cyc = (np.einsum("aij,bak->bijk", c, c)
+           + np.einsum("ajk,bai->bijk", c, c)
+           + np.einsum("aki,baj->bijk", c, c))
+    return float(np.max(np.abs(cyc)))
 
+
+def _codifferential(c, g, h3):
+    # d*H as an invariant 2-form: the adjoint of the Chevalley-Eilenberg
+    # differential, <s, beta>_2 = <H, d beta>_3 over the invariant 2-forms
+    inv, h = np.linalg.inv(g), h3 * su2_algebra()
+    basis = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        beta = np.zeros((3, 3))
+        beta[i, j], beta[j, i] = 1.0, -1.0
+        basis.append(beta)
+
+    def d(beta):
+        return (-np.einsum("aij,ak->ijk", c, beta)
+                + np.einsum("aik,aj->ijk", c, beta)
+                - np.einsum("ajk,ai->ijk", c, beta))
+
+    gram = np.array([[0.5 * np.einsum("ij,kl,ik,jl->", a, b, inv, inv)
+                      for b in basis] for a in basis])
+    rhs = np.array([np.einsum("ijk,abc,ia,jb,kc->", h, d(b), inv, inv, inv)
+                    / 6.0 for b in basis])
+    return sum(co * b for co, b in zip(np.linalg.solve(gram, rhs), basis))
+
+
+def test_every_milnor_triple_is_a_unimodular_lie_algebra():
+    # LieData checks only Milnor's form; the Jacobi identity, traceless
+    # brackets and a harmonic 3-form must follow for every triple lambda
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3))
+    g = a @ a.T + 0.5 * np.eye(3)
+    for lam in itertools.product((-1.0, 0.0, 1.0), repeat=3):
+        data = LieData(np.array(lam)[:, None, None] * su2_algebra(), g, 0.7)
+        assert [data.c[0, 1, 2], data.c[1, 2, 0], data.c[2, 0, 1]] == list(lam)
+        assert _jacobi_residual(data.c) == 0.0
+        assert np.max(np.abs(np.einsum("kik->i", data.c))) == 0.0
+        assert np.max(np.abs(_codifferential(data.c, g, data.h3))) < 1e-14
+        assert invariant_grf_rhs(data)[1] == 0.0
+
+
+def test_lie_data_refuses_a_non_unimodular_algebra():
     c = np.zeros((3, 3, 3))   # [e1, e2] = e2: solvable, not unimodular
     c[1, 0, 1] = 1.0
     c[1, 1, 0] = -1.0
-    affine = LieData(c, np.eye(3), 1.0)
-    # not unimodular: the brackets ad_{e_i} are not all traceless
-    assert np.max(np.abs(np.einsum("kik->i", affine.c))) > 1e-12
-    assert np.max(np.abs(invariant_codifferential(affine))) > 0.1
-    with pytest.raises(FieldError):
-        invariant_grf_rhs(affine)
+    # a Lie algebra, but ad_{e_1} is not traceless, so d*H != 0
+    assert _jacobi_residual(c) == 0.0
+    assert np.max(np.abs(np.einsum("kik->i", c))) > 1e-12
+    assert np.max(np.abs(_codifferential(c, np.eye(3), 1.0))) > 0.1
+    with pytest.raises(FieldError, match="Milnor"):
+        LieData(c, np.eye(3), 1.0)
 
 
 def test_grf_rhs_fixed_point_and_sign():

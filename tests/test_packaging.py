@@ -136,6 +136,13 @@ def _defaulted_parameters(path):
                     yield from params(item, f"{node.name}.{item.name}", 1)
 
 
+def _callee(call):
+    """The called name of a call: f of f(...) and of obj.f(...)."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else (
+        func.id if isinstance(func, ast.Name) else None)
+
+
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     # a parameter that every call in src/ and perfbench/ leaves at its default
     # is a constant, not an option. A call passes it by keyword, by position,
@@ -146,10 +153,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                  + sorted((ROOT / "perfbench").glob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else (
-                    func.id if isinstance(func, ast.Name) else None)
-                calls[name].append(node)
+                calls[_callee(node)].append(node)
 
     def passed(call, param, index):
         return (any(kw.arg in (param, None) for kw in call.keywords)
@@ -213,20 +217,58 @@ def _workflow_python():
     return sources + re.findall(r'python[^"\n]* -c "([^"]*)"', text)
 
 
+def _workload_params(tree):
+    """(pipeline, keys) for every Workload(...) of a perfbench module whose
+    op unpacks the workload's params, `**wl.params` or a name bound to it,
+    into a call of that pipeline."""
+    unpacks = collections.defaultdict(set)
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {target.id for node in ast.walk(func)
+                   if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "params"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and any(
+                    kw.arg is None and (
+                        isinstance(kw.value, ast.Attribute)
+                        and kw.value.attr == "params"
+                        or isinstance(kw.value, ast.Name)
+                        and kw.value.id in aliases)
+                    for kw in node.keywords):
+                unpacks[func.name].add(_callee(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node) == "Workload":
+            kws = {kw.arg: kw.value for kw in node.keywords}
+            params, op = kws.get("params"), kws.get("op")
+            if (isinstance(params, ast.Call) and _callee(params) == "dict"
+                    and isinstance(op, ast.Name)):
+                keys = {kw.arg for kw in params.keywords}
+                for pipeline in unpacks[op.id]:
+                    yield pipeline, keys
+
+
 def test_every_pipeline_parameter_is_passed_by_name_somewhere():
-    # a pipeline default that no caller in src/, perfbench/, the tests or
-    # the CI workflow ever sets by keyword is a constant, not an option. A
-    # keyword of the parameter's name in any call counts, since the
-    # workloads hand their parameters over in dicts
+    # a pipeline default that no call of that pipeline in src/, perfbench/,
+    # the tests or the CI workflow ever sets by keyword is a constant, not an
+    # option. A perfbench workload's params dict counts for the pipeline its
+    # op unpacks it into with **
     sources = [path.read_text() for path in
                sorted((ROOT / "src" / "grflab").glob("*.py"))
                + sorted((ROOT / "perfbench").glob("*.py"))
                + sorted((ROOT / "perfbench" / "tests").glob("*.py"))
                + sorted((ROOT / "tests").glob("*.py"))]
-    passed = {node.arg for source in sources + _workflow_python()
-              for node in ast.walk(ast.parse(source))
-              if isinstance(node, ast.keyword)}
+    passed = collections.defaultdict(set)
+    for source in sources + _workflow_python():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                passed[_callee(node)].update(kw.arg for kw in node.keywords)
+        for pipeline, keys in _workload_params(tree):
+            passed[pipeline].update(keys)
     unset = [f"{qual}({param})" for qual, param, _ in _defaulted_parameters(
                  ROOT / "src" / "grflab" / "experiments.py")
-             if param not in passed]
+             if param not in passed[qual]]
     assert not unset, "never passed by name: " + ", ".join(unset)
