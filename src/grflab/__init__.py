@@ -49,10 +49,9 @@ from .flow import (
 from .diffeo import diffeo_flow, pullback
 from .lojasiewicz import lojasiewicz_estimate
 from .homogeneous import (
+    ALGEBRAS,
     LieData,
-    abelian_algebra,
     find_stationary,
-    heisenberg_algebra,
     invariant_flow,
     invariant_grf_rhs,
     invariant_h_squared,
@@ -60,7 +59,6 @@ from .homogeneous import (
     invariant_ricci,
     invariant_scalar_curvature,
     stationarity_residual,
-    su2_algebra,
 )
 from .perturbations import (
     random_form_perturbation,

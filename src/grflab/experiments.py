@@ -34,26 +34,18 @@ from .flow import GAUGES, FlowConfig, FlowState, run_flow
 from .diffeo import diffeo_flow, pullback
 from .lojasiewicz import lojasiewicz_estimate
 from .homogeneous import (
+    ALGEBRAS,
     LieData,
-    abelian_algebra,
     find_stationary,
-    heisenberg_algebra,
     invariant_flow,
     invariant_norm_sq,
     invariant_scalar_curvature,
     stationarity_residual,
-    su2_algebra,
 )
 
 # monotonicity_run's certificate: the largest drop of lambda, its end gap
 LAMBDA_STEP_TOL = 1e-8
 LAMBDA_END_TOL = 1e-7
-
-_ALGEBRAS = {
-    "su2": su2_algebra,
-    "heisenberg": heisenberg_algebra,
-    "abelian": abelian_algebra,
-}
 
 
 def background_three_form(grid, c):
@@ -113,7 +105,7 @@ def flat_equilibrium_report(resolution=16, dims=3):
     return report
 
 
-def eigen_report(resolution=16, amplitude=0.0, seed=0, cutoff=2, hhat_c=0.0,
+def eigen_report(resolution=16, amplitude=0.05, seed=0, cutoff=2, hhat_c=0.0,
                  dims=3):
     """Solve the ground state on seeded data and collect every residual."""
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
@@ -346,17 +338,17 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
 def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, flow_t_max=0.0):
     """Stationary-point search and identity checks on a 3D group.
 
-    Starts slightly off the expected stationary set (metric scale bumped by
-    ten percent) so the Newton search does real work, then evaluates the
+    algebra names a row of homogeneous.ALGEBRAS, else ConfigError. Starts
+    slightly off the expected stationary set (metric scale bumped by ten
+    percent) so the Newton search does real work, then evaluates the
     stationarity identities at the landing point. A nonzero flow_t_max
     appends a short invariant-flow integration from the starting data, at
-    dt = 0.002; it must be positive and finite.
+    dt = 0.002; it must be positive and finite, else ConfigError.
     """
-    if algebra not in _ALGEBRAS:
+    if algebra not in ALGEBRAS:
         raise ConfigError(
-            f"unknown algebra {algebra!r}; expected one of "
-            f"{sorted(_ALGEBRAS)}")
-    data0 = LieData(_ALGEBRAS[algebra](), 1.1 * scale * np.eye(3), h3)
+            f"unknown algebra {algebra!r}; expected one of {sorted(ALGEBRAS)}")
+    data0 = LieData(ALGEBRAS[algebra], 1.1 * scale * np.eye(3), h3)
     out = {
         "algebra": algebra,
         "scale": scale,

@@ -10,25 +10,24 @@ code must reproduce on constant data.
 
 The groups are the unimodular ones, with their algebras in Milnor's form
 (Milnor, Adv. Math. 21, 1976): in a suitable frame [e_i, e_j] =
-lambda_k e_k for each cyclic (i, j, k), so an algebra is a triple lambda.
-su(2) is (1, 1, 1), Heisenberg (0, 0, 1) and the abelian algebra (0, 0, 0).
-On these the Jacobi identity holds and every bracket ad_{e_i} is traceless,
+lambda_k e_k for each cyclic (i, j, k), so an algebra is its triple lambda,
+and ALGEBRAS names the ones the pipelines use. The structure constants
+c^k_{ij} = lambda_k epsilon_{ijk} are derived from the triple. On every
+triple the Jacobi identity holds and every bracket ad_{e_i} is traceless,
 so the invariant 3-form is harmonic (d*H = 0), f is constant, and the
 reduction is exact with h3 constant along the flow.
-
-Structure constants are stored as c[k, i, j] = c^k_{ij} with [e_i, e_j] =
-c^k_{ij} e_k; Milnor's form is c^k_{ij} = lambda_k epsilon_{ijk}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, FieldError, PositivityError
+from .errors import ConfigError, ConvergenceError, FieldError, PositivityError
 from .flow import _rk4_with_retries
+from .lattice import symmetric_pairs
 
 # find_stationary's sup residual goal and its Newton step budget
 NEWTON_TOL = 1e-12
@@ -40,61 +39,45 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 _EPSILON.setflags(write=False)
 
 
-def su2_algebra():
-    """Structure constants c^k_{ij} = epsilon_{ijk} of su(2)."""
-    return _EPSILON.copy()
-
-
-def heisenberg_algebra():
-    """Heisenberg algebra: [e1, e2] = e3, all else zero."""
-    c = np.zeros((3, 3, 3))
-    c[2, 0, 1] = 1.0
-    c[2, 1, 0] = -1.0
-    return c
-
-
-def abelian_algebra():
-    """The abelian algebra: all brackets vanish (the torus case)."""
-    return np.zeros((3, 3, 3))
+# Milnor's triple lambda of each named algebra
+ALGEBRAS = {"su2": (1, 1, 1), "heisenberg": (0, 0, 1), "abelian": (0, 0, 0)}
 
 
 @dataclass(frozen=True)
 class LieData:
-    """Left-invariant state: structure constants, metric matrix, 3-form size.
+    """Left-invariant state: Milnor's triple, metric matrix, 3-form size.
 
-    Validated on construction: c must be in Milnor's form c^k_{ij} =
-    lambda_k epsilon_{ijk} to 1e-12, with lambda_k = c^k_{ij} for cyclic
-    (i, j, k), and g must be SPD. Any other algebra, a non-unimodular one
-    among them, raises FieldError; so every LieData satisfies the Jacobi
-    identity and has a harmonic invariant 3-form, and the reduction of the
-    coupled flow is exact on it.
+    Validated on construction: lambda must be a finite triple, else
+    FieldError, and g a finite symmetric 3 x 3 matrix (FieldError) that is
+    positive definite (PositivityError). The read-only structure constants
+    c[k, i, j] = c^k_{ij} = lambda_k epsilon_{ijk}, with [e_i, e_j] =
+    c^k_{ij} e_k, are built once from lambda.
     """
 
-    c: np.ndarray
+    lam: np.ndarray
     g: np.ndarray
     h3: float
+    c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float)
+        lam = np.array(self.lam, dtype=float)
         g = np.array(self.g, dtype=float)
-        if c.shape != (3, 3, 3) or g.shape != (3, 3):
-            raise FieldError("expected c of shape (3,3,3) and g of shape (3,3)")
-        if not np.all(np.isfinite(c)) or not np.all(np.isfinite(g)):
+        if lam.shape != (3,) or g.shape != (3, 3):
+            raise FieldError("expected lam of shape (3,) and g of shape (3,3)")
+        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(g)):
             raise FieldError("non-finite entries in Lie data")
-        lam = c[(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-        if np.max(np.abs(c - lam[:, None, None] * _EPSILON)) > 1e-12:
-            raise FieldError("structure constants are not Milnor's "
-                             "unimodular form c^k_ij = lambda_k eps_ijk")
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise FieldError("metric matrix not symmetric")
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise PositivityError("metric matrix is not positive definite")
-        c.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        c = lam[:, None, None] * _EPSILON
+        for arr in (lam, g, c):
+            arr.setflags(write=False)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "h3", float(self.h3))
 
     @property
@@ -170,16 +153,11 @@ def stationarity_residual(data):
 
 
 def _pack(g, h3):
-    iu = np.triu_indices(3)
-    return np.concatenate([g[iu], [h3]])
+    return np.concatenate([g[symmetric_pairs(3)[:2]], [h3]])
 
 
 def _unpack(x):
-    g = np.zeros((3, 3))
-    iu = np.triu_indices(3)
-    g[iu] = x[:6]
-    g = g + np.triu(g, 1).T
-    return g, float(x[6])
+    return x[symmetric_pairs(3)[2]], float(x[6])
 
 
 def find_stationary(data0):
@@ -195,9 +173,9 @@ def find_stationary(data0):
 
     def residual(x):
         g, h3 = _unpack(x)
-        trial = LieData(data0.c, g, h3)
+        trial = LieData(data0.lam, g, h3)
         return (invariant_ricci(trial)
-                - 0.25 * invariant_h_squared(trial))[np.triu_indices(3)]
+                - 0.25 * invariant_h_squared(trial))[symmetric_pairs(3)[:2]]
 
     def norm_or_inf(x):
         try:
@@ -210,7 +188,7 @@ def find_stationary(data0):
     for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(res))) < NEWTON_TOL:
             g, h3 = _unpack(x)
-            return LieData(data0.c, g, h3)
+            return LieData(data0.lam, g, h3)
         jac = np.zeros((6, 7))
         for col in range(7):
             h = 1e-7 * max(abs(x[col]), 1.0)
@@ -239,24 +217,23 @@ def invariant_flow(data0, t_max, dt=0.002):
 
     Uses the lattice flows' Runge-Kutta step, halved while the metric leaves
     the SPD cone (StepSizeError when that never ends). t_max and dt must be
-    positive and finite, else FieldError. Returns (records, final LieData),
+    positive and finite, else ConfigError. Returns (records, final LieData),
     one record per step and one at the end. Each record holds t, the six
     upper metric entries, h3, the stationarity residual, and dt.
     """
     if not (0 < t_max < math.inf and 0 < dt < math.inf):
-        raise FieldError("t_max and dt must be positive and finite")
+        raise ConfigError("t_max and dt must be positive and finite")
 
     def slope(data):
         return (invariant_grf_rhs(data)[0],), None
 
     def advance(data, h, k):
-        return LieData(data.c, data.g + h * k[0][0], data.h3)
+        return LieData(data.lam, data.g + h * k[0][0], data.h3)
 
     def make_row(t, data, res, h):
-        iu = np.triu_indices(3)
         row = {"t": t, "h3": data.h3, "stat_residual": res, "dt": h}
-        for (i, j), val in zip(zip(*iu), data.g[iu]):
-            row[f"g{i + 1}{j + 1}"] = float(val)
+        for i, j in zip(*symmetric_pairs(3)[:2]):
+            row[f"g{i + 1}{j + 1}"] = float(data.g[i, j])
         return row
 
     records = []

@@ -18,8 +18,7 @@ from grflab.experiments import (
     stability_run,
 )
 from grflab import experiments, flow, homogeneous, spectrum
-from grflab.errors import (ConfigError, ConvergenceError, FieldError,
-                           NonFiniteError)
+from grflab.errors import ConfigError, ConvergenceError, NonFiniteError
 
 
 def test_flat_equilibrium_is_exact():
@@ -137,9 +136,16 @@ def test_eigen_report_with_a_background_and_another_seed():
 
 
 def test_eigen_report_is_exact_on_the_flat_two_torus():
-    report = eigen_report(resolution=8, dims=2)
+    report = eigen_report(resolution=8, amplitude=0.0, dims=2)
     assert report["lambda"] == report["f_spread"] == 0.0
     assert report["iterations"] == 0
+
+
+def test_eigen_report_seed_draws_the_data_at_the_defaults():
+    # -1.460e-3 at seed 1 and -1.078e-3 at seed 2, 7 iterations each
+    one, two = (eigen_report(resolution=8, seed=seed) for seed in (1, 2))
+    assert one["lambda"] < 0.0 and two["lambda"] < 0.0
+    assert one["lambda"] != two["lambda"]
 
 
 def test_monotonicity_run_climbs_with_a_background_or_on_two_axes():
@@ -183,7 +189,7 @@ def test_homogeneous_report_rejects_a_flow_horizon_that_is_not_positive(
         raise AssertionError("invariant_flow took a step")
 
     monkeypatch.setattr(homogeneous, "_rk4_with_retries", no_step)
-    with pytest.raises(FieldError, match="positive and finite"):
+    with pytest.raises(ConfigError, match="positive and finite"):
         homogeneous_report("su2", flow_t_max=flow_t_max)
 
 

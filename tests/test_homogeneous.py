@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 
 from grflab import (
+    ALGEBRAS,
     Grid,
     LieData,
     MetricField,
     TensorField,
-    abelian_algebra,
     find_stationary,
-    heisenberg_algebra,
     invariant_flow,
     invariant_grf_rhs,
     invariant_ricci,
     invariant_scalar_curvature,
-    su2_algebra,
 )
-from grflab.errors import ConvergenceError, FieldError, PositivityError
+from grflab.errors import (ConfigError, ConvergenceError, FieldError,
+                           PositivityError)
 from grflab import homogeneous
 from grflab.flow import write_records_csv
 from grflab.geometry import h_squared_values
@@ -30,38 +29,55 @@ from grflab.homogeneous import (
 
 from oracles import full_symmetric
 
-ALGEBRAS = {"su2": su2_algebra, "heisenberg": heisenberg_algebra,
-            "abelian": abelian_algebra}
+
+def _structure_constants(brackets):
+    # c[k, i, j] = c^k_ij from the nonzero brackets {(i, j, k): c^k_ij}
+    c = np.zeros((3, 3, 3))
+    for (i, j, k), val in brackets.items():
+        c[k, i, j], c[k, j, i] = val, -val
+    return c
+
+
+# each named algebra's structure constants, written out bracket by bracket:
+# su(2) is [e1, e2] = e3 and its cyclic shifts, Heisenberg [e1, e2] = e3
+# alone, and every abelian bracket vanishes
+EPSILON = _structure_constants({(0, 1, 2): 1.0, (1, 2, 0): 1.0,
+                                (2, 0, 1): 1.0})
+STRUCTURE_CONSTANTS = {
+    "su2": EPSILON,
+    "heisenberg": _structure_constants({(0, 1, 2): 1.0}),
+    "abelian": np.zeros((3, 3, 3)),
+}
 # the columns of invariant_flow records
 INVARIANT_CSV_COLUMNS = ("t", "g11", "g12", "g13", "g22", "g23", "g33",
                          "h3", "stat_residual", "dt")
 
 
 def su2_round(c=1.0, h3=None):
-    return LieData(su2_algebra(), c * np.eye(3), c if h3 is None else h3)
+    return LieData(ALGEBRAS["su2"], c * np.eye(3), c if h3 is None else h3)
 
 
 def test_su2_ricci_is_half_identity():
     for c in (1.0, 2.0, 0.25):
-        ric = invariant_ricci(LieData(su2_algebra(), c * np.eye(3), 0.0))
+        ric = invariant_ricci(LieData(ALGEBRAS["su2"], c * np.eye(3), 0.0))
         assert np.max(np.abs(ric - 0.5 * np.eye(3))) < 1e-14
 
 
 def test_heisenberg_ricci_signature():
-    ric = invariant_ricci(LieData(heisenberg_algebra(), np.eye(3), 0.0))
+    ric = invariant_ricci(LieData(ALGEBRAS["heisenberg"], np.eye(3), 0.0))
     assert np.max(np.abs(ric - np.diag([-0.5, -0.5, 0.5]))) < 1e-14
 
 
 def test_abelian_is_flat():
     g = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
-    data = LieData(abelian_algebra(), g, 0.7)
+    data = LieData(ALGEBRAS["abelian"], g, 0.7)
     assert np.max(np.abs(invariant_ricci(data))) < 1e-15
     assert invariant_scalar_curvature(data) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_h_squared_closed_form():
     g = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
-    data = LieData(su2_algebra(), g, 0.8)
+    data = LieData(ALGEBRAS["su2"], g, 0.8)
     expected = 2.0 * 0.8 ** 2 / np.linalg.det(g) * g
     assert np.max(np.abs(invariant_h_squared(data) - expected)) < 1e-13
     assert invariant_norm_sq(data) == pytest.approx(
@@ -73,7 +89,7 @@ def test_h_squared_matches_lattice_on_constant_data():
     # constant fields must agree with the closed-form matrix version
     grid = Grid((8, 8, 8))
     m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
-    data = LieData(abelian_algebra(), m, 0.6)
+    data = LieData(ALGEBRAS["abelian"], m, 0.6)
     i, j = np.triu_indices(3)
     g = MetricField(grid, m[i, j].reshape(6, 1, 1, 1) + np.zeros((6,) + grid.shape))
     H = TensorField(grid, np.full((1,) + grid.shape, data.full_form()[0, 1, 2]),
@@ -97,7 +113,7 @@ def test_su2_round_family_is_stationary():
 def test_find_stationary_lands_on_round_family():
     g0 = 1.2 * np.eye(3)
     g0[0, 1] = g0[1, 0] = 0.02
-    start = LieData(su2_algebra(), g0, 0.9)
+    start = LieData(ALGEBRAS["su2"], g0, 0.9)
     out = find_stationary(start)
     assert stationarity_residual(out) < 1e-12
     c = out.g[0, 0]
@@ -106,7 +122,7 @@ def test_find_stationary_lands_on_round_family():
 
 
 def test_find_stationary_abelian_turns_off_h():
-    start = LieData(abelian_algebra(), np.eye(3), 0.5)
+    start = LieData(ALGEBRAS["abelian"], np.eye(3), 0.5)
     out = find_stationary(start)
     assert stationarity_residual(out) < 1e-12
     # the residual is quadratic in h3, so the tolerance pins |h3| to its root
@@ -114,7 +130,7 @@ def test_find_stationary_abelian_turns_off_h():
 
 
 def test_heisenberg_has_no_stationary_point():
-    start = LieData(heisenberg_algebra(), np.eye(3), 0.5)
+    start = LieData(ALGEBRAS["heisenberg"], np.eye(3), 0.5)
     with pytest.raises(ConvergenceError):
         find_stationary(start)
 
@@ -129,7 +145,7 @@ def _jacobi_residual(c):
 def _codifferential(c, g, h3):
     # d*H as an invariant 2-form: the adjoint of the Chevalley-Eilenberg
     # differential, <s, beta>_2 = <H, d beta>_3 over the invariant 2-forms
-    inv, h = np.linalg.inv(g), h3 * su2_algebra()
+    inv, h = np.linalg.inv(g), h3 * EPSILON
     basis = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         beta = np.zeros((3, 3))
@@ -149,13 +165,13 @@ def _codifferential(c, g, h3):
 
 
 def test_every_milnor_triple_is_a_unimodular_lie_algebra():
-    # LieData checks only Milnor's form; the Jacobi identity, traceless
+    # LieData derives c from the triple alone; the Jacobi identity, traceless
     # brackets and a harmonic 3-form must follow for every triple lambda
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3))
     g = a @ a.T + 0.5 * np.eye(3)
     for lam in itertools.product((-1.0, 0.0, 1.0), repeat=3):
-        data = LieData(np.array(lam)[:, None, None] * su2_algebra(), g, 0.7)
+        data = LieData(lam, g, 0.7)
         assert [data.c[0, 1, 2], data.c[1, 2, 0], data.c[2, 0, 1]] == list(lam)
         assert _jacobi_residual(data.c) == 0.0
         assert np.max(np.abs(np.einsum("kik->i", data.c))) == 0.0
@@ -171,8 +187,16 @@ def test_lie_data_refuses_a_non_unimodular_algebra():
     assert _jacobi_residual(c) == 0.0
     assert np.max(np.abs(np.einsum("kik->i", c))) > 1e-12
     assert np.max(np.abs(_codifferential(c, np.eye(3), 1.0))) > 0.1
-    with pytest.raises(FieldError, match="Milnor"):
+    # no triple expresses it, and LieData takes no structure-constant array
+    with pytest.raises(FieldError, match="shape"):
         LieData(c, np.eye(3), 1.0)
+
+
+@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+def test_each_algebra_row_gives_its_old_structure_constants(algebra):
+    data = LieData(ALGEBRAS[algebra], np.eye(3), 0.0)
+    assert np.array_equal(data.c, STRUCTURE_CONSTANTS[algebra])
+    assert not data.c.flags.writeable and not data.lam.flags.writeable
 
 
 def test_grf_rhs_fixed_point_and_sign():
@@ -180,7 +204,7 @@ def test_grf_rhs_fixed_point_and_sign():
     assert dh3 == 0.0
     assert np.max(np.abs(dg)) < 1e-14
     # without the form the round metric shrinks
-    dg0, _ = invariant_grf_rhs(LieData(su2_algebra(), np.eye(3), 0.0))
+    dg0, _ = invariant_grf_rhs(LieData(ALGEBRAS["su2"], np.eye(3), 0.0))
     assert np.max(np.abs(dg0 + np.eye(3))) < 1e-14
 
 
@@ -192,7 +216,7 @@ def test_invariant_flow_preserves_stationary_point():
 
 
 def test_heisenberg_flow_pancakes():
-    start = LieData(heisenberg_algebra(), np.eye(3), 0.0)
+    start = LieData(ALGEBRAS["heisenberg"], np.eye(3), 0.0)
     records, final = invariant_flow(start, t_max=0.5, dt=0.005)
     assert final.g[0, 0] > 1.0
     assert final.g[1, 1] > 1.0
@@ -211,34 +235,26 @@ def test_invariant_flow_rejects_a_horizon_or_step_that_is_not_finite(
         raise AssertionError("invariant_flow took a step")
 
     monkeypatch.setattr(homogeneous, "_rk4_with_retries", no_step)
-    with pytest.raises(FieldError, match="positive and finite"):
+    with pytest.raises(ConfigError, match="positive and finite"):
         invariant_flow(su2_round(1.0), t_max=t_max, dt=dt)
 
 
 def test_lie_data_validation():
-    with pytest.raises(FieldError):
-        LieData(np.zeros((3, 3)), np.eye(3), 0.0)
-    bad_anti = np.zeros((3, 3, 3))
-    bad_anti[0, 1, 1] = 1.0
-    with pytest.raises(FieldError):
-        LieData(bad_anti, np.eye(3), 0.0)
-    non_jacobi = np.zeros((3, 3, 3))
-    non_jacobi[0, 0, 1] = 1.0   # [e1, e2] = e1
-    non_jacobi[0, 1, 0] = -1.0
-    non_jacobi[1, 1, 2] = 1.0   # [e2, e3] = e2
-    non_jacobi[1, 2, 1] = -1.0
-    with pytest.raises(FieldError):
-        LieData(non_jacobi, np.eye(3), 0.0)
+    # a (3, 3, 3) structure-constant array, a matrix, non-finite triples
+    for lam in (EPSILON, np.eye(3), (1.0, float("nan"), 0.0),
+                (0.0, 0.0, float("inf"))):
+        with pytest.raises(FieldError):
+            LieData(lam, np.eye(3), 0.0)
     with pytest.raises(PositivityError):
-        LieData(su2_algebra(), -np.eye(3), 0.0)
+        LieData(ALGEBRAS["su2"], -np.eye(3), 0.0)
     with pytest.raises(FieldError):
-        LieData(su2_algebra(), np.array([[1.0, 0.5, 0.0],
-                                         [0.0, 1.0, 0.0],
-                                         [0.0, 0.0, 1.0]]), 0.0)
+        LieData(ALGEBRAS["su2"], np.array([[1.0, 0.5, 0.0],
+                                           [0.0, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0]]), 0.0)
 
 
 def test_invariant_csv_round_trip(tmp_path):
-    start = LieData(heisenberg_algebra(), np.eye(3), 0.0)
+    start = LieData(ALGEBRAS["heisenberg"], np.eye(3), 0.0)
     records, _ = invariant_flow(start, t_max=0.02, dt=0.005)
     path = tmp_path / "invariant.csv"
     write_records_csv(records, INVARIANT_CSV_COLUMNS, path)
@@ -259,14 +275,14 @@ def test_lambda_inv_never_decreases_along_the_invariant_flow(algebra):
     # on a unimodular group f is constant, so lambda = R - |H|^2/12, and the
     # invariant flow at fixed h3 is twice its gradient flow
     g0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
-    records, _ = invariant_flow(LieData(ALGEBRAS[algebra](), g0, 0.8), 0.5)
+    records, _ = invariant_flow(LieData(ALGEBRAS[algebra], g0, 0.8), 0.5)
     assert len(records) == 251
     lams = []
     for r in records:
         g = np.array([[r["g11"], r["g12"], r["g13"]],
                       [r["g12"], r["g22"], r["g23"]],
                       [r["g13"], r["g23"], r["g33"]]])
-        data = LieData(ALGEBRAS[algebra](), g, r["h3"])
+        data = LieData(ALGEBRAS[algebra], g, r["h3"])
         assert data.h3 == 0.8
         lams.append(invariant_scalar_curvature(data)
                     - invariant_norm_sq(data) / 12.0)
