@@ -174,13 +174,6 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
     }
 
 
-def _tail_rows(records, fraction=0.1):
-    """Records in the trailing fraction of the covered time span."""
-    t_end = records[-1]["t"]
-    t_cut = t_end * (1.0 - fraction)
-    return [r for r in records if r["t"] >= t_cut]
-
-
 def _endpoint_summary(traj):
     """Verdict, reason, endpoint fields, failed side eigensolves and the
     eigensolver's total outer and CG iterations and short CG exits of a run;
@@ -188,7 +181,6 @@ def _endpoint_summary(traj):
     no record."""
     records = traj.records or [collections.defaultdict(lambda: math.nan)]
     last = records[-1]
-    tail = _tail_rows(records) if traj.records else records
     return {
         "verdict": traj.verdict,
         "reason": traj.reason,
@@ -199,10 +191,12 @@ def _endpoint_summary(traj):
         "H_l2_end": last["H_l2"],
         "rhs_l2_end": last["rhs_l2"],
         "dH_linf_max": float(np.max([r["dH_linf"] for r in records])),
-        # np.max propagates a NaN from any record where the side eigensolve
-        # failed, so a blanked gap can never masquerade as a small one
-        "identity_gap_final_decade": float(
-            np.max([r["identity_gap"] for r in tail])),
+        # the final tenth of the time span (all of a run without records,
+        # whose time is NaN); np.max propagates a NaN gap from a failed side
+        # eigensolve, so a blanked gap can never masquerade as a small one
+        "identity_gap_final_decade": float(np.max([
+            r["identity_gap"] for r in records
+            if not r["t"] < last["t"] * (1.0 - 0.1)])),
         "side_eig_failures": traj.side_eig_failures,
         "eig_outer_iterations": traj.eig_outer_iterations,
         "eig_cg_iterations": traj.eig_cg_iterations,
@@ -264,16 +258,15 @@ def monotonicity_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
     summary = {"seed": seed, "resolution": resolution,
                "amplitude": amplitude}
     summary.update(_endpoint_summary(traj))
+    monotone = bool(worst_drop >= -LAMBDA_STEP_TOL)
+    all_negative = bool(len(lams) and np.all(lams < 0.0))
     summary.update({
         "lambda_start": float(lams[0]) if len(lams) else float("nan"),
         "worst_lambda_drop": worst_drop,
-        "monotone": bool(worst_drop >= -LAMBDA_STEP_TOL),
-        "all_negative": bool(len(lams) and np.all(lams < 0.0)),
-        "passed": bool(
-            traj.verdict == "CONVERGED"
-            and worst_drop >= -LAMBDA_STEP_TOL
-            and np.all(lams < 0.0)
-            and abs(lams[-1]) < LAMBDA_END_TOL),
+        "monotone": monotone,
+        "all_negative": all_negative,
+        "passed": (traj.verdict == "CONVERGED" and monotone and all_negative
+                   and bool(abs(lams[-1]) < LAMBDA_END_TOL)),
     })
     return traj, summary
 
@@ -287,10 +280,8 @@ def lojasiewicz_report(trajectory, window_fraction=0.5, min_samples=10):
     out = lojasiewicz_estimate(trajectory.records,
                                window_fraction=window_fraction,
                                min_samples=min_samples)
-    out["passed"] = bool(
-        math.isfinite(out["theta_hat"])
-        and 0.0 < out["theta_hat"] <= 0.5
-        and out["holds_everywhere"])
+    # the inequality only holds at a finite exponent in (0, 1/2]
+    out["passed"] = out["holds_everywhere"]
     return out
 
 
@@ -338,16 +329,19 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
 def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, flow_t_max=0.0):
     """Stationary-point search and identity checks on a 3D group.
 
-    algebra names a row of homogeneous.ALGEBRAS, else ConfigError. Starts
-    slightly off the expected stationary set (metric scale bumped by ten
-    percent) so the Newton search does real work, then evaluates the
-    stationarity identities at the landing point. A nonzero flow_t_max
-    appends a short invariant-flow integration from the starting data, at
-    dt = 0.002; it must be positive and finite, else ConfigError.
+    algebra names a row of homogeneous.ALGEBRAS and scale must be positive
+    and finite, else ConfigError. Starts slightly off the expected
+    stationary set (metric scale bumped by ten percent) so the Newton search
+    does real work, then evaluates the stationarity identities at the
+    landing point. A nonzero flow_t_max appends a short invariant-flow
+    integration from the starting data, at dt = 0.002; it must be positive
+    and finite, else ConfigError.
     """
     if algebra not in ALGEBRAS:
         raise ConfigError(
             f"unknown algebra {algebra!r}; expected one of {sorted(ALGEBRAS)}")
+    if not 0 < scale < math.inf:
+        raise ConfigError(f"scale must be positive and finite, got {scale!r}")
     data0 = LieData(ALGEBRAS[algebra], 1.1 * scale * np.eye(3), h3)
     out = {
         "algebra": algebra,

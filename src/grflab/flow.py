@@ -132,12 +132,11 @@ class FlowConfig:
         if self.keep_gauge_fields and not gauge.keeps_fields:
             raise ConfigError(
                 f"the {self.gauge!r} gauge keeps no gauge fields")
-        for name in ("t_max", "cfl", "stop_tol"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must not be NaN")
-        if self.t_max <= 0 or not 0 < self.cfl < math.inf:
-            raise ConfigError("t_max must be positive, cfl positive and finite")
-        if self.stop_tol < 0:
+        if not self.t_max > 0:
+            raise ConfigError("t_max must be positive")
+        if not 0 < self.cfl < math.inf:
+            raise ConfigError("cfl must be positive and finite")
+        if not self.stop_tol >= 0:
             raise ConfigError("stop_tol must be nonnegative")
         if (not isinstance(self.record_every, numbers.Integral)
                 or self.record_every < 1):

@@ -47,8 +47,8 @@ ALGEBRAS = {"su2": (1, 1, 1), "heisenberg": (0, 0, 1), "abelian": (0, 0, 0)}
 class LieData:
     """Left-invariant state: Milnor's triple, metric matrix, 3-form size.
 
-    Validated on construction: lambda must be a finite triple, else
-    FieldError, and g a finite symmetric 3 x 3 matrix (FieldError) that is
+    Validated on construction: lambda must be a finite triple and h3 finite,
+    else FieldError, and g a finite symmetric 3 x 3 matrix (FieldError) that is
     positive definite (PositivityError). The read-only structure constants
     c[k, i, j] = c^k_{ij} = lambda_k epsilon_{ijk}, with [e_i, e_j] =
     c^k_{ij} e_k, are built once from lambda.
@@ -62,9 +62,10 @@ class LieData:
     def __post_init__(self):
         lam = np.array(self.lam, dtype=float)
         g = np.array(self.g, dtype=float)
+        h3 = float(self.h3)
         if lam.shape != (3,) or g.shape != (3, 3):
             raise FieldError("expected lam of shape (3,) and g of shape (3,3)")
-        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite([*lam, *g.flat, h3])):
             raise FieldError("non-finite entries in Lie data")
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise FieldError("metric matrix not symmetric")
@@ -78,7 +79,7 @@ class LieData:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "h3", float(self.h3))
+        object.__setattr__(self, "h3", h3)
 
     @property
     def inv(self):
@@ -142,14 +143,17 @@ def invariant_grf_rhs(data):
     dh3 = 0 because the invariant 3-form is harmonic on a unimodular
     algebra, the only kind a LieData holds.
     """
-    dg = -2.0 * invariant_ricci(data) + 0.5 * invariant_h_squared(data)
-    return dg, 0.0
+    return -2.0 * _stationary_defect(data), 0.0
+
+
+def _stationary_defect(data):
+    """Ric - H^2/4, which vanishes exactly at a stationary point."""
+    return invariant_ricci(data) - 0.25 * invariant_h_squared(data)
 
 
 def stationarity_residual(data):
     """sup |Ric - H^2/4|, the stationary system's metric block."""
-    return float(np.max(np.abs(
-        invariant_ricci(data) - 0.25 * invariant_h_squared(data))))
+    return float(np.max(np.abs(_stationary_defect(data))))
 
 
 def _pack(g, h3):
@@ -172,10 +176,8 @@ def find_stationary(data0):
     """
 
     def residual(x):
-        g, h3 = _unpack(x)
-        trial = LieData(data0.lam, g, h3)
-        return (invariant_ricci(trial)
-                - 0.25 * invariant_h_squared(trial))[symmetric_pairs(3)[:2]]
+        defect = _stationary_defect(LieData(data0.lam, *_unpack(x)))
+        return defect[symmetric_pairs(3)[:2]]
 
     def norm_or_inf(x):
         try:

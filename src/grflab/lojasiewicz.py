@@ -5,9 +5,13 @@ Near a critical point the gradient norm controls the value gap through
 spectral-gauge run sample both sides directly (rhs_l2 is the gradient norm in
 that gauge), so theta is estimated by a least-squares fit of log |grad mu|
 against log |mu|, then reconciled with the largest exponent not exceeding one
-half for which the inequality holds at every sample of the fit window. The
-fit takes the record dicts alone and returns a dict; the fit residual and
-exclusion counts are always reported, and nothing is asserted a priori.
+half for which the inequality holds at every sample of the fit window. That
+cap comes from two masked reductions over the window: a minimum over the
+samples with |mu| < 1, which bound theta from above, and a maximum over those
+with |mu| > 1, which bound it from below; a sample with |mu| = 1 needs
+|grad mu| >= 1. The fit takes the record dicts alone and returns a dict; the
+fit residual and exclusion counts are always reported, and nothing is
+asserted a priori.
 """
 
 from __future__ import annotations
@@ -20,28 +24,6 @@ import numpy as np
 from .errors import ConfigError
 
 _ROUNDING_SLACK = 1e-12
-
-
-def _feasible_cap(log_lam, log_grad):
-    """Largest theta <= 1/2 with log grad >= (1 - theta) log |mu| pointwise.
-
-    Samples with |mu| < 1 bound theta from above, samples with |mu| > 1 from
-    below; |mu| = 1 samples just require grad >= 1. Returns (cap, feasible).
-    """
-    upper = 0.5
-    lower = 0.0
-    feasible = True
-    for x, y in zip(log_lam, log_grad):
-        ratio = 1.0 - y / x if x != 0.0 else None
-        if x < 0.0:
-            upper = min(upper, ratio)
-        elif x > 0.0:
-            lower = max(lower, ratio)
-        elif y < 0.0:
-            feasible = False
-    if upper <= lower or upper <= 0.0:
-        feasible = False
-    return upper, feasible
 
 
 def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
@@ -98,7 +80,12 @@ def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
         fitted = slope * log_lam + intercept
         fit_residual = float(np.sqrt(np.mean((log_grad - fitted) ** 2)))
 
-    cap, feasible = _feasible_cap(log_lam, log_grad)
+    # the cap (see the module docstring); the ratio at |mu| = 1 is unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = 1.0 - log_grad / log_lam
+    cap = np.min(ratio[log_lam < 0.0], initial=0.5)
+    lower = np.max(ratio[log_lam > 0.0], initial=0.0)
+    feasible = cap > lower and not np.any((log_lam == 0.0) & (log_grad < 0.0))
     theta_hat = min(theta_slope, cap)
     if not feasible or not theta_hat > 0.0:
         theta_hat = float("nan")

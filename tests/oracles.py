@@ -11,6 +11,8 @@ component storage with per-point matmuls, einsums and FFTs; the package's
 kernels on packed components must agree with them to rounding. Full storage
 here is component last, grid shape + (n,)*k; full_symmetric, full_form and
 packed turn the package's packed, component-major arrays into it and back.
+The Lojasiewicz estimate's feasibility cap is kept the same way, as the
+per-sample loop it was before it became two masked reductions.
 
 Only the last section calls the package: it composes the three flow
 right-hand sides kernel by kernel from the validated field strength, one
@@ -490,6 +492,34 @@ def trig_polynomial_full(grid, rng, component_shape=(), cutoff=1):
         b_k = coeffs[m, ..., 1]
         out = out + np.multiply.outer(a_k, cos) + np.multiply.outer(b_k, sin)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lojasiewicz feasibility cap, sample by sample
+# ---------------------------------------------------------------------------
+
+
+def feasible_cap_loop(log_lam, log_grad):
+    """Largest theta <= 1/2 with log grad >= (1 - theta) log |mu| pointwise,
+    as first written: one pass over the samples with three flags.
+
+    Samples with |mu| < 1 bound theta from above, samples with |mu| > 1 from
+    below; |mu| = 1 samples just require grad >= 1. Returns (cap, feasible).
+    """
+    upper = 0.5
+    lower = 0.0
+    feasible = True
+    for x, y in zip(log_lam, log_grad):
+        ratio = 1.0 - y / x if x != 0.0 else None
+        if x < 0.0:
+            upper = min(upper, ratio)
+        elif x > 0.0:
+            lower = max(lower, ratio)
+        elif y < 0.0:
+            feasible = False
+    if upper <= lower or upper <= 0.0:
+        feasible = False
+    return upper, feasible
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ assembly, the Runge-Kutta step and the eigensolver (about 2 s in total, about
 two full N = 8 runs of the repeat test, on a 2-vCPU x86-64 host)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from grflab.experiments import (
     stability_run,
 )
 from grflab import experiments, flow, homogeneous, spectrum
-from grflab.errors import ConfigError, ConvergenceError, NonFiniteError
+from grflab.errors import (ConfigError, ConvergenceError, FieldError,
+                           NonFiniteError)
 
 
 def test_flat_equilibrium_is_exact():
@@ -191,6 +193,21 @@ def test_homogeneous_report_rejects_a_flow_horizon_that_is_not_positive(
     monkeypatch.setattr(homogeneous, "_rk4_with_retries", no_step)
     with pytest.raises(ConfigError, match="positive and finite"):
         homogeneous_report("su2", flow_t_max=flow_t_max)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+def test_homogeneous_report_rejects_a_scale_that_is_not_positive(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="scale"):
+            homogeneous_report("su2", scale=scale)
+
+
+@pytest.mark.parametrize("h3", [float("nan"), float("inf")])
+def test_homogeneous_report_rejects_a_non_finite_form(h3):
+    # LieData stops it before the Newton search's least-squares solve
+    with pytest.raises(FieldError, match="non-finite"):
+        homogeneous_report("su2", h3=h3)
 
 
 @pytest.mark.parametrize("algebra", ["su2", "heisenberg", "abelian"])

@@ -253,6 +253,26 @@ def test_lie_data_validation():
                                            [0.0, 0.0, 1.0]]), 0.0)
 
 
+@pytest.mark.parametrize("h3", [float("nan"), float("inf"), -float("inf")])
+def test_lie_data_refuses_a_non_finite_form(h3):
+    with pytest.raises(FieldError, match="non-finite"):
+        LieData(ALGEBRAS["su2"], np.eye(3), h3)
+
+
+def test_grf_rhs_is_minus_twice_the_stationary_defect_bit_for_bit():
+    # -2 (Ric - H^2/4) rounds as -2 Ric + H^2/2: scaling by powers of two
+    # commutes with rounding
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 3))
+    g = a @ a.T + 0.5 * np.eye(3)
+    for lam in itertools.product((-1.0, 0.0, 1.0), repeat=3):
+        for h3 in (0.0, 0.7):
+            data = LieData(lam, g, h3)
+            old = (-2.0 * invariant_ricci(data)
+                   + 0.5 * invariant_h_squared(data))
+            assert np.array_equal(invariant_grf_rhs(data)[0], old)
+
+
 def test_invariant_csv_round_trip(tmp_path):
     start = LieData(ALGEBRAS["heisenberg"], np.eye(3), 0.0)
     records, _ = invariant_flow(start, t_max=0.02, dt=0.005)

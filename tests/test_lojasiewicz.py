@@ -1,11 +1,15 @@
+import collections
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from grflab import lojasiewicz_estimate
+from grflab import lojasiewicz_estimate, lojasiewicz_report
 from grflab.errors import ConfigError
+
+from oracles import feasible_cap_loop
 
 
 def power_law_records(theta, prefactor=1.0, n=60, lam0=1e-3, lam1=1e-9):
@@ -138,3 +142,77 @@ def test_fit_is_a_dict_of_plain_values_in_a_fixed_key_order():
                          "n_samples", "n_excluded", "holds_everywhere"]
     assert [type(v) for v in fit.values()] == [float, float, float, list,
                                               int, int, bool]
+
+
+def _random_record_sets(n_sets, seed=0):
+    """Seeded record sets around a planted exponent. Per set, a share of the
+    samples has |lambda| = 1, a share |lambda| > 1 and a share a gradient
+    below the power law, each share possibly zero; the last makes many sets
+    infeasible."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_sets):
+        n = int(rng.integers(10, 25))
+        unit, above, below = rng.choice([0.0, 0.2], size=3)
+        kind = rng.choice(3, size=n, p=[1.0 - unit - above, unit, above])
+        log_lam = np.where(kind == 0, rng.uniform(-20.0, -0.1, n),
+                           np.where(kind == 1, 0.0, rng.uniform(0.1, 3.0, n)))
+        sign = np.where(rng.random(n) < below, -1.0, 1.0)
+        offset = sign * rng.exponential(0.5, n)
+        log_grad = (1.0 - rng.uniform(0.0, 0.8)) * log_lam + offset
+        yield [{"t": float(k), "lambda": -math.exp(x), "rhs_l2": math.exp(y)}
+               for k, (x, y) in enumerate(zip(log_lam, log_grad))]
+    # mirrored samples tie the bounds from above and below at exactly 1/4;
+    # the cap must lie strictly above the lower bound, so the set counts as
+    # infeasible
+    yield [{"t": float(k), "lambda": -16.0 ** e, "rhs_l2": 8.0 ** e}
+           for k, e in enumerate([-1.0, 1.0] * 5)]
+
+
+def test_the_masked_cap_matches_the_per_sample_loop():
+    # the estimate's theta_hat (NaN-aware), holds_everywhere and the report's
+    # passed against the loop the two masked reductions replaced
+    outcomes = collections.Counter()
+    for rows in _random_record_sets(1200):
+        fit = lojasiewicz_estimate(rows, window_fraction=1.0)
+        assert fit["n_samples"] == len(rows)
+        log_lam = np.log(np.abs([r["lambda"] for r in rows]))
+        log_grad = np.log([r["rhs_l2"] for r in rows])
+        cap, feasible = feasible_cap_loop(log_lam, log_grad)
+        theta_hat = min(fit["theta_slope"], cap)
+        if not feasible or not theta_hat > 0.0:
+            theta_hat, holds = math.nan, False
+        else:
+            holds = bool(np.all(
+                log_grad >= (1.0 - theta_hat) * log_lam - 1e-12))
+        assert np.array_equal(fit["theta_hat"], theta_hat, equal_nan=True)
+        assert fit["holds_everywhere"] is holds
+        traj = types.SimpleNamespace(gauge="mu_gradient", records=rows)
+        report = lojasiewicz_report(traj, window_fraction=1.0)
+        assert report["passed"] is holds
+        outcomes[feasible, holds] += 1
+        outcomes["unit", bool(np.any(log_lam == 0.0))] += 1
+        outcomes["above", bool(np.any(log_lam > 0.0))] += 1
+    # both verdicts, and sets with and without |lambda| = 1 and > 1
+    assert min(outcomes[key] for key in [
+        (True, True), (False, False), ("unit", True), ("unit", False),
+        ("above", True), ("above", False)]) > 100, outcomes
+
+
+@pytest.mark.parametrize("rows", [
+    power_law_records(0.5, prefactor=2.0),
+    power_law_records(0.25, prefactor=3.0),
+    power_law_records(0.7, prefactor=5.0),
+    power_law_records(0.5, prefactor=0.1),
+    power_law_records(-0.5, prefactor=1e-6),
+    power_law_records(0.5, n=40),
+    [{"t": float(k), "lambda": -1e-4, "rhs_l2": 1e-2 * (k + 1)}
+     for k in range(12)],
+], ids=["half", "quarter", "capped", "tight", "infeasible", "n40", "one"])
+def test_holding_everywhere_implies_an_exponent_in_the_half_interval(rows):
+    # lojasiewicz_report's passed is holds_everywhere alone on this promise
+    for fraction in (0.25, 0.5, 1.0):
+        fit = lojasiewicz_estimate(rows, window_fraction=fraction,
+                                   min_samples=2)
+        if fit["holds_everywhere"]:
+            assert math.isfinite(fit["theta_hat"])
+            assert 0.0 < fit["theta_hat"] <= 0.5
