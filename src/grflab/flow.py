@@ -23,7 +23,9 @@ part is -|D(k)|^2 = -sum_a D(k_a)^2, D the stencil symbol
 (lattice.stencil_symbol), whose square peaks at 1.883 / h^2 per axis. RK4
 damps y' = z y / dt while z >= -2.785, its real stability interval, so on n
 axes cfl* = 2 * 2.785 / (1.883 n): 1.48 in 2D, 0.986 in 3D, 0.74 in 4D.
-FlowConfig's default 0.1 is a tenth of the 3D limit.
+The mu flow's nonzero flat-point rates are -|D(k)|^2 / 2, so its limit is
+twice that: 1.97 in 3D. FlowConfig's default 0.1 is a tenth of the 3D
+DeTurck limit.
 
 A run takes at most MAX_STEPS steps. Every accepted step can record a
 diagnostics row with the columns t, lambda, H_l2, ricci_linf, dH_linf,
@@ -42,8 +44,14 @@ or else the side solves of the diagnostics rows. It remembers the
 eigenfunctions of its last two distinct times and starts its next solve from
 the line in t through them: a time already solved (k3 after k2, the next k1
 after k4) reuses its own, k2 and k4 extrapolate, and the stages of a step
-retried at half size interpolate. A failed solve leaves the stream untouched;
-Trajectory counts the failed side solves and the iterations of every solve.
+retried at half size interpolate. That time line misses in much the same
+way from one step to the next, most at k2 and k3, so each stage solve (k1
+to k4) adds the error its time-line start made at the same stage of the
+previous accepted step. The time line alone starts the first step, a
+halved step from its halving on and the whole step after it, the side
+solves and step(). A failed solve leaves the stream untouched; Trajectory
+counts the failed side solves, the iterations of every solve and the
+halvings.
 """
 
 from __future__ import annotations
@@ -115,9 +123,10 @@ class FlowConfig:
 
     cfl scales dt = cfl min(h)^2 / (2 max eig g^-1). RK4 on the flat-point
     symbol -|D(k)|^2 is stable up to cfl* = 2 * 2.785 / (1.883 n): 1.48,
-    0.986 and 0.74 on 2, 3 and 4 axes (see the module docstring). Nothing
-    checks cfl against it: a run past it ends DIVERGED on positivity or at
-    the horizon.
+    0.986 and 0.74 on 2, 3 and 4 axes (see the module docstring); the mu
+    flow's rates are half as large, so its limit is 2 cfl*: 2.96, 1.97 and
+    1.48. Nothing checks cfl against it: a run past it ends DIVERGED on
+    positivity or at the horizon.
     """
 
     gauge: str = "grf"
@@ -155,7 +164,8 @@ class Trajectory:
     (spectral columns NaN); eig_outer_iterations and eig_cg_iterations total
     the iterations of every returned eigensolve, and eig_cg_short_exits its
     inner CG solves that stopped at CG_MAX_ITER or on an indefinite
-    direction.
+    direction. dt_halvings counts the times a step was halved because the
+    metric left the positive cone.
     """
 
     final: FlowState
@@ -168,6 +178,7 @@ class Trajectory:
     eig_outer_iterations: int = 0
     eig_cg_iterations: int = 0
     eig_cg_short_exits: int = 0
+    dt_halvings: int = 0
 
     def column(self, key):
         return np.array([r[key] for r in self.records])
@@ -264,25 +275,57 @@ def _remember(history, t, w):
     history[:] = [e for e in history if e[0] != t][-1:] + [(t, w)]
 
 
-def _warm_solve(solve, t, history, totals):
+def _warm_solve(solve, t, history, totals, errors=None):
     """solve(w0), an eigensolve at time t returning its eigenpair last, from
     _predict of the run's history, which then remembers the eigenfunction;
-    totals counts the iterations and short CG exits. A solve that raises
-    touches neither."""
-    out = solve(_predict(history, t))
+    totals counts the iterations and short CG exits. errors, a run's
+    _StageErrors, adds to that start the error it made at the same stage of
+    the previous accepted step and records this one's. A solve that raises
+    touches none of them."""
+    line = _predict(history, t)
+    shift = errors.shift() if errors is not None else None
+    out = solve(line if shift is None else line + shift)
     sol = out[-1]
     _remember(history, t, sol.w.values)
+    if errors is not None:
+        errors.record(None if line is None else sol.w.values - line)
     totals.update(outer=sol.iterations, cg=sol.cg_iterations,
                   short=sol.cg_short_exits)
     return out
 
 
-def _rhs(gauge, state, g_ref, history, totals):
+class _StageErrors:
+    """The error of each stage solve's time-line start (k1 to k4): those of
+    the previous accepted step, which this step's starts add, and this
+    step's so far. A step that halves adds none from its halving on and
+    records none, so the step after it starts from the time line too."""
+
+    def __init__(self):
+        self.previous, self.current = [], []
+
+    def next_step(self):
+        self.previous, self.current = self.current or [], []
+
+    def halve(self):
+        self.current = None
+
+    def shift(self):
+        """The previous step's error at the next stage, or None."""
+        if self.current is None or len(self.current) >= len(self.previous):
+            return None
+        return self.previous[len(self.current)]
+
+    def record(self, error):
+        if self.current is not None:
+            self.current.append(error)
+
+
+def _rhs(gauge, state, g_ref, history, totals, errors=None):
     """(dg, db, extra) of the gauge; only a spectral one joins the stream."""
     if not gauge.spectral:
         return gauge.rhs(state, g_ref, None)
     return _warm_solve(lambda w0: gauge.rhs(state, g_ref, w0),
-                       state.time, history, totals)
+                       state.time, history, totals, errors)
 
 
 def _slope(k):
@@ -400,10 +443,18 @@ def run_flow(initial, config, g_ref=None):
     every record_every accepted steps and always at the endpoint.
     """
     gauge, history, totals = _gauge(config.gauge), [], collections.Counter()
-    side_failures = 0
+    errors, side_failures = _StageErrors(), 0
 
     def rhs(s):
-        return _rhs(gauge, s, g_ref, history, totals)
+        return _rhs(gauge, s, g_ref, history, totals, errors)
+
+    def advance(y, h, k):
+        try:
+            return _advance(y, h, k)
+        except PositivityError:
+            totals["halvings"] += 1
+            errors.halve()
+            raise
 
     state = initial
     records = []
@@ -411,6 +462,7 @@ def run_flow(initial, config, g_ref=None):
     verdict, reason = "DIVERGED", "step budget exhausted"
     steps = 0
     while True:
+        errors.next_step()
         try:
             k1 = rhs(state)
         except (ConvergenceError, PositivityError, NonFiniteError) as exc:
@@ -450,7 +502,7 @@ def run_flow(initial, config, g_ref=None):
 
         try:
             new_state, extras, dt = _rk4_with_retries(
-                state, dt, lambda s: _slope(rhs(s)), _advance, state.time,
+                state, dt, lambda s: _slope(rhs(s)), advance, state.time,
                 k1=_slope(k1))
         except StepSizeError as exc:
             verdict, reason = "DIVERGED", str(exc)
@@ -466,7 +518,8 @@ def run_flow(initial, config, g_ref=None):
                       side_eig_failures=side_failures,
                       eig_outer_iterations=totals["outer"],
                       eig_cg_iterations=totals["cg"],
-                      eig_cg_short_exits=totals["short"])
+                      eig_cg_short_exits=totals["short"],
+                      dt_halvings=totals["halvings"])
 
 
 def write_records_csv(records, columns, path):

@@ -31,11 +31,11 @@ def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
 
     records are dicts with keys t, lambda and rhs_l2, the last the gradient
     norm (as in the rows of a spectral-gauge run). Samples with lambda >= 0,
-    a non-finite lambda or a vanishing gradient norm are excluded and
-    counted. The fit window is the trailing window_fraction, in (0, 1], of
-    the remaining samples; fewer than min_samples usable rows is an error,
-    and min_samples must be an integer of at least 2, since a slope needs two
-    rows.
+    a non-finite lambda, or a gradient norm that vanishes or is not finite
+    are excluded and counted. The fit window is the trailing
+    window_fraction, in (0, 1], of the remaining samples; fewer than
+    min_samples usable rows is an error, and min_samples must be an integer
+    of at least 2, since a slope needs two rows.
 
     Returns a dict with, in order:
     theta_hat: the exponent, 1 - slope capped at one half and at the
@@ -60,7 +60,7 @@ def lojasiewicz_estimate(records, window_fraction=0.5, min_samples=10):
     rows = [
         r for r in records
         if math.isfinite(r["lambda"]) and r["lambda"] < 0.0
-        and r["rhs_l2"] > 0.0
+        and 0.0 < r["rhs_l2"] < math.inf
     ]
     n_excluded = len(records) - len(rows)
     rows = rows[int(math.floor(len(rows) * (1.0 - window_fraction))):]

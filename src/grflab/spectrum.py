@@ -290,8 +290,9 @@ def lowest_eigenpair(g, H=None, w0=None):
     w0 : ScalarField or ndarray, optional
         Start vector of the grid's shape, None for the constant. run_flow
         passes the line in t through the eigenfunctions of the last two
-        times it solved; any nonzero vector works, and one closer to the
-        ground state takes fewer steps.
+        times it solved, plus at a stage solve that line's error at the same
+        stage of the previous step; any nonzero vector works, and one closer
+        to the ground state takes fewer steps.
 
     The pair is accepted once ||Phi w - lambda w||_{L2(dV_g)} <= EIG_TOL;
     more than MAX_OUTER steps raise ConvergenceError. The shift tracks the

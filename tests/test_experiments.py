@@ -1,6 +1,6 @@
 """Tier-1 runs of the canned pipelines that reach the shared mu-gradient
 assembly, the Runge-Kutta step and the eigensolver (about 2 s in total, about
-3 s more for the two stability runs at different steps, and about 8 s for the
+3 s more for the two stability runs at different steps, and about 5 s for the
 two full N = 8 runs of the repeat test, on a 2-vCPU x86-64 host)."""
 
 import math
@@ -20,7 +20,7 @@ from grflab.experiments import (
 )
 from grflab import experiments, flow, homogeneous, spectrum
 from grflab.errors import (ConfigError, ConvergenceError, FieldError,
-                           NonFiniteError)
+                           NonFiniteError, PositivityError)
 
 
 def test_flat_equilibrium_is_exact():
@@ -288,13 +288,44 @@ def test_summaries_total_the_short_cg_exits(monkeypatch, pipeline):
         return solved[-1]
 
     # one CG iteration per inner solve: most stop short and are counted
-    # (4 in 3 solves of the stability run, 13 in 17 of the monotonicity run)
+    # (4 in 3 solves of the stability run, 15 in 13 of the monotonicity run)
     monkeypatch.setattr(spectrum, "CG_MAX_ITER", 1)
     monkeypatch.setattr(flow, "lowest_eigenpair", counting)
     traj, summary = pipeline(resolution=8, t_max=0.1)
     assert summary["side_eig_failures"] == 0
     short = sum(s.cg_short_exits for s in solved)
     assert summary["eig_cg_short_exits"] == traj.eig_cg_short_exits == short > 0
+
+
+@pytest.mark.parametrize("pipeline", [stability_run, monotonicity_run])
+def test_summaries_total_the_step_halvings(monkeypatch, pipeline):
+    _, reference = pipeline(resolution=8, t_max=0.2)
+    assert reference["dt_halvings"] == 0
+    advance, sizes, previous = flow._advance, [], []
+
+    def once_at_k2(y, h, k):
+        # the fifth advance is the one to k2 of the second step
+        sizes.append(h)
+        if len(sizes) == 5:
+            raise PositivityError("forced")
+        return advance(y, h, k)
+
+    class Logged(flow._StageErrors):
+        def next_step(self):
+            super().next_step()
+            previous.append(len(self.previous))
+
+    monkeypatch.setattr(flow, "_advance", once_at_k2)
+    monkeypatch.setattr(flow, "_StageErrors", Logged)
+    traj, summary = pipeline(resolution=8, t_max=0.2)
+    assert summary["dt_halvings"] == traj.dt_halvings == 1
+    assert sizes[5] == 0.5 * sizes[4]  # k2 again, at half the step
+    for key in ("verdict", "reason", "side_eig_failures"):
+        assert summary[key] == reference[key], key
+    # the halved second step records no stage error, so the third starts
+    # from the time line alone; a gauge without stage solves records none
+    spectral = pipeline is monotonicity_run
+    assert previous[:4] == ([0, 4, 0, 4] if spectral else [0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, NonFiniteError])

@@ -27,7 +27,8 @@ from grflab import (
 )
 from grflab.errors import (ConfigError, ConvergenceError, FieldError,
                            NonFiniteError, StepSizeError)
-from grflab.experiments import perturbed_state as canned_state, stability_run
+from grflab.experiments import (
+    monotonicity_run, perturbed_state as canned_state, stability_run)
 from grflab import flow, geometry, spectrum
 from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
                          _remember, _warm_solve)
@@ -303,20 +304,23 @@ def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
 def _golden_mu_run(monkeypatch, start_from="predicted"):
     """The golden mu_gradient start (N = 12, seed 7, four steps), with the
     solutions of its stage eigensolves. start_from picks each stage solve's
-    start: the run's "predicted" one, the "previous" stage's eigenfunction,
-    or the constant ("cold")."""
+    start: the run's "predicted" one, the "time_line" alone (without the
+    stage's error at the previous step), the "previous" stage's
+    eigenfunction, or the constant ("cold")."""
     start = canned_state(resolution=12, amplitude=0.05, seed=7, cutoff=2)
     solve = spectrum.lowest_eigenpair  # unpatched when a test runs twice
     solved = []
 
     def counting(g, h, w0):
-        if start_from != "predicted":
+        if start_from in ("previous", "cold"):
             w0 = solved[-1].w if solved and start_from == "previous" else None
         sol = solve(g, h, w0=w0)
         solved.append(sol)
         return sol
 
     monkeypatch.setattr(flow, "lowest_eigenpair", counting)
+    if start_from == "time_line":
+        monkeypatch.setattr(flow._StageErrors, "shift", lambda self: None)
     traj = run_flow(start, FlowConfig(gauge="mu_gradient", t_max=0.05))
     assert len(traj.records) - 1 == 4
     return traj, solved
@@ -325,18 +329,27 @@ def _golden_mu_run(monkeypatch, start_from="predicted"):
 def test_predicted_stage_solves_take_fewer_outer_iterations(monkeypatch):
     _, predicted = _golden_mu_run(monkeypatch)
     _, previous = _golden_mu_run(monkeypatch, start_from="previous")
-    # 17 stage solves each; from the predictor they take 63 outer
+    # 17 stage solves each; from the predictor they take 57 outer
     # iterations, from the previous stage's eigenfunction 73
     assert len(predicted) == len(previous) == 17
     assert (sum(s.iterations for s in predicted)
             < sum(s.iterations for s in previous))
 
 
+def test_stage_errors_of_the_last_step_save_outer_iterations(monkeypatch):
+    _, predicted = _golden_mu_run(monkeypatch)
+    _, time_line = _golden_mu_run(monkeypatch, start_from="time_line")
+    # 57 against 63: the first step has no stage errors to add yet
+    assert len(predicted) == len(time_line) == 17
+    assert (sum(s.iterations for s in predicted)
+            < sum(s.iterations for s in time_line))
+
+
 def test_run_totals_the_iterations_of_its_eigensolves(monkeypatch):
     traj, solved = _golden_mu_run(monkeypatch)
-    assert traj.eig_outer_iterations == sum(s.iterations for s in solved) == 63
+    assert traj.eig_outer_iterations == sum(s.iterations for s in solved) == 57
     assert traj.eig_cg_iterations == sum(s.cg_iterations for s in solved)
-    # each outer step costs at least one CG iteration (82 in all)
+    # each outer step costs at least one CG iteration (72 in all)
     assert traj.eig_cg_iterations > traj.eig_outer_iterations
 
 
@@ -507,12 +520,19 @@ def test_stability_run_default_step_is_below_the_rk4_limit():
     assert all(default < limit for limit in limits.values())
 
 
-@pytest.mark.parametrize("fraction, grows", [(0.95, False), (1.05, True)])
-def test_one_mode_grows_past_the_rk4_limit_and_decays_below_it(fraction,
-                                                               grows):
-    # h_12 = eps cos 2(x + y + z) carries the largest symbol at N = 8; its
-    # quadratic terms land on k = 0 and the Nyquist band, so one step
-    # multiplies it by R(dt lambda) up to eps^2
+def test_monotonicity_run_default_step_is_below_the_mu_flow_limit():
+    # the mu flow's nonzero flat-point rates are -|D(k)|^2 / 2, half the
+    # DeTurck flow's, so its limit is twice theirs
+    limits = {dims: 2.0 * _rk4_limit_cfl(dims, 4096) for dims in (2, 3, 4)}
+    assert [round(limits[d], 2) for d in (2, 3, 4)] == [2.96, 1.97, 1.48]
+    default = inspect.signature(monotonicity_run).parameters["cfl"].default
+    assert all(default < limit for limit in limits.values())
+
+
+def _one_mode_amplitudes(gauge, fraction, limit):
+    """h_12 = eps cos 2(x + y + z), at N = 8 the mode of the largest symbol,
+    stepped 20 times by the gauge at fraction * limit of run_flow's step
+    bound: its amplitudes and the dt taken."""
     n, eps = 8, 1e-6
     grid = Grid((n, n, n))
     h = grid.min_spacing
@@ -522,10 +542,6 @@ def test_one_mode_grows_past_the_rk4_limit_and_decays_below_it(fraction,
     pair[1] += eps * mode  # (0, 1) is the second symmetric pair in 3D
     state = FlowState(g=MetricField(grid, pair), b=TensorField(
         grid, np.zeros((3,) + grid.shape), "antisymmetric"))
-    lam = -3.0 * stencil_symbol(n, h)[2] ** 2
-    limit = _rk4_limit_cfl(3, n)
-    assert limit == pytest.approx(1.044, abs=1e-3)
-    # run_flow's step bound
     dt = fraction * limit * h ** 2 / (2.0 * state.g.max_inverse_eigenvalue())
 
     def amplitude(s):
@@ -534,14 +550,39 @@ def test_one_mode_grows_past_the_rk4_limit_and_decays_below_it(fraction,
     amplitudes = [amplitude(state)]
     g_ref = flat_metric(grid)
     for _ in range(20):
-        state = step(state, "deturck", dt, g_ref=g_ref)
+        state = step(state, gauge, dt, g_ref=g_ref)
         amplitudes.append(amplitude(state))
+    return amplitudes, dt
+
+
+@pytest.mark.parametrize("fraction, grows", [(0.95, False), (1.05, True)])
+def test_one_mode_grows_past_the_rk4_limit_and_decays_below_it(fraction,
+                                                               grows):
+    # the mode's quadratic terms land on k = 0 and the Nyquist band, so one
+    # step multiplies it by R(dt lambda) up to eps^2
+    limit = _rk4_limit_cfl(3, 8)
+    assert limit == pytest.approx(1.044, abs=1e-3)
+    amplitudes, dt = _one_mode_amplitudes("deturck", fraction, limit)
+    h = 2.0 * np.pi / 8
+    lam = -3.0 * stencil_symbol(8, h)[2] ** 2
     assert amplitudes[1] / amplitudes[0] == pytest.approx(
         _rk4_growth(dt * lam), rel=0.0, abs=1e-9)
     if grows:
         assert amplitudes[-1] > 20.0 * amplitudes[0]
     else:
         assert 0.0 < amplitudes[-1] < 0.05 * amplitudes[0]
+
+
+@pytest.mark.parametrize("fraction, grows", [(0.95, False), (1.05, True)])
+def test_one_mode_of_the_mu_flow_grows_past_its_limit_only(fraction, grows):
+    # h_12 mixes the mode of rate -|D(k)|^2 / 2 with directions the mu
+    # gradient leaves at rest, so below the limit it settles, not vanishes
+    amplitudes, _ = _one_mode_amplitudes("mu_gradient", fraction,
+                                         2.0 * _rk4_limit_cfl(3, 8))
+    if grows:
+        assert amplitudes[-1] > 20.0 * amplitudes[0]
+    else:
+        assert all(0.0 < b <= a for a, b in zip(amplitudes, amplitudes[1:]))
 
 
 @pytest.mark.parametrize("gauge", GAUGES)

@@ -81,6 +81,22 @@ def test_excludes_nonnegative_and_zero_gradient_rows():
     assert fit["theta_hat"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_excludes_and_counts_a_non_finite_gradient_norm():
+    # an infinite norm passed the old rhs_l2 > 0 filter and made the slope
+    # NaN for the whole window while n_excluded stayed 0
+    rows = power_law_records(0.25, prefactor=3.0, n=12)
+    dirty = (rows[:6] + [{"t": 5.5, "lambda": -1e-5, "rhs_l2": math.inf}]
+             + rows[6:] + [{"t": 12.0, "lambda": -1e-10,
+                            "rhs_l2": float("nan")}])
+    fit = lojasiewicz_estimate(dirty, window_fraction=1.0)
+    assert fit["n_excluded"] == 2
+    assert fit["n_samples"] == 12
+    assert math.isfinite(fit["theta_hat"])
+    assert fit["theta_hat"] == pytest.approx(0.25, abs=1e-9)
+    assert fit == {**lojasiewicz_estimate(rows, window_fraction=1.0),
+                   "n_excluded": 2}
+
+
 def test_window_fraction_and_explicit_window():
     # the fit reports the explicit time window its fraction selected
     rows = power_law_records(0.5, n=40)
