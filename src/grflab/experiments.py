@@ -30,7 +30,7 @@ from .spectrum import (
     lowest_eigenpair,
     mu_directional_derivative,
 )
-from .flow import GAUGES, FlowConfig, FlowState, run_flow
+from .flow import COUNTS, GAUGES, FlowConfig, FlowState, run_flow
 from .diffeo import diffeo_flow, pullback
 from .lojasiewicz import lojasiewicz_estimate
 from .homogeneous import (
@@ -175,10 +175,9 @@ def gradient_check(resolution=12, amplitude=0.005, cutoff=1, eps=1e-4,
 
 
 def _endpoint_summary(traj):
-    """Verdict, reason, endpoint fields, failed side eigensolves and the
-    eigensolver's total outer and CG iterations and short CG exits of a run;
-    the fields are NaN when its first right-hand side failed, so that it has
-    no record."""
+    """Verdict, reason, endpoint fields and counts (in flow.COUNTS order) of
+    a run; the fields are NaN when its first right-hand side failed, so that
+    it has no record."""
     records = traj.records or [collections.defaultdict(lambda: math.nan)]
     last = records[-1]
     return {
@@ -197,11 +196,7 @@ def _endpoint_summary(traj):
         "identity_gap_final_decade": float(np.max([
             r["identity_gap"] for r in records
             if not r["t"] < last["t"] * (1.0 - 0.1)])),
-        "side_eig_failures": traj.side_eig_failures,
-        "eig_outer_iterations": traj.eig_outer_iterations,
-        "eig_cg_iterations": traj.eig_cg_iterations,
-        "eig_cg_short_exits": traj.eig_cg_short_exits,
-        "dt_halvings": traj.dt_halvings,
+        **{key: traj.counts[key] for key in COUNTS},
     }
 
 

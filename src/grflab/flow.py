@@ -37,21 +37,8 @@ package.
 The right-hand sides compose raw packed arrays (see lattice) and read the
 H = Hhat + db a FlowState validates once; only their outputs (dg, db, the
 gauge vector) are fields. A state holds g, b and Hhat packed, so an RK4 axpy
-touches n(n+1)/2 + C(n, 2) planes, 6 + 3 in 3D.
-
-A run keeps one stream of eigensolves, the stage solves of a spectral gauge
-or else the side solves of the diagnostics rows. It remembers the
-eigenfunctions of its last two distinct times and starts its next solve from
-the line in t through them: a time already solved (k3 after k2, the next k1
-after k4) reuses its own, k2 and k4 extrapolate, and the stages of a step
-retried at half size interpolate. That time line misses in much the same
-way from one step to the next, most at k2 and k3, so each stage solve (k1
-to k4) adds the error its time-line start made at the same stage of the
-previous accepted step. The time line alone starts the first step, a
-halved step from its halving on and the whole step after it, the side
-solves and step(). A failed solve leaves the stream untouched; Trajectory
-counts the failed side solves, the iterations of every solve and the
-halvings.
+touches n(n+1)/2 + C(n, 2) planes, 6 + 3 in 3D. A run's eigensolves
+form one warm-started stream, _Stream, which also keeps the run's counts.
 """
 
 from __future__ import annotations
@@ -59,7 +46,7 @@ from __future__ import annotations
 import collections
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,6 +63,10 @@ from .spectrum import (
 
 SPD_RETRIES = 10
 MAX_STEPS = 200000
+
+# the keys of Trajectory.counts, in the order the run summaries report them
+COUNTS = ("side_eig_failures", "eig_outer_iterations", "eig_cg_iterations",
+          "eig_cg_short_exits", "dt_halvings")
 
 CSV_COLUMNS = ("t", "lambda", "H_l2", "ricci_linf", "dH_linf", "F_value",
                "rhs_l2", "dt")
@@ -160,12 +151,13 @@ class Trajectory:
     gauge_series, present when the run kept gauge fields, lists (t, dt,
     [X at the four Runge-Kutta stages]) per accepted step; diffeo_flow
     consumes it to integrate the compensating diffeomorphisms at matching
-    order. side_eig_failures counts the rows whose side eigensolve failed
-    (spectral columns NaN); eig_outer_iterations and eig_cg_iterations total
-    the iterations of every returned eigensolve, and eig_cg_short_exits its
-    inner CG solves that stopped at CG_MAX_ITER or on an indefinite
-    direction. dt_halvings counts the times a step was halved because the
-    metric left the positive cone.
+    order. counts maps each key of COUNTS to a total of the run (a key the
+    run never counted reads 0): side_eig_failures the rows whose side
+    eigensolve failed (spectral columns NaN); eig_outer_iterations and
+    eig_cg_iterations the iterations of every returned eigensolve, and
+    eig_cg_short_exits its inner CG solves that stopped at CG_MAX_ITER or on
+    an indefinite direction; dt_halvings the times a step was halved because
+    the metric left the positive cone.
     """
 
     final: FlowState
@@ -174,11 +166,7 @@ class Trajectory:
     gauge: str
     reason: str = ""
     gauge_series: Optional[list] = None
-    side_eig_failures: int = 0
-    eig_outer_iterations: int = 0
-    eig_cg_iterations: int = 0
-    eig_cg_short_exits: int = 0
-    dt_halvings: int = 0
+    counts: collections.Counter = field(default_factory=collections.Counter)
 
     def column(self, key):
         return np.array([r[key] for r in self.records])
@@ -275,57 +263,67 @@ def _remember(history, t, w):
     history[:] = [e for e in history if e[0] != t][-1:] + [(t, w)]
 
 
-def _warm_solve(solve, t, history, totals, errors=None):
-    """solve(w0), an eigensolve at time t returning its eigenpair last, from
-    _predict of the run's history, which then remembers the eigenfunction;
-    totals counts the iterations and short CG exits. errors, a run's
-    _StageErrors, adds to that start the error it made at the same stage of
-    the previous accepted step and records this one's. A solve that raises
-    touches none of them."""
-    line = _predict(history, t)
-    shift = errors.shift() if errors is not None else None
-    out = solve(line if shift is None else line + shift)
-    sol = out[-1]
-    _remember(history, t, sol.w.values)
-    if errors is not None:
-        errors.record(None if line is None else sol.w.values - line)
-    totals.update(outer=sol.iterations, cg=sol.cg_iterations,
-                  short=sol.cg_short_exits)
-    return out
+class _Stream:
+    """A run's one stream of eigensolves, and the run's counts.
 
+    The stream is the stage solves of a spectral gauge or else the side
+    solves of the diagnostics rows. history holds the eigenfunctions of its
+    last two distinct times, and each solve starts from the line in t
+    through them (_predict): a time already solved (k3 after k2, the next k1
+    after k4) reuses its own, k2 and k4 extrapolate, and the stages of a
+    step retried at half size interpolate. That time line misses in much the
+    same way from one step to the next, most at k2 and k3, so each stage
+    solve (k1 to k4) adds the error its time-line start made at the same
+    stage of the previous accepted step: previous holds those, current this
+    step's so far. The time line alone starts the first step, a halved step
+    from its halving on and the whole step after it, the side solves and
+    step(). A failed solve leaves the stream untouched.
 
-class _StageErrors:
-    """The error of each stage solve's time-line start (k1 to k4): those of
-    the previous accepted step, which this step's starts add, and this
-    step's so far. A step that halves adds none from its halving on and
-    records none, so the step after it starts from the time line too."""
+    counts (see Trajectory) totals the iterations and short CG exits of
+    every returned solve and the halvings; run_flow adds the failed side
+    solves. A call, not a public method, solves: perfbench's tracer wraps
+    public methods, and would then charge the side solves to the stream
+    instead of run_flow.
+    """
 
     def __init__(self):
-        self.previous, self.current = [], []
+        self.history, self.previous, self.current = [], [], []
+        self.counts = collections.Counter()
 
     def next_step(self):
         self.previous, self.current = self.current or [], []
 
     def halve(self):
+        """Count a positivity halving; the step adds and records no stage
+        error from here on."""
+        self.counts["dt_halvings"] += 1
         self.current = None
 
-    def shift(self):
-        """The previous step's error at the next stage, or None."""
-        if self.current is None or len(self.current) >= len(self.previous):
-            return None
-        return self.previous[len(self.current)]
+    def __call__(self, solve, t, stage):
+        """solve(w0), an eigensolve at time t returning its eigenpair last,
+        from the start the class docstring gives; stage marks a stage
+        solve."""
+        line = _predict(self.history, t)
+        errors = self.current if stage else None
+        shift = (self.previous[len(errors)] if errors is not None
+                 and len(errors) < len(self.previous) else None)
+        out = solve(line if shift is None else line + shift)
+        sol = out[-1]
+        _remember(self.history, t, sol.w.values)
+        if errors is not None:
+            errors.append(None if line is None else sol.w.values - line)
+        self.counts.update(eig_outer_iterations=sol.iterations,
+                           eig_cg_iterations=sol.cg_iterations,
+                           eig_cg_short_exits=sol.cg_short_exits)
+        return out
 
-    def record(self, error):
-        if self.current is not None:
-            self.current.append(error)
 
-
-def _rhs(gauge, state, g_ref, history, totals, errors=None):
+def _rhs(gauge, state, g_ref, stream):
     """(dg, db, extra) of the gauge; only a spectral one joins the stream."""
     if not gauge.spectral:
         return gauge.rhs(state, g_ref, None)
-    return _warm_solve(lambda w0: gauge.rhs(state, g_ref, w0),
-                       state.time, history, totals, errors)
+    return stream(lambda w0: gauge.rhs(state, g_ref, w0), state.time,
+                  stage=True)
 
 
 def _slope(k):
@@ -357,22 +355,26 @@ def _rk4(y, h, slope, advance, k1):
     return advance(y, h, (mean, None)), [k[1] for k in (k1, k2, k3, k4)]
 
 
-def _rk4_with_retries(y, h, slope, advance, t, k1=None):
+def _rk4_with_retries(y, h, slope, advance, t, k1=None,
+                      on_halve=lambda: None):
     """One Runge-Kutta step from time t, halved up to SPD_RETRIES times while
-    the step leaves the positive cone. Returns (new state, stage extras, h
-    taken).
+    the step leaves the positive cone; on_halve() runs before each retry.
+    Returns (new state, stage extras, h taken).
 
-    Raises StepSizeError when positivity is never regained, or chained from a
-    non-finite or failed-eigensolve stage.
+    Raises StepSizeError, naming the smallest step tried, when positivity is
+    never regained, or chained from a non-finite or failed-eigensolve stage.
     """
     try:
         if k1 is None:
             k1 = slope(y)
-        for _ in range(SPD_RETRIES + 1):
+        for attempt in range(SPD_RETRIES + 1):
+            if attempt:  # a retry at half the step
+                on_halve()
+                h *= 0.5
             try:
                 return _rk4(y, h, slope, advance, k1) + (h,)
             except PositivityError:
-                h *= 0.5
+                pass
     except (ConvergenceError, NonFiniteError) as exc:
         raise StepSizeError(f"Runge-Kutta stage failed "
                             f"(t = {t:.6f}): {exc}") from exc
@@ -391,10 +393,9 @@ def step(state, rhs_kind, dt, g_ref=None):
     """
     if not 0.0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
-    gauge, history, totals = _gauge(rhs_kind), [], collections.Counter()
+    gauge, stream = _gauge(rhs_kind), _Stream()
     return _rk4_with_retries(
-        state, dt,
-        lambda s: _slope(_rhs(gauge, s, g_ref, history, totals)),
+        state, dt, lambda s: _slope(_rhs(gauge, s, g_ref, stream)),
         _advance, state.time)[0]
 
 
@@ -442,29 +443,16 @@ def run_flow(initial, config, g_ref=None):
     ends DIVERGED with "step budget exhausted". Diagnostics are recorded
     every record_every accepted steps and always at the endpoint.
     """
-    gauge, history, totals = _gauge(config.gauge), [], collections.Counter()
-    errors, side_failures = _StageErrors(), 0
-
-    def rhs(s):
-        return _rhs(gauge, s, g_ref, history, totals, errors)
-
-    def advance(y, h, k):
-        try:
-            return _advance(y, h, k)
-        except PositivityError:
-            totals["halvings"] += 1
-            errors.halve()
-            raise
-
+    gauge, stream = _gauge(config.gauge), _Stream()
     state = initial
     records = []
     gauge_series = [] if config.keep_gauge_fields else None
     verdict, reason = "DIVERGED", "step budget exhausted"
     steps = 0
     while True:
-        errors.next_step()
+        stream.next_step()
         try:
-            k1 = rhs(state)
+            k1 = _rhs(gauge, state, g_ref, stream)
         except (ConvergenceError, PositivityError, NonFiniteError) as exc:
             verdict, reason = "DIVERGED", f"right-hand side failed: {exc}"
             break
@@ -485,11 +473,11 @@ def run_flow(initial, config, g_ref=None):
                 or out_of_steps):
             if sol is None:
                 try:
-                    sol, = _warm_solve(lambda w0: (lowest_eigenpair(
+                    sol, = stream(lambda w0: (lowest_eigenpair(
                         state.g, state.field_strength(), w0=w0),),
-                        state.time, history, totals)
+                        state.time, stage=False)
                 except (ConvergenceError, NonFiniteError):
-                    side_failures += 1
+                    stream.counts["side_eig_failures"] += 1
             records.append(_diagnostics_row(state, dt, rhs_l2, sol))
         if stopping:
             verdict, reason = "CONVERGED", ""
@@ -502,8 +490,8 @@ def run_flow(initial, config, g_ref=None):
 
         try:
             new_state, extras, dt = _rk4_with_retries(
-                state, dt, lambda s: _slope(rhs(s)), advance, state.time,
-                k1=_slope(k1))
+                state, dt, lambda s: _slope(_rhs(gauge, s, g_ref, stream)),
+                _advance, state.time, _slope(k1), stream.halve)
         except StepSizeError as exc:
             verdict, reason = "DIVERGED", str(exc)
             break
@@ -514,12 +502,7 @@ def run_flow(initial, config, g_ref=None):
 
     return Trajectory(final=state, records=records, verdict=verdict,
                       gauge=config.gauge, reason=reason,
-                      gauge_series=gauge_series,
-                      side_eig_failures=side_failures,
-                      eig_outer_iterations=totals["outer"],
-                      eig_cg_iterations=totals["cg"],
-                      eig_cg_short_exits=totals["short"],
-                      dt_halvings=totals["halvings"])
+                      gauge_series=gauge_series, counts=stream.counts)
 
 
 def write_records_csv(records, columns, path):

@@ -1,4 +1,3 @@
-import collections
 import csv
 from dataclasses import replace
 import inspect
@@ -30,11 +29,11 @@ from grflab.errors import (ConfigError, ConvergenceError, FieldError,
 from grflab.experiments import (
     monotonicity_run, perturbed_state as canned_state, stability_run)
 from grflab import flow, geometry, spectrum
-from grflab.flow import (CSV_COLUMNS, GAUGES, _diagnostics_row, _predict,
-                         _remember, _warm_solve)
+from grflab.flow import (CSV_COLUMNS, GAUGES, _Stream, _diagnostics_row,
+                         _predict, _remember)
 from grflab.geometry import (deturck_vector_values, interior_product_values,
                              lie_derivative_metric_values)
-from grflab.lattice import stencil_symbol
+from grflab.lattice import increasing_tuples, stencil_symbol, symmetric_pairs
 from grflab.spectrum import _energy, _potential, critical_point_diagnostics
 
 from oracles import deturck_rhs_reference, grf_rhs_reference, mu_rhs_reference
@@ -195,6 +194,41 @@ def test_right_hand_sides_validate_only_their_outputs(monkeypatch):
     assert built == ["symmetric2", "antisymmetric"]
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_a_diagonal_metric_on_the_cube_is_the_box_torus(n):
+    # x_i = y_i / sqrt(a_i) maps the box of periods 2 pi sqrt(a) onto the
+    # cube, so g = sqrt(a) (I + h) sqrt(a) with g_ref = diag(a) there is
+    # I + h with g_ref = I on the box: 2-tensors and 2-forms scale by
+    # sqrt(a_i a_j), the DeTurck vector by 1 / sqrt(a_i)
+    root = np.sqrt([1.7, 0.6, 1.2])
+    i, j, _ = symmetric_pairs(3)
+    pair = root[i] * root[j]
+    form = np.array([root[p] * root[q] for p, q in increasing_tuples(3, 2)])
+    expand = (slice(None),) + (None,) * 3
+    start = canned_state(resolution=n, seed=0)
+
+    def state(grid, g_scale, b_scale):
+        return FlowState(
+            g=MetricField(grid, g_scale[expand] * start.g.values),
+            b=TensorField(grid, b_scale[expand] * start.b.values,
+                          "antisymmetric"))
+
+    box = state(Grid((n,) * 3, periods=tuple(2 * np.pi * root)),
+                np.ones(6), np.ones(3))
+    cube = state(Grid((n,) * 3), pair, form)
+    g_ref = MetricField(cube.g.grid, np.where(i == j, pair, 0.0)[expand]
+                        * np.ones((6,) + cube.g.grid.shape))
+    outputs = [(grf_rhs(cube), grf_rhs(box), (pair, form)),
+               (deturck_rhs(cube, g_ref),
+                deturck_rhs(box, flat_metric(box.g.grid)),
+                (pair, form, 1.0 / root))]
+    for on_cube, on_box, scales in outputs:
+        for c, b, scale in zip(on_cube, on_box, scales):
+            scaled = scale[expand] * b.values
+            error = np.max(np.abs(c.values - scaled))
+            assert error <= 1e-13 * np.max(np.abs(c.values))
+
+
 def test_mu_flow_monotone_over_short_run():
     state = perturbed_state(12, 0.05, seed=0)
     config = FlowConfig(gauge="mu_gradient", t_max=0.05, stop_tol=1e-14)
@@ -272,32 +306,33 @@ def test_predictor_reuses_extrapolates_and_interpolates():
 
 def test_failed_side_eigensolve_leaves_the_history_untouched(monkeypatch):
     state = perturbed_state(8, 0.05, seed=3)
-    history, totals = [], collections.Counter()
+    stream = _Stream()
 
     def side_solve(s):
         # the side solve of run_flow: the eigenpair alone, looked up in flow
         return lambda w0: (flow.lowest_eigenpair(s.g, s.field_strength(),
                                                  w0=w0),)
 
-    sol, = _warm_solve(side_solve(state), state.time, history, totals)
-    assert [t for t, _ in history] == [0.0]
-    assert history[0][1] is sol.w.values
-    assert totals == {"outer": sol.iterations, "cg": sol.cg_iterations,
-                      "short": sol.cg_short_exits}
+    sol, = stream(side_solve(state), state.time, stage=False)
+    assert [t for t, _ in stream.history] == [0.0]
+    assert stream.history[0][1] is sol.w.values
+    assert stream.counts == {"eig_outer_iterations": sol.iterations,
+                             "eig_cg_iterations": sol.cg_iterations,
+                             "eig_cg_short_exits": sol.cg_short_exits}
 
     def failing(*args, **kwargs):
         raise ConvergenceError("stalled")
 
     monkeypatch.setattr(flow, "lowest_eigenpair", failing)
-    before, counted = list(history), dict(totals)
+    before, counted = list(stream.history), dict(stream.counts)
     later = replace(state, time=0.5)
     with pytest.raises(ConvergenceError):
-        _warm_solve(side_solve(later), later.time, history, totals)
-    assert history == before
-    assert totals == counted
+        stream(side_solve(later), later.time, stage=False)
+    assert stream.history == before
+    assert stream.counts == counted
     # a run counts such a row as a failed side solve and blanks its columns
     traj = run_flow(state, FlowConfig(gauge="grf", t_max=0.01))
-    assert traj.side_eig_failures == len(traj.records) > 0
+    assert traj.counts["side_eig_failures"] == len(traj.records) > 0
     assert all(np.isnan(r["lambda"]) for r in traj.records)
 
 
@@ -320,7 +355,9 @@ def _golden_mu_run(monkeypatch, start_from="predicted"):
 
     monkeypatch.setattr(flow, "lowest_eigenpair", counting)
     if start_from == "time_line":
-        monkeypatch.setattr(flow._StageErrors, "shift", lambda self: None)
+        # no step hands its stage errors on, so previous stays empty
+        monkeypatch.setattr(flow._Stream, "next_step",
+                            lambda self: setattr(self, "current", []))
     traj = run_flow(start, FlowConfig(gauge="mu_gradient", t_max=0.05))
     assert len(traj.records) - 1 == 4
     return traj, solved
@@ -347,10 +384,12 @@ def test_stage_errors_of_the_last_step_save_outer_iterations(monkeypatch):
 
 def test_run_totals_the_iterations_of_its_eigensolves(monkeypatch):
     traj, solved = _golden_mu_run(monkeypatch)
-    assert traj.eig_outer_iterations == sum(s.iterations for s in solved) == 57
-    assert traj.eig_cg_iterations == sum(s.cg_iterations for s in solved)
+    counts = traj.counts
+    assert counts["eig_outer_iterations"] == sum(
+        s.iterations for s in solved) == 57
+    assert counts["eig_cg_iterations"] == sum(s.cg_iterations for s in solved)
     # each outer step costs at least one CG iteration (72 in all)
-    assert traj.eig_cg_iterations > traj.eig_outer_iterations
+    assert counts["eig_cg_iterations"] > counts["eig_outer_iterations"]
 
 
 def test_a_stage_solve_applies_phi_once_per_cg_iteration_plus_twice(monkeypatch):
@@ -365,7 +404,7 @@ def test_a_stage_solve_applies_phi_once_per_cg_iteration_plus_twice(monkeypatch)
     monkeypatch.setattr(spectrum.SchrodingerOperator, "apply_values", counting)
     traj, solved = _golden_mu_run(monkeypatch)
     assert all(s.iterations > 0 for s in solved)
-    assert len(applies) == traj.eig_cg_iterations + 2 * len(solved)
+    assert len(applies) == traj.counts["eig_cg_iterations"] + 2 * len(solved)
 
 
 def test_predicted_and_cold_stage_solves_give_the_same_run(monkeypatch):
@@ -431,6 +470,31 @@ def test_step_size_failure_raises():
     state = perturbed_state(8, 0.2, seed=7)
     with pytest.raises(StepSizeError):
         step(state, "grf", 1e8)
+
+
+def test_step_size_error_names_the_smallest_step_tried(monkeypatch):
+    advance, sizes = flow._advance, []
+
+    def spy(y, h, k):
+        sizes.append(h)
+        return advance(y, h, k)
+
+    monkeypatch.setattr(flow, "_advance", spy)
+    with pytest.raises(StepSizeError, match=r"even at dt = 9\.766e\+04"):
+        step(perturbed_state(8, 0.2, seed=7), "grf", 1e8)
+    # eleven attempts, each failing at its k2 advance by half its step; the
+    # last one took 1e8 / 2^10
+    assert len(sizes) == flow.SPD_RETRIES + 1
+    assert min(sizes) == 0.5 * 1e8 / 2 ** flow.SPD_RETRIES
+
+
+def test_a_step_that_never_regains_positivity_counts_ten_halvings():
+    start = canned_state(resolution=8, amplitude=0.2, seed=7)
+    traj = run_flow(start, FlowConfig(gauge="grf", cfl=1e8, t_max=1e9))
+    assert traj.verdict == "DIVERGED"
+    assert "even at dt = 2.359e+04" in traj.reason
+    # a halving before each of the ten retries, none after the last failure
+    assert traj.counts["dt_halvings"] == flow.SPD_RETRIES == 10
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -56,9 +56,7 @@ def test_a_registered_copy_gives_the_original_answers(copies, copy, tmp_path):
     assert repr(b.records) == repr(a.records)
     assert (_csv_bytes(b, tmp_path / "b.csv")
             == _csv_bytes(a, tmp_path / "a.csv"))
-    assert ((b.side_eig_failures, b.eig_outer_iterations, b.eig_cg_iterations)
-            == (a.side_eig_failures, a.eig_outer_iterations,
-                a.eig_cg_iterations))
+    assert b.counts == a.counts
     assert np.array_equal(b.final.g.values, a.final.g.values)
     assert np.array_equal(b.final.b.values, a.final.b.values)
     if keeps:
