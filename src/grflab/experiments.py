@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 
 import numpy as np
 
@@ -62,8 +63,11 @@ def perturbed_state(resolution=16, amplitude=0.05, seed=0, cutoff=2,
 
     The metric perturbation uses the given seed and the potential seed + 1000,
     both band-limited trigonometric polynomials normalized to the requested
-    sup amplitude. hhat_c adds the constant background 3-form c e^123.
+    sup amplitude. hhat_c adds the constant background 3-form c e^123. dims
+    must be an integer, else ConfigError before anything is drawn.
     """
+    if not isinstance(dims, numbers.Integral):
+        raise ConfigError(f"dims must be an integer, got {dims!r}")
     grid = Grid((resolution,) * dims)
     if amplitude != 0.0:
         h = random_metric_perturbation(grid, amplitude, seed, cutoff=cutoff)
@@ -336,9 +340,10 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, flow_t_max=0.0):
     and finite, else ConfigError. Starts slightly off the expected
     stationary set (metric scale bumped by ten percent) so the Newton search
     does real work, then evaluates the stationarity identities at the
-    landing point. A nonzero flow_t_max appends a short invariant-flow
-    integration from the starting data, at dt = 0.002; it must be positive
-    and finite, else ConfigError.
+    landing point. A nonzero flow_t_max appends an invariant-flow
+    integration of g from the starting data, at dt = 0.002 and the fixed h3;
+    it must be positive and finite, else ConfigError. "flow" then holds
+    t_end (exactly flow_t_max), n_records and final_residual.
     """
     if algebra not in ALGEBRAS:
         raise ConfigError(
@@ -371,12 +376,8 @@ def homogeneous_report(algebra="su2", scale=1.0, h3=0.8, flow_t_max=0.0):
             "scalar_gap": abs(r - norm_sq / 12.0),
         })
     if flow_t_max != 0.0:
-        records, final = invariant_flow(data0, t_max=flow_t_max, dt=0.002)
-        out["flow"] = {
-            "t_end": records[-1]["t"],
-            "n_records": len(records),
-            "final_residual": stationarity_residual(final),
-            "final_h3": final.h3,
-        }
+        records, _ = invariant_flow(data0, t_max=flow_t_max, dt=0.002)
+        out["flow"] = {"t_end": records[-1]["t"], "n_records": len(records),
+                       "final_residual": records[-1]["stat_residual"]}
         out["flow_records"] = records
     return out

@@ -15,7 +15,9 @@ and ALGEBRAS names the ones the pipelines use. The structure constants
 c^k_{ij} = lambda_k epsilon_{ijk} are derived from the triple. On every
 triple the Jacobi identity holds and every bracket ad_{e_i} is traceless,
 so the invariant 3-form is harmonic (d*H = 0), f is constant, and the
-reduction is exact with h3 constant along the flow.
+reduction is exact with h3 constant: the flow is the matrix ODE
+dg/dt = -2 Ric(g) + h3^2 g / det g in g alone, and h3 is an unknown only of
+the stationary-point search.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from .lattice import symmetric_pairs
 # find_stationary's sup residual goal and its Newton step budget
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
-_EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPSILON[_i, _j, _k] = 1.0
-    _EPSILON[_i, _k, _j] = -1.0
+# epsilon_{ijk}, the k-th component of e_i x e_j
+_EPSILON = np.cross(np.eye(3)[:, None], np.eye(3)[None, :])
 _EPSILON.setflags(write=False)
 
 
@@ -48,10 +48,11 @@ class LieData:
     """Left-invariant state: Milnor's triple, metric matrix, 3-form size.
 
     Validated on construction: lambda must be a finite triple and h3 finite,
-    else FieldError, and g a finite symmetric 3 x 3 matrix (FieldError) that is
-    positive definite (PositivityError). The read-only structure constants
-    c[k, i, j] = c^k_{ij} = lambda_k epsilon_{ijk}, with [e_i, e_j] =
-    c^k_{ij} e_k, are built once from lambda.
+    else FieldError, and g a finite 3 x 3 matrix symmetric to 1e-12
+    (FieldError), kept as its exactly symmetric part, that is positive
+    definite (PositivityError). H = h3 e^123. The read-only structure
+    constants c[k, i, j] = c^k_{ij} = lambda_k epsilon_{ijk}, with [e_i, e_j]
+    = c^k_{ij} e_k, are built once from lambda.
     """
 
     lam: np.ndarray
@@ -69,25 +70,20 @@ class LieData:
             raise FieldError("non-finite entries in Lie data")
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise FieldError("metric matrix not symmetric")
+        g = 0.5 * (g + g.T)
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise PositivityError("metric matrix is not positive definite")
-        c = lam[:, None, None] * _EPSILON
-        for arr in (lam, g, c):
+        for name, arr in (("lam", lam), ("g", g),
+                          ("c", lam[:, None, None] * _EPSILON)):
             arr.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "c", c)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "h3", h3)
 
     @property
     def inv(self):
         return np.linalg.inv(self.g)
-
-    def full_form(self):
-        """Component array H_{ijk} = h3 * epsilon_{ijk}."""
-        return self.h3 * _EPSILON
 
 
 def _koszul(data):
@@ -123,27 +119,22 @@ def invariant_scalar_curvature(data):
 
 
 def invariant_h_squared(data):
-    """(H^2)_{ij} = H_{iab} H_{jcd} g^{ac} g^{bd}; equals
-    2 h3^2 det(g^{-1}) g in closed form."""
-    h = data.full_form()
-    inv = data.inv
-    return np.einsum("iab,jcd,ac,bd->ij", h, h, inv, inv)
+    """(H^2)_{ij} = H_{iab} H_{jcd} g^{ac} g^{bd} of H = h3 e^123, in closed
+    form 2 h3^2 g / det g."""
+    return (2.0 * data.h3 ** 2 / np.linalg.det(data.g)) * data.g
 
 
 def invariant_norm_sq(data):
-    """|H|^2 = H_{ijk} H^{ijk}, full contraction (6 h3^2 / det g)."""
-    h = data.full_form()
-    inv = data.inv
-    return float(np.einsum("ijk,abc,ia,jb,kc->", h, h, inv, inv, inv))
+    """|H|^2 = H_{ijk} H^{ijk} of H = h3 e^123, in closed form
+    6 h3^2 / det g."""
+    return float(6.0 * data.h3 ** 2 / np.linalg.det(data.g))
 
 
 def invariant_grf_rhs(data):
-    """Matrix ODE right-hand side: (dg, dh3) = (-2 Ric + H^2/2, 0).
-
-    dh3 = 0 because the invariant 3-form is harmonic on a unimodular
-    algebra, the only kind a LieData holds.
-    """
-    return -2.0 * _stationary_defect(data), 0.0
+    """The velocity dg/dt = -2 (Ric - H^2/4) of the matrix ODE, a symmetric
+    3 x 3 array. h3 has none: the invariant 3-form is harmonic on a
+    unimodular algebra, the only kind a LieData holds, so it stays fixed."""
+    return -2.0 * _stationary_defect(data)
 
 
 def _stationary_defect(data):
@@ -154,10 +145,6 @@ def _stationary_defect(data):
 def stationarity_residual(data):
     """sup |Ric - H^2/4|, the stationary system's metric block."""
     return float(np.max(np.abs(_stationary_defect(data))))
-
-
-def _pack(g, h3):
-    return np.concatenate([g[symmetric_pairs(3)[:2]], [h3]])
 
 
 def _unpack(x):
@@ -185,7 +172,7 @@ def find_stationary(data0):
         except PositivityError:
             return float("inf")
 
-    x = _pack(np.array(data0.g), data0.h3)
+    x = np.append(data0.g[symmetric_pairs(3)[:2]], data0.h3)
     res = residual(x)
     for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(res))) < NEWTON_TOL:
@@ -215,36 +202,41 @@ def find_stationary(data0):
 
 
 def invariant_flow(data0, t_max, dt=0.002):
-    """Fixed-step RK4 integration of the matrix ODE up to t_max.
+    """Fixed-step RK4 integration of the matrix ODE in g, at data0's fixed
+    h3, from t = 0 to exactly t_max.
 
     Uses the lattice flows' Runge-Kutta step, halved while the metric leaves
     the SPD cone (StepSizeError when that never ends). t_max and dt must be
-    positive and finite, else ConfigError. Returns (records, final LieData),
-    one record per step and one at the end. Each record holds t, the six
-    upper metric entries, h3, the stationarity residual, and dt.
+    positive and finite, else ConfigError. The clock is dt times the exact
+    count of (halved) steps, and a rest to t_max no longer than dt plus four
+    ulps of t_max is the last step, so no sliver step follows it. Returns
+    (records, final LieData), one record per step and one at t_max, each
+    holding t, the six upper metric entries, the stationarity residual, dt.
     """
     if not (0 < t_max < math.inf and 0 < dt < math.inf):
         raise ConfigError("t_max and dt must be positive and finite")
 
     def slope(data):
-        return (invariant_grf_rhs(data)[0],), None
+        return (invariant_grf_rhs(data),), None
 
     def advance(data, h, k):
         return LieData(data.lam, data.g + h * k[0][0], data.h3)
 
-    def make_row(t, data, res, h):
-        row = {"t": t, "h3": data.h3, "stat_residual": res, "dt": h}
-        for i, j in zip(*symmetric_pairs(3)[:2]):
-            row[f"g{i + 1}{j + 1}"] = float(data.g[i, j])
-        return row
+    def make_row(t, data):
+        entries = {f"g{i + 1}{j + 1}": float(data.g[i, j])
+                   for i, j in zip(*symmetric_pairs(3)[:2])}
+        return {"t": t, **entries,
+                "stat_residual": stationarity_residual(data), "dt": dt}
 
-    records = []
-    data = data0
-    t = 0.0
-    while t < t_max - 1e-15:
-        records.append(make_row(t, data, stationarity_residual(data), dt))
-        data, _, h = _rk4_with_retries(data, min(dt, t_max - t), slope,
+    records, data, t, steps = [], data0, 0.0, 0.0
+    while t < t_max:
+        records.append(make_row(t, data))
+        rest = t_max - t
+        last = rest <= dt + 4.0 * math.ulp(t_max)
+        data, _, h = _rk4_with_retries(data, rest if last else dt, slope,
                                        advance, t)
-        t += h
-    records.append(make_row(t, data, stationarity_residual(data), dt))
+        # a step of dt halved m times adds 2^-m to steps, exactly
+        steps += h / dt
+        t = t_max if last and h == rest else steps * dt
+    records.append(make_row(t, data))
     return records, data

@@ -11,6 +11,7 @@ coefficients per component.
 from __future__ import annotations
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -40,14 +41,16 @@ component major: shape component_shape + grid shape.
     evaluation. The cutoff must stay below N/2 on every axis: the
     derivative stencil cannot see a k = N/2 (Nyquist) checkerboard, and a
     metric that varies only in checkerboards is a fixed point of every flow.
+    A cutoff that is not a positive integer raises FieldError before any draw.
     """
+    if not isinstance(cutoff, numbers.Integral) or cutoff < 1:
+        raise FieldError(
+            f"frequency cutoff must be a positive integer, got {cutoff!r}")
     if 2 * cutoff >= min(grid.resolutions):
         raise FieldError(
             f"frequency cutoff {cutoff} reaches the Nyquist band of a "
             f"{min(grid.resolutions)}-point axis")
     modes = _positive_modes(grid.n_dims, cutoff)
-    if not modes:
-        raise FieldError("frequency cutoff leaves no modes")
     coeffs = rng.uniform(-1.0, 1.0, size=(len(modes),) + tuple(component_shape) + (2,))
     angular = [2.0 * np.pi * x / p
                for x, p in zip(grid.coordinate_arrays(), grid.periods)]

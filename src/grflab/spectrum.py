@@ -288,11 +288,12 @@ def lowest_eigenpair(g, H=None, w0=None):
         Closed 3-form field on g's grid entering the potential; None means
         zero. Anything else, a bare array too, raises FieldError.
     w0 : ScalarField or ndarray, optional
-        Start vector of the grid's shape, None for the constant. run_flow
-        passes the line in t through the eigenfunctions of the last two
-        times it solved, plus at a stage solve that line's error at the same
-        stage of the previous step; any nonzero vector works, and one closer
-        to the ground state takes fewer steps.
+        Start vector, a ScalarField on g's grid or a finite array of its
+        shape (else FieldError), None for the constant. run_flow passes the
+        line in t through the eigenfunctions of the last two times it
+        solved, plus at a stage solve that line's error at the same stage of
+        the previous step; any nonzero vector works, and one closer to the
+        ground state takes fewer steps.
 
     The pair is accepted once ||Phi w - lambda w||_{L2(dV_g)} <= EIG_TOL;
     more than MAX_OUTER steps raise ConvergenceError. The shift tracks the
@@ -311,13 +312,15 @@ def lowest_eigenpair(g, H=None, w0=None):
     NonFiniteError at once.
     """
     op = SchrodingerOperator(g, H)
-    if w0 is None:
-        w = np.ones(g.grid.shape)
-    else:
-        w = np.array(getattr(w0, "values", w0), dtype=float)
-        if w.shape != g.grid.shape:
-            raise FieldError(f"initial vector for the eigensolver has shape "
-                             f"{w.shape}, the grid {g.grid.shape}")
+    name = "initial vector for the eigensolver"
+    if hasattr(w0, "symmetry"):  # a field: its kind and grid
+        require_field(name, w0, g.grid, "scalar", 0)
+    w = np.array(np.ones(g.grid.shape) if w0 is None
+                 else getattr(w0, "values", w0), dtype=float)
+    if w.shape != g.grid.shape:
+        raise FieldError(f"{name} has shape {w.shape}, the grid {g.grid.shape}")
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteError(f"{name} has non-finite entries")
     norm = op.volume_norm(w)
     if norm == 0.0:
         raise FieldError("initial vector for the eigensolver vanishes")

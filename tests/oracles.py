@@ -12,7 +12,9 @@ kernels on packed components must agree with them to rounding. Full storage
 here is component last, grid shape + (n,)*k; full_symmetric, full_form and
 packed turn the package's packed, component-major arrays into it and back.
 The Lojasiewicz estimate's feasibility cap is kept the same way, as the
-per-sample loop it was before it became two masked reductions.
+per-sample loop it was before it became two masked reductions, and so are
+the 3D reduction's H^2 and |H|^2, as the full einsum contractions they were
+before their closed forms.
 
 Only the last section calls the package: it composes the three flow
 right-hand sides kernel by kernel from the validated field strength, one
@@ -520,6 +522,31 @@ def feasible_cap_loop(log_lam, log_grad):
     if upper <= lower or upper <= 0.0:
         feasible = False
     return upper, feasible
+
+
+# ---------------------------------------------------------------------------
+# The invariant 3-form on a 3D group, contracted in full
+# ---------------------------------------------------------------------------
+
+
+def _levi_civita():
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    return eps
+
+
+def invariant_h_squared_einsum(g, h3):
+    """(H^2)_{ij} = H_{iab} H_{jcd} g^{ac} g^{bd} of H = h3 e^123, as first
+    written: the 27 components H_{ijk} = h3 epsilon_{ijk} and one einsum."""
+    h, inv = h3 * _levi_civita(), np.linalg.inv(g)
+    return np.einsum("iab,jcd,ac,bd->ij", h, h, inv, inv)
+
+
+def invariant_norm_sq_einsum(g, h3):
+    """|H|^2 = H_{ijk} H^{ijk} of H = h3 e^123, the full contraction."""
+    h, inv = h3 * _levi_civita(), np.linalg.inv(g)
+    return float(np.einsum("ijk,abc,ia,jb,kc->", h, h, inv, inv, inv))
 
 
 # ---------------------------------------------------------------------------

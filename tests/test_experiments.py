@@ -110,6 +110,20 @@ def test_gradient_check_needs_a_seed(monkeypatch):
         gradient_check(seeds=())
 
 
+def test_a_stability_run_refuses_a_cutoff_that_is_not_an_integer():
+    with pytest.raises(FieldError, match="positive integer, got 2.0"):
+        stability_run(resolution=8, cutoff=2.0)
+
+
+@pytest.mark.parametrize("dims", [3.0, 2.5, "3"])
+def test_perturbed_state_refuses_dims_that_are_not_an_integer(monkeypatch,
+                                                              dims):
+    # refused before the draw, which used to die in Grid's tuple product
+    monkeypatch.setattr(experiments, "random_metric_perturbation", None)
+    with pytest.raises(ConfigError, match="dims must be an integer"):
+        experiments.perturbed_state(resolution=8, dims=dims)
+
+
 def test_gradient_check_error_falls_with_resolution():
     # the pairing and the difference quotient differentiate the same discrete
     # functional only in the limit: 8.95e-4 at N = 8, 9.69e-5 at N = 12
@@ -225,7 +239,9 @@ def test_homogeneous_report_flow_and_stationary_search(algebra):
     report = homogeneous_report(algebra, flow_t_max=0.05)
     assert report["flow"]["n_records"] == 26
     assert report["flow"]["t_end"] == 0.05
-    assert report["flow"]["final_h3"] == 0.8
+    # h3 is fixed along the flow, so neither the summary nor a row repeats it
+    assert set(report["flow"]) == {"t_end", "n_records", "final_residual"}
+    assert not any("h3" in row for row in report["flow_records"])
     if algebra == "heisenberg":
         assert report["stationary_found"] is False
     else:

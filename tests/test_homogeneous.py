@@ -6,6 +6,7 @@ import pytest
 
 from grflab import (
     ALGEBRAS,
+    FlowState,
     Grid,
     LieData,
     MetricField,
@@ -15,19 +16,23 @@ from grflab import (
     invariant_grf_rhs,
     invariant_ricci,
     invariant_scalar_curvature,
+    step,
 )
 from grflab.errors import (ConfigError, ConvergenceError, FieldError,
                            PositivityError)
 from grflab import homogeneous
-from grflab.flow import write_records_csv
+from grflab.experiments import background_three_form
+from grflab.flow import grf_rhs, write_records_csv
 from grflab.geometry import h_squared_values
 from grflab.homogeneous import (
     invariant_h_squared,
     invariant_norm_sq,
     stationarity_residual,
 )
+from grflab.lattice import symmetric_pairs
 
-from oracles import full_symmetric
+from oracles import (full_symmetric, invariant_h_squared_einsum,
+                     invariant_norm_sq_einsum)
 
 
 def _structure_constants(brackets):
@@ -50,7 +55,7 @@ STRUCTURE_CONSTANTS = {
 }
 # the columns of invariant_flow records
 INVARIANT_CSV_COLUMNS = ("t", "g11", "g12", "g13", "g22", "g23", "g33",
-                         "h3", "stat_residual", "dt")
+                         "stat_residual", "dt")
 
 
 def su2_round(c=1.0, h3=None):
@@ -76,12 +81,19 @@ def test_abelian_is_flat():
 
 
 def test_h_squared_closed_form():
-    g = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
-    data = LieData(ALGEBRAS["su2"], g, 0.8)
-    expected = 2.0 * 0.8 ** 2 / np.linalg.det(g) * g
-    assert np.max(np.abs(invariant_h_squared(data) - expected)) < 1e-13
-    assert invariant_norm_sq(data) == pytest.approx(
-        6.0 * 0.8 ** 2 / np.linalg.det(g), rel=1e-13)
+    # 2 h3^2 g / det g and 6 h3^2 / det g against the full contractions of
+    # H_ijk = h3 epsilon_ijk; the largest relative gaps are 3.9e-15 and
+    # 2.3e-14, on the worst-conditioned of these g
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        a = rng.standard_normal((3, 3))
+        g, h3 = a @ a.T + 0.1 * np.eye(3), rng.uniform(-2.0, 2.0)
+        data = LieData(ALGEBRAS["su2"], g, h3)
+        ref = invariant_h_squared_einsum(g, h3)
+        assert (np.max(np.abs(invariant_h_squared(data) - ref))
+                <= 1e-13 * np.max(np.abs(ref)))
+        assert invariant_norm_sq(data) == pytest.approx(
+            invariant_norm_sq_einsum(g, h3), rel=1e-13)
 
 
 def test_h_squared_matches_lattice_on_constant_data():
@@ -92,10 +104,33 @@ def test_h_squared_matches_lattice_on_constant_data():
     data = LieData(ALGEBRAS["abelian"], m, 0.6)
     i, j = np.triu_indices(3)
     g = MetricField(grid, m[i, j].reshape(6, 1, 1, 1) + np.zeros((6,) + grid.shape))
-    H = TensorField(grid, np.full((1,) + grid.shape, data.full_form()[0, 1, 2]),
-                    "antisymmetric")
+    H = TensorField(grid, np.full((1,) + grid.shape, data.h3), "antisymmetric")
     lattice = full_symmetric(h_squared_values(g, H.values))[0, 0, 0]
     assert np.max(np.abs(lattice - invariant_h_squared(data))) < 1e-13
+
+
+def test_the_lattice_flow_on_constant_data_is_the_abelian_reduction():
+    # constant g = A with b = 0 and the background c e^123 is left-invariant
+    # data on the abelian group: the lattice velocity is the reduction's at
+    # every point (gap 5.6e-17), the form's is exactly 0, and one RK4 step
+    # of each agrees (gap 2.1e-22)
+    grid = Grid((8, 8, 8))
+    m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
+    i, j, _ = symmetric_pairs(3)
+    data = LieData(ALGEBRAS["abelian"], m, 0.6)
+    state = FlowState(
+        g=MetricField(grid, m[i, j].reshape(6, 1, 1, 1) + np.zeros((6,) + grid.shape)),
+        b=TensorField(grid, np.zeros((3,) + grid.shape), "antisymmetric"),
+        hhat=background_three_form(grid, 0.6))
+    dg, db = grf_rhs(state)[:2]
+    v = invariant_grf_rhs(data)
+    assert (np.max(np.abs(dg.values - v[i, j].reshape(6, 1, 1, 1)))
+            <= 1e-14 * np.max(np.abs(v)))
+    assert not np.any(db.values)
+    moved = step(state, "grf", 0.002).g.values
+    _, final = invariant_flow(data, t_max=0.002, dt=0.002)
+    assert (np.max(np.abs(moved - final.g[i, j].reshape(6, 1, 1, 1)))
+            <= 1e-14 * np.max(np.abs(final.g)))
 
 
 def test_su2_round_family_is_stationary():
@@ -176,7 +211,8 @@ def test_every_milnor_triple_is_a_unimodular_lie_algebra():
         assert _jacobi_residual(data.c) == 0.0
         assert np.max(np.abs(np.einsum("kik->i", data.c))) == 0.0
         assert np.max(np.abs(_codifferential(data.c, g, data.h3))) < 1e-14
-        assert invariant_grf_rhs(data)[1] == 0.0
+        v = invariant_grf_rhs(data)
+        assert v.shape == (3, 3) and np.array_equal(v, v.T)
 
 
 def test_lie_data_refuses_a_non_unimodular_algebra():
@@ -200,11 +236,10 @@ def test_each_algebra_row_gives_its_old_structure_constants(algebra):
 
 
 def test_grf_rhs_fixed_point_and_sign():
-    dg, dh3 = invariant_grf_rhs(su2_round(1.0))
-    assert dh3 == 0.0
+    dg = invariant_grf_rhs(su2_round(1.0))
     assert np.max(np.abs(dg)) < 1e-14
     # without the form the round metric shrinks
-    dg0, _ = invariant_grf_rhs(LieData(ALGEBRAS["su2"], np.eye(3), 0.0))
+    dg0 = invariant_grf_rhs(LieData(ALGEBRAS["su2"], np.eye(3), 0.0))
     assert np.max(np.abs(dg0 + np.eye(3))) < 1e-14
 
 
@@ -222,7 +257,44 @@ def test_heisenberg_flow_pancakes():
     assert final.g[1, 1] > 1.0
     assert final.g[2, 2] < 1.0
     assert final.h3 == 0.0
-    assert records[-1]["t"] == pytest.approx(0.5)
+    assert records[-1]["t"] == 0.5
+
+
+@pytest.mark.parametrize("t_max, steps", [
+    (5e-16, 1), (0.05, 25), (0.5, 250), (3.0, 1500), (7.3, 3650)])
+def test_invariant_flow_ends_exactly_at_its_horizon(t_max, steps):
+    # an accumulated clock took 0, 25, 250, 1501 and 3651 steps here, the
+    # last two runs ending with a step of about 1e-13
+    records, _ = invariant_flow(su2_round(1.1, 0.8), t_max)
+    assert len(records) == steps + 1
+    assert records[-1]["t"] == t_max
+    # the last step is a whole one, no sliver
+    assert records[-1]["t"] - records[-2]["t"] == pytest.approx(
+        min(t_max, 0.002), rel=1e-9)
+
+
+def test_a_halved_last_step_still_ends_exactly_at_the_horizon(monkeypatch):
+    real, taken = homogeneous._rk4_with_retries, []
+
+    def refuse_the_last_step_once(data, h, slope, advance, t):
+        refuse = [len(taken) == 24]   # the last of t_max / dt = 25 steps
+
+        def advance_or_refuse(d, h_stage, k):
+            if refuse[0]:
+                refuse[0] = False
+                raise PositivityError("forced halving")
+            return advance(d, h_stage, k)
+
+        out = real(data, h, slope, advance_or_refuse, t)
+        taken.append((h, out[2]))
+        return out
+
+    monkeypatch.setattr(homogeneous, "_rk4_with_retries",
+                        refuse_the_last_step_once)
+    records, _ = invariant_flow(su2_round(1.1, 0.8), t_max=0.05)
+    assert taken[24][1] == 0.5 * taken[24][0]
+    assert len(taken) == 26 and len(records) == 27
+    assert records[-1]["t"] == 0.05
 
 
 @pytest.mark.parametrize("t_max, dt", [
@@ -261,7 +333,7 @@ def test_lie_data_refuses_a_non_finite_form(h3):
 
 def test_grf_rhs_is_minus_twice_the_stationary_defect_bit_for_bit():
     # -2 (Ric - H^2/4) rounds as -2 Ric + H^2/2: scaling by powers of two
-    # commutes with rounding
+    # commutes with rounding; and the velocity is exactly symmetric
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 3))
     g = a @ a.T + 0.5 * np.eye(3)
@@ -270,7 +342,9 @@ def test_grf_rhs_is_minus_twice_the_stationary_defect_bit_for_bit():
             data = LieData(lam, g, h3)
             old = (-2.0 * invariant_ricci(data)
                    + 0.5 * invariant_h_squared(data))
-            assert np.array_equal(invariant_grf_rhs(data)[0], old)
+            v = invariant_grf_rhs(data)
+            assert np.array_equal(v, old)
+            assert v.shape == (3, 3) and np.array_equal(v, v.T)
 
 
 def test_invariant_csv_round_trip(tmp_path):
@@ -302,8 +376,7 @@ def test_lambda_inv_never_decreases_along_the_invariant_flow(algebra):
         g = np.array([[r["g11"], r["g12"], r["g13"]],
                       [r["g12"], r["g22"], r["g23"]],
                       [r["g13"], r["g23"], r["g33"]]])
-        data = LieData(ALGEBRAS[algebra], g, r["h3"])
-        assert data.h3 == 0.8
+        data = LieData(ALGEBRAS[algebra], g, 0.8)
         lams.append(invariant_scalar_curvature(data)
                     - invariant_norm_sq(data) / 12.0)
     # smallest increment 8.5e-5 (abelian), per step of dt = 0.002

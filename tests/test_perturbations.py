@@ -80,6 +80,13 @@ def test_cutoff_zero_rejected(grid):
         trig_polynomial(grid, np.random.default_rng(0), cutoff=0)
 
 
+@pytest.mark.parametrize("cutoff", [2.0, 1.5, -1, "2"])
+def test_a_cutoff_that_is_not_a_positive_integer_is_refused(grid, cutoff):
+    # a float cutoff used to die in _positive_modes' range() with a TypeError
+    with pytest.raises(FieldError, match="positive integer"):
+        trig_polynomial(grid, np.random.default_rng(0), cutoff=cutoff)
+
+
 def test_cutoff_reaching_the_nyquist_band_rejected():
     # the stencil cannot see a k = N/2 checkerboard, and a metric varying
     # only in checkerboards is a fixed point of every flow: a stability run

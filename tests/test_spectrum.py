@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_a_start_vector_off_the_grid_shape_is_refused(shape):
     with pytest.raises(FieldError, match=rf"shape \({shape[0]},.*the grid "
                                          r"\(8, 8, 8\)"):
         lowest_eigenpair(g, w0=np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "other grid"])
+def test_a_start_vector_that_is_not_finite_or_off_the_grid_is_refused(bad):
+    # a NaN used to surface as the overflow message after 0 steps, an inf as
+    # numpy's divide warning, and a field on another grid passed unchecked
+    grid = Grid((8, 8, 8))
+    if bad == "other grid":
+        w0 = ScalarField(Grid((8, 8, 8), periods=(1.0, 1.0, 1.0)),
+                         np.ones(grid.shape))
+    else:
+        w0 = np.ones(grid.shape)
+        w0[3, 1, 4] = float(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError, match="initial vector for the "
+                                             "eigensolver"):
+            lowest_eigenpair(flat_metric(grid), w0=w0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-4, float("nan"), float("inf")])
