@@ -293,18 +293,24 @@ def lojasiewicz_report(trajectory, window_fraction=0.5, min_samples=10):
 
 
 def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
-                          t_max=0.1, cfl=0.1, dims=3):
+                          t_max=0.1, cfl=0.2, dims=3):
     """Pull the gauge-fixed endpoint back and compare with the plain flow.
 
     Both flows start from the same seeded data and stop exactly at t_max; the
     recorded gauge stage fields integrate the compensating diffeomorphism,
     whose pullback of the gauge-fixed endpoint must match the plain endpoint
-    to the combined discretization error of both runs.
+    to the combined discretization error of both runs. plain_steps and
+    gauged_steps count the accepted steps of the two flows.
+
+    The step is cfl = 0.2, twice FlowConfig's: a fifth of RK4's limit in 3D
+    (see flow). It moves gap_sup and metric_gap_sup from cfl 0.1's by at
+    most 2e-4 relative at N = 8 and 12; at N = 12 gap_sup is 1.41e-4.
+    Neither flow records a diagnostics row, so the run solves no eigenpair.
     """
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, dims=dims)
     g_ref = flat_metric(state.g.grid)
-    base = dict(t_max=t_max, cfl=cfl, stop_tol=0.0, record_every=10 ** 9)
+    base = dict(t_max=t_max, cfl=cfl, stop_tol=0.0, record_every=None)
     plain = run_flow(state, FlowConfig(gauge="grf", **base))
     gauged = run_flow(state, FlowConfig(gauge="deturck",
                                         keep_gauge_fields=True, **base),
@@ -326,6 +332,8 @@ def gauge_consistency_run(resolution=12, amplitude=0.05, seed=0, cutoff=2,
         "amplitude": amplitude,
         "seed": seed,
         "t_end": plain.final.time,
+        "plain_steps": plain.steps,
+        "gauged_steps": gauged.steps,
         "displacement_sup": float(np.max(np.abs(disp.values))),
         "metric_gap_sup": gap_g,
         "field_strength_gap_sup": gap_h,

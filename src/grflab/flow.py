@@ -25,14 +25,15 @@ damps y' = z y / dt while z >= -2.785, its real stability interval, so on n
 axes cfl* = 2 * 2.785 / (1.883 n): 1.48 in 2D, 0.986 in 3D, 0.74 in 4D.
 The mu flow's nonzero flat-point rates are -|D(k)|^2 / 2, so its limit is
 twice that: 1.97 in 3D. FlowConfig's default 0.1 is a tenth of the 3D
-DeTurck limit.
+DeTurck limit; experiments.gauge_consistency_run takes 0.2.
 
 A run takes at most MAX_STEPS steps. Every accepted step can record a
 diagnostics row with the columns t, lambda, H_l2, ricci_linf, dH_linf,
-F_value, rhs_l2, dt (plus the identity gap of the eigenpair);
-write_trajectory_csv exports exactly the eight named columns at 17
-significant digits, through write_records_csv, the one CSV writer of the
-package.
+F_value, rhs_l2, dt (plus the identity gap of the eigenpair), whose side
+eigensolve is the run's only one outside a spectral gauge; a run with
+record_every None records none. write_trajectory_csv exports exactly the
+eight named columns at 17 significant digits, through write_records_csv, the
+one CSV writer of the package.
 
 The right-hand sides compose raw packed arrays (see lattice) and read the
 H = Hhat + db a FlowState validates once; only their outputs (dg, db, the
@@ -108,9 +109,13 @@ class FlowConfig:
     gauge is a key of GAUGES. stop_tol bounds the L2 norm of the right-hand
     side pair (weighted by e^{-f} in a spectral gauge: the gradient norm);
     reaching it gives the CONVERGED verdict. A diagnostics row is recorded
-    every record_every accepted steps, an integer of at least 1. No float
-    field may be NaN, and cfl must be finite. keep_gauge_fields asks for the
-    run's gauge_series and needs a gauge that keeps fields.
+    every record_every accepted steps, an integer of at least 1, and at the
+    last state; its dt is the step planned from that state, before any
+    positivity halving. record_every None records no row, so a run that
+    is not in a spectral gauge makes no eigensolve; the steps and the final
+    state do not depend on it. No float field may be NaN, and cfl must be
+    finite. keep_gauge_fields asks for the run's gauge_series and needs a
+    gauge that keeps fields.
 
     cfl scales dt = cfl min(h)^2 / (2 max eig g^-1). RK4 on the flat-point
     symbol -|D(k)|^2 is stable up to cfl* = 2 * 2.785 / (1.883 n): 1.48,
@@ -124,7 +129,7 @@ class FlowConfig:
     t_max: float = 10.0
     cfl: float = 0.1
     stop_tol: float = 1e-8
-    record_every: int = 1
+    record_every: Optional[int] = 1
     keep_gauge_fields: bool = False
 
     def __post_init__(self):
@@ -138,20 +143,22 @@ class FlowConfig:
             raise ConfigError("cfl must be positive and finite")
         if not self.stop_tol >= 0:
             raise ConfigError("stop_tol must be nonnegative")
-        if (not isinstance(self.record_every, numbers.Integral)
+        if self.record_every is not None and (
+                not isinstance(self.record_every, numbers.Integral)
                 or self.record_every < 1):
-            raise ConfigError("record_every must be an integer of at least 1")
+            raise ConfigError(
+                "record_every must be None or an integer of at least 1")
 
 
 @dataclass
 class Trajectory:
     """Outcome of a flow run: final state, sampled diagnostics, verdict.
 
-    final is the state the run ended at; gauge is the run's GAUGES key.
-    gauge_series, present when the run kept gauge fields, lists (t, dt,
-    [X at the four Runge-Kutta stages]) per accepted step; diffeo_flow
-    consumes it to integrate the compensating diffeomorphisms at matching
-    order. counts maps each key of COUNTS to a total of the run (a key the
+    final is the state the run ended at, after steps accepted steps; gauge
+    is the run's GAUGES key. gauge_series, present when the run kept gauge
+    fields, lists (t, dt, [X at the four Runge-Kutta stages]) per accepted
+    step; diffeo_flow consumes it to integrate the compensating
+    diffeomorphisms at matching order. counts maps each key of COUNTS to a total of the run (a key the
     run never counted reads 0): side_eig_failures the rows whose side
     eigensolve failed (spectral columns NaN); eig_outer_iterations and
     eig_cg_iterations the iterations of every returned eigensolve, and
@@ -167,6 +174,7 @@ class Trajectory:
     reason: str = ""
     gauge_series: Optional[list] = None
     counts: collections.Counter = field(default_factory=collections.Counter)
+    steps: int = 0
 
     def column(self, key):
         return np.array([r[key] for r in self.records])
@@ -441,7 +449,8 @@ def run_flow(initial, config, g_ref=None):
     reason string report it; overflow is reported so by the field checks
     (NonFiniteError), not by numpy warnings. A run that takes MAX_STEPS steps
     ends DIVERGED with "step budget exhausted". Diagnostics are recorded
-    every record_every accepted steps and always at the endpoint.
+    every record_every accepted steps and always at the endpoint, unless
+    record_every is None.
     """
     gauge, stream = _gauge(config.gauge), _Stream()
     state = initial
@@ -469,7 +478,8 @@ def run_flow(initial, config, g_ref=None):
         stopping = rhs_l2 < config.stop_tol
         at_horizon = state.time >= config.t_max
         out_of_steps = steps >= MAX_STEPS
-        if (steps % config.record_every == 0 or stopping or at_horizon
+        if config.record_every is not None and (
+                steps % config.record_every == 0 or stopping or at_horizon
                 or out_of_steps):
             if sol is None:
                 try:
@@ -502,7 +512,8 @@ def run_flow(initial, config, g_ref=None):
 
     return Trajectory(final=state, records=records, verdict=verdict,
                       gauge=config.gauge, reason=reason,
-                      gauge_series=gauge_series, counts=stream.counts)
+                      gauge_series=gauge_series, counts=stream.counts,
+                      steps=steps)
 
 
 def write_records_csv(records, columns, path):

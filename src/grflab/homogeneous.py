@@ -71,10 +71,7 @@ class LieData:
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise FieldError("metric matrix not symmetric")
         g = 0.5 * (g + g.T)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise PositivityError("metric matrix is not positive definite")
+        _require_positive(g)
         for name, arr in (("lam", lam), ("g", g),
                           ("c", lam[:, None, None] * _EPSILON)):
             arr.setflags(write=False)
@@ -84,6 +81,25 @@ class LieData:
     @property
     def inv(self):
         return np.linalg.inv(self.g)
+
+    def _with_metric(self, g):
+        """This data at the metric g, unvalidated: a Runge-Kutta stage of
+        invariant_flow, whose g is exactly symmetric by construction and has
+        passed _require_positive; the other checks hold for self."""
+        stage = object.__new__(LieData)
+        stage.__dict__.update(self.__dict__, g=g)
+        return stage
+
+
+def _require_positive(g):
+    """FieldError unless the symmetric matrix g is finite, PositivityError
+    unless it is positive definite (a Cholesky factorization passes NaN)."""
+    if not np.all(np.isfinite(g)):
+        raise FieldError("non-finite entries in Lie data")
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise PositivityError("metric matrix is not positive definite")
 
 
 def _koszul(data):
@@ -206,12 +222,15 @@ def invariant_flow(data0, t_max, dt=0.002):
     h3, from t = 0 to exactly t_max.
 
     Uses the lattice flows' Runge-Kutta step, halved while the metric leaves
-    the SPD cone (StepSizeError when that never ends). t_max and dt must be
-    positive and finite, else ConfigError. The clock is dt times the exact
-    count of (halved) steps, and a rest to t_max no longer than dt plus four
-    ulps of t_max is the last step, so no sliver step follows it. Returns
-    (records, final LieData), one record per step and one at t_max, each
-    holding t, the six upper metric entries, the stationarity residual, dt.
+    the SPD cone (StepSizeError when that never ends). A stage is tested
+    for positivity alone, and each accepted step is validated as a LieData.
+    t_max and dt must be positive and finite, else ConfigError. The clock is
+    dt times the exact count of (halved) steps, and a rest to t_max no longer
+    than dt plus four ulps of t_max is the last step, so no sliver step
+    follows it. Returns (records, final LieData), one record per step and one
+    at t_max, each holding t, the six upper metric entries, the stationarity
+    residual and dt, the step taken from the record (after any halving; 0.0
+    at t_max).
     """
     if not (0 < t_max < math.inf and 0 < dt < math.inf):
         raise ConfigError("t_max and dt must be positive and finite")
@@ -220,23 +239,27 @@ def invariant_flow(data0, t_max, dt=0.002):
         return (invariant_grf_rhs(data),), None
 
     def advance(data, h, k):
-        return LieData(data.lam, data.g + h * k[0][0], data.h3)
+        # the velocity is exactly symmetric, so the stage metric is too
+        g = data.g + h * k[0][0]
+        _require_positive(g)
+        return data._with_metric(g)
 
-    def make_row(t, data):
+    def make_row(t, data, h):
         entries = {f"g{i + 1}{j + 1}": float(data.g[i, j])
                    for i, j in zip(*symmetric_pairs(3)[:2])}
         return {"t": t, **entries,
-                "stat_residual": stationarity_residual(data), "dt": dt}
+                "stat_residual": stationarity_residual(data), "dt": h}
 
     records, data, t, steps = [], data0, 0.0, 0.0
     while t < t_max:
-        records.append(make_row(t, data))
         rest = t_max - t
         last = rest <= dt + 4.0 * math.ulp(t_max)
-        data, _, h = _rk4_with_retries(data, rest if last else dt, slope,
-                                       advance, t)
+        stage, _, h = _rk4_with_retries(data, rest if last else dt, slope,
+                                        advance, t)
+        records.append(make_row(t, data, h))
+        data = LieData(data.lam, stage.g, data.h3)
         # a step of dt halved m times adds 2^-m to steps, exactly
         steps += h / dt
         t = t_max if last and h == rest else steps * dt
-    records.append(make_row(t, data))
+    records.append(make_row(t, data, 0.0))
     return records, data

@@ -184,12 +184,36 @@ def test_gauge_consistency_gap_is_small():
     report = gauge_consistency_run()
     assert math.isfinite(report["gap_sup"])
     assert report["gap_sup"] < 1e-3
+    # both flows land on the horizon in four steps at cfl 0.2
+    assert report["t_end"] == 0.1
+    assert report["plain_steps"] == report["gauged_steps"] == 4
+
+
+def test_gauge_consistency_run_solves_no_eigenpair(monkeypatch):
+    # neither flow records a row, so nothing needs the ground state
+    def refuse(*args, **kwargs):
+        raise AssertionError("gauge_consistency_run solved an eigenpair")
+
+    for module in (experiments, flow, spectrum):
+        monkeypatch.setattr(module, "lowest_eigenpair", refuse)
+    assert gauge_consistency_run(resolution=8)["t_end"] == 0.1
+
+
+@pytest.mark.parametrize("resolution", [8, 12])
+def test_gauge_consistency_gaps_do_not_depend_on_the_step(resolution):
+    # the gaps are the space discretization's: halving the step moves them
+    # by at most 1.7e-4 relative (field_strength_gap_sup by 4.4e-4 at N = 8)
+    default, halved = (gauge_consistency_run(resolution=resolution, cfl=cfl)
+                       for cfl in (0.2, 0.1))
+    assert default["gauged_steps"] < halved["gauged_steps"]
+    for key in ("gap_sup", "metric_gap_sup"):
+        assert default[key] == pytest.approx(halved[key], rel=1e-3), key
 
 
 def test_gauge_consistency_gap_falls_under_refinement():
     # both flows and the pulled-back diffeomorphism converge with the grid:
-    # 3.37e-4, 1.41e-4 and 6.03e-5 at N = 8, 12 and 16 (1.20e-5 at N = 24,
-    # observed order 4.0)
+    # 3.374e-4, 1.407e-4 and 6.025e-5 at N = 8, 12 and 16 (1.200e-5 at
+    # N = 24, observed order 4.0)
     gaps = [gauge_consistency_run(resolution=n)["gap_sup"]
             for n in (8, 12, 16)]
     assert all(0.0 < fine < 0.5 * coarse

@@ -25,9 +25,10 @@ from grflab import (
     write_trajectory_csv,
 )
 from grflab.errors import (ConfigError, ConvergenceError, FieldError,
-                           NonFiniteError, StepSizeError)
+                           NonFiniteError, PositivityError, StepSizeError)
 from grflab.experiments import (
-    monotonicity_run, perturbed_state as canned_state, stability_run)
+    gauge_consistency_run, monotonicity_run, perturbed_state as canned_state,
+    stability_run)
 from grflab import flow, geometry, spectrum
 from grflab.flow import (CSV_COLUMNS, GAUGES, _Stream, _diagnostics_row,
                          _predict, _remember)
@@ -72,6 +73,13 @@ def test_config_validation():
 def test_config_rejects_values_that_falsify_the_verdict(field, value):
     with pytest.raises(ConfigError, match=field):
         FlowConfig(**{field: value})
+
+
+def test_record_every_takes_none_or_a_positive_integer():
+    assert FlowConfig(record_every=None).record_every is None
+    for bad in (0, 2.5, float("nan")):
+        with pytest.raises(ConfigError, match="record_every"):
+            FlowConfig(record_every=bad)
 
 
 @pytest.mark.parametrize("gauge", ["grf", "deturck", "mu_gradient"])
@@ -436,6 +444,51 @@ def test_sparse_records_pin_the_endpoint():
     assert len(sparse.records) < len(every.records)
 
 
+@pytest.mark.parametrize("gauge", ["grf", "deturck"])
+def test_a_run_without_rows_takes_the_same_steps_bit_for_bit(gauge):
+    state = perturbed_state(8, 0.05, seed=5)
+    keep = gauge == "deturck"
+    rowed, bare = (run_flow(state, FlowConfig(
+        gauge=gauge, t_max=0.05, stop_tol=1e-14, record_every=r,
+        keep_gauge_fields=keep), g_ref=flat_metric(state.g.grid))
+        for r in (1, None))
+    assert bare.records == [] and len(rowed.records) == rowed.steps + 1
+    # no row, so no side eigensolve and nothing counted
+    assert all(bare.counts[key] == 0 for key in flow.COUNTS)
+    assert rowed.counts["eig_outer_iterations"] > 0
+    assert (bare.verdict, bare.reason, bare.steps) == (
+        rowed.verdict, rowed.reason, rowed.steps)
+    assert bare.final.time == rowed.final.time
+    assert np.array_equal(bare.final.g.values, rowed.final.g.values)
+    assert np.array_equal(bare.final.b.values, rowed.final.b.values)
+    if keep:
+        assert len(bare.gauge_series) == len(rowed.gauge_series) == bare.steps
+        for (t, dt, xs), (t0, dt0, xs0) in zip(bare.gauge_series,
+                                               rowed.gauge_series):
+            assert (t, dt) == (t0, dt0)
+            assert all(np.array_equal(x.values, x0.values)
+                       for x, x0 in zip(xs, xs0))
+
+
+def test_a_row_records_the_planned_step_before_any_halving(monkeypatch):
+    # the first step is refused once, so it is taken at half the dt its row
+    # holds
+    state = perturbed_state(8, 0.05, seed=5)
+    real, refused = flow._advance, []
+
+    def refuse_once(s, dt, k):
+        if not refused:
+            refused.append(dt)
+            raise PositivityError("forced halving")
+        return real(s, dt, k)
+
+    monkeypatch.setattr(flow, "_advance", refuse_once)
+    traj = run_flow(state, FlowConfig(gauge="grf", t_max=0.05))
+    assert traj.counts["dt_halvings"] == 1
+    assert traj.records[0]["dt"] == 2.0 * refused[0]
+    assert traj.records[1]["t"] == 0.5 * traj.records[0]["dt"]
+
+
 def test_gauge_series_only_for_deturck():
     state = perturbed_state(8, 0.05, seed=6)
     ref = flat_metric(state.g.grid)
@@ -582,6 +635,12 @@ def test_stability_run_default_step_is_below_the_rk4_limit():
     assert [round(limits[d], 3) for d in (2, 3, 4)] == [1.479, 0.986, 0.74]
     default = inspect.signature(stability_run).parameters["cfl"].default
     assert all(default < limit for limit in limits.values())
+
+
+def test_gauge_consistency_run_default_step_is_below_the_rk4_limit():
+    # its DeTurck flow takes a fifth of the 3D limit, as stability_run does
+    default = inspect.signature(gauge_consistency_run).parameters["cfl"].default
+    assert all(default < _rk4_limit_cfl(dims, 4096) for dims in (2, 3, 4))
 
 
 def test_monotonicity_run_default_step_is_below_the_mu_flow_limit():

@@ -297,6 +297,72 @@ def test_a_halved_last_step_still_ends_exactly_at_the_horizon(monkeypatch):
     assert records[-1]["t"] == 0.05
 
 
+def test_each_record_holds_the_step_taken_from_it(monkeypatch):
+    # the fourth step is refused once and taken at half size; the last step
+    # is the short rest to t_max; the row at t_max took no step
+    real, calls = homogeneous._rk4_with_retries, []
+
+    def refuse_the_fourth_step_once(data, h, slope, advance, t):
+        refuse = [len(calls) == 3]
+
+        def advance_or_refuse(d, h_stage, k):
+            if refuse[0]:
+                refuse[0] = False
+                raise PositivityError("forced halving")
+            return advance(d, h_stage, k)
+
+        calls.append(h)
+        return real(data, h, slope, advance_or_refuse, t)
+
+    monkeypatch.setattr(homogeneous, "_rk4_with_retries",
+                        refuse_the_fourth_step_once)
+    records, _ = invariant_flow(su2_round(1.1, 0.8), t_max=0.0101)
+    dts = [r["dt"] for r in records]
+    assert dts[:5] == [0.002, 0.002, 0.002, 0.001, 0.002]
+    assert dts[5] == 0.0101 - records[5]["t"] and dts[5] < 0.002
+    assert dts[-1] == 0.0 and records[-1]["t"] == 0.0101
+    for row, after in zip(records, records[1:]):
+        assert after["t"] - row["t"] == pytest.approx(row["dt"], rel=1e-9)
+
+
+def test_a_stage_that_leaves_the_cone_halves_the_step():
+    # the thin su2 metric collapses within one step of dt = 0.05, so the
+    # first step is taken at 0.05 / 8
+    start = LieData(ALGEBRAS["su2"], np.diag([1.0, 0.2, 0.05]), 0.0)
+    records, final = invariant_flow(start, t_max=0.15, dt=0.05)
+    assert records[0]["dt"] == 0.00625
+    assert records[-1]["t"] == 0.15 and np.all(np.linalg.eigvalsh(final.g) > 0)
+
+
+def test_a_non_finite_stage_is_refused_before_its_velocity(monkeypatch):
+    # the second velocity of the first step turns the third stage NaN, which
+    # the stage test refuses before the next velocity can warn on it
+    real, calls = homogeneous.invariant_grf_rhs, []
+
+    def nan_once(data):
+        calls.append(1)
+        return real(data) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(homogeneous, "invariant_grf_rhs", nan_once)
+    with pytest.raises(FieldError, match="non-finite"):
+        invariant_flow(su2_round(1.1, 0.8), t_max=0.01)
+    assert len(calls) == 2
+
+
+def test_invariant_flow_validates_each_accepted_step_once(monkeypatch):
+    # a stage is only tested for positivity; every accepted state is
+    # validated as a LieData, and nothing else is
+    start, real, built = su2_round(1.1, 0.8), LieData.__post_init__, []
+
+    def counting(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(LieData, "__post_init__", counting)
+    invariant_flow(start, t_max=0.05)
+    assert len(built) == 25
+
+
 @pytest.mark.parametrize("t_max, dt", [
     (float("nan"), 0.002), (float("inf"), 0.002), (0.1, float("nan")),
     (0.1, float("inf")), (-0.1, 0.002)])
