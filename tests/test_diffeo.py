@@ -324,8 +324,8 @@ def test_pulled_back_fields_are_exactly_symmetric(dims):
 
 def test_gauge_consistency_run_keeps_its_recorded_gaps():
     # recorded with per-component prefiltered interpolation and the
-    # full-component pullback of tests/oracles.py, at the step of cfl 0.1
-    # these pins were taken at
+    # full-component pullback of tests/oracles.py, at cfl 0.1, which the
+    # call passes so that the pins keep guarding those kernels
     recorded = {
         "displacement_sup": 0.005987561857832729,
         "metric_gap_sup": 0.00014070257170761824,

@@ -202,7 +202,7 @@ def test_gauge_consistency_run_solves_no_eigenpair(monkeypatch):
 @pytest.mark.parametrize("resolution", [8, 12])
 def test_gauge_consistency_gaps_do_not_depend_on_the_step(resolution):
     # the gaps are the space discretization's: halving the step moves them
-    # by at most 1.7e-4 relative (field_strength_gap_sup by 4.4e-4 at N = 8)
+    # by at most 1.7e-4 relative (field_strength_gap_sup by 4.5e-4 at N = 8)
     default, halved = (gauge_consistency_run(resolution=resolution, cfl=cfl)
                        for cfl in (0.2, 0.1))
     assert default["gauged_steps"] < halved["gauged_steps"]

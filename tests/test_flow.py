@@ -471,8 +471,8 @@ def test_a_run_without_rows_takes_the_same_steps_bit_for_bit(gauge):
 
 
 def test_a_row_records_the_planned_step_before_any_halving(monkeypatch):
-    # the first step is refused once, so it is taken at half the dt its row
-    # holds
+    # the first step's first stage advance (half a step) is refused once,
+    # so the step is taken at half the dt its row holds
     state = perturbed_state(8, 0.05, seed=5)
     real, refused = flow._advance, []
 

@@ -350,8 +350,8 @@ def test_a_non_finite_stage_is_refused_before_its_velocity(monkeypatch):
 
 
 def test_invariant_flow_validates_each_accepted_step_once(monkeypatch):
-    # a stage is only tested for positivity; every accepted state is
-    # validated as a LieData, and nothing else is
+    # a stage is only tested for finiteness and positivity; every accepted
+    # state is validated as a LieData, and nothing else is
     start, real, built = su2_round(1.1, 0.8), LieData.__post_init__, []
 
     def counting(self):
