@@ -205,7 +205,7 @@ def _endpoint_summary(traj):
 
 
 def stability_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
-                  hhat_c=0.0, stop_tol=1e-7, t_max=20.0, cfl=0.2,
+                  hhat_c=0.0, stop_tol=1e-7, t_max=20.0, cfl=0.4,
                   record_every=1, threshold=1e-6, dims=3):
     """One gauge-fixed run from seeded data back toward the flat point.
 
@@ -214,11 +214,9 @@ def stability_run(seed=0, resolution=16, amplitude=0.05, cutoff=2,
     the end; stopping at 1e-7 leaves the endpoint norms an order of magnitude
     of slack under the default 1e-6 pass line.
 
-    The step is cfl = 0.2, twice FlowConfig's: a fifth of RK4's limit in 3D,
-    a quarter in 4D and a seventh in 2D (see flow). The default N = 16 run
-    takes 910 steps. A larger default waits for the benchmark's deturck_relax
-    operations, which stop at a loose tolerance after 8 to 10 steps, to be
-    resized for it.
+    The step is cfl = 0.4, four times FlowConfig's: 41% of RK4's limit in
+    3D, 54% in 4D and 27% in 2D (see flow). The default N = 16 run takes 455
+    steps and no positivity halving.
     """
     state = perturbed_state(resolution=resolution, amplitude=amplitude,
                             seed=seed, cutoff=cutoff, hhat_c=hhat_c,

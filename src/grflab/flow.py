@@ -25,7 +25,8 @@ damps y' = z y / dt while z >= -2.785, its real stability interval, so on n
 axes cfl* = 2 * 2.785 / (1.883 n): 1.48 in 2D, 0.986 in 3D, 0.74 in 4D.
 The mu flow's nonzero flat-point rates are -|D(k)|^2 / 2, so its limit is
 twice that: 1.97 in 3D. FlowConfig's default 0.1 is a tenth of the 3D
-DeTurck limit; experiments.gauge_consistency_run takes 0.2.
+DeTurck limit; experiments.gauge_consistency_run takes 0.2 and
+experiments.stability_run 0.4, 41% of it and 54% of the 4D limit.
 
 A run takes at most MAX_STEPS steps. Every accepted step can record a
 diagnostics row with the columns t, lambda, H_l2, ricci_linf, dH_linf,
@@ -68,6 +69,8 @@ MAX_STEPS = 200000
 # the keys of Trajectory.counts, in the order the run summaries report them
 COUNTS = ("side_eig_failures", "eig_outer_iterations", "eig_cg_iterations",
           "eig_cg_short_exits", "dt_halvings")
+
+_HORIZON = "time horizon reached before residual tolerance"
 
 CSV_COLUMNS = ("t", "lambda", "H_l2", "ricci_linf", "dH_linf", "F_value",
                "rhs_l2", "dt")
@@ -113,9 +116,11 @@ class FlowConfig:
     last state; its dt is the step planned from that state, before any
     positivity halving. record_every None records no row, so a run that
     is not in a spectral gauge makes no eigensolve; the steps and the final
-    state do not depend on it. No float field may be NaN, and cfl must be
-    finite. keep_gauge_fields asks for the run's gauge_series and needs a
-    gauge that keeps fields.
+    state do not depend on it. A run with record_every None and stop_tol 0,
+    which no norm can pass, ends at the horizon without evaluating the
+    right-hand side of its horizon state. No float field may be NaN, and
+    cfl must be finite. keep_gauge_fields asks for the run's gauge_series
+    and needs a gauge that keeps fields.
 
     cfl scales dt = cfl min(h)^2 / (2 max eig g^-1). RK4 on the flat-point
     symbol -|D(k)|^2 is stable up to cfl* = 2 * 2.785 / (1.883 n): 1.48,
@@ -459,6 +464,12 @@ def run_flow(initial, config, g_ref=None):
     verdict, reason = "DIVERGED", "step budget exhausted"
     steps = 0
     while True:
+        at_horizon = state.time >= config.t_max
+        if (at_horizon and config.record_every is None
+                and config.stop_tol == 0.0):
+            # nothing would read the horizon state's right-hand side
+            reason = _HORIZON
+            break
         stream.next_step()
         try:
             k1 = _rhs(gauge, state, g_ref, stream)
@@ -476,7 +487,6 @@ def run_flow(initial, config, g_ref=None):
         rhs_l2 = _pair_l2(state.g, k1[0], k1[1], weight)
 
         stopping = rhs_l2 < config.stop_tol
-        at_horizon = state.time >= config.t_max
         out_of_steps = steps >= MAX_STEPS
         if config.record_every is not None and (
                 steps % config.record_every == 0 or stopping or at_horizon
@@ -493,7 +503,7 @@ def run_flow(initial, config, g_ref=None):
             verdict, reason = "CONVERGED", ""
             break
         if at_horizon:
-            reason = "time horizon reached before residual tolerance"
+            reason = _HORIZON
             break
         if out_of_steps:
             break

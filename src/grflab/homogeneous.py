@@ -244,22 +244,25 @@ def invariant_flow(data0, t_max, dt=0.002):
         _require_positive(g)
         return data._with_metric(g)
 
-    def make_row(t, data, h):
+    def make_row(t, data, residual, h):
         entries = {f"g{i + 1}{j + 1}": float(data.g[i, j])
                    for i, j in zip(*symmetric_pairs(3)[:2])}
-        return {"t": t, **entries,
-                "stat_residual": stationarity_residual(data), "dt": h}
+        return {"t": t, **entries, "stat_residual": residual, "dt": h}
 
     records, data, t, steps = [], data0, 0.0, 0.0
     while t < t_max:
         rest = t_max - t
         last = rest <= dt + 4.0 * math.ulp(t_max)
+        k1 = slope(data)
         stage, _, h = _rk4_with_retries(data, rest if last else dt, slope,
-                                        advance, t)
-        records.append(make_row(t, data, h))
+                                        advance, t, k1)
+        # k1 is -2 times the stationary defect, so this is exactly
+        # stationarity_residual(data)
+        records.append(make_row(t, data, 0.5 * float(np.max(np.abs(
+            k1[0][0]))), h))
         data = LieData(data.lam, stage.g, data.h3)
         # a step of dt halved m times adds 2^-m to steps, exactly
         steps += h / dt
         t = t_max if last and h == rest else steps * dt
-    records.append(make_row(t, data, 0.0))
+    records.append(make_row(t, data, stationarity_residual(data), 0.0))
     return records, data

@@ -51,7 +51,7 @@ def test_stability_verdict_and_end_time_do_not_depend_on_the_step():
     # within one default step
     common = dict(resolution=8, stop_tol=1e-5, threshold=1e-4)
     (traj, default), (_, halved) = (stability_run(**common),
-                                    stability_run(cfl=0.1, **common))
+                                    stability_run(cfl=0.2, **common))
     assert default["passed"] is halved["passed"] is True
     assert default["verdict"] == halved["verdict"] == "CONVERGED"
     assert default["n_records"] < halved["n_records"]
@@ -197,6 +197,23 @@ def test_gauge_consistency_run_solves_no_eigenpair(monkeypatch):
     for module in (experiments, flow, spectrum):
         monkeypatch.setattr(module, "lowest_eigenpair", refuse)
     assert gauge_consistency_run(resolution=8)["t_end"] == 0.1
+
+
+def test_gauge_consistency_run_assembles_no_horizon_right_hand_side(
+        monkeypatch):
+    # four stages per accepted step of each flow and nothing more: neither
+    # flow records a row or can pass its tolerance of 0, so nothing reads
+    # the right-hand side of the state on the horizon
+    real, calls = flow.gauged_grf_values, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(flow, "gauged_grf_values", counting)
+    report = gauge_consistency_run(resolution=8)
+    assert report["plain_steps"] == report["gauged_steps"] == 2
+    assert len(calls) == 4 * (2 + 2)
 
 
 @pytest.mark.parametrize("resolution", [8, 12])

@@ -638,7 +638,7 @@ def test_stability_run_default_step_is_below_the_rk4_limit():
 
 
 def test_gauge_consistency_run_default_step_is_below_the_rk4_limit():
-    # its DeTurck flow takes a fifth of the 3D limit, as stability_run does
+    # its DeTurck flow takes a fifth of the 3D limit, half stability_run's
     default = inspect.signature(gauge_consistency_run).parameters["cfl"].default
     assert all(default < _rk4_limit_cfl(dims, 4096) for dims in (2, 3, 4))
 

@@ -276,7 +276,7 @@ def test_invariant_flow_ends_exactly_at_its_horizon(t_max, steps):
 def test_a_halved_last_step_still_ends_exactly_at_the_horizon(monkeypatch):
     real, taken = homogeneous._rk4_with_retries, []
 
-    def refuse_the_last_step_once(data, h, slope, advance, t):
+    def refuse_the_last_step_once(data, h, slope, advance, t, k1):
         refuse = [len(taken) == 24]   # the last of t_max / dt = 25 steps
 
         def advance_or_refuse(d, h_stage, k):
@@ -285,7 +285,7 @@ def test_a_halved_last_step_still_ends_exactly_at_the_horizon(monkeypatch):
                 raise PositivityError("forced halving")
             return advance(d, h_stage, k)
 
-        out = real(data, h, slope, advance_or_refuse, t)
+        out = real(data, h, slope, advance_or_refuse, t, k1)
         taken.append((h, out[2]))
         return out
 
@@ -302,7 +302,7 @@ def test_each_record_holds_the_step_taken_from_it(monkeypatch):
     # is the short rest to t_max; the row at t_max took no step
     real, calls = homogeneous._rk4_with_retries, []
 
-    def refuse_the_fourth_step_once(data, h, slope, advance, t):
+    def refuse_the_fourth_step_once(data, h, slope, advance, t, k1):
         refuse = [len(calls) == 3]
 
         def advance_or_refuse(d, h_stage, k):
@@ -312,7 +312,7 @@ def test_each_record_holds_the_step_taken_from_it(monkeypatch):
             return advance(d, h_stage, k)
 
         calls.append(h)
-        return real(data, h, slope, advance_or_refuse, t)
+        return real(data, h, slope, advance_or_refuse, t, k1)
 
     monkeypatch.setattr(homogeneous, "_rk4_with_retries",
                         refuse_the_fourth_step_once)
@@ -361,6 +361,26 @@ def test_invariant_flow_validates_each_accepted_step_once(monkeypatch):
     monkeypatch.setattr(LieData, "__post_init__", counting)
     invariant_flow(start, t_max=0.05)
     assert len(built) == 25
+
+
+def test_invariant_flow_evaluates_four_defects_per_step_and_one_at_the_end(
+        monkeypatch):
+    # a row's residual is read off the step's first stage; only the row at
+    # t_max evaluates the defect once more
+    real, calls = homogeneous._stationary_defect, []
+
+    def counting(data):
+        calls.append(1)
+        return real(data)
+
+    monkeypatch.setattr(homogeneous, "_stationary_defect", counting)
+    records, _ = invariant_flow(su2_round(1.1, 0.8), t_max=0.05)
+    assert len(calls) == 4 * 25 + 1
+    # and it is the residual of the row's own metric, bit for bit
+    for row in records:
+        data = LieData(ALGEBRAS["su2"], full_symmetric(np.array(
+            [row[c] for c in INVARIANT_CSV_COLUMNS[1:7]])), 0.8)
+        assert row["stat_residual"] == stationarity_residual(data)
 
 
 @pytest.mark.parametrize("t_max, dt", [
